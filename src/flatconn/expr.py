@@ -27,7 +27,7 @@ hashable, so they are safe to share and to memoize on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
     "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
@@ -370,6 +370,8 @@ class Expr:
         other = Expr.wrap(other)
         if not self.terms or not other.terms:
             return ZERO
+        if self is ONE or other is ONE:
+            return other if self is ONE else self
         # Multiply through the smaller factor.
         a, b = (self.terms, other.terms)
         if len(a) > len(b):
@@ -452,6 +454,43 @@ class Expr:
                         else:
                             del out[m]
                     break
+        return Expr(out)
+
+    def derive(self, image: Callable[[Symbol], "Expr"]) -> "Expr":
+        """The derivation whose value on each symbol ``s`` is ``image(s)``.
+
+        Applies the Leibniz rule, sum_s image(s) * df/ds, in one pass over
+        the monomials.  ``image`` is called once per distinct symbol of f and
+        returns ZERO for symbols the derivation kills.  This is the one
+        kernel behind every total, vertical, evolutionary and symmetry
+        derivation in the package.
+        """
+        images: Dict[Symbol, Dict[Monomial, Fraction]] = {}
+        out: Dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            for k, (sym, p) in enumerate(mono):
+                img = images.get(sym)
+                if img is None:
+                    img = images[sym] = image(sym).terms
+                if not img:
+                    continue
+                if p == 1:
+                    rest = mono[:k] + mono[k + 1:]
+                else:
+                    rest = mono[:k] + ((sym, p - 1),) + mono[k + 1:]
+                cp = c * p
+                for mi, ci in img.items():
+                    m = _mono_mul(rest, mi)
+                    cc = cp * ci
+                    acc = out.get(m)
+                    if acc is None:
+                        out[m] = cc
+                    else:
+                        acc = acc + cc
+                        if acc:
+                            out[m] = acc
+                        else:
+                            del out[m]
         return Expr(out)
 
     def subs(self, bindings: Mapping[Symbol, ExprLike]) -> "Expr":

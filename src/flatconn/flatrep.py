@@ -80,12 +80,7 @@ class FlatRepSpec:
         return Derivation(self.scheme, dirs=dirs)
 
     def f_apply(self, i: int, e: Expr) -> Expr:
-        out = total_derivative(self.scheme, i, e)
-        for d in self.fiber_dirs:
-            a = self.a(i, d)
-            if not a.is_zero():
-                out = out + a * total_derivative(self.scheme, d, e)
-        return out
+        return self.derivation(i).apply(e)
 
     def fiber_coord(self, d: int) -> Symbol:
         return self.scheme.indep(d)

@@ -13,7 +13,9 @@ each direction acts on every symbol of its chart.  Three built-in flavors:
   coverings and flat representations).
 
 On top of the schemes: evolutionary vector fields, the symmetry test for
-evolution systems, and the horizontal de Rham differential d_h.
+evolution systems, and the horizontal de Rham differential d_h.  Every
+derivation here is fixed by its values on symbols and applied through the
+one Leibniz kernel :meth:`Expr.derive`.
 """
 
 from __future__ import annotations
@@ -240,14 +242,7 @@ class Extended(DerivScheme):
 def total_derivative(scheme: DerivScheme, i: int, f: Expr) -> Expr:
     """D_i f = sum_s D_i(s) * df/ds over the finitely many symbols of f."""
     scheme.check_direction(i)
-    f = Expr.wrap(f)
-    out = ZERO
-    for s in f.symbols():
-        img = scheme.derive_symbol(s, i)
-        if img.is_zero():
-            continue
-        out = out + img * f.partial(s)
-    return out
+    return Expr.wrap(f).derive(lambda s: scheme.derive_symbol(s, i))
 
 
 def d_sigma(scheme: DerivScheme, sigma: Iterable[int], f: Expr) -> Expr:
@@ -277,32 +272,27 @@ def evolutionary_apply(scheme: DerivScheme, phi: Sequence[Expr], f: Expr) -> Exp
     if len(phi) != scheme.m:
         raise ValueError("expected %d generating functions, got %d" % (scheme.m, len(phi)))
     phi = [Expr.wrap(p) for p in phi]
-    f = Expr.wrap(f)
-    out = ZERO
-    for s in f.symbols():
+
+    def image(s: Symbol) -> Expr:
         if s.kind != KIND_JET:
-            continue
-        out = out + d_sigma(scheme, s.sigma, phi[s.index - 1]) * f.partial(s)
-    return out
+            return ZERO
+        return d_sigma(scheme, s.sigma, phi[s.index - 1])
+
+    return Expr.wrap(f).derive(image)
 
 
 def is_symmetry_evolution(scheme: Evolution, phi: Sequence[Expr]) -> Report:
-    """Check the linearized equation D_t(phi^a) = sum dF^a/du_k D_x^k(phi) on
-    internal coordinates."""
+    """Check the linearized equation D_t(phi^a) = Ev_phi(F^a) on internal
+    coordinates."""
     if not isinstance(scheme, Evolution):
         raise TypeError("symmetry test requires an evolution scheme")
     if len(phi) != scheme.m:
         raise ValueError("expected %d generating functions, got %d" % (scheme.m, len(phi)))
     phi = [Expr.wrap(p) for p in phi]
-    residuals = []
-    for alpha in range(1, scheme.m + 1):
-        res = total_derivative(scheme, 2, phi[alpha - 1])
-        rhs = scheme.rhs[alpha - 1]
-        for s in rhs.symbols():
-            if s.kind != KIND_JET:
-                continue
-            res = res - rhs.partial(s) * d_sigma(scheme, s.sigma, phi[s.index - 1])
-        residuals.append(res)
+    residuals = [
+        total_derivative(scheme, 2, p) - evolutionary_apply(scheme, phi, rhs)
+        for p, rhs in zip(phi, scheme.rhs)
+    ]
     ok = all(r.is_zero() for r in residuals)
     return Report(
         task="is-symmetry",

@@ -3,52 +3,38 @@
 The exactness and lifting questions in this package reduce to: does a linear
 operator equation have a polynomial solution whose monomials come from a
 declared finite pool?  An :class:`AnsatzSpec` fixes the pool (allowed symbols
-and a total-degree cap) and generates undetermined coefficients as fresh
-parameter symbols; :func:`solve_undetermined` extracts the linear system by
-collecting monomials and runs exact Gaussian elimination.
+and a total-degree cap).  The caller applies its operator to every basis
+element of the pool, and :func:`solve_by_superposition` finds the rational
+combination of those images that equals the target: the images are keyed by
+(component, monomial) into sparse rows over Q, and :func:`solve_linear` runs
+exact Gaussian elimination on them.
 
 A "no solution" answer is always relative to the ansatz (bounded-no).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .expr import Expr, KIND_PARAM, ONE, Symbol, ZERO, param
+from .expr import Expr, ONE, Symbol
 
-__all__ = ["AnsatzSpec", "solve_undetermined", "solve_linear", "NonlinearSystem"]
-
-
-class NonlinearSystem(ValueError):
-    """The residuals are not linear in the undetermined coefficients."""
-
-
-_UNKNOWN_PREFIX = "_c_"
+__all__ = ["AnsatzSpec", "solve_linear", "solve_by_superposition"]
 
 
 @dataclass
 class AnsatzSpec:
-    """A finite monomial pool: ``symbols`` up to total degree ``degree``.
-
-    ``params`` records every undetermined coefficient this spec has generated
-    (one batch per :meth:`general_element` call).
-    """
+    """A finite monomial pool: ``symbols`` up to total degree ``degree``."""
 
     symbols: Tuple[Symbol, ...]
     degree: int
-    params: List[Symbol] = field(default_factory=list)
-    _counter: int = 0
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree bound must be nonnegative")
-        ordered = tuple(sorted(set(self.symbols), key=lambda s: s.key))
-        if any(s.name.startswith(_UNKNOWN_PREFIX) for s in ordered if s.kind == KIND_PARAM):
-            raise ValueError("ansatz symbols collide with generated unknowns")
-        self.symbols = ordered
+        self.symbols = tuple(sorted(set(self.symbols), key=lambda s: s.key))
 
     def monomials(self) -> List[Expr]:
         """All monomials of the pool, in a deterministic order."""
@@ -63,51 +49,6 @@ class AnsatzSpec:
                         mono.append((s, 1))
                 out.append(Expr({tuple(mono): Fraction(1)}))
         return out
-
-    def general_element(self, tag: str = "c") -> Tuple[Expr, List[Symbol]]:
-        """sum_j c_j mu_j with fresh undetermined coefficients c_j."""
-        coeffs = []
-        e = ZERO
-        for mono in self.monomials():
-            c = param("%s%s_%d" % (_UNKNOWN_PREFIX, tag, self._counter))
-            self._counter += 1
-            coeffs.append(c)
-            e = e + c * mono
-        self.params.extend(coeffs)
-        return e, coeffs
-
-
-def _linear_rows(residuals: Sequence[Expr], unknowns: Sequence[Symbol]):
-    """Collect the system {residual == 0 identically} as rows over Q.
-
-    Each row is (coeffs: dict col -> Fraction, const: Fraction) representing
-    sum coeffs[j] x_j + const = 0; rows are keyed by (residual index, carrier
-    monomial) and returned in a deterministic order.
-    """
-    index = {s: j for j, s in enumerate(unknowns)}
-    rows: Dict[tuple, Tuple[Dict[int, Fraction], List[Fraction]]] = {}
-    for ridx, e in enumerate(residuals):
-        for mono, c in Expr.wrap(e).terms.items():
-            cols = [(s, p) for s, p in mono if s in index]
-            rest = tuple(sp for sp in mono if sp[0] not in index)
-            key = (ridx, rest)
-            row = rows.get(key)
-            if row is None:
-                row = ({}, [Fraction(0)])
-                rows[key] = row
-            if not cols:
-                row[1][0] += c
-            elif len(cols) == 1 and cols[0][1] == 1:
-                j = index[cols[0][0]]
-                row[0][j] = row[0].get(j, Fraction(0)) + c
-            else:
-                raise NonlinearSystem("monomial %r is nonlinear in the unknowns" % (mono,))
-    ordered = []
-    for key in sorted(rows, key=lambda k: (k[0], tuple((s.key, p) for s, p in k[1]))):
-        coeffs, const = rows[key]
-        coeffs = {j: q for j, q in coeffs.items() if q}
-        ordered.append((coeffs, const[0]))
-    return ordered
 
 
 def solve_linear(rows) -> Optional[Dict[int, Fraction]]:
@@ -203,30 +144,15 @@ def _eliminate(rows) -> Optional[Dict[int, Fraction]]:
     return out
 
 
-def solve_undetermined(
-    residuals: Sequence[Expr], unknowns: Sequence[Symbol]
-) -> Optional[Dict[Symbol, Fraction]]:
-    """Values for the unknowns making every residual vanish identically.
-
-    Returns None when the system is inconsistent (bounded-no at the caller's
-    ansatz).  Unknowns not constrained by any equation come back as zero.
-    """
-    rows = _linear_rows(residuals, unknowns)
-    sol = solve_linear(rows)
-    if sol is None:
-        return None
-    return {s: sol.get(j, Fraction(0)) for j, s in enumerate(unknowns)}
-
-
 def solve_by_superposition(
     images: Sequence[Sequence[Expr]], target: Sequence[Expr]
 ) -> Optional[List[Fraction]]:
     """Coefficients c with sum_j c_j images[j] == target componentwise.
 
     ``images[j]`` holds the components of a linear operator applied to the
-    j-th basis element; exploiting linearity this way avoids symbolic
-    undetermined coefficients entirely.  Returns None when no combination
-    exists (bounded-no at the basis).
+    j-th basis element.  Unknowns that no equation constrains come back as
+    zero.  Returns None when no combination exists (bounded-no at the
+    basis).
     """
     ncomp = len(target)
     rows: Dict[tuple, Tuple[Dict[int, Fraction], List[Fraction]]] = {}

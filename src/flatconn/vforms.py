@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .expr import (
     KIND_BASEFIBER, KIND_PARAM, Expr, ONE, Symbol, ZERO, render, v, x,
 )
-from .jets import DerivScheme, sort_with_sign, total_derivative
+from .jets import DerivScheme, sort_with_sign
 from . import fce
 
 __all__ = [
@@ -92,13 +92,13 @@ class Derivation:
         )
 
     def apply(self, f: Expr) -> Expr:
-        f = Expr.wrap(f)
-        out = ZERO
-        for i, c in self.dirs.items():
-            out = out + c * total_derivative(self.space, i, f)
-        for s, c in self.partials.items():
-            out = out + c * f.partial(s)
-        return out
+        def image(s: Symbol) -> Expr:
+            out = self.partials.get(s, ZERO)
+            for i, c in self.dirs.items():
+                out = out + c * self.space.derive_symbol(s, i)
+            return out
+
+        return Expr.wrap(f).derive(image)
 
     __call__ = apply
 

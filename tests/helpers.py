@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from flatconn.expr import Expr, const, fc, jet, v, x
+from flatconn.expr import ZERO, Expr, const, fc, jet, v, x
 
 
 def rand_expr(rng: random.Random, symbols, degree=2, terms=3, span=3) -> Expr:
@@ -17,6 +17,15 @@ def rand_expr(rng: random.Random, symbols, degree=2, terms=3, span=3) -> Expr:
         for _ in range(rng.randint(0, degree)):
             mono = mono * rng.choice(symbols)
         out = out + mono
+    return out
+
+
+def leibniz_reference(f: Expr, image) -> Expr:
+    """The derivation with values ``image(s)`` on symbols, by its definition
+    sum_s image(s) * df/ds; the reference that Expr.derive is tested against."""
+    out = ZERO
+    for s in f.symbols():
+        out = out + image(s) * f.partial(s)
     return out
 
 

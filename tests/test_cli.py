@@ -1,8 +1,12 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from flatconn.cli import run
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
@@ -203,3 +207,16 @@ def test_human_format_lines(prob, capsys):
     out = capsys.readouterr().out
     assert "task: check-flat" in out
     assert "verdict: pass" in out
+
+
+def test_cli_mix_matches_golden_transcript():
+    # Replays the benchmark's cli-mix invocations from its own files, so any
+    # drift in rendering or exit codes fails here as well as in the benchmark.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    golden = json.loads(workloads.GOLDEN.read_text(encoding="utf-8"))
+    for inv in workloads.CLI_INVOCATIONS:
+        label = workloads.cli_label(inv)
+        want = golden[label]
+        assert workloads.cli_invoke(inv) == (want["exit"], want["stdout"]), label

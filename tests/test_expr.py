@@ -6,7 +6,7 @@ import pytest
 from flatconn.expr import (
     Expr, const, fc, jet, param, render, v, x, y, ZERO, ONE,
 )
-from helpers import rand_expr
+from helpers import leibniz_reference, rand_expr
 
 
 def test_difference_of_squares():
@@ -108,6 +108,30 @@ def test_leibniz_and_commuting_partials():
         t = rng.choice(pool)
         assert (f * g).partial(s) == f.partial(s) * g + f * g.partial(s)
         assert f.partial(s).partial(t) == f.partial(t).partial(s)
+        # derive against the definition: f^2 g has powers >= 2, and the images
+        # range from ZERO (terms=0) to several terms
+        values = {p: rand_expr(rng, pool, terms=rng.randint(0, 3)) for p in pool}
+        calls = []
+
+        def image(p):
+            calls.append(p)
+            return values[p]
+
+        h = f ** 2 * g
+        assert h.derive(image) == leibniz_reference(h, values.__getitem__)
+        assert len(calls) == len(set(calls)) and set(calls) == h.symbols()
+    # a rotation kills x1^2 + v1^2: every term cancels
+    rotation = {x(1): Expr.wrap(v(1)), v(1): -Expr.wrap(x(1))}
+    assert (x(1) ** 2 + v(1) ** 2).derive(rotation.__getitem__).terms == {}
+    assert (x(1) ** 3 * v(1)).derive(rotation.__getitem__) == \
+        3 * x(1) ** 2 * v(1) ** 2 - x(1) ** 4
+
+    def refuse(p):
+        raise ValueError("no image for %s" % render(p))
+
+    with pytest.raises(ValueError, match="no image for x1"):
+        Expr.wrap(x(1)).derive(refuse)
+    assert ZERO.derive(refuse).is_zero()
 
 
 def test_is_zero_agrees_with_evaluation():

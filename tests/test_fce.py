@@ -213,6 +213,12 @@ def test_bracket0_examples(ch2):
     e1 = fce.cochain0(ch2, [ONE, ZERO])
     e2 = fce.cochain0(ch2, [ZERO, ONE])
     assert fce.bracket0(ch2, e1, e2).is_zero()
+    f = fce.cochain0(ch2, [v(1) * v(2), x(1) * fc(2, (2,), ())])
+    g = fce.cochain0(ch2, [Expr.wrap(fc(1, (1,), (2,))), v(1) ** 2])
+    assert [render(e) for e in fce.bracket0(ch2, f, g).data] == [
+        "-x1*v[1;1;2]*v[2;2;2] - v1^3 - v1*v[1;1;1] + v1*v[2;1;2] + v[1;1;]",
+        "-2*x1*v1*v[1;2;] + 2*v1^2*v2",
+    ]
 
 
 def test_bracket0_v_against_one():

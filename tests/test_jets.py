@@ -90,7 +90,10 @@ def test_symmetry_check_kdv():
     assert is_symmetry_evolution(kdv, [1 + 6 * x(2) * u(1)]).verdict == "pass"
     bad = is_symmetry_evolution(kdv, [Expr.wrap(u(0))])
     assert bad.verdict == "fail"
-    assert bad.residuals != ["0"]
+    assert bad.residuals == ["-6*u[0]*u[1]"]
+    square = is_symmetry_evolution(kdv, [u(0) ** 2])
+    assert square.verdict == "fail"
+    assert square.residuals == ["-6*u[0]^2*u[1] - 6*u[1]*u[2]"]
 
 
 def test_symmetry_check_agrees_with_commutator_form():
