@@ -303,9 +303,6 @@ class Expr:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
     def constant_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
@@ -325,14 +322,6 @@ class Expr:
         deg = 0
         for mono in self.terms:
             deg = max(deg, sum(p for _, p in mono))
-        return deg
-
-    def degree_in(self, s: Symbol) -> int:
-        deg = 0
-        for mono in self.terms:
-            for sym, p in mono:
-                if sym is s:
-                    deg = max(deg, p)
         return deg
 
     # ---- ring operations ---------------------------------------------------------

@@ -19,6 +19,7 @@ on symbols and applied through the one Leibniz kernel :meth:`Expr.derive`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
@@ -37,15 +38,21 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class FcChart:
-    """Chart dimensions: n base directions, m fiber directions."""
+    """Chart dimensions: n base directions, m fiber directions.
 
-    def __init__(self, n: int, m: int):
-        if n < 1 or m < 1:
+    Frozen, because the memo of D_i on symbols depends on m.
+    """
+
+    n: int
+    m: int
+    _total_memo: Dict[Tuple[Symbol, int], Expr] = field(
+        default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        self.n = n
-        self.m = m
-        self._total_memo: Dict[Tuple[Symbol, int], Expr] = {}
 
     def check_symbol(self, s: Symbol) -> None:
         k = s.kind

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
@@ -25,8 +27,8 @@ from .expr import (
     Expr, ONE, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
-    DerivScheme, Evolution, Extended, evolutionary_apply, is_symmetry_evolution,
-    total_derivative,
+    DerivScheme, Evolution, Extended, d_sigma, evolutionary_apply,
+    is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec, solve_by_superposition
 from .reports import FAIL, PASS, Report
@@ -44,15 +46,20 @@ __all__ = [
 Cochain1 = Dict[Tuple[int, int], Expr]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlatRepSpec:
-    """Declarative flat representation: scheme, direction split, coefficients."""
+    """Declarative flat representation: scheme, direction split, coefficients.
+
+    Frozen, with read-only coefficients, so that its flatness residuals and
+    pullback images, cached on it, cannot go stale.
+    """
 
     scheme: DerivScheme
     base_dirs: Tuple[int, ...]
     fiber_dirs: Tuple[int, ...]
-    coeffs: Dict[Tuple[int, int], Expr] = field(default_factory=dict)
-    _valid: bool = field(default=False, repr=False)
+    coeffs: Mapping[Tuple[int, int], Expr] = field(default_factory=dict)
+    _pullback_memo: Dict[Symbol, Expr] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.base_dirs) | set(self.fiber_dirs)
@@ -67,7 +74,7 @@ class FlatRepSpec:
             e = Expr.wrap(e)
             if not e.is_zero():
                 cleaned[(i, d)] = e
-        self.coeffs = cleaned
+        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
     def a(self, i: int, d: int) -> Expr:
         return self.coeffs.get((i, d), ZERO)
@@ -82,9 +89,6 @@ class FlatRepSpec:
     def f_apply(self, i: int, e: Expr) -> Expr:
         return self.derivation(i).apply(e)
 
-    def fiber_coord(self, d: int) -> Symbol:
-        return self.scheme.indep(d)
-
     def subs(self, bindings: Mapping[Symbol, Expr]) -> "FlatRepSpec":
         return FlatRepSpec(
             self.scheme,
@@ -93,27 +97,36 @@ class FlatRepSpec:
             {key: e.subs(bindings) for key, e in self.coeffs.items()},
         )
 
+    @cached_property
+    def flatness_residuals(self) -> Tuple[Expr, ...]:
+        """Residuals of [F_i, F_j] = 0 for i < j, one per fiber direction."""
+        residuals = []
+        for ai, i in enumerate(self.base_dirs):
+            for j in self.base_dirs[ai + 1:]:
+                bracket = self.derivation(i).bracket(self.derivation(j))
+                for b in self.base_dirs:
+                    if b in bracket.dirs:  # pragma: no cover - scheme contract
+                        raise AssertionError("commutator has a horizontal component")
+                for d in self.fiber_dirs:
+                    residuals.append(bracket.dirs.get(d, ZERO))
+        return tuple(residuals)
+
+    @property
+    def is_flat(self) -> bool:
+        return all(r.is_zero() for r in self.flatness_residuals)
+
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:
-    """Residuals of [F_i, F_j] = 0 for i < j, one per fiber direction."""
-    residuals = []
-    ok = True
-    for ai, i in enumerate(spec.base_dirs):
-        for j in spec.base_dirs[ai + 1:]:
-            bracket = spec.derivation(i).bracket(spec.derivation(j))
-            for b in spec.base_dirs:
-                if b in bracket.dirs:  # pragma: no cover - scheme contract
-                    raise AssertionError("commutator has a horizontal component")
-            for d in spec.fiber_dirs:
-                r = bracket.dirs.get(d, ZERO)
-                residuals.append(render(r))
-                ok = ok and r.is_zero()
-    spec._valid = ok
-    return Report(task="check-flatrep", verdict=PASS if ok else FAIL, residuals=residuals)
+    """Report of the flatness residuals; a new Report on every call."""
+    return Report(
+        task="check-flatrep",
+        verdict=PASS if spec.is_flat else FAIL,
+        residuals=[render(r) for r in spec.flatness_residuals],
+    )
 
 
-def _require_valid(spec: FlatRepSpec) -> None:
-    if not spec._valid and not check_flat_rep(spec).ok:
+def _require_flat(spec: FlatRepSpec) -> None:
+    if not spec.is_flat:
         raise ValueError("flat representation does not satisfy [F_i, F_j] = 0")
 
 
@@ -126,10 +139,8 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
     and phi*(v_I^{a,A+b}) = D_{fiber b} phi*(v_I^{a,A}); flatness makes the
     recursion order irrelevant.
     """
-    _require_valid(spec)
-    memo = getattr(spec, "_pullback_memo", None)
-    if memo is None:
-        memo = spec._pullback_memo = {}
+    _require_flat(spec)
+    memo = spec._pullback_memo
 
     n, m = len(spec.base_dirs), len(spec.fiber_dirs)
 
@@ -153,7 +164,7 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
                 prev = image(fc(s.index, s.ii[:-1], ()))
                 out = spec.f_apply(spec.base_dirs[s.ii[-1] - 1], prev)
         elif k == KIND_BASEFIBER and s.index <= m:
-            out = Expr.wrap(spec.fiber_coord(spec.fiber_dirs[s.index - 1]))
+            out = Expr.wrap(spec.scheme.indep(spec.fiber_dirs[s.index - 1]))
         elif k == KIND_PARAM:
             out = Expr.wrap(s)
         else:
@@ -163,17 +174,6 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
 
     f = Expr.wrap(f)
     return f.subs({s: image(s) for s in f.symbols() if s.kind != KIND_PARAM})
-
-
-def _coeff_derivative(spec: FlatRepSpec, c: int, i: int, d: int) -> Expr:
-    """D_c(a_i^d), cached per spec (hit once per basis element otherwise)."""
-    memo = getattr(spec, "_dcoeff_memo", None)
-    if memo is None:
-        memo = spec._dcoeff_memo = {}
-    got = memo.get((c, i, d))
-    if got is None:
-        got = memo[(c, i, d)] = total_derivative(spec.scheme, c, spec.a(i, d))
-    return got
 
 
 def du_vertical(spec: FlatRepSpec, vert: Mapping[int, Expr]) -> Cochain1:
@@ -186,7 +186,7 @@ def du_vertical(spec: FlatRepSpec, vert: Mapping[int, Expr]) -> Cochain1:
             for c in spec.fiber_dirs:
                 b = Expr.wrap(vert.get(c, ZERO))
                 if not b.is_zero():
-                    val = val - b * _coeff_derivative(spec, c, i, d)
+                    val = val - b * d_sigma(spec.scheme, (c,), spec.a(i, d))
             if not val.is_zero():
                 out[(i, d)] = val
     return out
@@ -204,9 +204,9 @@ def du_cochain1(spec: FlatRepSpec, c: Cochain1) -> Dict[Tuple[int, int, int], Ex
                     cj = Expr.wrap(c.get((j, e), ZERO))
                     ci = Expr.wrap(c.get((i, e), ZERO))
                     if not cj.is_zero():
-                        val = val - cj * total_derivative(spec.scheme, e, spec.a(i, d))
+                        val = val - cj * d_sigma(spec.scheme, (e,), spec.a(i, d))
                     if not ci.is_zero():
-                        val = val + ci * total_derivative(spec.scheme, e, spec.a(j, d))
+                        val = val + ci * d_sigma(spec.scheme, (e,), spec.a(j, d))
                 if not val.is_zero():
                     out[(i, j, d)] = val
     return out
@@ -235,7 +235,7 @@ def infinitesimal_deformation(
     """
     if p.kind != KIND_PARAM:
         raise ValueError("deformation parameter must be a parameter symbol")
-    if not check_flat_rep(family).ok:
+    if not family.is_flat:
         raise ValueError("family is not flat for the symbolic parameter")
     eps = param("_eps")
     base_point = Expr.wrap(p if at is None else Fraction(at))
@@ -246,7 +246,6 @@ def infinitesimal_deformation(
         if not u1.is_zero():
             cocycle[(i, d)] = u1
     base = family if at is None else family.subs({p: Expr.wrap(Fraction(at))})
-    check_flat_rep(base)
     residuals = du_cochain1(base, cocycle)
     report = Report(
         task="deformation",
@@ -267,7 +266,7 @@ def exactness_test(
     (bounded-no).  A returned witness has been re-substituted into d_U and
     checked against c exactly.
     """
-    _require_valid(spec)
+    _require_flat(spec)
     if not is_closed(spec, c):
         raise ValueError("cochain is not closed; exactness is ill-posed")
     monos = ansatz.monomials()
@@ -322,18 +321,16 @@ def lift_symmetry(
     Ev_phi + sum_d a^d D_d with a^d = -b^d for the exactness witness V.
     Returns None when no lift exists inside the ansatz (bounded-no).
     """
-    _require_valid(spec)
+    _require_flat(spec)
     c = symmetry_cocycle(spec, phi, check=check)
     witness = exactness_test(spec, c, ansatz)
     if witness is None:
         return None
     lift = {d: -witness[d] for d in spec.fiber_dirs}
+    du_lift = du_vertical(spec, lift)
     for i in spec.base_dirs:
         for d in spec.fiber_dirs:
-            res = spec.f_apply(i, lift[d]) - evolutionary_apply(spec.scheme, phi, spec.a(i, d))
-            for e in spec.fiber_dirs:
-                if not lift[e].is_zero():
-                    res = res - lift[e] * total_derivative(spec.scheme, e, spec.a(i, d))
+            res = du_lift.get((i, d), ZERO) - evolutionary_apply(spec.scheme, phi, spec.a(i, d))
             if not res.is_zero():  # pragma: no cover - solver safety net
                 raise AssertionError("lift witness fails the commutation condition")
     return lift

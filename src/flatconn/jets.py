@@ -62,6 +62,8 @@ class DerivScheme:
 
     ndirs: int
     m: int
+    # The memo of d_sigma, (sorted sigma, f) -> D_sigma f; empty at construction.
+    _dsigma: Dict[Tuple[Tuple[int, ...], Expr], Expr]
 
     def indep(self, i: int) -> Symbol:
         """The coordinate whose differential pairs with direction i."""
@@ -87,12 +89,6 @@ class DerivScheme:
         if not 1 <= i <= self.ndirs:
             raise DirectionError("direction %d out of range 1..%d" % (i, self.ndirs))
 
-    def _memo(self) -> dict:
-        memo = getattr(self, "_dsigma", None)
-        if memo is None:
-            memo = self._dsigma = {}
-        return memo
-
 
 class FreeJet(DerivScheme):
     """Free jet space of a trivial bundle with n independents, m dependents."""
@@ -103,6 +99,7 @@ class FreeJet(DerivScheme):
         self.n = n
         self.m = m
         self.ndirs = n
+        self._dsigma = {}
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)
@@ -142,7 +139,7 @@ class Evolution(DerivScheme):
         self.m = m
         self.ndirs = 2
         self.rhs = tuple(Expr.wrap(f) for f in rhs)
-        self._dt: Dict[Tuple[int, int], Expr] = {}
+        self._dsigma = {}
         self._rule_syms = set()
         for f in self.rhs:
             for s in f.symbols():
@@ -164,9 +161,6 @@ class Evolution(DerivScheme):
         self.check_direction(i)
         return x(i)
 
-    def order(self, s: Symbol) -> int:
-        return len(s.sigma)
-
     def derive_symbol(self, s: Symbol, i: int) -> Expr:
         self.check_direction(i)
         k = s.kind
@@ -174,23 +168,13 @@ class Evolution(DerivScheme):
             self._validate(s)
             if i == 1:
                 return Expr.wrap(jet(s.index, s.sigma + (1,)))
-            return self._dt_rule(s.index, len(s.sigma))
+            return d_sigma(self, s.sigma, self.rhs[s.index - 1])
         if k == KIND_INDEP:
             self._validate(s)
             return ONE if s.index == i else ZERO
         if k == KIND_PARAM:
             return ZERO
         raise ValueError("symbol %s is foreign to an evolution chart" % render(s))
-
-    def _dt_rule(self, alpha: int, k: int) -> Expr:
-        got = self._dt.get((alpha, k))
-        if got is None:
-            if k == 0:
-                got = self.rhs[alpha - 1]
-            else:
-                got = total_derivative(self, 1, self._dt_rule(alpha, k - 1))
-            self._dt[(alpha, k)] = got
-        return got
 
     def rules_mention(self, s: Symbol) -> bool:
         return s.kind == KIND_JET or s in self._rule_syms
@@ -208,15 +192,13 @@ class Extended(DerivScheme):
         self.ndirs = base.ndirs + len(self.fibers)
         self.m = base.m
         self._fiber_set = set(self.fibers)
+        self._dsigma = {}
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)
         if i <= self.base.ndirs:
             return self.base.indep(i)
         return self.fibers[i - self.base.ndirs - 1]
-
-    def fiber_direction(self, f: Symbol) -> int:
-        return self.base.ndirs + 1 + self.fibers.index(f)
 
     def derive_symbol(self, s: Symbol, i: int) -> Expr:
         self.check_direction(i)
@@ -248,13 +230,14 @@ def total_derivative(scheme: DerivScheme, i: int, f: Expr) -> Expr:
 def d_sigma(scheme: DerivScheme, sigma: Iterable[int], f: Expr) -> Expr:
     """Composition D_{i_1} ... D_{i_k}; order is irrelevant by commutativity.
 
-    Memoized per scheme on (sigma, f).
+    Memoized per scheme on (sigma, f); Evolution's D_t rule on u^a_k is
+    D_x^k(F^a) served from the same memo.
     """
     sig = tuple(sorted(sigma))
     f = Expr.wrap(f)
     if not sig:
         return f
-    memo = scheme._memo()
+    memo = scheme._dsigma
     key = (sig, f)
     got = memo.get(key)
     if got is None:

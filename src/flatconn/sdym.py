@@ -221,6 +221,7 @@ class SdymScheme(DerivScheme):
         self.rewriter = rewriter or SdymRewriter(chart)
         self.ndirs = 4
         self.m = chart.m
+        self._dsigma = {}
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -37,6 +38,9 @@ def test_fc_total_examples(ch):
     assert fce.fc_total(ch, 1, Expr.wrap(x(2))).is_zero()
     with pytest.raises(ValueError):
         fce.fc_total(ch, 3, Expr.wrap(v(1)))
+    # the memo of D_i on symbols depends on m, so the chart is frozen
+    with pytest.raises(FrozenInstanceError):
+        ch.m = 2
 
 
 def test_fc_total_well_defined(ch2):

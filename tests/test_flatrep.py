@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,23 @@ def test_check_flat_rep_examples(kdv):
     rep = flatrep.check_flat_rep(bent)
     assert rep.verdict == "fail"
     assert any(r != "0" for r in rep.residuals)
+    # a spec cannot be changed behind its cached verdict
+    with pytest.raises(TypeError):
+        kdv.miura.coeffs[(1, 3)] = u(1) * y(1)
+    with pytest.raises(FrozenInstanceError):
+        kdv.miura.coeffs = {}
+    assert flatrep.check_flat_rep(kdv.miura).verdict == "pass"
+    # each call builds its own report from the cached residuals
+    first, second = flatrep.check_flat_rep(bent), flatrep.check_flat_rep(bent)
+    assert first is not second
+    first.task = "check-flat"
+    assert second.task == "check-flatrep"
+    with pytest.raises(ValueError):
+        flatrep.pullback(bent, Expr.wrap(v(1)))
+    with pytest.raises(ValueError):
+        flatrep.exactness_test(bent, {}, pinned_ansatz())
+    with pytest.raises(ValueError):
+        flatrep.lift_symmetry(bent, [kdv.symmetries["x-translation"]], pinned_ansatz())
 
 
 def test_covering_to_flatrep_rejects_and_fails(kdv):

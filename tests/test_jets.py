@@ -57,8 +57,13 @@ def test_scheme_commutativity_to_depth():
 def test_d_sigma_order_independent_and_memoized():
     kdv = kdv_scheme()
     f = Expr.wrap(u(0) * u(1))
-    assert d_sigma(kdv, (1, 2), f) == d_sigma(kdv, (2, 1), f)
+    got = d_sigma(kdv, (1, 2), f)
+    assert d_sigma(kdv, (2, 1), f) is got
     assert d_sigma(kdv, (), f) == f
+    # D_t on u_k is D_x^k(F), served from the same memo
+    assert kdv.derive_symbol(u(2), 2) is d_sigma(kdv, (1, 1), kdv.rhs[0])
+    assert render(total_derivative(kdv, 2, u(1))) == "6*u[0]*u[2] + 6*u[1]^2 + u[4]"
+    assert render(total_derivative(kdv, 2, u(2))) == "6*u[0]*u[3] + 18*u[1]*u[2] + u[5]"
 
 
 def test_evolutionary_apply_examples():
