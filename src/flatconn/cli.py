@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .expr import Expr, ZERO, jet, param, render, x, y
-from .jets import Evolution, is_symmetry_evolution
+from .expr import Expr, ZERO, param, render
+from .jets import is_symmetry_evolution
 from .linsolve import AnsatzSpec
 from . import fce, flatrep, problems, sdym
 from .kdv import build_kdv, miura_at
@@ -21,10 +21,7 @@ from .reports import BOUNDED_NO, FAIL, PASS, Report, WITNESS, emit_report
 
 __all__ = ["run", "main"]
 
-_FILE_TASKS = (
-    "check-flat", "dfc", "symmetry-from-f", "recover-f", "bracket",
-    "check-flatrep", "pullback", "deformation", "exactness", "lift",
-)
+_FILE_TASKS = tuple(problems.TASKS)
 _BUILTIN_TASKS = (
     "kdv-verify", "kdv-lift", "kdv-deformation",
     "sdym-expand", "sdym-flatrep", "sdym-ugh",
@@ -178,9 +175,7 @@ def _t_bracket(args) -> Report:
 
 def _t_check_flatrep(args) -> Report:
     pf = _load(args)
-    rep = flatrep.check_flat_rep(pf.flat_representation())
-    rep.task = "check-flatrep"
-    return rep
+    return flatrep.check_flat_rep(pf.flat_representation())
 
 
 def _t_pullback(args) -> Report:
@@ -222,8 +217,6 @@ def _map_fiber_cochain(pf, spec) -> Dict:
 def _t_exactness(args) -> Report:
     pf = _load(args)
     spec = pf.flat_representation()
-    if not flatrep.check_flat_rep(spec).ok:
-        raise ValueError("the declared representation is not flat")
     c = _map_fiber_cochain(pf, spec)
     ansatz = _flatrep_ansatz(pf, args, spec, list(c.values()))
     witness = flatrep.exactness_test(spec, c, ansatz)
@@ -237,17 +230,12 @@ def _t_exactness(args) -> Report:
 def _t_lift(args) -> Report:
     pf = _load(args)
     spec = pf.flat_representation()
-    if not flatrep.check_flat_rep(spec).ok:
-        raise ValueError("the declared representation is not flat")
     phi = _sym_components(pf, "phi")
-    scheme = spec.scheme.base
-    if not is_symmetry_evolution(scheme, phi).ok:
-        raise ValueError("phi is not a symmetry of the declared equation")
     ansatz = _flatrep_ansatz(pf, args, spec, phi)
-    lift = flatrep.lift_symmetry(spec, phi, ansatz, check=False)
+    lift = flatrep.lift_symmetry(spec, phi, ansatz)
     if lift is None:
         return Report("lift", BOUNDED_NO, [], _bound_note(ansatz))
-    shift = scheme.ndirs
+    shift = spec.scheme.base.ndirs
     return Report("lift", WITNESS, [],
                   {"a%d" % (d - shift): render(e) for d, e in sorted(lift.items())})
 

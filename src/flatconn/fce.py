@@ -10,23 +10,26 @@ everything are
   [D_i, D_{v^b}] = - sum_g v_i^{g,b} D_{v^g}.
 
 On top of them: the flatness residuals of a coordinate connection, the
-cochain complex differential :func:`dfc`, symmetry reconstruction and
-recovery, prolongation of symmetries to all special coordinates, and the
-induced bracket on 0-cochains.  Each derivation (D_{v^b}, D_i, the
-horizontal lift in the flatness residual, S_f + V_f) is given by its values
-on symbols and applied through the one Leibniz kernel :meth:`Expr.derive`.
+cochain complex differential :func:`dfc` (the case phi = identity of the one
+cochain differential ``jets.cochain_differential``, with F_i = D_i and twist
+D_{v^a}(v_i^b) = v_i^{b,a}), symmetry reconstruction and recovery,
+prolongation of symmetries to all special coordinates, and the induced
+bracket on 0-cochains.  Each derivation (D_{v^b}, D_i, the horizontal lift
+in the flatness residual, S_f + V_f) is given by its values on symbols and
+applied through the one Leibniz kernel :meth:`Expr.derive`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, ONE, Symbol, ZERO,
     fc, render, v, x,
 )
-from .jets import DirectionError, sort_with_sign
+from .jets import DirectionError, add_term, cochain_differential, sort_with_sign
 from .linsolve import AnsatzSpec, solve_by_superposition
 from .reports import FAIL, PASS, Report
 
@@ -85,6 +88,13 @@ class FcChart:
     def check_fiber(self, b: int) -> None:
         if not 1 <= b <= self.m:
             raise ValueError("fiber index %d out of range 1..%d" % (b, self.m))
+
+    @cached_property
+    def twist(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, Expr], ...]]:
+        """D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value)."""
+        fibers = range(1, self.m + 1)
+        return {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
+                for i in range(1, self.n + 1) for a in fibers}
 
 
 def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
@@ -163,8 +173,7 @@ class ConnectionSpec:
                     raise ValueError(
                         "connection coefficients must depend on (x, v) only; got %s" % render(s)
                     )
-            if not e.is_zero():
-                self.coeffs[(i, a)] = e
+            add_term(self.coeffs, (i, a), e)
 
     def coeff(self, i: int, a: int) -> Expr:
         return self.coeffs.get((i, a), ZERO)
@@ -217,13 +226,8 @@ class Cochain:
                 for i in dirs:
                     chart.check_direction(i)
                 skey, sign = sort_with_sign(tuple(dirs))
-                if sign == 0 or e.is_zero():
-                    continue
-                acc = out.get((skey, alpha), ZERO) + (e if sign > 0 else -e)
-                if acc.is_zero():
-                    out.pop((skey, alpha), None)
-                else:
-                    out[(skey, alpha)] = acc
+                if sign != 0:
+                    add_term(out, (skey, alpha), e, sign)
             self.data = out
 
     def component(self, dirs: Tuple[int, ...], alpha: int) -> Expr:
@@ -257,11 +261,7 @@ class Cochain:
             return Cochain(self.chart, 0, [a - b for a, b in zip(self.data, other.data)])
         out = dict(self.data)
         for key, e in other.data.items():
-            acc = out.get(key, ZERO) - e
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            add_term(out, key, e, -1)
         res = Cochain(self.chart, self.degree, {})
         res.data = out
         return res
@@ -292,29 +292,9 @@ def dfc(c: Cochain) -> Cochain:
                             - sum_{i,b} v_i^{b,a} f dx_i ^ dx_I (x) D_{v^b}.
     """
     chart = c.chart
-    out: Dict[Tuple[Tuple[int, ...], int], Expr] = {}
-
-    def add(key, e):
-        if e.is_zero():
-            return
-        acc = out.get(key, ZERO) + e
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-
-    for (dirs, alpha), f in c.items():
-        for i in range(1, chart.n + 1):
-            skey, sign = sort_with_sign((i,) + dirs)
-            if sign == 0:
-                continue
-            lead = fc_total(chart, i, f)
-            add((skey, alpha), lead if sign > 0 else -lead)
-            for beta in range(1, chart.m + 1):
-                tail = fc(beta, (i,), (alpha,)) * f
-                add((skey, beta), -tail if sign > 0 else tail)
     res = Cochain(chart, c.degree + 1, {})
-    res.data = out
+    res.data = cochain_differential(
+        c.items(), range(1, chart.n + 1), lambda i, f: fc_total(chart, i, f), chart.twist)
     return res
 
 

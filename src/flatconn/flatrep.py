@@ -12,6 +12,10 @@ the induced morphism onto the equation of flat connections as a pullback of
 coordinates, differentiates parametric families into deformation 1-cocycles,
 tests cocycles for exactness inside a bounded ansatz, and lifts equation
 symmetries to the covering.
+
+Its differential d_U (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
+degree 1) is the one cochain differential ``jets.cochain_differential`` with
+F_i as horizontal part and the twist D_d(a_i^b) cached as ``spec.twist``.
 """
 
 from __future__ import annotations
@@ -20,15 +24,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
     Expr, ONE, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
-    DerivScheme, Evolution, Extended, d_sigma, evolutionary_apply,
-    is_symmetry_evolution, total_derivative,
+    CochainKey, DerivScheme, Evolution, Extended, add_term, cochain_differential,
+    d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec, solve_by_superposition
 from .reports import FAIL, PASS, Report
@@ -71,9 +75,7 @@ class FlatRepSpec:
         for (i, d), e in self.coeffs.items():
             if i not in self.base_dirs or d not in self.fiber_dirs:
                 raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
-            e = Expr.wrap(e)
-            if not e.is_zero():
-                cleaned[(i, d)] = e
+            add_term(cleaned, (i, d), Expr.wrap(e))
         object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
 
     def a(self, i: int, d: int) -> Expr:
@@ -114,6 +116,19 @@ class FlatRepSpec:
     @property
     def is_flat(self) -> bool:
         return all(r.is_zero() for r in self.flatness_residuals)
+
+    @cached_property
+    def twist(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, Expr], ...]]:
+        """D_d(a_i^b), keyed (i, d) as pairs (b, value); zero values dropped."""
+        out = {}
+        for i in self.base_dirs:
+            for d in self.fiber_dirs:
+                pairs = tuple(
+                    (b, t) for b in self.fiber_dirs
+                    if not (t := d_sigma(self.scheme, (d,), self.a(i, b))).is_zero())
+                if pairs:
+                    out[(i, d)] = pairs
+        return out
 
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:
@@ -176,40 +191,26 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
     return f.subs({s: image(s) for s in f.symbols() if s.kind != KIND_PARAM})
 
 
+def _du(spec: FlatRepSpec, cochain: Mapping[CochainKey, Expr]) -> Dict[CochainKey, Expr]:
+    """d_U through the one cochain differential; components whose directions
+    or fiber index lie outside the spec's split are ignored."""
+    return cochain_differential(
+        (((dirs, d), Expr.wrap(e)) for (dirs, d), e in cochain.items()
+         if d in spec.fiber_dirs and all(i in spec.base_dirs for i in dirs)),
+        spec.base_dirs, spec.f_apply, spec.twist)
+
+
 def du_vertical(spec: FlatRepSpec, vert: Mapping[int, Expr]) -> Cochain1:
     """d_U(V) for a vertical field V = sum_d b^d D_d:
     component (i, d) = F_i(b^d) - V(a_i^d)."""
-    out: Cochain1 = {}
-    for i in spec.base_dirs:
-        for d in spec.fiber_dirs:
-            val = spec.f_apply(i, Expr.wrap(vert.get(d, ZERO)))
-            for c in spec.fiber_dirs:
-                b = Expr.wrap(vert.get(c, ZERO))
-                if not b.is_zero():
-                    val = val - b * d_sigma(spec.scheme, (c,), spec.a(i, d))
-            if not val.is_zero():
-                out[(i, d)] = val
-    return out
+    out = _du(spec, {((), d): b for d, b in vert.items()})
+    return {(i, d): e for ((i,), d), e in out.items()}
 
 
 def du_cochain1(spec: FlatRepSpec, c: Cochain1) -> Dict[Tuple[int, int, int], Expr]:
     """d_U on 1-cochains; component (i, j, d) for i < j."""
-    out: Dict[Tuple[int, int, int], Expr] = {}
-    for ai, i in enumerate(spec.base_dirs):
-        for j in spec.base_dirs[ai + 1:]:
-            for d in spec.fiber_dirs:
-                val = spec.f_apply(i, Expr.wrap(c.get((j, d), ZERO)))
-                val = val - spec.f_apply(j, Expr.wrap(c.get((i, d), ZERO)))
-                for e in spec.fiber_dirs:
-                    cj = Expr.wrap(c.get((j, e), ZERO))
-                    ci = Expr.wrap(c.get((i, e), ZERO))
-                    if not cj.is_zero():
-                        val = val - cj * d_sigma(spec.scheme, (e,), spec.a(i, d))
-                    if not ci.is_zero():
-                        val = val + ci * d_sigma(spec.scheme, (e,), spec.a(j, d))
-                if not val.is_zero():
-                    out[(i, j, d)] = val
-    return out
+    out = _du(spec, {((i,), d): e for (i, d), e in c.items()})
+    return {(i, j, d): e for ((i, j), d), e in out.items()}
 
 
 def is_closed(spec: FlatRepSpec, c: Cochain1) -> bool:
@@ -240,11 +241,8 @@ def infinitesimal_deformation(
     eps = param("_eps")
     base_point = Expr.wrap(p if at is None else Fraction(at))
     cocycle: Cochain1 = {}
-    for (i, d), e in family.coeffs.items():
-        shifted = e.subs({p: base_point + eps})
-        u1 = shifted.coefficient(eps, 1)
-        if not u1.is_zero():
-            cocycle[(i, d)] = u1
+    for key, e in family.coeffs.items():
+        add_term(cocycle, key, e.subs({p: base_point + eps}).coefficient(eps, 1))
     base = family if at is None else family.subs({p: Expr.wrap(Fraction(at))})
     residuals = du_cochain1(base, cocycle)
     report = Report(
@@ -288,10 +286,8 @@ def exactness_test(
                 acc = acc + q * mu
         witness[d] = acc
     back = du_vertical(spec, witness)
-    for i in spec.base_dirs:
-        for d in spec.fiber_dirs:
-            if back.get((i, d), ZERO) != c.get((i, d), ZERO):  # pragma: no cover
-                raise AssertionError("exactness witness fails verification")
+    if any(back.get(k, ZERO) != c.get(k, ZERO) for k in keys):  # pragma: no cover
+        raise AssertionError("exactness witness fails verification")
     return witness
 
 
@@ -305,34 +301,31 @@ def symmetry_cocycle(spec: FlatRepSpec, phi: Sequence[Expr], check: bool = True)
         if not is_symmetry_evolution(base, phi).ok:
             raise ValueError("phi is not a symmetry of the underlying equation")
     out: Cochain1 = {}
-    for (i, d), a in spec.coeffs.items():
-        val = -evolutionary_apply(spec.scheme, phi, a)
-        if not val.is_zero():
-            out[(i, d)] = val
+    for key, a in spec.coeffs.items():
+        add_term(out, key, evolutionary_apply(spec.scheme, phi, a), -1)
     return out
 
 
 def lift_symmetry(
-    spec: FlatRepSpec, phi: Sequence[Expr], ansatz: AnsatzSpec, check: bool = True
+    spec: FlatRepSpec, phi: Sequence[Expr], ansatz: AnsatzSpec
 ) -> Optional[Dict[int, Expr]]:
     """Fiber components of a lift of the symmetry phi to the covering.
 
+    Raises ValueError unless phi is a symmetry of the underlying equation.
     Solves the exactness problem for c_S; the lifted symmetry is
     Ev_phi + sum_d a^d D_d with a^d = -b^d for the exactness witness V.
     Returns None when no lift exists inside the ansatz (bounded-no).
     """
     _require_flat(spec)
-    c = symmetry_cocycle(spec, phi, check=check)
+    c = symmetry_cocycle(spec, phi)
     witness = exactness_test(spec, c, ansatz)
     if witness is None:
         return None
     lift = {d: -witness[d] for d in spec.fiber_dirs}
     du_lift = du_vertical(spec, lift)
-    for i in spec.base_dirs:
-        for d in spec.fiber_dirs:
-            res = du_lift.get((i, d), ZERO) - evolutionary_apply(spec.scheme, phi, spec.a(i, d))
-            if not res.is_zero():  # pragma: no cover - solver safety net
-                raise AssertionError("lift witness fails the commutation condition")
+    if any(du_lift.get((i, d), ZERO) != evolutionary_apply(spec.scheme, phi, spec.a(i, d))
+           for i in spec.base_dirs for d in spec.fiber_dirs):  # pragma: no cover
+        raise AssertionError("lift witness fails the commutation condition")
     return lift
 
 

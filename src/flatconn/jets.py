@@ -15,25 +15,29 @@ each direction acts on every symbol of its chart.  Three built-in flavors:
 On top of the schemes: evolutionary vector fields, the symmetry test for
 evolution systems, and the horizontal de Rham differential d_h.  Every
 derivation here is fixed by its values on symbols and applied through the
-one Leibniz kernel :meth:`Expr.derive`.
+one Leibniz kernel :meth:`Expr.derive`.  :func:`cochain_differential` is the
+one differential of the complex of a flat representation phi: d_h is its case
+with one trivial fiber and no twist, ``fce.dfc`` the case phi = identity on
+E_fc, and ``flatrep.du_vertical``/``du_cochain1`` the d_U of any phi.  Every
+signed sparse sum of the package goes through :func:`add_term`.
 """
 
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .expr import (
-    KIND_BASEFIBER, KIND_FC, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
-    Expr, ONE, Symbol, ZERO, jet, render, x,
+    KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, ONE, Symbol, ZERO,
+    jet, render, x,
 )
 from .reports import FAIL, PASS, Report
 
 __all__ = [
     "FreeJet", "Evolution", "Extended", "HForm",
     "total_derivative", "d_sigma", "evolutionary_apply",
-    "is_symmetry_evolution", "d_h", "sort_with_sign", "DirectionError",
+    "is_symmetry_evolution", "d_h", "sort_with_sign", "add_term",
+    "cochain_differential", "DirectionError",
 ]
 
 
@@ -55,6 +59,47 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
         if idx[i - 1] == idx[i]:
             return tuple(idx), 0
     return tuple(idx), sign
+
+
+def add_term(acc: dict, key, value, sign: int = 1) -> None:
+    """acc[key] += sign * value in a sparse dict; a key whose sum is zero is
+    dropped.  Values are Exprs or Derivations; ``sign`` is +1 or -1."""
+    if sign < 0:
+        value = -value
+    got = acc.get(key)
+    if got is not None:
+        value = got + value
+    if value.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = value
+
+
+# The key (sorted directions I, fiber index a) of the term f dx_I (x) e_a.
+CochainKey = Tuple[Tuple[int, ...], int]
+
+
+def cochain_differential(
+    items: Iterable[Tuple[CochainKey, Expr]], directions: Sequence[int],
+    horizontal: Callable[[int, Expr], Expr],
+    twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
+) -> Dict[CochainKey, Expr]:
+    """The differential of the complex C_phi of a flat representation phi,
+    d(f dx_I (x) e_a) = sum_i dx_i ^ dx_I (x) (F_i(f) e_a - sum_b f D_a(a_i^b) e_b),
+    on ``((I, a), f)`` items, skipping zero ones.  ``horizontal(i, f)`` is F_i(f);
+    ``twist[(i, a)]`` lists the pairs (b, D_a(a_i^b)) with a nonzero value."""
+    out: Dict[CochainKey, Expr] = {}
+    for (dirs, a), f in items:
+        if f.is_zero():
+            continue
+        for i in directions:
+            key, sign = sort_with_sign((i,) + dirs)
+            if sign == 0:
+                continue
+            add_term(out, (key, a), horizontal(i, f), sign)
+            for b, t in twist.get((i, a), ()):
+                add_term(out, (key, b), t * f, -sign)
+    return out
 
 
 class DerivScheme:
@@ -298,13 +343,8 @@ class HForm:
             for i in key:
                 scheme.check_direction(i)
             skey, sign = sort_with_sign(key)
-            if sign == 0 or coeff.is_zero():
-                continue
-            acc = data.get(skey, ZERO) + (coeff if sign > 0 else -coeff)
-            if acc.is_zero():
-                data.pop(skey, None)
-            else:
-                data[skey] = acc
+            if sign != 0:
+                add_term(data, skey, coeff, sign)
         self.terms = data
 
     def is_zero(self) -> bool:
@@ -328,23 +368,15 @@ class HForm:
 
 
 def d_h(scheme: DerivScheme, omega: HForm) -> HForm:
-    """Horizontal de Rham differential: d_h(f dx_I) = sum_i D_i(f) dx_i ^ dx_I."""
+    """Horizontal de Rham differential: d_h(f dx_I) = sum_i D_i(f) dx_i ^ dx_I.
+
+    The cochain differential with one dummy fiber index and no twist.
+    """
     if omega.degree >= scheme.ndirs:
         warnings.warn("d_h on a top-degree form is zero", stacklevel=2)
-    out: Dict[Tuple[int, ...], Expr] = {}
-    for key, coeff in omega.terms.items():
-        for i in range(1, scheme.ndirs + 1):
-            df = total_derivative(scheme, i, coeff)
-            if df.is_zero():
-                continue
-            skey, sign = sort_with_sign((i,) + key)
-            if sign == 0:
-                continue
-            acc = out.get(skey, ZERO) + (df if sign > 0 else -df)
-            if acc.is_zero():
-                out.pop(skey, None)
-            else:
-                out[skey] = acc
+    out = cochain_differential(
+        (((key, 0), f) for key, f in omega.terms.items()), range(1, scheme.ndirs + 1),
+        lambda i, f: total_derivative(scheme, i, f), {})
     result = HForm(scheme, omega.degree + 1)
-    result.terms = out
+    result.terms = {key: e for (key, _), e in out.items()}
     return result

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
 from .jets import Evolution
@@ -312,17 +311,13 @@ class ProblemFile:
 
     def flat_representation(self) -> FlatRepSpec:
         scheme = self.evolution()
-        if self.flatrep_coeffs is not None:
-            fields = {}
-            for (i, b), e in self.flatrep_coeffs.items():
-                fields.setdefault(i, {})[b] = e
-            return covering_to_flatrep(scheme, fields, self.flatrep_fibers)
-        if self.covering_fields is not None:
-            fields = {}
-            for (i, b), e in self.covering_fields.items():
-                fields.setdefault(i, {})[b] = e
-            return covering_to_flatrep(scheme, fields, self.covering_fibers)
-        raise ValueError("problem has neither [flatrep] nor [covering]")
+        coeffs = self.flatrep_coeffs if self.flatrep_coeffs is not None else self.covering_fields
+        if coeffs is None:
+            raise ValueError("problem has neither [flatrep] nor [covering]")
+        fields = {}
+        for (i, b), e in coeffs.items():
+            fields.setdefault(i, {})[b] = e
+        return covering_to_flatrep(scheme, fields, self.nfibers())
 
     def nfibers(self) -> int:
         return self.flatrep_fibers or self.covering_fibers
@@ -444,6 +439,8 @@ def parse_problem(text: str) -> ProblemFile:
             raise ParseError("equation must bind every dependent", 0)
         pf.equation = [rhs[a] for a in range(1, m + 1)]
 
+    if "flatrep" in sections and "covering" in sections:
+        raise ParseError("[flatrep] and [covering] are exclusive; declare one of them", 0)
     for sec, attr_fibers, attr_map, prefix in (
         ("flatrep", "flatrep_fibers", "flatrep_coeffs", "a"),
         ("covering", "covering_fibers", "covering_fields", "X"),

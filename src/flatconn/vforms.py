@@ -15,12 +15,12 @@ is exact (the two d(w) terms vanish because basis wedges are closed).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_PARAM, Expr, ONE, Symbol, ZERO, render, v, x,
 )
-from .jets import DerivScheme, sort_with_sign
+from .jets import DerivScheme, add_term, sort_with_sign
 from . import fce
 
 __all__ = [
@@ -53,14 +53,6 @@ class FiniteChart:
         return hash(self.coords)
 
 
-def _add_term(acc: dict, key, value: Expr) -> None:
-    got = acc.get(key, ZERO) + value
-    if got.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = got
-
-
 class Derivation:
     """c_1 D_{i_1} + ... + f_1 d/ds_1 + ...: scheme directions plus partials."""
 
@@ -76,9 +68,7 @@ class Derivation:
                 space.check_direction(i)
                 self.dirs[i] = c
         for s, c in (partials or {}).items():
-            c = Expr.wrap(c)
-            if not c.is_zero():
-                self.partials[s] = c
+            add_term(self.partials, s, Expr.wrap(c))
 
     def is_zero(self) -> bool:
         return not self.dirs and not self.partials
@@ -107,9 +97,9 @@ class Derivation:
         dirs = dict(self.dirs)
         partials = dict(self.partials)
         for i, c in other.dirs.items():
-            _add_term(dirs, i, c)
+            add_term(dirs, i, c)
         for s, c in other.partials.items():
-            _add_term(partials, s, c)
+            add_term(partials, s, c)
         return Derivation(self.space, dirs, partials)
 
     def __neg__(self) -> "Derivation":
@@ -148,13 +138,13 @@ class Derivation:
         dirs: Dict[int, Expr] = {}
         partials: Dict[Symbol, Expr] = {}
         for i, c in other.dirs.items():
-            _add_term(dirs, i, self.apply(c))
+            add_term(dirs, i, self.apply(c))
         for s, c in other.partials.items():
-            _add_term(partials, s, self.apply(c))
+            add_term(partials, s, self.apply(c))
         for i, c in self.dirs.items():
-            _add_term(dirs, i, -other.apply(c))
+            add_term(dirs, i, other.apply(c), -1)
         for s, c in self.partials.items():
-            _add_term(partials, s, -other.apply(c))
+            add_term(partials, s, other.apply(c), -1)
         return Derivation(self.space, dirs, partials)
 
     def __repr__(self):
@@ -179,16 +169,8 @@ class VForm:
             if len(key) != degree:
                 raise ValueError("key %r does not match degree %d" % (key, degree))
             skey, sign = sort_with_sign(key)
-            if sign == 0 or der.is_zero():
-                continue
-            if sign < 0:
-                der = -der
-            if skey in data:
-                der = data[skey] + der
-            if der.is_zero():
-                data.pop(skey, None)
-            else:
-                data[skey] = der
+            if sign != 0:
+                add_term(data, skey, der, sign)
         self.terms = data
 
     def is_zero(self) -> bool:
@@ -207,12 +189,7 @@ class VForm:
             raise ValueError("cannot add forms of different shape")
         out = dict(self.terms)
         for key, der in other.terms.items():
-            acc = out.get(key)
-            acc = der if acc is None else acc + der
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            add_term(out, key, der)
         res = VForm(self.space, self.coframe, self.degree)
         res.terms = out
         return res
@@ -255,17 +232,8 @@ class VForm:
 
         def put(key: Tuple[int, ...], der: Derivation) -> None:
             skey, sign = sort_with_sign(key)
-            if sign == 0 or der.is_zero():
-                return
-            _add_vterm(acc, skey, der if sign > 0 else -der)
-
-        def _add_vterm(store, key, der):
-            got = store.get(key)
-            got = der if got is None else got + der
-            if got.is_zero():
-                store.pop(key, None)
-            else:
-                store[key] = got
+            if sign != 0:
+                add_term(acc, skey, der, sign)
 
         for ii, dx in self.terms.items():
             for jj, dy in other.terms.items():

@@ -192,6 +192,29 @@ def test_input_errors_exit_2(prob, capsys):
     assert run(["check-flat", prob("mismatch.prob", bad)]) == 2
 
 
+def test_nonflat_representation_exits_2(prob, capsys):
+    # The library refuses a non-flat representation (and lift_symmetry a phi
+    # that is no symmetry) with a ValueError; the exactness and lift tasks
+    # report it as one error line and exit 2.
+    bent = MIURA.replace("a2 = u[2]", "a2 = y1 + u[2]")
+    tasks = {
+        "exactness": "[cochain]\nc1 = 1\nc2 = 0\n",
+        "lift": "[symmetry]\nphi1 = u[1]\n",
+    }
+    for task, extra in tasks.items():
+        capsys.readouterr()
+        assert run([task, prob(task + ".prob", bent + extra), "--json"]) == 2, task
+        out, err = capsys.readouterr()
+        assert out == "", task
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (task, err)
+        assert "flat" in lines[0], (task, err)
+    # lift_symmetry checks phi itself: u[0] is not a KdV symmetry
+    path = prob("nosym.prob", MIURA + "[symmetry]\nphi1 = u[0]\n")
+    assert run(["lift", path, "--json"]) == 2
+    assert capsys.readouterr().err.startswith("error: phi is not a symmetry")
+
+
 def test_json_reports_deterministic(prob, capsys):
     path = prob("flat.prob", FLAT_XY)
     run(["check-flat", path, "--json"])

@@ -6,7 +6,7 @@ import pytest
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, ZERO, ONE
 from flatconn import fce
 from flatconn.linsolve import AnsatzSpec
-from helpers import fc_pool, fc_symbols, rand_expr
+from helpers import dfc_reference, fc_pool, fc_symbols, rand_expr
 
 
 @pytest.fixture
@@ -119,6 +119,28 @@ def test_dfc_squared_zero_random(ch2):
             ((1,), 1): rand_expr(rng, pool), ((2,), 2): rand_expr(rng, pool),
         })
         assert fce.dfc(fce.dfc(c1)).is_zero()
+
+
+def test_dfc_matches_hand_written_formula(ch2):
+    # dfc through the one cochain differential against the explicit formula,
+    # so that a sign slip in the twist v_i^{b,a} f (b != a included) fails.
+    rng = random.Random(23)
+    pool = fc_pool(2, 2, max_i=2, max_a=1)
+
+    def total(i, f):
+        return fce.fc_total(ch2, i, f)
+
+    for _ in range(10):
+        c0 = fce.cochain0(ch2, [rand_expr(rng, pool), rand_expr(rng, pool)])
+        c1 = fce.cochain1(ch2, {
+            ((i,), a): rand_expr(rng, pool) for i in (1, 2) for a in (1, 2)})
+        for c in (c0, c1, fce.cochain0(ch2, [ZERO, rand_expr(rng, pool)])):
+            want = dfc_reference(c, total)
+            assert want
+            assert fce.dfc(c).data == want
+    # a top-degree cochain has a zero image
+    c2 = fce.Cochain(ch2, 2, {((2, 1), 1): rand_expr(rng, pool)})
+    assert fce.dfc(c2).is_zero() and dfc_reference(c2, total) == {}
 
 
 def test_zero_acyclicity_spot_check(ch2):

@@ -9,7 +9,7 @@ from flatconn.jets import Evolution, total_derivative, evolutionary_apply
 from flatconn import fce, flatrep
 from flatconn.kdv import build_kdv, miura_at
 from flatconn.linsolve import AnsatzSpec
-from helpers import rand_expr
+from helpers import du_cochain1_reference, du_vertical_reference, rand_expr
 
 
 def u(k):
@@ -145,6 +145,50 @@ def test_exponential_of_vertical_field_is_trivial_to_first_order(kdv):
     for d in fam.fiber_dirs:
         for deg, coeff in bracket.dirs.get(d, ZERO).collect(eps):
             assert deg >= 2, render(coeff)
+
+
+def linear_kdv_covering(kdv):
+    """The linear covering psi_x = A psi, psi_t = B psi of KdV behind the Miura
+    covering (y = -psi_2/psi_1), on fibers y1, y2.  Its twist D_c(a_i^d) is
+    the matrix of A or B, with off-diagonal entries, and A, B do not commute."""
+    lam = kdv.lam
+    u0, u1, u2 = u(0), u(1), u(2)
+    fields = {
+        1: {1: Expr.wrap(y(2)), 2: -(lam + u0) * y(1)},
+        2: {1: -u1 * y(1) + (2 * u0 - 4 * lam) * y(2),
+            2: -(u2 + 2 * u0 ** 2 - 2 * lam * u0 - 4 * lam ** 2) * y(1) + u1 * y(2)},
+    }
+    return flatrep.covering_to_flatrep(kdv.scheme, fields, 2)
+
+
+def test_du_matches_hand_written_formulas(kdv):
+    spec = linear_kdv_covering(kdv)
+    assert flatrep.check_flat_rep(spec).ok
+    # zero entries of the twist are dropped: D_{y1}(y2) = 0
+    assert spec.twist[(1, 3)] == ((4, -(kdv.lam + u(0))),)
+    rng = random.Random(31)
+    pool = [x(1), x(2), y(1), y(2), u(0), u(1), u(2), kdv.lam]
+    for _ in range(6):
+        vert = {3: rand_expr(rng, pool), 4: rand_expr(rng, pool)}
+        want = du_vertical_reference(spec, vert)
+        assert want and flatrep.du_vertical(spec, vert) == want
+        assert flatrep.du_vertical(spec, {4: vert[4]}) == du_vertical_reference(spec, {4: vert[4]})
+        c = {(i, d): rand_expr(rng, pool) for i in (1, 2) for d in (3, 4)}
+        want = du_cochain1_reference(spec, c)
+        assert want and flatrep.du_cochain1(spec, c) == want
+
+
+def test_du_squares_to_zero(kdv):
+    # On one fiber, d_U with the opposite twist sign squares to zero as well
+    # (the twist is a 1x1 matrix); the non-commuting twist of the linear
+    # covering is what catches a sign slip.
+    rng = random.Random(32)
+    for spec, fibers in ((kdv.miura, (3,)), (linear_kdv_covering(kdv), (3, 4))):
+        pool = [x(1), x(2), u(0), u(1), u(2), kdv.lam] + [y(d - 2) for d in fibers]
+        for _ in range(6):
+            vert = {d: rand_expr(rng, pool, degree=3) for d in fibers}
+            assert flatrep.du_vertical(spec, vert)
+            assert flatrep.du_cochain1(spec, flatrep.du_vertical(spec, vert)) == {}
 
 
 def test_exactness_planted_witness(kdv):

@@ -148,3 +148,11 @@ def test_covering_section():
     pf = parse_problem(text)
     assert pf.covering_fields is not None
     assert flatrep.check_flat_rep(pf.flat_representation()).verdict == "pass"
+
+
+def test_flatrep_and_covering_are_exclusive():
+    # Both sections used to parse, and flat_representation() silently
+    # dropped [covering]; now the file is refused.
+    covering = "\n[covering]\nfibers = 1\nX1 = y1\nX2 = 0\n"
+    with pytest.raises(ParseError, match="exclusive"):
+        parse_problem(KDV_LIFT + covering)
