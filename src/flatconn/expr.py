@@ -19,15 +19,17 @@ kind              meaning                    rendering
 ``fiber``         covering fiber coord       ``y1``
 ================  =========================  ==========
 
-Coefficients are arbitrary-precision :class:`fractions.Fraction`; division is
-only defined by nonzero rational constants.  All values are immutable and
+Coefficients are exact rationals, stored as an ``int`` when integral, else as
+a :class:`fractions.Fraction` (equal values compare and hash alike in the two
+types, so the canonical form is unaffected); division is only defined by
+nonzero rational constants.  All values are immutable and
 hashable, so they are safe to share and to memoize on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
     "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
@@ -161,7 +163,7 @@ class Symbol:
 
     # ---- arithmetic lifts to Expr ---------------------------------------------
     def _expr(self) -> "Expr":
-        return Expr({((self, 1),): Fraction(1)})
+        return Expr({((self, 1),): 1})
 
     def __add__(self, other):
         return self._expr() + other
@@ -236,10 +238,11 @@ def param(name: str) -> Symbol:
     return Symbol((KIND_PARAM, name, (), (), ()))
 
 
-# A monomial: sorted tuple of (symbol, positive power) pairs.
-Monomial = Tuple[Tuple[Symbol, int], ...]
-Scalar = Union[int, Fraction]
-ExprLike = Union["Expr", Symbol, int, Fraction]
+if TYPE_CHECKING:
+    # A monomial: sorted tuple of (symbol, positive power) pairs.
+    Monomial = Tuple[Tuple[Symbol, int], ...]
+    Scalar = Union[int, Fraction]
+    ExprLike = Union["Expr", Symbol, int, Fraction]
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -277,13 +280,14 @@ def _mono_sort_key(m: Monomial):
 class Expr:
     """Canonical sparse polynomial over Q.
 
-    ``terms`` maps monomials to nonzero Fraction coefficients.  Instances are
-    immutable by contract; all operations return new values.
+    ``terms`` maps monomials to nonzero rational coefficients: int when
+    integral, else Fraction.  Instances are immutable by contract; all
+    operations return new values.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, terms: Mapping[Monomial, Scalar]):
         self.terms = dict(terms)
         self._hash = None
 
@@ -296,16 +300,18 @@ class Expr:
             return value._expr()
         if isinstance(value, (int, Fraction)):
             q = Fraction(value)
-            return Expr({(): q}) if q else ZERO
+            if not q:
+                return ZERO
+            return Expr({(): q.numerator if q.denominator == 1 else q})
         raise TypeError("cannot build an Expr from %r" % (value,))
 
     # ---- predicates / inspection -------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         raise ValueError("not a constant: %s" % (self,))
@@ -365,7 +371,7 @@ class Expr:
         a, b = (self.terms, other.terms)
         if len(a) > len(b):
             a, b = b, a
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Scalar] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
                 m = _mono_mul(ma, mb)
@@ -403,7 +409,7 @@ class Expr:
         q = other.constant_value()  # raises for non-constant divisors
         if q == 0:
             raise ZeroDivisionError("division of an Expr by zero")
-        return self * Expr({(): 1 / q})
+        return self * Expr.wrap(Fraction(1, q))
 
     # ---- equality / hashing --------------------------------------------------------
     def __eq__(self, other):
@@ -424,7 +430,7 @@ class Expr:
     # ---- calculus --------------------------------------------------------------------
     def partial(self, s: Symbol) -> "Expr":
         """Formal partial derivative with respect to the symbol ``s``."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             for k, (sym, p) in enumerate(mono):
                 if sym is s:
@@ -454,8 +460,8 @@ class Expr:
         kernel behind every total, vertical, evolutionary and symmetry
         derivation in the package.
         """
-        images: Dict[Symbol, Dict[Monomial, Fraction]] = {}
-        out: Dict[Monomial, Fraction] = {}
+        images: Dict[Symbol, Dict[Monomial, Scalar]] = {}
+        out: Dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             for k, (sym, p) in enumerate(mono):
                 img = images.get(sym)
@@ -498,7 +504,7 @@ class Expr:
                 else:
                     factor = factor * img ** p
             if plain:
-                factor = factor * Expr({tuple(plain): Fraction(1)})
+                factor = factor * Expr({tuple(plain): 1})
             out = out + factor
         return out
 
@@ -508,7 +514,7 @@ class Expr:
         Returns the nonzero (degree, coefficient) pairs sorted by degree; each
         coefficient is free of ``p``.
         """
-        buckets: Dict[int, Dict[Monomial, Fraction]] = {}
+        buckets: Dict[int, Dict[Monomial, Scalar]] = {}
         for mono, c in self.terms.items():
             deg = 0
             rest: List[Tuple[Symbol, int]] = []
@@ -564,7 +570,7 @@ class Expr:
 
 
 ZERO = Expr({})
-ONE = Expr({(): Fraction(1)})
+ONE = Expr({(): 1})
 
 
 def const(q: Scalar) -> Expr:

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
     Expr, ONE, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
-    CochainKey, DerivScheme, Evolution, Extended, add_term, cochain_differential,
+    DerivScheme, Evolution, Extended, add_term, cochain_differential,
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec, solve_by_superposition
@@ -45,9 +45,12 @@ __all__ = [
     "du_vertical", "du_cochain1", "is_closed", "default_ansatz",
 ]
 
-# Cochains of the representation complex: (base direction, fiber direction)
-# -> coefficient for degree 1, (i, j, fiber) -> coefficient for degree 2.
-Cochain1 = Dict[Tuple[int, int], Expr]
+if TYPE_CHECKING:
+    from .jets import CochainKey
+
+    # Cochains of the representation complex: (base direction, fiber direction)
+    # -> coefficient for degree 1, (i, j, fiber) -> coefficient for degree 2.
+    Cochain1 = Dict[Tuple[int, int], Expr]
 
 
 @dataclass(frozen=True)
@@ -81,15 +84,19 @@ class FlatRepSpec:
     def a(self, i: int, d: int) -> Expr:
         return self.coeffs.get((i, d), ZERO)
 
-    def derivation(self, i: int) -> Derivation:
-        """F_i = D_{x_i} + sum_d a_i^d D_d."""
-        dirs = {i: ONE}
-        for d in self.fiber_dirs:
-            dirs[d] = self.a(i, d)
-        return Derivation(self.scheme, dirs=dirs)
+    @cached_property
+    def derivations(self) -> Dict[int, Derivation]:
+        """F_i = D_{x_i} + sum_d a_i^d D_d, keyed by base direction i."""
+        out = {}
+        for i in self.base_dirs:
+            dirs = {i: ONE}
+            for d in self.fiber_dirs:
+                dirs[d] = self.a(i, d)
+            out[i] = Derivation(self.scheme, dirs=dirs)
+        return out
 
     def f_apply(self, i: int, e: Expr) -> Expr:
-        return self.derivation(i).apply(e)
+        return self.derivations[i].apply(e)
 
     def subs(self, bindings: Mapping[Symbol, Expr]) -> "FlatRepSpec":
         return FlatRepSpec(
@@ -105,7 +112,7 @@ class FlatRepSpec:
         residuals = []
         for ai, i in enumerate(self.base_dirs):
             for j in self.base_dirs[ai + 1:]:
-                bracket = self.derivation(i).bracket(self.derivation(j))
+                bracket = self.derivations[i].bracket(self.derivations[j])
                 for b in self.base_dirs:
                     if b in bracket.dirs:  # pragma: no cover - scheme contract
                         raise AssertionError("commutator has a horizontal component")
@@ -192,11 +199,16 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
 
 
 def _du(spec: FlatRepSpec, cochain: Mapping[CochainKey, Expr]) -> Dict[CochainKey, Expr]:
-    """d_U through the one cochain differential; components whose directions
-    or fiber index lie outside the spec's split are ignored."""
+    """d_U through the one cochain differential.  A component whose directions
+    or fiber index lie outside the spec's split raises ValueError."""
+    for dirs, d in cochain:
+        if d not in spec.fiber_dirs or any(i not in spec.base_dirs for i in dirs):
+            raise ValueError(
+                "cochain component %r is off the split: base directions %r, "
+                "fiber directions %r" % (dirs + (d,) if dirs else d,
+                                         spec.base_dirs, spec.fiber_dirs))
     return cochain_differential(
-        (((dirs, d), Expr.wrap(e)) for (dirs, d), e in cochain.items()
-         if d in spec.fiber_dirs and all(i in spec.base_dirs for i in dirs)),
+        (((dirs, d), Expr.wrap(e)) for (dirs, d), e in cochain.items()),
         spec.base_dirs, spec.f_apply, spec.twist)
 
 

@@ -25,7 +25,7 @@ signed sparse sum of the package goes through :func:`add_term`.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Sequence, Tuple
 
 from .expr import (
     KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, ONE, Symbol, ZERO,
@@ -75,8 +75,9 @@ def add_term(acc: dict, key, value, sign: int = 1) -> None:
         acc[key] = value
 
 
-# The key (sorted directions I, fiber index a) of the term f dx_I (x) e_a.
-CochainKey = Tuple[Tuple[int, ...], int]
+if TYPE_CHECKING:
+    # The key (sorted directions I, fiber index a) of the term f dx_I (x) e_a.
+    CochainKey = Tuple[Tuple[int, ...], int]
 
 
 def cochain_differential(

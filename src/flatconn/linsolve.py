@@ -17,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .expr import Expr, ONE, Symbol
+
+if TYPE_CHECKING:
+    from .expr import Scalar
 
 __all__ = ["AnsatzSpec", "solve_linear", "solve_by_superposition"]
 
@@ -47,11 +50,11 @@ class AnsatzSpec:
                         mono[-1] = (s, mono[-1][1] + 1)
                     else:
                         mono.append((s, 1))
-                out.append(Expr({tuple(mono): Fraction(1)}))
+                out.append(Expr({tuple(mono): 1}))
         return out
 
 
-def solve_linear(rows) -> Optional[Dict[int, Fraction]]:
+def solve_linear(rows) -> Optional[Dict[int, Scalar]]:
     """One exact solution of the sparse system, or None if inconsistent.
 
     Free columns are set to zero.  The system is first split into connected
@@ -86,7 +89,7 @@ def solve_linear(rows) -> Optional[Dict[int, Fraction]]:
         root = find(next(iter(coeffs))) if coeffs else None
         blocks.setdefault(root, []).append((coeffs, const))
 
-    solution: Dict[int, Fraction] = {}
+    solution: Dict[int, Scalar] = {}
     for root, block in blocks.items():
         if root is None:
             if any(const != 0 for _, const in block):
@@ -101,8 +104,8 @@ def solve_linear(rows) -> Optional[Dict[int, Fraction]]:
     return solution
 
 
-def _eliminate(rows) -> Optional[Dict[int, Fraction]]:
-    pivots: Dict[int, Tuple[Dict[int, Fraction], Fraction]] = {}
+def _eliminate(rows) -> Optional[Dict[int, Scalar]]:
+    pivots: Dict[int, Tuple[Dict[int, Scalar], Scalar]] = {}
     for coeffs, const in rows:
         row = dict(coeffs)
         rhs = const
@@ -118,7 +121,7 @@ def _eliminate(rows) -> Optional[Dict[int, Fraction]]:
             for c, q in prow.items():
                 if c == hit:
                     continue
-                acc = row.get(c, Fraction(0)) - factor * q
+                acc = row.get(c, 0) - factor * q
                 if acc:
                     row[c] = acc
                 else:
@@ -129,24 +132,26 @@ def _eliminate(rows) -> Optional[Dict[int, Fraction]]:
                 return None
             continue
         lead = min(row)
-        inv = 1 / row[lead]
+        inv = Fraction(1, row[lead])
+        if inv.denominator == 1:
+            inv = inv.numerator  # a unit pivot keeps an int row int
         row = {c: q * inv for c, q in row.items()}
         pivots[lead] = (row, rhs * inv)
-    out: Dict[int, Fraction] = {}
+    out: Dict[int, Scalar] = {}
     for c in sorted(pivots, reverse=True):
         prow, prhs = pivots[c]
         # Row reads: x_c + sum_{c' > c} q x_{c'} + rhs = 0.
         val = -prhs
         for cc, q in prow.items():
             if cc != c:
-                val -= q * out.get(cc, Fraction(0))
+                val -= q * out.get(cc, 0)
         out[c] = val
     return out
 
 
 def solve_by_superposition(
     images: Sequence[Sequence[Expr]], target: Sequence[Expr]
-) -> Optional[List[Fraction]]:
+) -> Optional[List[Scalar]]:
     """Coefficients c with sum_j c_j images[j] == target componentwise.
 
     ``images[j]`` holds the components of a linear operator applied to the
@@ -155,13 +160,13 @@ def solve_by_superposition(
     basis).
     """
     ncomp = len(target)
-    rows: Dict[tuple, Tuple[Dict[int, Fraction], List[Fraction]]] = {}
+    rows: Dict[tuple, Tuple[Dict[int, Scalar], List[Scalar]]] = {}
 
-    def row_for(comp: int, mono) -> Tuple[Dict[int, Fraction], List[Fraction]]:
+    def row_for(comp: int, mono) -> Tuple[Dict[int, Scalar], List[Scalar]]:
         key = (comp, mono)
         row = rows.get(key)
         if row is None:
-            row = ({}, [Fraction(0)])
+            row = ({}, [0])
             rows[key] = row
         return row
 
@@ -172,7 +177,7 @@ def solve_by_superposition(
         for ci, e in enumerate(comps):
             for mono, q in Expr.wrap(e).terms.items():
                 coeffs, _ = row_for(ci, mono)
-                coeffs[j] = coeffs.get(j, Fraction(0)) + q
+                coeffs[j] = coeffs.get(j, 0) + q
     for ci, e in enumerate(target):
         for mono, q in Expr.wrap(e).terms.items():
             row_for(ci, mono)[1][0] -= q
@@ -184,4 +189,4 @@ def solve_by_superposition(
     sol = solve_linear(ordered)
     if sol is None:
         return None
-    return [sol.get(j, Fraction(0)) for j in range(len(images))]
+    return [sol.get(j, 0) for j in range(len(images))]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .expr import (
     Expr, KIND_INDEP, KIND_JET, KIND_PARAM, ONE, Symbol, ZERO, jet, param,
@@ -32,7 +32,8 @@ __all__ = [
     "mat_add", "mat_sub", "mat_mul", "mat_bracket", "mat_map", "mat_is_zero",
 ]
 
-Matrix = List[List[Expr]]
+if TYPE_CHECKING:
+    Matrix = List[List[Expr]]
 
 
 class MatChart:

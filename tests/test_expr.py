@@ -1,12 +1,16 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
+from flatconn import fce, flatrep, sdym
 from flatconn.expr import (
     Expr, const, fc, jet, param, render, v, x, y, ZERO, ONE,
 )
-from helpers import leibniz_reference, rand_expr
+from flatconn.kdv import build_kdv
+from flatconn.problems import parse_problem
+from helpers import fc_pool, leibniz_reference, rand_expr
 
 
 def test_difference_of_squares():
@@ -46,6 +50,21 @@ def test_division_by_constants_only():
         x(1) / (x(1) + ONE)
     with pytest.raises(ZeroDivisionError):
         x(1) / 0
+    # exact: an int divisor gives a Fraction, never a float
+    half = x(1) / 2
+    assert half.terms == {((x(1), 1),): Fraction(1, 2)}
+    assert type(half.terms[((x(1), 1),)]) is Fraction
+    three = x(1) / Fraction(1, 3)
+    assert type(three.terms[((x(1), 1),)]) is int
+    assert type(const(Fraction(4, 2)).constant_value()) is int
+    # an integral Fraction left by a product is the same value as the int
+    back = half * 2
+    assert back == x(1) + ZERO and hash(back) == hash(x(1) + ZERO)
+    assert render(back) == "x1"
+    pf = parse_problem("[chart]\nn = 2\nm = 1\nkind = connection\n"
+                       "[connection]\nv1 = x2/2\nv2 = 6*x1/3\n")
+    assert pf.connection == {(1, 1): x(2) / 2, (2, 1): 2 * x(1)}
+    assert render(pf.connection[(1, 1)]) == "1/2*x2"
 
 
 def test_partial_examples():
@@ -184,3 +203,48 @@ def test_fc_symbol_invariant():
     with pytest.raises(ValueError):
         fc(1, (), (1,))
     assert fc(1, (), ()) is v(1)  # the bare coordinate is the fiber symbol
+
+
+def coefficients(obj):
+    """Every coefficient of every Expr inside ``obj``: an Expr, a cochain, a
+    flat representation, or a mapping or sequence of those."""
+    if isinstance(obj, Expr):
+        return list(obj.terms.values())
+    if isinstance(obj, fce.Cochain):
+        return coefficients(obj.data)
+    if isinstance(obj, flatrep.FlatRepSpec):
+        return coefficients([obj.coeffs, obj.twist, obj.flatness_residuals])
+    if isinstance(obj, Mapping):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [q for item in obj for q in coefficients(item)]
+    return []
+
+
+def test_integer_data_keeps_int_coefficients():
+    kdv = build_kdv()
+    miura = kdv.miura
+    lift = flatrep.du_vertical(miura, {3: y(1) ** 2 * jet(1, (1,))})
+    got = coefficients([miura, kdv.symmetries, kdv.scheme.rhs, lift])
+    rep = sdym.build_flatrep(1)
+    got += coefficients([rep.spec, list(sdym.lambda_expand(2))])
+    ch = fce.FcChart(2, 2)
+    rng = random.Random(31)
+    pool = fc_pool(2, 2)
+    for _ in range(4):
+        f = fce.cochain0(ch, [rand_expr(rng, pool), rand_expr(rng, pool)])
+        g = fce.cochain0(ch, [rand_expr(rng, pool), rand_expr(rng, pool)])
+        got += coefficients([fce.bracket0(ch, f, g), fce.dfc(f), fce.dfc(fce.dfc(g))])
+    assert len(got) > 500
+    assert {type(q) for q in got} == {int}
+
+
+def test_no_coefficient_is_a_float():
+    rng = random.Random(37)
+    pool = [x(1), v(1), jet(1, (1,)), param("lam")]
+    for _ in range(20):
+        f = rand_expr(rng, pool) / rng.choice([1, 2, 3, Fraction(2, 3)])
+        g = rand_expr(rng, pool) * Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        h = (f * g + f.partial(v(1)) - g.subs({x(1): f})) / rng.randint(1, 5)
+        for e in (f, g, h, h ** 2, h.derive(lambda s: g)):
+            assert all(type(q) in (int, Fraction) for q in e.terms.values())

@@ -141,7 +141,7 @@ def test_exponential_of_vertical_field_is_trivial_to_first_order(kdv):
         spec.scheme, spec.base_dirs, spec.fiber_dirs,
         {key: spec.a(*key) + eps * inf.get(key, ZERO) for key in keys},
     )
-    bracket = fam.derivation(1).bracket(fam.derivation(2))
+    bracket = fam.derivations[1].bracket(fam.derivations[2])
     for d in fam.fiber_dirs:
         for deg, coeff in bracket.dirs.get(d, ZERO).collect(eps):
             assert deg >= 2, render(coeff)
@@ -211,6 +211,21 @@ def test_miura_lambda_cocycle_not_exact_at_degree_4(kdv):
 def test_exactness_rejects_non_closed(kdv):
     with pytest.raises(ValueError):
         flatrep.exactness_test(kdv.miura, {(1, 3): Expr.wrap(y(1))}, pinned_ansatz())
+
+
+def test_cochain_keyed_off_the_split_is_refused(kdv):
+    # (1, 1) names fiber index 1, not the fiber direction 3; read as the zero
+    # cochain it would pass as closed, with the false witness {3: 0}
+    spec = kdv.miura
+    with pytest.raises(ValueError, match=r"cochain component \(1, 1\) is off the split"):
+        flatrep.exactness_test(spec, {(1, 1): Expr.wrap(y(1))}, AnsatzSpec((x(1), y(1)), 1))
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        flatrep.is_closed(spec, {(1, 1): Expr.wrap(y(1))})
+    with pytest.raises(ValueError, match=r"\(3, 3\)"):
+        flatrep.du_cochain1(spec, {(3, 3): ZERO})
+    with pytest.raises(ValueError, match="component 1 is off the split"):
+        flatrep.du_vertical(spec, {1: Expr.wrap(y(1))})
+    assert flatrep.du_vertical(spec, {3: ZERO}) == {}
 
 
 def test_symmetry_cocycle_values_and_closedness(kdv):

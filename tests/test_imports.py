@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "flatconn"
@@ -42,3 +45,118 @@ def test_scan_sees_unused_names_and_reexports():
     tree = ast.parse(
         "from x import a, b, c as d\nimport os.path\n__all__ = ['b']\nprint(d)\n")
     assert _unused_imports(tree) == [(1, "a"), (2, "os")]
+
+
+def _is_type_checking(test):
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING")
+
+
+def _import_time_typing_subscripts(tree):
+    """(line, name) of every subscript of a ``typing`` name run at import.
+
+    Such a subscript lands in ``typing``'s caches and keeps its arguments,
+    and through them the module, alive after the module is dropped from
+    ``sys.modules``.  Function bodies and the bodies of ``if TYPE_CHECKING:``
+    blocks do not run at import; annotations do not either once the module
+    imports ``annotations`` from ``__future__``.
+    """
+    typing_names = set()
+    typing_modules = set()
+    lazy_annotations = False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            typing_names.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            lazy_annotations |= any(a.name == "annotations" for a in node.names)
+        elif isinstance(node, ast.Import):
+            typing_modules.update(a.asname or a.name for a in node.names if a.name == "typing")
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.If) and _is_type_checking(node.test):
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            run = args.defaults + [d for d in args.kw_defaults if d is not None]
+            if not isinstance(node, ast.Lambda):
+                run += node.decorator_list
+                if not lazy_annotations:
+                    every = args.posonlyargs + args.args + args.kwonlyargs
+                    every += [a for a in (args.vararg, args.kwarg) if a is not None]
+                    run += [a.annotation for a in every if a.annotation is not None]
+                    run += [node.returns] if node.returns is not None else []
+            for child in run:
+                visit(child)
+            return
+        if isinstance(node, ast.AnnAssign):
+            run = [node.target] + ([node.value] if node.value is not None else [])
+            if not lazy_annotations:
+                run.append(node.annotation)
+            for child in run:
+                visit(child)
+            return
+        if isinstance(node, ast.Subscript):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in typing_names:
+                found.append((node.lineno, base.id))
+            elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+                  and base.value.id in typing_modules):
+                found.append((node.lineno, base.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_no_module_subscripts_typing_at_import():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for line, name in _import_time_typing_subscripts(tree)]
+    assert not found, "typing subscripts evaluated at import: " + ", ".join(found)
+
+
+def test_typing_scan_sees_import_time_subscripts_only():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import typing as t\n"
+        "from typing import TYPE_CHECKING, Dict, List\n"
+        "A = Dict[str, int]\n"
+        "if TYPE_CHECKING:\n"
+        "    B = List[int]\n"
+        "else:\n"
+        "    B = t.List[int]\n"
+        "def f(x: List[int] = cast(List[int], y)) -> Dict[str, int]:\n"
+        "    return List[int]\n"
+        "class C:\n"
+        "    z: Dict[str, int] = {}\n"
+        "    w = [List[i] for i in ()]\n")
+    assert _import_time_typing_subscripts(tree) == [
+        (4, "Dict"), (8, "List"), (9, "List"), (13, "List")]
+    eager = ast.parse("from typing import List\ndef f(x: List[int]): pass\n")
+    assert _import_time_typing_subscripts(eager) == [(2, "List")]
+
+
+def test_reimports_leave_one_copy_of_expr_alive():
+    # A fresh interpreter, so that this session's interned symbols and typing
+    # caches play no part.
+    script = (
+        "import gc, sys\n"
+        "for _ in range(3):\n"
+        "    for m in [m for m in sys.modules if m.split('.')[0] == 'flatconn']:\n"
+        "        del sys.modules[m]\n"
+        "    import flatconn\n"
+        "    del flatconn\n"
+        "gc.collect()\n"
+        "print(sum(1 for o in gc.get_objects() if isinstance(o, type)\n"
+        "          and o.__module__ == 'flatconn.expr' and o.__name__ == 'Symbol'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1"

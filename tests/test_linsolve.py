@@ -32,25 +32,48 @@ def test_unconstrained_unknowns_default_to_zero():
         {0: Fraction(1)}
 
 
-def test_solve_linear_random_consistent_systems():
-    rng = random.Random(73)
+def random_consistent_systems(seed, scalar):
+    """Seeded consistent sparse systems with entries of type ``scalar``."""
+    rng = random.Random(seed)
     for _ in range(25):
         ncols = rng.randint(1, 6)
-        target = {j: Fraction(rng.randint(-4, 4)) for j in range(ncols)}
+        target = {j: scalar(rng.randint(-4, 4)) for j in range(ncols)}
         rows = []
         for _ in range(rng.randint(1, 8)):
             coeffs = {
-                j: Fraction(rng.randint(-3, 3))
+                j: scalar(rng.randint(-3, 3))
                 for j in range(ncols) if rng.random() < 0.7
             }
             coeffs = {j: q for j, q in coeffs.items() if q}
-            rhs = sum((q * target[j] for j, q in coeffs.items()), Fraction(0))
+            rhs = sum((q * target[j] for j, q in coeffs.items()), scalar(0))
             rows.append((coeffs, -rhs))  # sum coeffs*x + const = 0
+        yield rows
+
+
+def test_solve_linear_random_consistent_systems():
+    for rows in random_consistent_systems(73, Fraction):
         sol = solve_linear(rows)
         assert sol is not None
         for coeffs, const_ in rows:
             assert sum((q * sol.get(j, Fraction(0)) for j, q in coeffs.items()),
                        Fraction(0)) + const_ == 0
+
+
+def test_solutions_are_exact_rationals():
+    # int rows must not divide into floats: the answer is an identity over Q
+    sol = solve_linear([({0: 3}, -1)])
+    assert sol == {0: Fraction(1, 3)} and type(sol[0]) is Fraction
+    assert solve_by_superposition([[3 * x(1)], [Expr.wrap(v(1))]], [x(1) - v(1)]) == \
+        [Fraction(1, 3), -1]
+    for scalar in (int, Fraction):
+        for rows in random_consistent_systems(73, scalar):
+            sol = solve_linear(rows)
+            assert all(type(q) in (int, Fraction) for q in sol.values())
+            for coeffs, const_ in rows:
+                assert sum(q * sol.get(j, 0) for j, q in coeffs.items()) + const_ == 0
+    images = [[3 * x(1) + v(1), 2 * v(1)], [x(1) / 2, Expr.wrap(v(1))], [ONE, ZERO]]
+    got = solve_by_superposition(images, [2 * x(1) + 1, 4 * v(1)])
+    assert got == [0, 4, 1] and all(type(q) in (int, Fraction) for q in got)
 
 
 def test_rows_split_params_from_carriers():
