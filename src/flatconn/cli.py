@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .expr import Expr, ZERO, param, render
 from .jets import is_symmetry_evolution
@@ -97,21 +97,30 @@ def _cochain_witness(c: fce.Cochain, m: int) -> Dict[str, str]:
     return out
 
 
-def _fce_ansatz(pf, args, phi) -> Optional[AnsatzSpec]:
+def _flag_or_file(flag, from_file):
+    """A bound given as a flag overrides the problem file's; None from both
+    leaves the default ansatz's."""
+    return flag if flag is not None else from_file
+
+
+def _fce_ansatz(pf, args, phi) -> AnsatzSpec:
     explicit = pf.ansatz(degree=args.degree)
     if explicit is not None:
         return explicit
     ans = fce.default_recover_ansatz(pf.fc_chart(), phi)
-    if args.degree is not None:
-        ans = AnsatzSpec(symbols=ans.symbols, degree=args.degree)
+    degree = _flag_or_file(args.degree, pf.ansatz_degree)
+    if degree is not None:
+        ans = AnsatzSpec(symbols=ans.symbols, degree=degree)
     return ans
 
 
 def _flatrep_ansatz(pf, args, spec, extras) -> AnsatzSpec:
-    explicit = pf.ansatz(degree=args.degree) if pf is not None else None
+    explicit = pf.ansatz(degree=args.degree)
     if explicit is not None:
         return explicit
-    return flatrep.default_ansatz(spec, extras, degree=args.degree, order=args.order)
+    return flatrep.default_ansatz(
+        spec, extras, degree=_flag_or_file(args.degree, pf.ansatz_degree),
+        order=_flag_or_file(args.order, pf.ansatz_order))
 
 
 def _bound_note(ansatz: AnsatzSpec) -> Dict[str, str]:

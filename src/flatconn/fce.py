@@ -29,8 +29,9 @@ from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, ONE, Symbol, ZERO,
     fc, render, v, x,
 )
-from .jets import DirectionError, add_term, cochain_differential, sort_with_sign
-from .linsolve import AnsatzSpec, solve_by_superposition
+from .jets import (
+    DirectionError, add_term, cochain_differential, cochain_preimage, sort_with_sign)
+from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
 
 __all__ = [
@@ -97,7 +98,7 @@ class FcChart:
                 for i in range(1, self.n + 1) for a in fibers}
 
 
-def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
+def _vertical_symbol(beta: int, s: Symbol) -> Expr:
     k = s.kind
     if k == KIND_BASEFIBER:
         return ONE if s.index == beta else ZERO
@@ -109,7 +110,7 @@ def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
 def fc_vertical(chart: FcChart, beta: int, f: Expr) -> Expr:
     """The derivation D_{v^beta} in special coordinates."""
     chart.check_fiber(beta)
-    return chart.check_expr(f).derive(lambda s: _vertical_symbol(chart, beta, s))
+    return chart.check_expr(f).derive(lambda s: _vertical_symbol(beta, s))
 
 
 def _total_symbol(chart: FcChart, i: int, s: Symbol, peel_last: bool = False) -> Expr:
@@ -369,40 +370,17 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
         raise ValueError("input is not d_fc-closed; it is not a symmetry")
     if ansatz is None:
         base = default_recover_ansatz(chart, phi)
-        got = None
-        for degree in range(max(0, base.degree - 1), base.degree + 1):
-            got = _recover_with(chart, phi, AnsatzSpec(base.symbols, degree))
-            if got is not None:
-                return got
-        return None
-    return _recover_with(chart, phi, ansatz)
-
-
-def _recover_with(chart: FcChart, phi: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:
-    monos = ansatz.monomials()
-    keys = [((i,), a) for i in range(1, chart.n + 1) for a in range(1, chart.m + 1)]
-    images = []
-    for alpha in range(1, chart.m + 1):
-        for mu in monos:
-            basis = cochain0(
-                chart, [mu if a == alpha else ZERO for a in range(1, chart.m + 1)])
-            img = dfc(basis)
-            images.append([img.component(*k) for k in keys])
-    coeffs = solve_by_superposition(images, [phi.component(*k) for k in keys])
-    if coeffs is None:
-        return None
-    comps = []
-    for alpha in range(chart.m):
-        acc = ZERO
-        for j, mu in enumerate(monos):
-            c = coeffs[alpha * len(monos) + j]
-            if c:
-                acc = acc + c * mu
-        comps.append(acc)
-    f = cochain0(chart, comps)
-    if symmetry_from_f(chart, f) != phi:  # pragma: no cover - solver safety net
-        raise AssertionError("recovered f fails verification")
-    return f
+        tries = [AnsatzSpec(base.symbols, d)
+                 for d in range(max(0, base.degree - 1), base.degree + 1)]
+    else:
+        tries = [ansatz]
+    fibers = range(1, chart.m + 1)
+    for ans in tries:
+        f = cochain_preimage(range(1, chart.n + 1), fibers,
+                             lambda i, e: fc_total(chart, i, e), chart.twist, phi.data, ans)
+        if f is not None:
+            return cochain0(chart, list(f.values()))
+    return None
 
 
 class _Prolongation:
@@ -458,7 +436,7 @@ def _action_image(chart: FcChart, pro: _Prolongation):
         img = pro.coefficient(s) if s.kind == KIND_FC else ZERO
         for beta, comp in enumerate(pro.f.data, start=1):
             if not comp.is_zero():
-                img = img + comp * _vertical_symbol(chart, beta, s)
+                img = img + comp * _vertical_symbol(beta, s)
         return img
 
     return image

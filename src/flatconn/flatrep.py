@@ -31,10 +31,10 @@ from .expr import (
     Expr, ONE, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
-    DerivScheme, Evolution, Extended, add_term, cochain_differential,
+    DerivScheme, Evolution, Extended, add_term, cochain_differential, cochain_preimage,
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
-from .linsolve import AnsatzSpec, solve_by_superposition
+from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
 from .vforms import Derivation
 
@@ -279,28 +279,9 @@ def exactness_test(
     _require_flat(spec)
     if not is_closed(spec, c):
         raise ValueError("cochain is not closed; exactness is ill-posed")
-    monos = ansatz.monomials()
-    keys = [(i, d) for i in spec.base_dirs for d in spec.fiber_dirs]
-    images = []
-    for d in spec.fiber_dirs:
-        for mu in monos:
-            img = du_vertical(spec, {d: mu})
-            images.append([img.get(k, ZERO) for k in keys])
-    coeffs = solve_by_superposition(images, [c.get(k, ZERO) for k in keys])
-    if coeffs is None:
-        return None
-    witness: Dict[int, Expr] = {}
-    for di, d in enumerate(spec.fiber_dirs):
-        acc = ZERO
-        for j, mu in enumerate(monos):
-            q = coeffs[di * len(monos) + j]
-            if q:
-                acc = acc + q * mu
-        witness[d] = acc
-    back = du_vertical(spec, witness)
-    if any(back.get(k, ZERO) != c.get(k, ZERO) for k in keys):  # pragma: no cover
-        raise AssertionError("exactness witness fails verification")
-    return witness
+    return cochain_preimage(
+        spec.base_dirs, spec.fiber_dirs, spec.f_apply, spec.twist,
+        {((i,), d): Expr.wrap(e) for (i, d), e in c.items()}, ansatz)
 
 
 def symmetry_cocycle(spec: FlatRepSpec, phi: Sequence[Expr], check: bool = True) -> Cochain1:

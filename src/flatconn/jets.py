@@ -18,26 +18,31 @@ derivation here is fixed by its values on symbols and applied through the
 one Leibniz kernel :meth:`Expr.derive`.  :func:`cochain_differential` is the
 one differential of the complex of a flat representation phi: d_h is its case
 with one trivial fiber and no twist, ``fce.dfc`` the case phi = identity on
-E_fc, and ``flatrep.du_vertical``/``du_cochain1`` the d_U of any phi.  Every
-signed sparse sum of the package goes through :func:`add_term`.
+E_fc, and ``flatrep.du_vertical``/``du_cochain1`` the d_U of any phi.
+:func:`cochain_preimage` is its bounded inverse in degree 0, the one place
+where an ansatz system is built and solved: ``flatrep.exactness_test`` (and
+``lift_symmetry`` through it) asks it whether a cocycle of phi is exact, and
+``fce.recover_f`` asks it for the f of a symmetry of E_fc.  Every signed
+sparse sum of the package goes through :func:`add_term`.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, ONE, Symbol, ZERO,
     jet, render, x,
 )
+from .linsolve import solve_by_superposition
 from .reports import FAIL, PASS, Report
 
 __all__ = [
     "FreeJet", "Evolution", "Extended", "HForm",
     "total_derivative", "d_sigma", "evolutionary_apply",
     "is_symmetry_evolution", "d_h", "sort_with_sign", "add_term",
-    "cochain_differential", "DirectionError",
+    "cochain_differential", "cochain_preimage", "DirectionError",
 ]
 
 
@@ -76,6 +81,8 @@ def add_term(acc: dict, key, value, sign: int = 1) -> None:
 
 
 if TYPE_CHECKING:
+    from .linsolve import AnsatzSpec
+
     # The key (sorted directions I, fiber index a) of the term f dx_I (x) e_a.
     CochainKey = Tuple[Tuple[int, ...], int]
 
@@ -100,6 +107,45 @@ def cochain_differential(
             add_term(out, (key, a), horizontal(i, f), sign)
             for b, t in twist.get((i, a), ()):
                 add_term(out, (key, b), t * f, -sign)
+    return out
+
+
+def cochain_preimage(
+    directions: Sequence[int], fibers: Sequence[int],
+    horizontal: Callable[[int, Expr], Expr],
+    twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
+    target: Mapping[CochainKey, Expr], ansatz: AnsatzSpec,
+) -> Optional[Dict[int, Expr]]:
+    """A 0-cochain {a: f^a} with components in the ansatz whose
+    :func:`cochain_differential` is the 1-cochain ``target``, or None when
+    the ansatz holds none (bounded-no).
+
+    The unknowns are the coefficients of the basis mu e_a, a over ``fibers``
+    and mu over the ansatz monomials; a returned answer has been
+    re-substituted and checked against ``target`` exactly.
+    """
+    monos = ansatz.monomials()
+    basis = [(a, mu) for a in fibers for mu in monos]
+    keys = [((i,), a) for i in directions for a in fibers]
+
+    def d(cochain0):
+        return cochain_differential(
+            ((((), a), f) for a, f in cochain0), directions, horizontal, twist)
+
+    images = []
+    for a, mu in basis:
+        img = d([(a, mu)])
+        images.append([img.get(k, ZERO) for k in keys])
+    coeffs = solve_by_superposition(images, [target.get(k, ZERO) for k in keys])
+    if coeffs is None:
+        return None
+    out = {a: ZERO for a in fibers}
+    for (a, mu), q in zip(basis, coeffs):
+        if q:
+            out[a] = out[a] + q * mu
+    back = d(out.items())
+    if any(back.get(k, ZERO) != target.get(k, ZERO) for k in set(back) | set(target)):
+        raise AssertionError("cochain preimage fails verification")  # pragma: no cover
     return out
 
 

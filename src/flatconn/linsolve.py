@@ -1,13 +1,15 @@
 """Bounded polynomial ansaetze and exact linear solving over Q.
 
-The exactness and lifting questions in this package reduce to: does a linear
-operator equation have a polynomial solution whose monomials come from a
-declared finite pool?  An :class:`AnsatzSpec` fixes the pool (allowed symbols
-and a total-degree cap).  The caller applies its operator to every basis
-element of the pool, and :func:`solve_by_superposition` finds the rational
-combination of those images that equals the target: the images are keyed by
-(component, monomial) into sparse rows over Q, and :func:`solve_linear` runs
-exact Gaussian elimination on them.
+The exactness, lifting and recovery questions in this package reduce to: does
+a linear operator equation have a polynomial solution whose monomials come
+from a declared finite pool?  An :class:`AnsatzSpec` fixes the pool (allowed
+symbols and a total-degree cap).  ``jets.cochain_preimage`` applies the
+operator, the degree-0 cochain differential, to every basis element of the
+pool; :func:`solve_by_superposition` finds the rational combination of those
+images that equals the target: the images are keyed by (component, monomial)
+into sparse rows over Q, and :func:`solve_linear` runs exact Gaussian
+elimination on them.  Rows go in unsorted: the pivot columns are the leading
+columns of the row space, so only the column (basis) order fixes a solution.
 
 A "no solution" answer is always relative to the ansatz (bounded-no).
 """
@@ -160,33 +162,20 @@ def solve_by_superposition(
     basis).
     """
     ncomp = len(target)
-    rows: Dict[tuple, Tuple[Dict[int, Scalar], List[Scalar]]] = {}
-
-    def row_for(comp: int, mono) -> Tuple[Dict[int, Scalar], List[Scalar]]:
-        key = (comp, mono)
-        row = rows.get(key)
-        if row is None:
-            row = ({}, [0])
-            rows[key] = row
-        return row
-
+    rows: Dict[tuple, Dict[int, Scalar]] = {}
     for j, comps in enumerate(images):
         if len(comps) != ncomp:
             raise ValueError("image %d has %d components, expected %d"
                              % (j, len(comps), ncomp))
         for ci, e in enumerate(comps):
             for mono, q in Expr.wrap(e).terms.items():
-                coeffs, _ = row_for(ci, mono)
-                coeffs[j] = coeffs.get(j, 0) + q
+                rows.setdefault((ci, mono), {})[j] = q  # one term per monomial: no sum
+    consts: Dict[tuple, Scalar] = {}
     for ci, e in enumerate(target):
         for mono, q in Expr.wrap(e).terms.items():
-            row_for(ci, mono)[1][0] -= q
-    ordered = []
-    for key in sorted(rows, key=lambda k: (k[0], tuple((s.key, p) for s, p in k[1]))):
-        coeffs, const = rows[key]
-        coeffs = {j: q for j, q in coeffs.items() if q}
-        ordered.append((coeffs, const[0]))
-    sol = solve_linear(ordered)
+            rows.setdefault((ci, mono), {})
+            consts[(ci, mono)] = -q
+    sol = solve_linear([(coeffs, consts.get(key, 0)) for key, coeffs in rows.items()])
     if sol is None:
         return None
     return [sol.get(j, 0) for j in range(len(images))]

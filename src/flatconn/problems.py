@@ -502,6 +502,9 @@ def parse_problem(text: str) -> ProblemFile:
         fenv = env.with_fibers(pf.nfibers())
         for ln, key, val in sections["ansatz"]:
             if key == "degree" or key == "order":
+                if key == "order" and kind != "evolution":
+                    raise ParseError("order bounds jet orders, and a %s chart has none"
+                                     % kind, ln)
                 if not val.isdigit():
                     raise ParseError("%s must be a nonnegative integer" % key, ln)
                 setattr(pf, "ansatz_" + key, int(val))

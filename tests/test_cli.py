@@ -150,6 +150,43 @@ symbols = x1, x2, y1, u[0], u[1], u[2], u[3], lam
     assert rep["witness"] == {"a1": "lam + u[0] + y1^2"}
 
 
+FC_RECOVER = """
+[chart]
+n = 2
+m = 2
+kind = fc
+[symmetry]
+phi1_1 = -x1*v[1;1;2] - v1*v2*v[1;1;1] + v1*v[2;1;] + v2*v[1;1;] + 2*v2*v[1;1;2]
+phi1_2 = 1 - x1*v[2;1;2] - v1*v2*v[2;1;1] + 2*v2*v[2;1;2] - 2*v[2;1;]
+phi2_1 = -x1*v[1;2;2] - v1*v2*v[1;2;1] + v1*v[2;2;] + v2*v[1;2;] + 2*v2*v[1;2;2]
+phi2_2 = -x1*v[2;2;2] - v1*v2*v[2;2;1] + 2*v2*v[2;2;2] - 2*v[2;2;]
+"""
+
+
+def test_file_bounds_apply_without_symbols(prob, capsys):
+    # An [ansatz] without a symbols line still bounds the default pool: the
+    # witness f1 = v1*v2 has degree 2, and a1 = lam + u[0] + y1^2 too.
+    recover = prob("rec.prob", FC_RECOVER + "[ansatz]\ndegree = 0\n")
+    assert run(["recover-f", recover, "--json"]) == 1
+    rep = _json_report(capsys)
+    assert rep["verdict"] == "bounded-no" and rep["witness"]["bound_degree"] == "0"
+    lift = prob("lift.prob", MIURA + "[symmetry]\nphi1 = u[1]\n"
+                "[ansatz]\ndegree = 0\norder = 0\n")
+    assert run(["lift", lift, "--json"]) == 1
+    rep = _json_report(capsys)
+    assert rep["verdict"] == "bounded-no" and rep["witness"]["bound_degree"] == "0"
+    syms = rep["witness"]["bound_symbols"].split(", ")
+    assert [s for s in syms if s.startswith("u[")] == ["u[0]"]
+    # the flags still override the file
+    assert run(["recover-f", recover, "--degree", "2", "--json"]) == 0
+    assert _json_report(capsys)["witness"] == {"f1": "v1*v2", "f2": "x1 - 2*v2"}
+    assert run(["lift", lift, "--degree", "2", "--json"]) == 0
+    assert _json_report(capsys)["witness"] == {"a1": "lam + u[0] + y1^2"}
+    assert run(["lift", lift, "--order", "2", "--json"]) == 1
+    syms = _json_report(capsys)["witness"]["bound_symbols"].split(", ")
+    assert [s for s in syms if s.startswith("u[")] == ["u[0]", "u[1]", "u[2]"]
+
+
 def test_pullback_task(prob, capsys):
     text = MIURA + """
 [task]
@@ -190,6 +227,11 @@ def test_input_errors_exit_2(prob, capsys):
     bad = FLAT_XY + "[task]\nname = dfc\n"
     # declared task must match invocation; dfc also needs an fc chart
     assert run(["check-flat", prob("mismatch.prob", bad)]) == 2
+    # a jet-order bound on a chart without jets
+    capsys.readouterr()
+    assert run(["recover-f", prob("rec.prob", FC_RECOVER + "[ansatz]\norder = 1\n")]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 12:0: order bounds jet orders, and a fc chart has none\n")
 
 
 def test_nonflat_representation_exits_2(prob, capsys):

@@ -200,6 +200,14 @@ def test_exactness_planted_witness(kdv):
     # checked inside exactness_test, and here the kernel is trivial:
     assert got == {3: Expr.wrap(y(1))}
     assert flatrep.exactness_test(spec, {}, pinned_ansatz(with_lam=True)) == {3: ZERO}
+    # Several fibers and an off-diagonal twist: the witness is read back per
+    # fiber from one solve, with the twist coupling the fibers.
+    spec = linear_kdv_covering(kdv)
+    planted = {3: x(1) * y(2) + y(1), 4: u(0) * y(1)}
+    c = flatrep.du_vertical(spec, planted)
+    pool = (x(1), x(2), y(1), y(2), u(0), u(1), kdv.lam)
+    assert flatrep.exactness_test(spec, c, AnsatzSpec(pool, 2)) == planted
+    assert flatrep.exactness_test(spec, c, AnsatzSpec(pool[1:], 2)) is None
 
 
 def test_miura_lambda_cocycle_not_exact_at_degree_4(kdv):

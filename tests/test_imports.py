@@ -142,6 +142,62 @@ def test_typing_scan_sees_import_time_subscripts_only():
     assert _import_time_typing_subscripts(eager) == [(2, "List")]
 
 
+SOLVER_CALLEES = ("solve_by_superposition", "monomials")
+
+
+def _solver_calls(tree):
+    """Sorted (enclosing definition, line, callee) of every call of
+    ``solve_by_superposition`` or ``monomials``, bare or as an attribute.
+
+    The enclosing definition is the dotted path of the functions and classes
+    around the call, ``<module>`` at top level.
+    """
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else owner + "." + node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in SOLVER_CALLEES:
+                found.append((owner, node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_only_cochain_preimage_builds_and_solves_ansatz_systems():
+    # One bounded preimage of the cochain differential: every ansatz system
+    # is assembled and solved in jets.cochain_preimage.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [("%s.%s" % (path.stem, owner), line, name)
+                  for owner, line, name in _solver_calls(tree)]
+    assert {owner for owner, _, _ in found} == {"jets.cochain_preimage"}, found
+    assert sorted(name for _, _, name in found) == sorted(SOLVER_CALLEES), found
+
+
+def test_solver_call_scan_sees_every_caller():
+    tree = ast.parse(
+        "def f(a):\n"
+        "    return solve_by_superposition(a.monomials(), [])\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            return linsolve.solve_by_superposition([], [])\n"
+        "        return h\n"
+        "monos = AnsatzSpec((), 0).monomials()\n"
+        "solve = solve_by_superposition\n"
+        "other = monomials_of(a)\n")
+    assert _solver_calls(tree) == [
+        ("<module>", 8, "monomials"), ("C.g.h", 6, "solve_by_superposition"),
+        ("f", 2, "monomials"), ("f", 2, "solve_by_superposition")]
+
+
 def test_reimports_leave_one_copy_of_expr_alive():
     # A fresh interpreter, so that this session's interned symbols and typing
     # caches play no part.

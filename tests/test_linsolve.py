@@ -51,12 +51,19 @@ def random_consistent_systems(seed, scalar):
 
 
 def test_solve_linear_random_consistent_systems():
+    shuffle = random.Random(74).shuffle
     for rows in random_consistent_systems(73, Fraction):
         sol = solve_linear(rows)
         assert sol is not None
         for coeffs, const_ in rows:
             assert sum((q * sol.get(j, Fraction(0)) for j, q in coeffs.items()),
                        Fraction(0)) + const_ == 0
+        # The pivot columns are the leading columns of the row space, so the
+        # solution with free columns at zero does not depend on row order.
+        shuffled = list(rows)
+        shuffle(shuffled)
+        assert solve_linear(rows[::-1]) == sol
+        assert solve_linear(shuffled) == sol
 
 
 def test_solutions_are_exact_rationals():
