@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List
 
-from .expr import Expr, ZERO, param, render
+from .expr import Expr, KIND_JET, ZERO, param, render
 from .jets import is_symmetry_evolution
 from .linsolve import AnsatzSpec
 from . import fce, flatrep, problems, sdym
@@ -65,6 +65,8 @@ def _load(args) -> problems.ProblemFile:
     if pf.task is not None and pf.task != args.task:
         raise ValueError("problem file declares task %r, invoked as %r" % (pf.task, args.task))
     pf.task = args.task
+    if args.order is not None and pf.kind != "evolution":
+        raise ValueError("--order bounds jet orders, and a %s chart has none" % pf.kind)
     problems._check_sections(pf)
     return pf
 
@@ -97,30 +99,18 @@ def _cochain_witness(c: fce.Cochain, m: int) -> Dict[str, str]:
     return out
 
 
-def _flag_or_file(flag, from_file):
-    """A bound given as a flag overrides the problem file's; None from both
-    leaves the default ansatz's."""
-    return flag if flag is not None else from_file
-
-
-def _fce_ansatz(pf, args, phi) -> AnsatzSpec:
-    explicit = pf.ansatz(degree=args.degree)
-    if explicit is not None:
-        return explicit
-    ans = fce.default_recover_ansatz(pf.fc_chart(), phi)
-    degree = _flag_or_file(args.degree, pf.ansatz_degree)
-    if degree is not None:
-        ans = AnsatzSpec(symbols=ans.symbols, degree=degree)
-    return ans
-
-
-def _flatrep_ansatz(pf, args, spec, extras) -> AnsatzSpec:
-    explicit = pf.ansatz(degree=args.degree)
-    if explicit is not None:
-        return explicit
-    return flatrep.default_ansatz(
-        spec, extras, degree=_flag_or_file(args.degree, pf.ansatz_degree),
-        order=_flag_or_file(args.order, pf.ansatz_order))
+def _ansatz(pf, args, default) -> AnsatzSpec:
+    """The ansatz of a file task.  The pool is the file's symbols, else that
+    of ``default(order)``, the task's default ansatz; the degree is the
+    flag's, else the file's, else the default's.  The jet order, the flag's
+    or else the file's, cuts the pool either way."""
+    order = args.order if args.order is not None else pf.ansatz_order
+    fallback = default(order)
+    symbols = fallback.symbols if pf.ansatz_symbols is None else pf.ansatz_symbols
+    if order is not None:
+        symbols = [s for s in symbols if s.kind != KIND_JET or len(s.sigma) <= order]
+    degree = next(d for d in (args.degree, pf.ansatz_degree, fallback.degree) if d is not None)
+    return AnsatzSpec(symbols=tuple(symbols), degree=degree)
 
 
 def _bound_note(ansatz: AnsatzSpec) -> Dict[str, str]:
@@ -164,7 +154,7 @@ def _t_recover_f(args) -> Report:
     pf = _load(args)
     chart = pf.fc_chart()
     phi = _fc_cochain1(pf)
-    ansatz = _fce_ansatz(pf, args, phi)
+    ansatz = _ansatz(pf, args, lambda order: fce.default_recover_ansatz(chart, phi))
     f = fce.recover_f(chart, phi, ansatz)
     if f is None:
         return Report("recover-f", BOUNDED_NO, [], _bound_note(ansatz))
@@ -227,7 +217,8 @@ def _t_exactness(args) -> Report:
     pf = _load(args)
     spec = pf.flat_representation()
     c = _map_fiber_cochain(pf, spec)
-    ansatz = _flatrep_ansatz(pf, args, spec, list(c.values()))
+    ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(
+        spec, list(c.values()), order=order))
     witness = flatrep.exactness_test(spec, c, ansatz)
     if witness is None:
         return Report("exactness", BOUNDED_NO, [], _bound_note(ansatz))
@@ -240,7 +231,7 @@ def _t_lift(args) -> Report:
     pf = _load(args)
     spec = pf.flat_representation()
     phi = _sym_components(pf, "phi")
-    ansatz = _flatrep_ansatz(pf, args, spec, phi)
+    ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(spec, phi, order=order))
     lift = flatrep.lift_symmetry(spec, phi, ansatz)
     if lift is None:
         return Report("lift", BOUNDED_NO, [], _bound_note(ansatz))

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
-    Expr, ONE, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
+    Expr, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
     DerivScheme, Evolution, Extended, add_term, cochain_differential, cochain_preimage,
@@ -36,7 +36,6 @@ from .jets import (
 )
 from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
-from .vforms import Derivation
 
 __all__ = [
     "FlatRepSpec", "AnsatzSpec", "check_flat_rep", "pullback",
@@ -84,19 +83,20 @@ class FlatRepSpec:
     def a(self, i: int, d: int) -> Expr:
         return self.coeffs.get((i, d), ZERO)
 
-    @cached_property
-    def derivations(self) -> Dict[int, Derivation]:
-        """F_i = D_{x_i} + sum_d a_i^d D_d, keyed by base direction i."""
-        out = {}
-        for i in self.base_dirs:
-            dirs = {i: ONE}
-            for d in self.fiber_dirs:
-                dirs[d] = self.a(i, d)
-            out[i] = Derivation(self.scheme, dirs=dirs)
-        return out
-
     def f_apply(self, i: int, e: Expr) -> Expr:
-        return self.derivations[i].apply(e)
+        """F_i(e), F_i = D_{x_i} + sum_d a_i^d D_d, for a base direction i."""
+        if i not in self.base_dirs:
+            raise ValueError("F_%d: base directions are %r" % (i, self.base_dirs))
+        derive = self.scheme.derive_symbol
+        terms = [(d, self.a(i, d)) for d in self.fiber_dirs if (i, d) in self.coeffs]
+
+        def image(s: Symbol) -> Expr:
+            out = derive(s, i)
+            for d, a in terms:
+                out = out + a * derive(s, d)
+            return out
+
+        return Expr.wrap(e).derive(image)
 
     def subs(self, bindings: Mapping[Symbol, Expr]) -> "FlatRepSpec":
         return FlatRepSpec(
@@ -108,17 +108,12 @@ class FlatRepSpec:
 
     @cached_property
     def flatness_residuals(self) -> Tuple[Expr, ...]:
-        """Residuals of [F_i, F_j] = 0 for i < j, one per fiber direction."""
-        residuals = []
-        for ai, i in enumerate(self.base_dirs):
-            for j in self.base_dirs[ai + 1:]:
-                bracket = self.derivations[i].bracket(self.derivations[j])
-                for b in self.base_dirs:
-                    if b in bracket.dirs:  # pragma: no cover - scheme contract
-                        raise AssertionError("commutator has a horizontal component")
-                for d in self.fiber_dirs:
-                    residuals.append(bracket.dirs.get(d, ZERO))
-        return tuple(residuals)
+        """Fiber components F_i(a_j^d) - F_j(a_i^d) of [F_i, F_j], for i < j
+        and each fiber direction d; [F_i, F_j] has no base component."""
+        return tuple(
+            self.f_apply(i, self.a(j, d)) - self.f_apply(j, self.a(i, d))
+            for k, i in enumerate(self.base_dirs) for j in self.base_dirs[k + 1:]
+            for d in self.fiber_dirs)
 
     @property
     def is_flat(self) -> bool:

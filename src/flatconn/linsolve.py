@@ -7,9 +7,11 @@ symbols and a total-degree cap).  ``jets.cochain_preimage`` applies the
 operator, the degree-0 cochain differential, to every basis element of the
 pool; :func:`solve_by_superposition` finds the rational combination of those
 images that equals the target: the images are keyed by (component, monomial)
-into sparse rows over Q, and :func:`solve_linear` runs exact Gaussian
-elimination on them.  Rows go in unsorted: the pivot columns are the leading
-columns of the row space, so only the column (basis) order fixes a solution.
+into sparse rows over Q, and :func:`solve_linear` solves them exactly.  Most
+rows pin one unknown at 0: it propagates those pins until none is new, then
+runs one Gaussian elimination on what is left, with no split into blocks.
+Rows go in unsorted: the pivot columns are the leading columns of the row
+space, so only the column (basis) order fixes a solution.
 
 A "no solution" answer is always relative to the ansatz (bounded-no).
 """
@@ -59,51 +61,28 @@ class AnsatzSpec:
 def solve_linear(rows) -> Optional[Dict[int, Scalar]]:
     """One exact solution of the sparse system, or None if inconsistent.
 
-    Free columns are set to zero.  The system is first split into connected
-    components (rows sharing no columns are independent); fully homogeneous
-    components are solved by zero without elimination, the rest are reduced
-    incrementally against a pivot basis with deterministic min-column
-    pivoting.
+    Row ``(coeffs, const)`` reads sum_j coeffs[j] x_j + const = 0; free
+    columns are set to zero.  A one-column row with a zero constant pins its
+    column at 0.  Pinned columns are dropped from every row, pass after pass,
+    until no row pins a new one; the rest goes through one exact elimination
+    (no split into blocks).  A pinned column is a pivot column with value 0,
+    and dropping it keeps the row space, so the answer is that of plain
+    elimination.
     """
-    # Union-find over columns to split independent blocks.
-    parent: Dict[int, int] = {}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for coeffs, const in rows:
-        cols = list(coeffs)
-        for c in cols:
-            parent.setdefault(c, c)
-        for a, b in zip(cols, cols[1:]):
-            union(a, b)
-
-    blocks: Dict[Optional[int], list] = {}
-    for coeffs, const in rows:
-        root = find(next(iter(coeffs))) if coeffs else None
-        blocks.setdefault(root, []).append((coeffs, const))
-
-    solution: Dict[int, Scalar] = {}
-    for root, block in blocks.items():
-        if root is None:
-            if any(const != 0 for _, const in block):
-                return None
-            continue
-        if all(const == 0 for _, const in block):
-            continue  # homogeneous block: the zero solution works
-        partial = _eliminate(block)
-        if partial is None:
-            return None
-        solution.update(partial)
-    return solution
+    while True:
+        pins = {j for coeffs, const in rows if len(coeffs) == 1 and const == 0 for j in coeffs}
+        if not pins:
+            return _eliminate(rows)
+        left = []
+        for coeffs, const in rows:
+            if not pins.isdisjoint(coeffs):
+                coeffs = {j: q for j, q in coeffs.items() if j not in pins}
+                if not coeffs:
+                    if const != 0:
+                        return None
+                    continue
+            left.append((coeffs, const))
+        rows = left
 
 
 def _eliminate(rows) -> Optional[Dict[int, Scalar]]:

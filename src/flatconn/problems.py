@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
 from .jets import Evolution
-from .linsolve import AnsatzSpec
 from . import fce
 from .flatrep import FlatRepSpec, covering_to_flatrep
 from .reports import Report, emit_report  # re-exported: reports belong to this layer
@@ -321,13 +320,6 @@ class ProblemFile:
 
     def nfibers(self) -> int:
         return self.flatrep_fibers or self.covering_fibers
-
-    def ansatz(self, degree=None) -> Optional[AnsatzSpec]:
-        """Explicit ansatz from the file, if complete; ``degree`` overrides."""
-        deg = degree if degree is not None else self.ansatz_degree
-        if self.ansatz_symbols is None or deg is None:
-            return None
-        return AnsatzSpec(symbols=self.ansatz_symbols, degree=deg)
 
 
 _KEYED = re.compile(r"^([A-Za-z]+)(\d+)(?:_(\d+))?$")

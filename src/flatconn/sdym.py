@@ -142,16 +142,14 @@ class SdymRewriter:
         self.chart = chart
         self.free = FreeJet(4, chart.m)
         self._nf: Dict[Tuple[Symbol, bool], Expr] = {}
-        a1, a2, a3, a4 = (chart.matrix(i) for i in (1, 2, 3, 4))
         d = lambda j, m: mat_map(m, lambda e: total_derivative(self.free, j, e))
+        # (family, eliminated direction) -> right-hand side: the leading jet
+        # minus the lambda coefficient that contains it
+        m0, m1, m2 = lambda_expand(chart.k)
         self._base: Dict[Tuple[int, int], Matrix] = {
-            # (family, eliminated direction) -> right-hand side matrix
-            (2, 1): mat_sub(d(2, a1), mat_bracket(a1, a2)),
-            (4, 3): mat_sub(d(4, a3), mat_bracket(a3, a4)),
-            (4, 1): mat_sub(
-                mat_sub(mat_add(d(4, a1), d(2, a3)), d(3, a2)),
-                mat_add(mat_bracket(a1, a4), mat_bracket(a3, a2)),
-            ),
+            (2, 1): mat_sub(chart.matrix(2, (1,)), m0),
+            (4, 3): mat_sub(chart.matrix(4, (3,)), m2),
+            (4, 1): mat_sub(chart.matrix(4, (1,)), m1),
         }
         # Critical pair d3(rule 4,1) vs d1(rule 4,3): their difference is an
         # on-equation relation whose leading symbol is d1 d4 A3.

@@ -187,6 +187,45 @@ def test_file_bounds_apply_without_symbols(prob, capsys):
     assert [s for s in syms if s.startswith("u[")] == ["u[0]", "u[1]", "u[2]"]
 
 
+KDV_LIFT = MIURA + "[symmetry]\nphi1 = u[1]\n"  # perfbench/problems/kdv_lift.prob
+
+
+def test_file_symbols_apply_without_degree(prob, capsys):
+    # The declared pool holds without a degree; the degree then comes from
+    # the default ansatz.  The witness a1 = lam + u[0] + y1^2 lies outside it.
+    path = prob("lift.prob", KDV_LIFT + "[ansatz]\nsymbols = x1, y1\n")
+    assert run(["lift", path, "--json"]) == 1
+    rep = _json_report(capsys)
+    assert rep["verdict"] == "bounded-no"
+    assert rep["witness"] == {"bound_degree": "4", "bound_symbols": "x1, y1"}
+    assert run(["lift", path, "--degree", "2", "--json"]) == 1
+    assert _json_report(capsys)["witness"]["bound_symbols"] == "x1, y1"
+
+
+def test_order_bound_cuts_explicit_pool(prob, capsys):
+    pool = "[ansatz]\ndegree = 4\nsymbols = x1, x2, y1, u[0], u[1], u[2], u[3], lam\n"
+    path = prob("lift.prob", KDV_LIFT + pool)
+    assert run(["lift", path, "--order", "0", "--degree", "1", "--json"]) == 1
+    rep = _json_report(capsys)
+    assert rep["witness"] == {"bound_degree": "1", "bound_symbols": "lam, x1, x2, u[0], y1"}
+    path = prob("lift1.prob", KDV_LIFT + pool + "order = 1\n")
+    assert run(["lift", path, "--json"]) == 0  # a1 = lam + u[0] + y1^2 needs no u[1]
+    assert _json_report(capsys)["witness"] == {"a1": "lam + u[0] + y1^2"}
+    assert run(["lift", path, "--order", "0", "--degree", "1", "--json"]) == 1
+    syms = _json_report(capsys)["witness"]["bound_symbols"].split(", ")
+    assert [s for s in syms if s.startswith("u[")] == ["u[0]"]
+
+
+def test_order_flag_on_a_chart_without_jets_exits_2(prob, capsys):
+    capsys.readouterr()
+    assert run(["recover-f", prob("rec.prob", FC_RECOVER), "--order", "1", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --order bounds jet orders, and a fc chart has none\n"
+    assert run(["check-flat", prob("flat.prob", FLAT_XY), "--order", "0"]) == 2
+    assert run(["recover-f", prob("rec.prob", FC_RECOVER), "--json"]) == 0
+
+
 def test_pullback_task(prob, capsys):
     text = MIURA + """
 [task]

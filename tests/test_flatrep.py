@@ -6,9 +6,10 @@ import pytest
 
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO, ONE
 from flatconn.jets import Evolution, total_derivative, evolutionary_apply
-from flatconn import fce, flatrep
+from flatconn import fce, flatrep, sdym
 from flatconn.kdv import build_kdv, miura_at
 from flatconn.linsolve import AnsatzSpec
+from flatconn.vforms import Derivation
 from helpers import du_cochain1_reference, du_vertical_reference, rand_expr
 
 
@@ -28,15 +29,19 @@ def pinned_ansatz(with_lam=False, degree=4, order=3):
     return AnsatzSpec(symbols=tuple(syms), degree=degree)
 
 
+def bent_miura(kdv):
+    """The Miura spec with a_t perturbed by +y1: not flat."""
+    spec = kdv.miura
+    return flatrep.FlatRepSpec(
+        spec.scheme, spec.base_dirs, spec.fiber_dirs,
+        {(1, 3): spec.a(1, 3), (2, 3): spec.a(2, 3) + y(1)})
+
+
 def test_check_flat_rep_examples(kdv):
     zero = flatrep.covering_to_flatrep(kdv.scheme, {1: {1: ZERO}, 2: {1: ZERO}}, 1)
     assert flatrep.check_flat_rep(zero).verdict == "pass"
     assert flatrep.check_flat_rep(kdv.miura).verdict == "pass"
-    # perturbing a_t by +y breaks the compatibility
-    bent = flatrep.FlatRepSpec(
-        kdv.miura.scheme, kdv.miura.base_dirs, kdv.miura.fiber_dirs,
-        {(1, 3): kdv.miura.a(1, 3), (2, 3): kdv.miura.a(2, 3) + y(1)},
-    )
+    bent = bent_miura(kdv)
     rep = flatrep.check_flat_rep(bent)
     assert rep.verdict == "fail"
     assert any(r != "0" for r in rep.residuals)
@@ -141,9 +146,9 @@ def test_exponential_of_vertical_field_is_trivial_to_first_order(kdv):
         spec.scheme, spec.base_dirs, spec.fiber_dirs,
         {key: spec.a(*key) + eps * inf.get(key, ZERO) for key in keys},
     )
-    bracket = fam.derivations[1].bracket(fam.derivations[2])
-    for d in fam.fiber_dirs:
-        for deg, coeff in bracket.dirs.get(d, ZERO).collect(eps):
+    assert not fam.is_flat
+    for residual in fam.flatness_residuals:
+        for deg, coeff in residual.collect(eps):
             assert deg >= 2, render(coeff)
 
 
@@ -159,6 +164,40 @@ def linear_kdv_covering(kdv):
             2: -(u2 + 2 * u0 ** 2 - 2 * lam * u0 - 4 * lam ** 2) * y(1) + u1 * y(2)},
     }
     return flatrep.covering_to_flatrep(kdv.scheme, fields, 2)
+
+
+def test_f_apply_matches_derivation_route(kdv):
+    # F_i built as a vforms.Derivation, the route f_apply replaced, on four
+    # specs: one fiber, two coupled fibers, the SDYM family (a rewriting
+    # scheme, three fibers) and a spec that is not flat.
+    lam = kdv.lam
+    kdv_pool = [x(1), x(2), y(1), u(0), u(1), u(2), lam]
+    sdym_pool = [x(1), x(3), x(4), y(1), param("lam"), jet(1, ()), jet(2, ()), jet(3, ()),
+                 jet(4, ()), jet(1, (1,)), jet(2, (2,)), jet(3, (1,)), jet(4, (4,))]
+    specs = [
+        (kdv.miura, kdv_pool),
+        (linear_kdv_covering(kdv), kdv_pool + [y(2)]),
+        (sdym.build_flatrep(1).spec, sdym_pool),
+        (bent_miura(kdv), kdv_pool),
+    ]
+    rng = random.Random(43)
+    for spec, pool in specs:
+        route = {i: Derivation(spec.scheme, {i: ONE, **{d: spec.a(i, d) for d in spec.fiber_dirs}})
+                 for i in spec.base_dirs}
+        want = []
+        for k, i in enumerate(spec.base_dirs):
+            for j in spec.base_dirs[k + 1:]:
+                bracket = route[i].bracket(route[j])
+                assert set(bracket.dirs) <= set(spec.fiber_dirs) and not bracket.partials
+                want += [bracket.dirs.get(d, ZERO) for d in spec.fiber_dirs]
+        assert spec.flatness_residuals == tuple(want)
+        for _ in range(4):
+            e = rand_expr(rng, pool, degree=3)
+            for i in spec.base_dirs:
+                assert spec.f_apply(i, e) == route[i].apply(e)
+        with pytest.raises(ValueError):
+            spec.f_apply(spec.fiber_dirs[0], e)
+    assert not bent_miura(kdv).is_flat
 
 
 def test_du_matches_hand_written_formulas(kdv):

@@ -198,6 +198,48 @@ def test_solver_call_scan_sees_every_caller():
         ("f", 2, "monomials"), ("f", 2, "solve_by_superposition")]
 
 
+def _imports_of(tree, module):
+    """Sorted lines of every import, at any depth, that names the package
+    module ``module``: ``from .m import ...``, ``from . import m``,
+    ``import flatconn.m``, ``from flatconn import m``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "") + "." + a.name for a in node.names]
+        else:
+            continue
+        if any(module in name.split(".") for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_imports_vforms():
+    # vforms carries the Froelicher-Nijenhuis bracket; the library applies
+    # its fields through Expr.derive, so nothing in it leans on vforms.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "vforms.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += ["%s:%d" % (path.name, line) for line in _imports_of(tree, "vforms")]
+    assert not found, "modules importing vforms: " + ", ".join(found)
+
+
+def test_import_scan_sees_every_form():
+    tree = ast.parse(
+        "from .vforms import Derivation\n"
+        "from . import fce, vforms\n"
+        "import flatconn.vforms as vf\n"
+        "from flatconn import vforms\n"
+        "def f():\n"
+        "    from .vforms import VForm\n"
+        "from .jets import vforms_like\n"
+        "import vformsx\n"
+        "name = 'vforms'\n")
+    assert _imports_of(tree, "vforms") == [1, 2, 3, 4, 6]
+
+
 def test_reimports_leave_one_copy_of_expr_alive():
     # A fresh interpreter, so that this session's interned symbols and typing
     # caches play no part.

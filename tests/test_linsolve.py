@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from flatconn.expr import Expr, param, render, v, x, ZERO, ONE
-from flatconn.linsolve import AnsatzSpec, solve_by_superposition, solve_linear
+from flatconn.linsolve import AnsatzSpec, _eliminate, solve_by_superposition, solve_linear
 
 
 def test_monomials_deterministic_and_bounded():
@@ -64,6 +64,52 @@ def test_solve_linear_random_consistent_systems():
         shuffle(shuffled)
         assert solve_linear(rows[::-1]) == sol
         assert solve_linear(shuffled) == sol
+
+
+def pin_chain_systems(seed):
+    """Seeded consistent systems with a planted chain of pins: a one-column
+    row pins the chain's first column at 0, and each two-column row on the
+    chain becomes a pin once its predecessor is dropped."""
+    rng = random.Random(seed)
+    nonzero = (-3, -2, -1, 1, 2, 3)
+    for _ in range(25):
+        ncols = rng.randint(3, 8)
+        chain = rng.sample(range(ncols), rng.randint(2, ncols))
+        rows = [({chain[0]: rng.choice(nonzero)}, 0)]
+        rows += [({a: rng.choice(nonzero), b: rng.choice(nonzero)}, 0)
+                 for a, b in zip(chain, chain[1:])]
+        target = {j: 0 if j in chain else rng.randint(-4, 4) for j in range(ncols)}
+        for _ in range(rng.randint(1, 6)):
+            coeffs = {j: rng.choice(nonzero) for j in range(ncols) if rng.random() < 0.5}
+            rows.append((coeffs, -sum(q * target[j] for j, q in coeffs.items())))
+        rng.shuffle(rows)
+        yield rows
+
+
+def test_pin_propagation_matches_plain_elimination():
+    # _eliminate, which propagates nothing, is the reference.
+    def check(rows):
+        got, want = solve_linear(rows), _eliminate(rows)
+        if want is None:
+            assert got is None, rows
+            return want
+        assert got is not None, rows
+        cols = {j for coeffs, _ in rows for j in coeffs}
+        assert all(got.get(j, 0) == want.get(j, 0) for j in cols), rows
+        return got
+
+    for scalar in (int, Fraction):
+        for rows in random_consistent_systems(73, scalar):
+            check(rows)
+    for rows in pin_chain_systems(75):
+        assert check(rows) is not None
+    # Pins 0, which turns the second row into a pin of 1 and leaves the third
+    # reading 0 = -4.
+    assert check([({0: 1}, 0), ({0: 3, 1: -1}, 0), ({1: 2, 0: 5}, -4),
+                  ({2: 1, 3: 1}, 1)]) is None
+    assert check([({}, 0), ({0: 1, 1: 2}, -3), ({}, 0), ({1: 1}, 0)]) == {0: 3}
+    assert check([({}, 0), ({}, 0)]) == {}
+    assert check([({}, 0), ({0: 1}, 0), ({}, 2)]) is None
 
 
 def test_solutions_are_exact_rationals():

@@ -47,6 +47,22 @@ def test_rewriter_kills_the_residuals(chart2):
         assert all(rew.normalize(e).is_zero() for row in m for e in row)
 
 
+def test_rewrite_rules_are_the_oriented_lax_equations():
+    # The rules come from lambda_expand; here they are checked against the
+    # right-hand sides written out by hand in the SdymRewriter docstring.
+    for k in (1, 2):
+        chart = sdym.MatChart(k)
+        free = FreeJet(4, chart.m)
+        a1, a2, a3, a4 = (chart.matrix(i) for i in (1, 2, 3, 4))
+        d = lambda j, m: sdym.mat_map(m, lambda e: total_derivative(free, j, e))
+        add, sub, br = sdym.mat_add, sdym.mat_sub, sdym.mat_bracket
+        rules = sdym.SdymRewriter(chart)._base
+        assert rules[(2, 1)] == sub(d(2, a1), br(a1, a2))
+        assert rules[(4, 3)] == sub(d(4, a3), br(a3, a4))
+        assert rules[(4, 1)] == sub(sub(add(d(4, a1), d(2, a3)), d(3, a2)),
+                                    add(br(a1, a4), br(a3, a2)))
+
+
 def test_rewriter_terminates_on_deep_jets(chart2):
     rew = sdym.SdymRewriter(chart2)
     deep = jet(chart2.alpha(4, 1, 2), (1, 1, 3))
