@@ -27,25 +27,43 @@ _BUILTIN_TASKS = (
     "sdym-expand", "sdym-flatrep", "sdym-ugh",
 )
 
+_FLAGS = {
+    "--degree": dict(type=int, help="ansatz total-degree bound override"),
+    "--order": dict(type=int, help="ansatz jet-order bound override"),
+    "--lambda": dict(dest="lam", type=Fraction,
+                     help="rational parameter value (symbolic when omitted)"),
+    "--k": dict(type=int, default=2, help="matrix size for sdym tasks"),
+}
+# The flags of _FLAGS that each task reads; argparse refuses the others.
+# recover-f keeps --order only to refuse it: its chart has no jets.
+_TASK_FLAGS = {
+    "recover-f": ("--degree", "--order"),
+    "deformation": ("--lambda",),
+    "exactness": ("--degree", "--order"),
+    "lift": ("--degree", "--order"),
+    "kdv-lift": ("--degree", "--order", "--lambda"),
+    "kdv-deformation": ("--lambda",),
+    "sdym-expand": ("--k",),
+    "sdym-flatrep": ("--lambda", "--k"),
+    "sdym-ugh": ("--k",),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="flatconn", description=__doc__)
     sub = p.add_subparsers(dest="task", required=True)
 
-    def common(sp):
+    def common(sp, name):
         fmt = sp.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="JSON report")
         fmt.add_argument("--human", action="store_true", help="line-oriented report (default)")
-        sp.add_argument("--degree", type=int, help="ansatz total-degree bound override")
-        sp.add_argument("--order", type=int, help="ansatz jet-order bound override")
-        sp.add_argument("--lambda", dest="lam", type=Fraction,
-                        help="rational parameter value (symbolic when omitted)")
-        sp.add_argument("--k", type=int, default=2, help="matrix size for sdym tasks")
+        for flag in _TASK_FLAGS.get(name, ()):
+            sp.add_argument(flag, **_FLAGS[flag])
 
     for name in _FILE_TASKS:
         sp = sub.add_parser(name)
         sp.add_argument("problem", help="problem file path")
-        common(sp)
+        common(sp, name)
     for name in _BUILTIN_TASKS:
         sp = sub.add_parser(name)
         if name == "kdv-lift":
@@ -54,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "sdym-ugh":
             sp.add_argument("--h", default="a1", choices=("a1", "const"),
                             help="gauge generator choice")
-        common(sp)
+        common(sp, name)
     return p
 
 
@@ -65,8 +83,6 @@ def _load(args) -> problems.ProblemFile:
     if pf.task is not None and pf.task != args.task:
         raise ValueError("problem file declares task %r, invoked as %r" % (pf.task, args.task))
     pf.task = args.task
-    if args.order is not None and pf.kind != "evolution":
-        raise ValueError("--order bounds jet orders, and a %s chart has none" % pf.kind)
     problems._check_sections(pf)
     return pf
 
@@ -104,6 +120,8 @@ def _ansatz(pf, args, default) -> AnsatzSpec:
     of ``default(order)``, the task's default ansatz; the degree is the
     flag's, else the file's, else the default's.  The jet order, the flag's
     or else the file's, cuts the pool either way."""
+    if args.order is not None and pf.kind != "evolution":
+        raise ValueError("--order bounds jet orders, and a %s chart has none" % pf.kind)
     order = args.order if args.order is not None else pf.ansatz_order
     fallback = default(order)
     symbols = fallback.symbols if pf.ansatz_symbols is None else pf.ansatz_symbols

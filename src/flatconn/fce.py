@@ -17,6 +17,14 @@ prolongation of symmetries to all special coordinates, and the induced
 bracket on 0-cochains.  Each derivation (D_{v^b}, D_i, the horizontal lift
 in the flatness residual, S_f + V_f) is given by its values on symbols and
 applied through the one Leibniz kernel :meth:`Expr.derive`.
+
+Input is validated once, at the public entries (:func:`fc_total`,
+:func:`fc_vertical`, :class:`Cochain`, the expression of
+:func:`symmetry_action`, the targets of :func:`prolong_symmetry` and the
+symbols of an explicit ansatz in :func:`recover_f`).  Everything past them
+works on expressions the chart built itself, through the unchecked kernels
+``_fc_total`` and ``_fc_vertical``.  The chart owns the memos of D_i and
+D_{v^b} on symbols; a prolongation owns the memo of its coefficients.
 """
 
 from __future__ import annotations
@@ -46,12 +54,14 @@ __all__ = [
 class FcChart:
     """Chart dimensions: n base directions, m fiber directions.
 
-    Frozen, because the memo of D_i on symbols depends on m.
+    Frozen, because the memos of D_i and D_{v^b} on symbols depend on m.
     """
 
     n: int
     m: int
     _total_memo: Dict[Tuple[Symbol, int], Expr] = field(
+        default_factory=dict, init=False, repr=False)
+    _vertical_memo: Dict[Tuple[Symbol, int], Expr] = field(
         default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -98,19 +108,27 @@ class FcChart:
                 for i in range(1, self.n + 1) for a in fibers}
 
 
-def _vertical_symbol(beta: int, s: Symbol) -> Expr:
+def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
+    """D_{v^beta} on a single chart symbol."""
     k = s.kind
     if k == KIND_BASEFIBER:
         return ONE if s.index == beta else ZERO
-    if k == KIND_FC:
-        return Expr.wrap(fc(s.index, s.ii, s.aa + (beta,)))
-    return ZERO  # independents and parameters
+    if k != KIND_FC:
+        return ZERO  # independents and parameters
+    got = chart._vertical_memo.get((s, beta))
+    if got is None:
+        got = chart._vertical_memo[(s, beta)] = Expr.wrap(fc(s.index, s.ii, s.aa + (beta,)))
+    return got
+
+
+def _fc_vertical(chart: FcChart, beta: int, f: Expr) -> Expr:
+    return f.derive(lambda s: _vertical_symbol(chart, beta, s))
 
 
 def fc_vertical(chart: FcChart, beta: int, f: Expr) -> Expr:
     """The derivation D_{v^beta} in special coordinates."""
     chart.check_fiber(beta)
-    return chart.check_expr(f).derive(lambda s: _vertical_symbol(beta, s))
+    return _fc_vertical(chart, beta, chart.check_expr(f))
 
 
 def _total_symbol(chart: FcChart, i: int, s: Symbol, peel_last: bool = False) -> Expr:
@@ -137,7 +155,7 @@ def _total_symbol(chart: FcChart, i: int, s: Symbol, peel_last: bool = False) ->
     beta = s.aa[pos]
     rest = s.aa[:pos] if peel_last else s.aa[1:]
     inner = _total_symbol(chart, i, fc(s.index, s.ii, rest), peel_last)
-    out = fc_vertical(chart, beta, inner)
+    out = _fc_vertical(chart, beta, inner)
     for gamma in range(1, chart.m + 1):
         out = out - fc(gamma, (i,), (beta,)) * fc(s.index, s.ii, tuple(sorted(rest + (gamma,))))
     if not peel_last:
@@ -145,10 +163,14 @@ def _total_symbol(chart: FcChart, i: int, s: Symbol, peel_last: bool = False) ->
     return out
 
 
+def _fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
+    return f.derive(lambda s: _total_symbol(chart, i, s))
+
+
 def fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
     """The total derivative D_i = D_{x_i} + sum_b v_i^b D_{v^b} on the equation."""
     chart.check_direction(i)
-    return chart.check_expr(f).derive(lambda s: _total_symbol(chart, i, s))
+    return _fc_total(chart, i, chart.check_expr(f))
 
 
 class ConnectionSpec:
@@ -255,6 +277,13 @@ class Cochain:
             and self.data == other.data
         )
 
+    @classmethod
+    def _built(cls, chart: FcChart, degree: int, data) -> "Cochain":
+        """A cochain whose data the chart built itself, taken without checks."""
+        c = cls.__new__(cls)
+        c.chart, c.degree, c.data = chart, degree, data
+        return c
+
     def __sub__(self, other: "Cochain") -> "Cochain":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
@@ -263,9 +292,7 @@ class Cochain:
         out = dict(self.data)
         for key, e in other.data.items():
             add_term(out, key, e, -1)
-        res = Cochain(self.chart, self.degree, {})
-        res.data = out
-        return res
+        return Cochain._built(self.chart, self.degree, out)
 
     def __repr__(self):
         if self.degree == 0:
@@ -275,6 +302,11 @@ class Cochain:
             wedge = "^".join("dx%d" % i for i in dirs)
             bits.append("(%s) %s (x) D_v%d" % (render(self.data[(dirs, alpha)]), wedge, alpha))
         return " + ".join(bits) if bits else "0"
+
+
+def _on(chart: FcChart, c: Cochain) -> Cochain:
+    """``c`` itself when ``chart`` built it, else ``c`` checked against ``chart``."""
+    return c if c.chart is chart else Cochain(chart, c.degree, c.data)
 
 
 def cochain0(chart: FcChart, comps: Sequence[Expr]) -> Cochain:
@@ -293,10 +325,8 @@ def dfc(c: Cochain) -> Cochain:
                             - sum_{i,b} v_i^{b,a} f dx_i ^ dx_I (x) D_{v^b}.
     """
     chart = c.chart
-    res = Cochain(chart, c.degree + 1, {})
-    res.data = cochain_differential(
-        c.items(), range(1, chart.n + 1), lambda i, f: fc_total(chart, i, f), chart.twist)
-    return res
+    return Cochain._built(chart, c.degree + 1, cochain_differential(
+        c.items(), range(1, chart.n + 1), lambda i, f: _fc_total(chart, i, f), chart.twist))
 
 
 def symmetry_from_f(chart: FcChart, f: Cochain) -> Cochain:
@@ -366,6 +396,7 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
     """
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
+    phi = _on(chart, phi)
     if not dfc(phi).is_zero():
         raise ValueError("input is not d_fc-closed; it is not a symmetry")
     if ansatz is None:
@@ -373,26 +404,30 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
         tries = [AnsatzSpec(base.symbols, d)
                  for d in range(max(0, base.degree - 1), base.degree + 1)]
     else:
+        for s in ansatz.symbols:
+            chart.check_symbol(s)
         tries = [ansatz]
     fibers = range(1, chart.m + 1)
     for ans in tries:
         f = cochain_preimage(range(1, chart.n + 1), fibers,
-                             lambda i, e: fc_total(chart, i, e), chart.twist, phi.data, ans)
+                             lambda i, e: _fc_total(chart, i, e), chart.twist, phi.data, ans)
         if f is not None:
             return cochain0(chart, list(f.values()))
     return None
 
 
 class _Prolongation:
-    """Coefficients S_I^{a,A} of the symmetry S_f on special coordinates."""
+    """Coefficients S_I^{a,A} of the symmetry S_f on special coordinates,
+    memoised per (I, a) and per symbol."""
 
     def __init__(self, chart: FcChart, f: Cochain):
         if f.degree != 0:
             raise ValueError("expected a degree-0 cochain")
         self.chart = chart
-        self.f = f
-        self.phi = symmetry_from_f(chart, f)
+        self.f = _on(chart, f)
+        self.phi = symmetry_from_f(chart, self.f)
         self._base: Dict[Tuple[Tuple[int, ...], int], Expr] = {}
+        self._coefficient: Dict[Symbol, Expr] = {}
 
     def base(self, ii: Tuple[int, ...], alpha: int) -> Expr:
         """S_I^{a,empty} by the recursion S_{Ii} = D_i S_I + sum_b v_I^{a,b} phi_i^b."""
@@ -403,24 +438,33 @@ class _Prolongation:
             out = self.phi.component(ii, alpha)
         else:
             head, i = ii[:-1], ii[-1]
-            out = fc_total(self.chart, i, self.base(head, alpha))
+            out = _fc_total(self.chart, i, self.base(head, alpha))
             for beta in range(1, self.chart.m + 1):
                 out = out + fc(alpha, head, (beta,)) * self.phi.component((i,), beta)
         self._base[(ii, alpha)] = out
         return out
 
     def coefficient(self, s: Symbol) -> Expr:
-        if s.kind != KIND_FC or not s.ii:
-            raise ValueError("symmetry coefficients exist only on v_I^{a,A} with |I| >= 1")
-        self.chart.check_symbol(s)
-        out = self.base(s.ii, s.index)
-        for beta in s.aa:
-            out = fc_vertical(self.chart, beta, out)
-        return out
+        """S_I^{a,A} on a chart symbol v_I^{a,A}, by S_I^{a,A} = D_{v^b} S_I^{a,A'}
+        with b the last element of A and A' the rest."""
+        got = self._coefficient.get(s)
+        if got is None:
+            if s.aa:
+                inner = self.coefficient(fc(s.index, s.ii, s.aa[:-1]))
+                got = _fc_vertical(self.chart, s.aa[-1], inner)
+            else:
+                got = self.base(s.ii, s.index)
+            self._coefficient[s] = got
+        return got
 
 
 def prolong_symmetry(chart: FcChart, f: Cochain, targets: Iterable[Symbol]) -> Dict[Symbol, Expr]:
     """Coefficients of the symmetry S_f on the requested special coordinates."""
+    targets = list(targets)
+    for s in targets:
+        if s.kind != KIND_FC:
+            raise ValueError("symmetry coefficients exist only on v_I^{a,A} with |I| >= 1")
+        chart.check_symbol(s)
     pro = _Prolongation(chart, f)
     return {s: pro.coefficient(s) for s in targets}
 
@@ -436,7 +480,7 @@ def _action_image(chart: FcChart, pro: _Prolongation):
         img = pro.coefficient(s) if s.kind == KIND_FC else ZERO
         for beta, comp in enumerate(pro.f.data, start=1):
             if not comp.is_zero():
-                img = img + comp * _vertical_symbol(beta, s)
+                img = img + comp * _vertical_symbol(chart, beta, s)
         return img
 
     return image
@@ -454,5 +498,5 @@ def bracket0(chart: FcChart, f: Cochain, g: Cochain) -> Cochain:
         raise ValueError("bracket0 expects degree-0 cochains")
     act_f = _action_image(chart, _Prolongation(chart, f))
     act_g = _action_image(chart, _Prolongation(chart, g))
-    comps = [ga.derive(act_f) - fa.derive(act_g) for fa, ga in zip(f.data, g.data)]
-    return cochain0(chart, comps)
+    comps = tuple(ga.derive(act_f) - fa.derive(act_g) for fa, ga in zip(f.data, g.data))
+    return Cochain._built(chart, 0, comps)

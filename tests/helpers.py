@@ -95,6 +95,22 @@ def dfc_reference(c, total):
     return out
 
 
+def prolong_reference(chart, f, targets):
+    """S_I^{a,A} on each target v_I^{a,A} by its definition: the base
+    coefficient S_I^{a} of the prolongation of f, then D_{v^b} for each b of
+    A in order; the reference that fce.prolong_symmetry is tested against."""
+    from flatconn import fce
+
+    pro = fce._Prolongation(chart, f)
+    out = {}
+    for s in targets:
+        e = pro.base(s.ii, s.index)
+        for beta in s.aa:
+            e = fce.fc_vertical(chart, beta, e)
+        out[s] = e
+    return out
+
+
 def fc_symbols(n, m, max_i, max_a):
     """Every special coordinate v_I^{a,A} with 1 <= |I| <= max_i, |A| <= max_a."""
     out = []

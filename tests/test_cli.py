@@ -226,6 +226,26 @@ def test_order_flag_on_a_chart_without_jets_exits_2(prob, capsys):
     assert run(["recover-f", prob("rec.prob", FC_RECOVER), "--json"]) == 0
 
 
+def test_flags_a_task_does_not_read_exit_2(prob, capsys):
+    # Each task takes only the flags its handler reads; argparse refuses the
+    # others, so `lift --lambda 1` cannot answer with the symbolic-lambda
+    # witness as if the value had been used.
+    lift = prob("kdv_lift.prob", KDV_LIFT)
+    miura = prob("miura.prob", MIURA)
+    for argv, flag in [
+        (["lift", lift], ["--lambda", "1"]),
+        (["check-flatrep", miura], ["--degree", "3"]),
+        (["sdym-expand"], ["--order", "1"]),
+    ]:
+        capsys.readouterr()
+        assert run(argv + flag + ["--json"]) == 2, flag
+        out, err = capsys.readouterr()
+        assert out == "", flag
+        assert "unrecognized arguments: %s" % " ".join(flag) in err, (flag, err)
+        assert run(argv + ["--json"]) == 0, argv
+    assert _json_report(capsys)["task"] == "sdym-expand"
+
+
 def test_pullback_task(prob, capsys):
     text = MIURA + """
 [task]

@@ -6,7 +6,11 @@ import pytest
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, ZERO, ONE
 from flatconn import fce
 from flatconn.linsolve import AnsatzSpec
-from helpers import dfc_reference, fc_pool, fc_symbols, rand_expr
+from helpers import dfc_reference, fc_pool, fc_symbols, prolong_reference, rand_expr
+
+# An out-of-chart fiber index, an out-of-chart direction and a jet symbol,
+# none of which belongs to the (2, 2) chart.
+FOREIGN = (fc(3, (1,)), x(3), jet(1, (1,)))
 
 
 @pytest.fixture
@@ -233,6 +237,66 @@ def test_prolong_symmetry_examples(ch2):
     assert all(e.is_zero() for e in fce.prolong_symmetry(ch2, zero, [t1, t2]).values())
     with pytest.raises(ValueError):
         fce.prolong_symmetry(ch2, e1, [v(1)])
+
+
+def test_prolong_symmetry_matches_reference(ch2):
+    # The per-symbol memo extends the prefix of A; the reference applies
+    # D_{v^b} for every b of A to the base coefficient, in order.
+    rng = random.Random(28)
+    pool = fc_pool(2, 2, max_i=1, max_a=1)
+    targets = fc_symbols(2, 2, 2, 3)
+    for _ in range(3):
+        f = fce.cochain0(ch2, [rand_expr(rng, pool, terms=2), rand_expr(rng, pool, terms=2)])
+        got = fce.prolong_symmetry(ch2, f, targets)
+        assert list(got) == targets
+        assert got == prolong_reference(ch2, f, targets)
+
+
+def test_vertical_memo_is_owned_by_the_frozen_chart(ch2):
+    s = fc(1, (2,), (1,))
+    got = fce._vertical_symbol(ch2, 2, s)
+    assert got == Expr.wrap(fc(1, (2,), (1, 2)))
+    assert fce._vertical_symbol(ch2, 2, s) is got
+    assert ch2._vertical_memo[(s, 2)] is got
+    with pytest.raises(FrozenInstanceError):
+        ch2._vertical_memo = {}
+
+
+def test_public_entries_reject_foreign_symbols(ch2):
+    f = fce.cochain0(ch2, [ONE, ZERO])
+    for s in FOREIGN:
+        e = Expr.wrap(s)
+        with pytest.raises(ValueError):
+            fce.fc_total(ch2, 1, e)
+        with pytest.raises(ValueError):
+            fce.fc_vertical(ch2, 1, e)
+        with pytest.raises(ValueError):
+            fce.prolong_symmetry(ch2, f, [fc(1, (1,)), s])
+        with pytest.raises(ValueError):
+            fce.symmetry_action(ch2, f, e + v(1))
+
+
+def test_recover_f_rejects_foreign_ansatz_symbols(ch2):
+    phi = fce.symmetry_from_f(ch2, fce.cochain0(ch2, [v(1) * v(2), ZERO]))
+    for s in FOREIGN:
+        with pytest.raises(ValueError):
+            fce.recover_f(ch2, phi, AnsatzSpec(symbols=(v(1), v(2), s), degree=2))
+
+
+def test_cochain_of_another_chart_is_checked(ch, ch2):
+    # A cochain built on one chart and used on another is checked against
+    # the one it is used on.
+    f = fce.cochain0(fce.FcChart(3, 1), [x(3) * v(1)])
+    for bad in (f, fce.cochain0(ch2, [ONE, ZERO])):
+        with pytest.raises(ValueError):
+            fce.prolong_symmetry(ch, bad, [fc(1, (1,))])
+        with pytest.raises(ValueError):
+            fce.bracket0(ch, bad, bad)
+    other = fce.FcChart(2, 1)
+    g = fce.cochain0(other, [v(1) ** 2])
+    assert fce.bracket0(ch, g, fce.cochain0(ch, [ONE])) == fce.cochain0(ch, [-2 * v(1)])
+    phi = fce.symmetry_from_f(other, g)
+    assert fce.recover_f(ch, phi) == fce.cochain0(ch, [v(1) ** 2])
 
 
 def test_bracket0_examples(ch2):

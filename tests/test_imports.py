@@ -145,9 +145,9 @@ def test_typing_scan_sees_import_time_subscripts_only():
 SOLVER_CALLEES = ("solve_by_superposition", "monomials")
 
 
-def _solver_calls(tree):
-    """Sorted (enclosing definition, line, callee) of every call of
-    ``solve_by_superposition`` or ``monomials``, bare or as an attribute.
+def _calls(tree, callees):
+    """Sorted (enclosing definition, line, callee) of every call of a name in
+    ``callees``, bare or as an attribute.
 
     The enclosing definition is the dotted path of the functions and classes
     around the call, ``<module>`` at top level.
@@ -160,7 +160,7 @@ def _solver_calls(tree):
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in SOLVER_CALLEES:
+            if name in callees:
                 found.append((owner, node.lineno, name))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -176,7 +176,7 @@ def test_only_cochain_preimage_builds_and_solves_ansatz_systems():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [("%s.%s" % (path.stem, owner), line, name)
-                  for owner, line, name in _solver_calls(tree)]
+                  for owner, line, name in _calls(tree, SOLVER_CALLEES)]
     assert {owner for owner, _, _ in found} == {"jets.cochain_preimage"}, found
     assert sorted(name for _, _, name in found) == sorted(SOLVER_CALLEES), found
 
@@ -193,9 +193,43 @@ def test_solver_call_scan_sees_every_caller():
         "monos = AnsatzSpec((), 0).monomials()\n"
         "solve = solve_by_superposition\n"
         "other = monomials_of(a)\n")
-    assert _solver_calls(tree) == [
+    assert _calls(tree, SOLVER_CALLEES) == [
         ("<module>", 8, "monomials"), ("C.g.h", 6, "solve_by_superposition"),
         ("f", 2, "monomials"), ("f", 2, "solve_by_superposition")]
+
+
+PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
+KERNELS = ("_fc_total", "_fc_vertical")
+CHECKS = ("check_expr", "check_symbol")
+# Recursion inside fce on expressions the chart built itself.
+UNCHECKED = ("_total_symbol", "_Prolongation.base", "_Prolongation.coefficient", "dfc")
+
+
+def test_fce_checks_input_at_its_public_entries_only():
+    # fce validates at the public entries; past them it calls the unchecked
+    # kernels, and its recursion re-checks nothing the chart built.
+    tree = ast.parse((SRC / "fce.py").read_text(encoding="utf-8"), filename="fce.py")
+    assert _calls(tree, PUBLIC_DERIVATIONS) == []
+    checks = [c for c in _calls(tree, CHECKS) if c[0] in UNCHECKED]
+    assert checks == [], checks
+    assert set(UNCHECKED) <= {owner for owner, _, _ in _calls(tree, KERNELS)}
+
+
+def test_check_scan_tells_public_entries_from_kernels():
+    tree = ast.parse(
+        "def dfc(c):\n"
+        "    return Cochain(c.chart, 1, lambda i, f: _fc_total(c.chart, i, f))\n"
+        "class _Prolongation:\n"
+        "    def base(self, ii, a):\n"
+        "        return fc_total(self.chart, 1, self.chart.check_expr(ii))\n"
+        "    def coefficient(self, s):\n"
+        "        self.chart.check_symbol(s)\n"
+        "        return fce.fc_vertical(self.chart, 1, s)\n")
+    assert _calls(tree, PUBLIC_DERIVATIONS) == [
+        ("_Prolongation.base", 5, "fc_total"), ("_Prolongation.coefficient", 8, "fc_vertical")]
+    assert _calls(tree, CHECKS) == [
+        ("_Prolongation.base", 5, "check_expr"), ("_Prolongation.coefficient", 7, "check_symbol")]
+    assert _calls(tree, KERNELS) == [("dfc", 2, "_fc_total")]
 
 
 def _imports_of(tree, module):
