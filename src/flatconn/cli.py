@@ -2,11 +2,16 @@
 
 Exit codes: 0 for pass/witness verdicts, 1 for fail/bounded-no, 2 for input
 errors (bad flags, unreadable files, parse or validation failures).
+
+This module owns the command line.  ``_TASKS`` maps each task to its handler
+and the flags of ``_FLAGS`` it reads; the tasks of ``problems.TASKS``, and
+only those, take a problem file, which ``problems`` validates for the task.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -21,70 +26,32 @@ from .reports import BOUNDED_NO, FAIL, PASS, Report, WITNESS, emit_report
 
 __all__ = ["run", "main"]
 
-_FILE_TASKS = tuple(problems.TASKS)
-_BUILTIN_TASKS = (
-    "kdv-verify", "kdv-lift", "kdv-deformation",
-    "sdym-expand", "sdym-flatrep", "sdym-ugh",
-)
-
 _FLAGS = {
+    "name": dict(help="symmetry name (x-translation, t-translation, galilean, scaling)"),
     "--degree": dict(type=int, help="ansatz total-degree bound override"),
     "--order": dict(type=int, help="ansatz jet-order bound override"),
     "--lambda": dict(dest="lam", type=Fraction,
                      help="rational parameter value (symbolic when omitted)"),
     "--k": dict(type=int, default=2, help="matrix size for sdym tasks"),
-}
-# The flags of _FLAGS that each task reads; argparse refuses the others.
-# recover-f keeps --order only to refuse it: its chart has no jets.
-_TASK_FLAGS = {
-    "recover-f": ("--degree", "--order"),
-    "deformation": ("--lambda",),
-    "exactness": ("--degree", "--order"),
-    "lift": ("--degree", "--order"),
-    "kdv-lift": ("--degree", "--order", "--lambda"),
-    "kdv-deformation": ("--lambda",),
-    "sdym-expand": ("--k",),
-    "sdym-flatrep": ("--lambda", "--k"),
-    "sdym-ugh": ("--k",),
+    "--h": dict(default="a1", choices=("a1", "const"), help="gauge generator choice"),
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="flatconn", description=__doc__)
+    # The docstring's last paragraph is for readers of this module.
+    p = argparse.ArgumentParser(prog="flatconn", description=__doc__.rsplit("\n\n", 1)[0])
     sub = p.add_subparsers(dest="task", required=True)
-
-    def common(sp, name):
+    for name, (_, flags) in _TASKS.items():
+        sp = sub.add_parser(name)
+        if name in problems.TASKS:
+            sp.add_argument("problem", help="problem file path")
         fmt = sp.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", help="JSON report")
         fmt.add_argument("--human", action="store_true", help="line-oriented report (default)")
-        for flag in _TASK_FLAGS.get(name, ()):
+        for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
-
-    for name in _FILE_TASKS:
-        sp = sub.add_parser(name)
-        sp.add_argument("problem", help="problem file path")
-        common(sp, name)
-    for name in _BUILTIN_TASKS:
-        sp = sub.add_parser(name)
-        if name == "kdv-lift":
-            sp.add_argument("name", help="symmetry name (x-translation, t-translation, "
-                                         "galilean, scaling)")
-        if name == "sdym-ugh":
-            sp.add_argument("--h", default="a1", choices=("a1", "const"),
-                            help="gauge generator choice")
-        common(sp, name)
     return p
-
-
-def _load(args) -> problems.ProblemFile:
-    with open(args.problem, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    pf = problems.parse_problem(text)
-    if pf.task is not None and pf.task != args.task:
-        raise ValueError("problem file declares task %r, invoked as %r" % (pf.task, args.task))
-    pf.task = args.task
-    problems._check_sections(pf)
-    return pf
 
 
 def _sym_components(pf: problems.ProblemFile, fam: str) -> List[Expr]:
@@ -131,26 +98,28 @@ def _ansatz(pf, args, default) -> AnsatzSpec:
     return AnsatzSpec(symbols=tuple(symbols), degree=degree)
 
 
-def _bound_note(ansatz: AnsatzSpec) -> Dict[str, str]:
-    return {
-        "bound_degree": str(ansatz.degree),
-        "bound_symbols": ", ".join(render(s) for s in ansatz.symbols),
-    }
+def _bounded(args, ansatz: AnsatzSpec, answer, witness) -> Report:
+    """The verdict of a bounded search: bounded-no, with the bound searched,
+    when ``answer`` is None, else a witness, ``witness(answer)``."""
+    if answer is None:
+        return Report(args.task, BOUNDED_NO, [], {
+            "bound_degree": str(ansatz.degree),
+            "bound_symbols": ", ".join(render(s) for s in ansatz.symbols),
+        })
+    return Report(args.task, WITNESS, [], witness(answer))
 
 
 # ---------------------------------------------------------------------------
 # task handlers
 # ---------------------------------------------------------------------------
 
-def _t_check_flat(args) -> Report:
-    pf = _load(args)
+def _t_check_flat(pf, args) -> Report:
     rs = fce.flatness_residual(pf.connection_spec())
     ok = all(r.is_zero() for r in rs)
     return Report("check-flat", PASS if ok else FAIL, [render(r) for r in rs])
 
 
-def _t_dfc(args) -> Report:
-    pf = _load(args)
+def _t_dfc(pf, args) -> Report:
     chart = pf.fc_chart()
     if "f" in pf.symmetry:
         c = fce.cochain0(chart, _sym_components(pf, "f"))
@@ -160,28 +129,22 @@ def _t_dfc(args) -> Report:
     return Report("dfc", PASS, [], _cochain_witness(image, pf.m))
 
 
-def _t_symmetry_from_f(args) -> Report:
-    pf = _load(args)
+def _t_symmetry_from_f(pf, args) -> Report:
     chart = pf.fc_chart()
     f = fce.cochain0(chart, _sym_components(pf, "f"))
     phi = fce.symmetry_from_f(chart, f)
     return Report("symmetry-from-f", PASS, [], _cochain_witness(phi, pf.m))
 
 
-def _t_recover_f(args) -> Report:
-    pf = _load(args)
+def _t_recover_f(pf, args) -> Report:
     chart = pf.fc_chart()
     phi = _fc_cochain1(pf)
     ansatz = _ansatz(pf, args, lambda order: fce.default_recover_ansatz(chart, phi))
-    f = fce.recover_f(chart, phi, ansatz)
-    if f is None:
-        return Report("recover-f", BOUNDED_NO, [], _bound_note(ansatz))
-    return Report("recover-f", WITNESS, [],
-                  {"f%d" % a: render(e) for a, e in enumerate(f.data, 1)})
+    return _bounded(args, ansatz, fce.recover_f(chart, phi, ansatz),
+                    lambda f: {"f%d" % a: render(e) for a, e in enumerate(f.data, 1)})
 
 
-def _t_bracket(args) -> Report:
-    pf = _load(args)
+def _t_bracket(pf, args) -> Report:
     chart = pf.fc_chart()
     f = fce.cochain0(chart, _sym_components(pf, "f"))
     g = fce.cochain0(chart, _sym_components(pf, "g"))
@@ -190,24 +153,18 @@ def _t_bracket(args) -> Report:
                   {"h%d" % a: render(e) for a, e in enumerate(h.data, 1)})
 
 
-def _t_check_flatrep(args) -> Report:
-    pf = _load(args)
+def _t_check_flatrep(pf, args) -> Report:
     return flatrep.check_flat_rep(pf.flat_representation())
 
 
-def _t_pullback(args) -> Report:
-    pf = _load(args)
-    spec = pf.flat_representation()
-    text = pf.task_options.get("expr")
-    if not text:
+def _t_pullback(pf, args) -> Report:
+    if pf.pullback_expr is None:
         raise ValueError("pullback needs an 'expr' option in [task]")
-    env = problems._Env(len(spec.base_dirs), len(spec.fiber_dirs), "fc", (), pf.params)
-    e = problems._parse_expr(text, env, 0)
-    return Report("pullback", PASS, [], {"pullback": render(flatrep.pullback(spec, e))})
+    image = flatrep.pullback(pf.flat_representation(), pf.pullback_expr)
+    return Report("pullback", PASS, [], {"pullback": render(image)})
 
 
-def _t_deformation(args) -> Report:
-    pf = _load(args)
+def _t_deformation(pf, args) -> Report:
     spec = pf.flat_representation()
     pname = pf.task_options.get("param")
     if pname is None:
@@ -226,36 +183,23 @@ def _t_deformation(args) -> Report:
     return Report("deformation", PASS, res.report.residuals, witness)
 
 
-def _map_fiber_cochain(pf, spec) -> Dict:
-    shift = spec.scheme.base.ndirs
-    return {(i, shift + b): e for (i, b), e in pf.cochain.items()}
-
-
-def _t_exactness(args) -> Report:
-    pf = _load(args)
+def _t_exactness(pf, args) -> Report:
     spec = pf.flat_representation()
-    c = _map_fiber_cochain(pf, spec)
+    shift = spec.scheme.base.ndirs
+    c = {(i, shift + b): e for (i, b), e in pf.cochain.items()}
     ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(
         spec, list(c.values()), order=order))
-    witness = flatrep.exactness_test(spec, c, ansatz)
-    if witness is None:
-        return Report("exactness", BOUNDED_NO, [], _bound_note(ansatz))
-    shift = spec.scheme.base.ndirs
-    return Report("exactness", WITNESS, [],
-                  {"b%d" % (d - shift): render(e) for d, e in sorted(witness.items())})
+    return _bounded(args, ansatz, flatrep.exactness_test(spec, c, ansatz),
+                    lambda b: {"b%d" % (d - shift): render(e) for d, e in sorted(b.items())})
 
 
-def _t_lift(args) -> Report:
-    pf = _load(args)
+def _t_lift(pf, args) -> Report:
     spec = pf.flat_representation()
+    shift = spec.scheme.base.ndirs
     phi = _sym_components(pf, "phi")
     ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(spec, phi, order=order))
-    lift = flatrep.lift_symmetry(spec, phi, ansatz)
-    if lift is None:
-        return Report("lift", BOUNDED_NO, [], _bound_note(ansatz))
-    shift = spec.scheme.base.ndirs
-    return Report("lift", WITNESS, [],
-                  {"a%d" % (d - shift): render(e) for d, e in sorted(lift.items())})
+    return _bounded(args, ansatz, flatrep.lift_symmetry(spec, phi, ansatz),
+                    lambda a: {"a%d" % (d - shift): render(e) for d, e in sorted(a.items())})
 
 
 def _t_kdv_verify(args) -> Report:
@@ -275,10 +219,8 @@ def _t_kdv_lift(args) -> Report:
     phi = bundle.symmetries[args.name]
     spec = bundle.miura if args.lam is None else miura_at(bundle, args.lam)
     ansatz = flatrep.default_ansatz(spec, [phi], degree=args.degree, order=args.order)
-    lift = flatrep.lift_symmetry(spec, [phi], ansatz)
-    if lift is None:
-        return Report("kdv-lift", BOUNDED_NO, [], _bound_note(ansatz))
-    return Report("kdv-lift", WITNESS, [], {"a": render(lift[3])})
+    return _bounded(args, ansatz, flatrep.lift_symmetry(spec, [phi], ansatz),
+                    lambda lift: {"a": render(lift[3])})
 
 
 def _t_kdv_deformation(args) -> Report:
@@ -309,23 +251,27 @@ def _t_sdym_ugh(args) -> Report:
     return sdym.verify_ugh(args.k, args.h)
 
 
-_HANDLERS = {
-    "check-flat": _t_check_flat,
-    "dfc": _t_dfc,
-    "symmetry-from-f": _t_symmetry_from_f,
-    "recover-f": _t_recover_f,
-    "bracket": _t_bracket,
-    "check-flatrep": _t_check_flatrep,
-    "pullback": _t_pullback,
-    "deformation": _t_deformation,
-    "exactness": _t_exactness,
-    "lift": _t_lift,
-    "kdv-verify": _t_kdv_verify,
-    "kdv-lift": _t_kdv_lift,
-    "kdv-deformation": _t_kdv_deformation,
-    "sdym-expand": _t_sdym_expand,
-    "sdym-flatrep": _t_sdym_flatrep,
-    "sdym-ugh": _t_sdym_ugh,
+# Each task: its handler and the arguments of _FLAGS it reads; argparse refuses
+# the others.  A task of problems.TASKS also takes a problem file, and its
+# handler gets it parsed, as (pf, args).  recover-f reads --order only to
+# refuse it: its chart has no jets.
+_TASKS = {
+    "check-flat": (_t_check_flat, ()),
+    "dfc": (_t_dfc, ()),
+    "symmetry-from-f": (_t_symmetry_from_f, ()),
+    "recover-f": (_t_recover_f, ("--degree", "--order")),
+    "bracket": (_t_bracket, ()),
+    "check-flatrep": (_t_check_flatrep, ()),
+    "pullback": (_t_pullback, ()),
+    "deformation": (_t_deformation, ("--lambda",)),
+    "exactness": (_t_exactness, ("--degree", "--order")),
+    "lift": (_t_lift, ("--degree", "--order")),
+    "kdv-verify": (_t_kdv_verify, ()),
+    "kdv-lift": (_t_kdv_lift, ("name", "--degree", "--order", "--lambda")),
+    "kdv-deformation": (_t_kdv_deformation, ("--lambda",)),
+    "sdym-expand": (_t_sdym_expand, ("--k",)),
+    "sdym-flatrep": (_t_sdym_flatrep, ("--lambda", "--k")),
+    "sdym-ugh": (_t_sdym_ugh, ("--k", "--h")),
 }
 
 
@@ -338,7 +284,13 @@ def run(argv: List[str]) -> int:
         return 0 if exc.code == 0 else 2
     t0 = time.monotonic()
     try:
-        report = _HANDLERS[args.task](args)
+        handler = _TASKS[args.task][0]
+        if args.task in problems.TASKS:
+            with open(args.problem, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            report = handler(problems.parse_problem(text, args.task), args)
+        else:
+            report = handler(args)
     except (problems.ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -131,12 +131,12 @@ def fc_vertical(chart: FcChart, beta: int, f: Expr) -> Expr:
     return _fc_vertical(chart, beta, chart.check_expr(f))
 
 
-def _total_symbol(chart: FcChart, i: int, s: Symbol, peel_last: bool = False) -> Expr:
-    """D_i on a single chart symbol.
+def _total_symbol(chart: FcChart, i: int, s: Symbol) -> Expr:
+    """D_i on a single chart symbol, memoized on the chart.
 
-    ``peel_last`` switches which element of A the recursion removes first;
-    the answer does not depend on it (well-definedness is property-tested),
-    so only the default order is memoized.
+    The recursion peels the first element of A; the answer does not depend
+    on which element goes first (well-definedness is property-tested
+    against ``helpers.total_symbol_peel_last``).
     """
     k = s.kind
     if k == KIND_INDEP:
@@ -147,19 +147,14 @@ def _total_symbol(chart: FcChart, i: int, s: Symbol, peel_last: bool = False) ->
         return Expr.wrap(fc(s.index, (i,), ()))
     if not s.aa:
         return Expr.wrap(fc(s.index, s.ii + (i,), ()))
-    if not peel_last:
-        got = chart._total_memo.get((s, i))
-        if got is not None:
-            return got
-    pos = -1 if peel_last else 0
-    beta = s.aa[pos]
-    rest = s.aa[:pos] if peel_last else s.aa[1:]
-    inner = _total_symbol(chart, i, fc(s.index, s.ii, rest), peel_last)
-    out = _fc_vertical(chart, beta, inner)
+    got = chart._total_memo.get((s, i))
+    if got is not None:
+        return got
+    beta, rest = s.aa[0], s.aa[1:]
+    out = _fc_vertical(chart, beta, _total_symbol(chart, i, fc(s.index, s.ii, rest)))
     for gamma in range(1, chart.m + 1):
         out = out - fc(gamma, (i,), (beta,)) * fc(s.index, s.ii, tuple(sorted(rest + (gamma,))))
-    if not peel_last:
-        chart._total_memo[(s, i)] = out
+    chart._total_memo[(s, i)] = out
     return out
 
 
@@ -284,16 +279,6 @@ class Cochain:
         c.chart, c.degree, c.data = chart, degree, data
         return c
 
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        if self.degree == 0:
-            return Cochain(self.chart, 0, [a - b for a, b in zip(self.data, other.data)])
-        out = dict(self.data)
-        for key, e in other.data.items():
-            add_term(out, key, e, -1)
-        return Cochain._built(self.chart, self.degree, out)
-
     def __repr__(self):
         if self.degree == 0:
             return "(" + ", ".join(render(e) for e in self.data) + ")"
@@ -334,14 +319,14 @@ def symmetry_from_f(chart: FcChart, f: Cochain) -> Cochain:
     phi_i^a = D_i(f^a) - sum_b v_i^{a,b} f^b.  Always a 1-cocycle."""
     if f.degree != 0:
         raise ValueError("expected a degree-0 cochain")
-    return dfc(f)
+    return dfc(_on(chart, f))
 
 
 def is_symmetry(chart: FcChart, phi: Cochain) -> Report:
     """A 1-cochain is a symmetry generating section iff it is d_fc-closed."""
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    image = dfc(phi)
+    image = dfc(_on(chart, phi))
     return Report(
         task="is-symmetry-fce",
         verdict=PASS if image.is_zero() else FAIL,

@@ -22,11 +22,18 @@ coordinates y1, y2, ... become legal inside [flatrep], [covering],
 [cochain], [symmetry] values and [ansatz] symbol lists once a ``fibers``
 count is declared.  Index forms: u[k] is the k-th spatial derivative,
 v[a;I;A] carries comma-separated multi-indices, e.g. v[1;2,2;1].
+
+This module owns the file schema.  ``TASKS`` holds, for each file task, the
+chart kinds it accepts, the sections it requires and the ``[task]`` options
+it reads; ``parse_problem`` validates a file against it once, for the task
+the file declares or the one it is invoked as.  Every ``key = value`` line
+goes through one reader, which refuses a key bound twice in a section.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -34,27 +41,31 @@ from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
 from .jets import Evolution
 from . import fce
 from .flatrep import FlatRepSpec, covering_to_flatrep
-from .reports import Report, emit_report  # re-exported: reports belong to this layer
 
-__all__ = [
-    "ProblemFile", "ParseError", "parse_problem", "render_problem",
-    "Report", "emit_report", "TASKS",
-]
+__all__ = ["ProblemFile", "ParseError", "parse_problem", "render_problem", "TASKS"]
 
-# Tasks consuming problem files, with their required sections.
-TASKS: Dict[str, Tuple[str, ...]] = {
-    "check-flat": ("connection",),
-    "dfc": ("symmetry",),
-    "symmetry-from-f": ("symmetry",),
-    "recover-f": ("symmetry",),
-    "bracket": ("symmetry",),
-    "check-flatrep": (),      # flatrep or covering, checked separately
-    "pullback": (),
-    "deformation": (),
-    "exactness": ("cochain",),
-    "lift": ("symmetry",),
+
+# A file task: the chart kinds it accepts, the sections it requires and the
+# [task] options it reads.
+FileTask = namedtuple("FileTask", "kinds sections options", defaults=((),))
+TASKS: Dict[str, FileTask] = {
+    "check-flat": FileTask(("connection", "fc"), ("connection",)),
+    "dfc": FileTask(("fc",), ("symmetry",)),
+    "symmetry-from-f": FileTask(("fc",), ("symmetry",)),
+    "recover-f": FileTask(("fc",), ("symmetry",)),
+    "bracket": FileTask(("fc",), ("symmetry",)),
+    "check-flatrep": FileTask(("evolution",), ("equation", "flatrep")),
+    "pullback": FileTask(("evolution",), ("equation", "flatrep"), ("expr",)),
+    "deformation": FileTask(("evolution",), ("equation", "flatrep"), ("param", "at")),
+    "exactness": FileTask(("evolution",), ("equation", "flatrep", "cochain")),
+    "lift": FileTask(("evolution",), ("equation", "flatrep", "symmetry")),
 }
-_FLATREP_TASKS = ("check-flatrep", "pullback", "deformation", "exactness", "lift")
+# How a refusal words the chart a task needs, by its first kind, and the
+# sections it needs that are not worded "requires a [<section>] section".
+_CHART_NEED = {"connection": "a connection chart", "fc": "an fc chart",
+               "evolution": "an evolution chart with [equation]"}
+_SECTION_NEED = {"equation": "needs " + _CHART_NEED["evolution"],
+                 "flatrep": "needs [flatrep] or [covering]"}
 
 
 class ParseError(ValueError):
@@ -293,6 +304,7 @@ class ProblemFile:
     ansatz_symbols: Optional[Tuple[Symbol, ...]] = None
     task: Optional[str] = None
     task_options: Dict[str, str] = field(default_factory=dict)
+    pullback_expr: Optional[Expr] = None  # [task] expr, on the fc chart of the pullback
 
     # ---- builders -----------------------------------------------------------
     def fc_chart(self) -> fce.FcChart:
@@ -322,7 +334,42 @@ class ProblemFile:
         return self.flatrep_fibers or self.covering_fibers
 
 
-_KEYED = re.compile(r"^([A-Za-z]+)(\d+)(?:_(\d+))?$")
+_SECTIONS = ("chart", "connection", "equation", "flatrep", "covering",
+             "symmetry", "cochain", "ansatz", "task")
+_CHART_KEYS = ("n", "m", "kind", "names", "params")
+_KEYED = re.compile(r"([A-Za-z]+)(0|[1-9]\d*)(?:_(0|[1-9]\d*))?")
+_COORDINATE = re.compile(r"[xvy]\d+")
+
+
+def _read_sections(text: str) -> Dict[str, Dict[str, Tuple[int, str]]]:
+    """{section: {key: (line, value)}} in file order; a key bound twice in
+    one section is refused."""
+    sections: Dict[str, Dict[str, Tuple[int, str]]] = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = re.fullmatch(r"\[(\w+)\]", line)
+        if m:
+            current = m.group(1)
+            if current not in _SECTIONS:
+                raise ParseError("unknown section [%s]" % current, lineno)
+            if current in sections:
+                raise ParseError("duplicate section [%s]" % current, lineno)
+            sections[current] = {}
+            continue
+        if current is None:
+            raise ParseError("binding outside any section", lineno)
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", lineno)
+        key, value = (s.strip() for s in line.split("=", 1))
+        rows = sections[current]
+        if key in rows:
+            raise ParseError("%r is bound twice in [%s], first on line %d"
+                             % (key, current, rows[key][0]), lineno)
+        rows[key] = (lineno, value)
+    return sections
 
 
 def _split_key(key: str, line: int):
@@ -332,97 +379,89 @@ def _split_key(key: str, line: int):
     return m.group(1), int(m.group(2)), (int(m.group(3)) if m.group(3) else None)
 
 
-def parse_problem(text: str) -> ProblemFile:
-    """Parse and fully validate a problem file; every expression is canonical."""
-    sections: Dict[str, List[Tuple[int, str, str]]] = {}
-    order: List[str] = []
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = re.fullmatch(r"\[(\w+)\]", line)
-        if m:
-            current = m.group(1)
-            if current in sections:
-                raise ParseError("duplicate section [%s]" % current, lineno)
-            sections[current] = []
-            order.append(current)
-            continue
-        if current is None:
-            raise ParseError("binding outside any section", lineno)
-        if "=" not in line:
-            raise ParseError("expected 'key = value'", lineno)
-        key, value = line.split("=", 1)
-        sections[current].append((lineno, key.strip(), value.strip()))
-    unknown = set(sections) - {
-        "chart", "connection", "equation", "flatrep", "covering",
-        "symmetry", "cochain", "ansatz", "task",
-    }
-    if unknown:
-        raise ParseError("unknown section [%s]" % sorted(unknown)[0], 0)
+def _indexed(rows: Dict[str, Tuple[int, str]], prefix: str, n: int, m: int, env: _Env,
+             message: str) -> Dict[Tuple[int, int], Expr]:
+    """The ``<prefix><i>_<j>`` bindings of a section as {(i, j): Expr}, with
+    1 <= i <= n and 1 <= j <= m; ``_<j>`` may be left out when m is 1, but
+    an entry is bound by one spelling only.  ``message`` refuses other keys."""
+    out: Dict[Tuple[int, int], Expr] = {}
+    for key, (ln, val) in rows.items():
+        fam, i, j = _split_key(key, ln)
+        if fam != prefix or (j is None and m != 1):
+            raise ParseError(message, ln)
+        j = 1 if j is None else j
+        if not (1 <= i <= n and 1 <= j <= m):
+            raise ParseError("index out of range in %r" % key, ln)
+        if (i, j) in out:
+            raise ParseError("%r binds an entry bound on an earlier line" % key, ln)
+        out[(i, j)] = _parse_expr(val, env, ln)
+    return out
+
+
+def _positive(rows: Dict[str, Tuple[int, str]], key: str, missing: str) -> int:
+    if key not in rows:
+        raise ParseError(missing, 0)
+    ln, val = rows[key]
+    if not val.isdigit() or int(val) < 1:
+        raise ParseError("%s must be a positive integer" % key, ln)
+    return int(val)
+
+
+def _name_list(rows: Dict[str, Tuple[int, str]], key: str) -> Tuple[int, Tuple[str, ...]]:
+    ln, val = rows.get(key, (0, ""))
+    return ln, tuple(s.strip() for s in val.split(",") if s.strip())
+
+
+def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
+    """Parse and fully validate a problem file; every expression is canonical.
+
+    The file is checked against ``TASKS`` for the task it declares, or for
+    ``task``, the task it is invoked as; a file that declares another task
+    is refused."""
+    sections = _read_sections(text)
     if "chart" not in sections:
         raise ParseError("missing [chart] section", 0)
+    chart = sections["chart"]
+    for key, (ln, _) in chart.items():
+        if key not in _CHART_KEYS:
+            raise ParseError("unknown [chart] key %r" % key, ln)
 
-    meta = {k: (ln, val) for ln, k, val in sections["chart"]}
-
-    def chart_int(key):
-        if key not in meta:
-            raise ParseError("[chart] is missing %r" % key, 0)
-        ln, val = meta[key]
-        if not val.isdigit() or int(val) < 1:
-            raise ParseError("%s must be a positive integer" % key, ln)
-        return int(val)
-
-    n = chart_int("n")
-    m = chart_int("m")
-    if "kind" not in meta:
+    n = _positive(chart, "n", "[chart] is missing 'n'")
+    m = _positive(chart, "m", "[chart] is missing 'm'")
+    if "kind" not in chart:
         raise ParseError("[chart] is missing 'kind'", 0)
-    kind_ln, kind = meta["kind"]
+    kind_ln, kind = chart["kind"]
     if kind not in ("connection", "fc", "evolution"):
         raise ParseError("unknown chart kind %r" % kind, kind_ln)
     if kind == "evolution" and n != 2:
-        raise ParseError("evolution charts have n = 2 (x and t)", meta["n"][0])
-    names = tuple(s.strip() for s in meta.get("names", (0, ""))[1].split(",") if s.strip())
-    params = tuple(s.strip() for s in meta.get("params", (0, ""))[1].split(",") if s.strip())
+        raise ParseError("evolution charts have n = 2 (x and t)", chart["n"][0])
+    names_ln, names = _name_list(chart, "names")
+    params_ln, params = _name_list(chart, "params")
     if len(names) > n:
-        raise ParseError("more names than independents", meta["names"][0])
+        raise ParseError("more names than independents", names_ln)
     for p in params:
-        if not p.isidentifier():
-            raise ParseError("bad parameter name %r" % p, meta["params"][0])
+        if not p.isidentifier() or _COORDINATE.fullmatch(p):
+            raise ParseError("bad parameter name %r" % p, params_ln)
+    for s in names:
+        if not s.isidentifier() or _COORDINATE.fullmatch(s) or s in params or names.count(s) > 1:
+            raise ParseError("bad name %r: a name is an identifier, given once, and neither a "
+                             "parameter nor a coordinate x<k>, v<k>, y<k>" % s, names_ln)
 
     pf = ProblemFile(n=n, m=m, kind=kind, names=names, params=params)
     env = _Env(n, m, kind, names, params)
 
-    def fiber_count(sec):
-        rows = {k: (ln, val) for ln, k, val in sections[sec]}
-        if "fibers" not in rows:
-            raise ParseError("[%s] needs a fibers count" % sec, 0)
-        ln, val = rows["fibers"]
-        if not val.isdigit() or int(val) < 1:
-            raise ParseError("fibers must be a positive integer", ln)
-        return int(val)
-
     if "connection" in sections:
         if kind not in ("connection", "fc"):
             raise ParseError("[connection] needs a connection or fc chart", 0)
-        coeffs = {}
-        cenv = _Env(n, m, "connection", names, params)
-        for ln, key, val in sections["connection"]:
-            fam, i, a = _split_key(key, ln)
-            if fam != "v" or (a is None and m != 1):
-                raise ParseError("connection keys are v<i> or v<i>_<a>", ln)
-            a = a or 1
-            if not (1 <= i <= n and 1 <= a <= m):
-                raise ParseError("index out of range in %r" % key, ln)
-            coeffs[(i, a)] = _parse_expr(val, cenv, ln)
-        pf.connection = coeffs
+        pf.connection = _indexed(sections["connection"], "v", n, m,
+                                 _Env(n, m, "connection", names, params),
+                                 "connection keys are v<i> or v<i>_<a>")
 
     if "equation" in sections:
         if kind != "evolution":
             raise ParseError("[equation] needs an evolution chart", 0)
         rhs: Dict[int, Expr] = {}
-        for ln, key, val in sections["equation"]:
+        for key, (ln, val) in sections["equation"].items():
             fam, a, extra = _split_key(key, ln)
             if fam != "f" or extra is not None or not 1 <= a <= m:
                 raise ParseError("equation keys are f1..f%d" % m, ln)
@@ -441,58 +480,40 @@ def parse_problem(text: str) -> ProblemFile:
             continue
         if kind != "evolution":
             raise ParseError("[%s] needs an evolution chart" % sec, 0)
-        nf = fiber_count(sec)
+        rows = dict(sections[sec])
+        nf = _positive(rows, "fibers", "[%s] needs a fibers count" % sec)
+        del rows["fibers"]
         setattr(pf, attr_fibers, nf)
-        fenv = env.with_fibers(nf)
-        out = {}
-        for ln, key, val in sections[sec]:
-            if key == "fibers":
-                continue
-            fam, i, b = _split_key(key, ln)
-            if fam != prefix or (b is None and nf != 1):
-                raise ParseError("%s keys are %s<i> or %s<i>_<b>" % (sec, prefix, prefix), ln)
-            b = b or 1
-            if not (1 <= i <= 2 and 1 <= b <= nf):
-                raise ParseError("index out of range in %r" % key, ln)
-            out[(i, b)] = _parse_expr(val, fenv, ln)
-        setattr(pf, attr_map, out)
+        setattr(pf, attr_map, _indexed(
+            rows, prefix, 2, nf, env.with_fibers(nf),
+            "%s keys are %s<i> or %s<i>_<b>" % (sec, prefix, prefix)))
+    nf = pf.nfibers()
+    fenv = env.with_fibers(nf)  # the later sections may use the fiber coordinates
 
     if "cochain" in sections:
-        nf = pf.nfibers()
         if not nf:
             raise ParseError("[cochain] needs a [flatrep] or [covering] first", 0)
-        fenv = env.with_fibers(nf)
-        out = {}
-        for ln, key, val in sections["cochain"]:
-            fam, i, b = _split_key(key, ln)
-            if fam != "c" or (b is None and nf != 1):
-                raise ParseError("cochain keys are c<i> or c<i>_<b>", ln)
-            b = b or 1
-            if not (1 <= i <= 2 and 1 <= b <= nf):
-                raise ParseError("index out of range in %r" % key, ln)
-            out[(i, b)] = _parse_expr(val, fenv, ln)
-        pf.cochain = out
+        pf.cochain = _indexed(sections["cochain"], "c", 2, nf, fenv,
+                              "cochain keys are c<i> or c<i>_<b>")
 
     if "symmetry" in sections:
-        fenv = env.with_fibers(pf.nfibers())
-        for ln, key, val in sections["symmetry"]:
+        fc_phi = {}
+        for key, (ln, val) in sections["symmetry"].items():
             fam, i, a = _split_key(key, ln)
             if fam not in ("f", "g", "phi"):
                 raise ParseError("symmetry keys start with f, g or phi", ln)
-            bucket = pf.symmetry.setdefault(fam, {})
             if fam == "phi" and kind == "fc":
-                a = a if a is not None else (1 if m == 1 else None)
-                if a is None or not (1 <= i <= n and 1 <= a <= m):
-                    raise ParseError("fc cochain keys are phi<i>_<a>", ln)
-                bucket[(i, a)] = _parse_expr(val, fenv, ln)
+                fc_phi[key] = (ln, val)
+            elif a is not None or not 1 <= i <= m:
+                raise ParseError("component keys are %s1..%s%d" % (fam, fam, m), ln)
             else:
-                if a is not None or not 1 <= i <= m:
-                    raise ParseError("component keys are %s1..%s%d" % (fam, fam, m), ln)
-                bucket[(i,)] = _parse_expr(val, fenv, ln)
+                pf.symmetry.setdefault(fam, {})[(i,)] = _parse_expr(val, fenv, ln)
+        if fc_phi:
+            pf.symmetry["phi"] = _indexed(fc_phi, "phi", n, m, fenv,
+                                          "fc cochain keys are phi<i>_<a>")
 
     if "ansatz" in sections:
-        fenv = env.with_fibers(pf.nfibers())
-        for ln, key, val in sections["ansatz"]:
+        for key, (ln, val) in sections["ansatz"].items():
             if key == "degree" or key == "order":
                 if key == "order" and kind != "evolution":
                     raise ParseError("order bounds jet orders, and a %s chart has none"
@@ -515,44 +536,53 @@ def parse_problem(text: str) -> ProblemFile:
             else:
                 raise ParseError("unknown ansatz key %r" % key, ln)
 
+    options = dict(sections.get("task", {}))
     if "task" in sections:
-        for ln, key, val in sections["task"]:
-            if key == "name":
-                if val not in TASKS:
-                    raise ParseError("unknown task %r" % val, ln)
-                pf.task = val
-            else:
-                pf.task_options[key] = val
-        if pf.task is None:
+        if "name" not in options:
             raise ParseError("[task] is missing 'name'", 0)
-        _check_sections(pf)
+        ln, declared = options.pop("name")
+        if declared not in TASKS:
+            raise ParseError("unknown task %r" % declared, ln)
+        if task is not None and task != declared:
+            raise ParseError("problem file declares task %r, invoked as %r"
+                             % (declared, task), ln)
+        task = declared
+    pf.task = task
+    if task is not None:
+        _check_task(pf, task)
+    for key, (ln, val) in options.items():
+        if key not in TASKS[task].options:
+            raise ParseError("task %s reads no option %r" % (task, key), ln)
+        pf.task_options[key] = val
+    if "expr" in options:
+        ln, val = options["expr"]
+        pf.pullback_expr = _parse_expr(val, _Env(2, nf, "fc", (), params), ln)
     return pf
 
 
-def _check_sections(pf: ProblemFile) -> None:
-    need = TASKS[pf.task]
-    have = {
-        "connection": pf.connection is not None,
-        "symmetry": bool(pf.symmetry),
-        "cochain": pf.cochain is not None,
-    }
-    for sec in need:
-        if not have.get(sec, False):
-            raise ParseError("task %s requires a [%s] section" % (pf.task, sec), 0)
-    if pf.task == "check-flat" and pf.kind not in ("connection", "fc"):
-        raise ParseError("task check-flat needs a connection chart", 0)
-    if pf.task in ("dfc", "symmetry-from-f", "recover-f", "bracket") and pf.kind != "fc":
-        raise ParseError("task %s needs an fc chart" % pf.task, 0)
-    if pf.task in _FLATREP_TASKS:
-        if pf.kind != "evolution" or pf.equation is None:
-            raise ParseError("task %s needs an evolution chart with [equation]" % pf.task, 0)
-        if pf.flatrep_coeffs is None and pf.covering_fields is None:
-            raise ParseError("task %s needs [flatrep] or [covering]" % pf.task, 0)
+def _check_task(pf: ProblemFile, task: str) -> None:
+    need = TASKS[task]
+    if pf.kind not in need.kinds:
+        raise ParseError("task %s needs %s" % (task, _CHART_NEED[need.kinds[0]]), 0)
+    have = {"connection": pf.connection is not None, "equation": pf.equation is not None,
+            "flatrep": pf.nfibers() > 0, "symmetry": bool(pf.symmetry),
+            "cochain": pf.cochain is not None}
+    for sec in need.sections:
+        if not have[sec]:
+            what = _SECTION_NEED.get(sec, "requires a [%s] section" % sec)
+            raise ParseError("task %s %s" % (task, what), 0)
 
 
 # ---------------------------------------------------------------------------
 # canonical re-emission (round-trip stability)
 # ---------------------------------------------------------------------------
+
+def _indexed_rows(prefix: str, data: Dict[Tuple[int, ...], Expr], short: bool) -> List[str]:
+    """The ``<prefix><i>_<j>`` lines of ``data``, which ``_indexed`` reads
+    back; ``short`` leaves out the second index, which is then 1."""
+    return ["%s%s = %s" % (prefix, "_".join(str(i) for i in (key[:1] if short else key)),
+                           render(e)) for key, e in sorted(data.items())]
+
 
 def render_problem(pf: ProblemFile) -> str:
     """Canonical text whose parse equals ``pf`` (bit-exact expressions)."""
@@ -568,10 +598,7 @@ def render_problem(pf: ProblemFile) -> str:
         out.extend(rows)
 
     if pf.connection is not None:
-        emit("connection", [
-            "v%d_%d = %s" % (i, a, render(e)) if pf.m > 1 else "v%d = %s" % (i, render(e))
-            for (i, a), e in sorted(pf.connection.items())
-        ])
+        emit("connection", _indexed_rows("v", pf.connection, pf.m == 1))
     if pf.equation is not None:
         emit("equation", ["f%d = %s" % (a, render(e)) for a, e in enumerate(pf.equation, 1)])
     for sec, nf, data, prefix in (
@@ -579,35 +606,17 @@ def render_problem(pf: ProblemFile) -> str:
         ("covering", pf.covering_fibers, pf.covering_fields, "X"),
     ):
         if data is not None:
-            rows = ["fibers = %d" % nf]
-            for (i, b), e in sorted(data.items()):
-                key = "%s%d" % (prefix, i) if nf == 1 else "%s%d_%d" % (prefix, i, b)
-                rows.append("%s = %s" % (key, render(e)))
-            emit(sec, rows)
+            emit(sec, ["fibers = %d" % nf] + _indexed_rows(prefix, data, nf == 1))
     if pf.cochain is not None:
-        nf = pf.nfibers()
-        rows = []
-        for (i, b), e in sorted(pf.cochain.items()):
-            key = "c%d" % i if nf == 1 else "c%d_%d" % (i, b)
-            rows.append("%s = %s" % (key, render(e)))
-        emit("cochain", rows)
+        emit("cochain", _indexed_rows("c", pf.cochain, pf.nfibers() == 1))
     if pf.symmetry:
-        rows = []
-        for fam in sorted(pf.symmetry):
-            for key, e in sorted(pf.symmetry[fam].items()):
-                if len(key) == 1:
-                    rows.append("%s%d = %s" % (fam, key[0], render(e)))
-                else:
-                    rows.append("%s%d_%d = %s" % (fam, key[0], key[1], render(e)))
-        emit("symmetry", rows)
-    if pf.ansatz_degree is not None or pf.ansatz_order is not None or pf.ansatz_symbols:
-        rows = []
-        if pf.ansatz_degree is not None:
-            rows.append("degree = %d" % pf.ansatz_degree)
-        if pf.ansatz_order is not None:
-            rows.append("order = %d" % pf.ansatz_order)
-        if pf.ansatz_symbols:
-            rows.append("symbols = %s" % ", ".join(render(s) for s in pf.ansatz_symbols))
+        emit("symmetry", [row for fam in sorted(pf.symmetry)
+                          for row in _indexed_rows(fam, pf.symmetry[fam], False)])
+    rows = ["%s = %d" % (key, bound) for key, bound in
+            (("degree", pf.ansatz_degree), ("order", pf.ansatz_order)) if bound is not None]
+    if pf.ansatz_symbols:
+        rows.append("symbols = %s" % ", ".join(render(s) for s in pf.ansatz_symbols))
+    if rows:
         emit("ansatz", rows)
     if pf.task is not None:
         rows = ["name = %s" % pf.task]

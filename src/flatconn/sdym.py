@@ -278,9 +278,6 @@ class SdymRep:
     spec: FlatRepSpec
     lam: Expr  # the parameter as used in the coefficients (symbol or constant)
 
-    def w_dir(self, p: int) -> int:
-        return 4 + p
-
 
 def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> SdymRep:
     """The lambda-family of flat representations over the base (x_1, x_2).

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from flatconn.expr import ZERO, Expr, const, fc, jet, v, x
+from flatconn.expr import KIND_FC, ZERO, Expr, const, fc, jet, v, x
 from flatconn.jets import d_sigma, sort_with_sign
 
 
@@ -108,6 +108,21 @@ def prolong_reference(chart, f, targets):
         for beta in s.aa:
             e = fce.fc_vertical(chart, beta, e)
         out[s] = e
+    return out
+
+
+def total_symbol_peel_last(chart, i, s):
+    """D_i on a chart symbol by the recursion that removes the last element
+    of A first, without a memo; fce's recursion removes the first, and
+    test_fce checks that both give the same answer."""
+    from flatconn import fce
+
+    if s.kind != KIND_FC or not s.aa:
+        return fce.fc_total(chart, i, Expr.wrap(s))
+    beta, rest = s.aa[-1], s.aa[:-1]
+    out = fce.fc_vertical(chart, beta, total_symbol_peel_last(chart, i, fc(s.index, s.ii, rest)))
+    for gamma in range(1, chart.m + 1):
+        out = out - fc(gamma, (i,), (beta,)) * fc(s.index, s.ii, tuple(sorted(rest + (gamma,))))
     return out
 
 

@@ -344,3 +344,29 @@ def test_cli_mix_matches_golden_transcript():
         label = workloads.cli_label(inv)
         want = golden[label]
         assert workloads.cli_invoke(inv) == (want["exit"], want["stdout"]), label
+
+
+def test_file_refusals_exit_2_with_their_line(prob, capsys):
+    # lift used to ignore a [task] option it does not read and exit 0; an
+    # error in pullback's expr was reported at line 0.
+    lift = MIURA + "[symmetry]\nphi1 = u[1]\n[task]\nname = lift\nat = 1\n"
+    pullback = MIURA + "[task]\nname = pullback\nexpr = v[1;1;1] + q\n"
+    for task, text, line, why in [
+        ("lift", lift, "at = 1", ":0: task lift reads no option 'at'"),
+        ("pullback", pullback, "expr = v[1;1;1] + q", ":12: undeclared variable 'q'"),
+    ]:
+        capsys.readouterr()
+        assert run([task, prob(task + ".prob", text), "--json"]) == 2, task
+        out, err = capsys.readouterr()
+        assert out == "", task
+        assert err == "error: line %d%s\n" % (text.split("\n").index(line) + 1, why)
+
+
+def test_only_file_tasks_take_a_problem_file(prob, capsys):
+    from flatconn import cli, problems
+
+    assert set(problems.TASKS) < set(cli._TASKS)
+    assert run(["kdv-verify", prob("flat.prob", FLAT_XY), "--json"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert run(["check-flat", "--json"]) == 2
+    assert cli._build_parser() is cli._build_parser()  # built once per process

@@ -6,7 +6,9 @@ import pytest
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, ZERO, ONE
 from flatconn import fce
 from flatconn.linsolve import AnsatzSpec
-from helpers import dfc_reference, fc_pool, fc_symbols, prolong_reference, rand_expr
+from helpers import (
+    dfc_reference, fc_pool, fc_symbols, prolong_reference, rand_expr, total_symbol_peel_last,
+)
 
 # An out-of-chart fiber index, an out-of-chart direction and a jet symbol,
 # none of which belongs to the (2, 2) chart.
@@ -51,8 +53,7 @@ def test_fc_total_well_defined(ch2):
     # the recursion peels A in an arbitrary order; answers must agree
     for s in fc_symbols(2, 2, 3, 3):
         for i in (1, 2):
-            assert fce._total_symbol(ch2, i, s) == \
-                fce._total_symbol(ch2, i, s, peel_last=True)
+            assert fce._total_symbol(ch2, i, s) == total_symbol_peel_last(ch2, i, s)
 
 
 def test_fc_total_commutes_with_itself(ch2):
@@ -292,6 +293,10 @@ def test_cochain_of_another_chart_is_checked(ch, ch2):
             fce.prolong_symmetry(ch, bad, [fc(1, (1,))])
         with pytest.raises(ValueError):
             fce.bracket0(ch, bad, bad)
+        with pytest.raises(ValueError):
+            fce.symmetry_from_f(ch, bad)
+    with pytest.raises(ValueError):
+        fce.is_symmetry(ch, fce.symmetry_from_f(ch2, fce.cochain0(ch2, [v(1), ZERO])))
     other = fce.FcChart(2, 1)
     g = fce.cochain0(other, [v(1) ** 2])
     assert fce.bracket0(ch, g, fce.cochain0(ch, [ONE])) == fce.cochain0(ch, [-2 * v(1)])

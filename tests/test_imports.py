@@ -274,6 +274,46 @@ def test_import_scan_sees_every_form():
     assert _imports_of(tree, "vforms") == [1, 2, 3, 4, 6]
 
 
+def _private_reads(tree, module):
+    """Sorted (line, name) of every underscore name of the package module
+    ``module`` that ``tree`` reads: ``module._name`` through any name the
+    module is imported as, and ``from .module import _name``.  Dunder names
+    are not private."""
+    aliases = set()
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            found.update((node.lineno, a.name) for a in node.names
+                         if a.name.startswith("_") and not a.name.startswith("__"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases.update(a.asname or a.name for a in node.names
+                           if a.name.split(".")[-1] == module)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_cli_reads_no_private_name_of_problems():
+    # problems owns the file schema; cli goes through its public names only.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"), filename="cli.py")
+    assert _private_reads(tree, "problems") == []
+
+
+def test_private_read_scan_sees_every_form():
+    tree = ast.parse(
+        "from . import problems, fce as problems2\n"
+        "from .problems import ParseError, _Env\n"
+        "import flatconn.problems as pr\n"
+        "problems._parse_expr(text)\n"
+        "pr._check_sections(pf)\n"
+        "problems.TASKS, problems.__name__, problems2._on, fce._on\n")
+    assert _private_reads(tree, "problems") == [
+        (2, "_Env"), (4, "_parse_expr"), (5, "_check_sections")]
+
+
 def test_reimports_leave_one_copy_of_expr_alive():
     # A fresh interpreter, so that this session's interned symbols and typing
     # caches play no part.

@@ -156,3 +156,105 @@ def test_flatrep_and_covering_are_exclusive():
     covering = "\n[covering]\nfibers = 1\nX1 = y1\nX2 = 0\n"
     with pytest.raises(ParseError, match="exclusive"):
         parse_problem(KDV_LIFT + covering)
+
+
+def _line(text, line):
+    """The number of the first line of ``text`` that reads ``line``."""
+    return text.split("\n").index(line) + 1
+
+
+def _refused(text, match):
+    """The line that the refusal of ``text`` reports."""
+    with pytest.raises(ParseError, match=match) as err:
+        parse_problem(text)
+    return err.value.line
+
+
+COVERING = KDV_LIFT.replace("[flatrep]", "[covering]").replace("a1 =", "X1 =")
+EXACT = KDV_LIFT.replace("[symmetry]\nphi1 = u[1]", "[cochain]\nc1 = 1\nc2 = 0").replace(
+    "name = lift", "name = exactness")
+FC_PHI = """
+[chart]
+n = 2
+m = 1
+kind = fc
+
+[symmetry]
+phi1 = v[1;1;]
+phi2 = v[1;2;]
+"""
+
+
+def test_key_bound_twice_is_refused_at_its_line():
+    # Each section used to keep the last of two bindings of one key.
+    for text, line in [
+        (FLAT_XY, "n = 2"), (FLAT_XY, "v1 = x2"), (FLAT_XY, "name = check-flat"),
+        (KDV_LIFT, "f1 = u[3] + 6*u[0]*u[1]"), (KDV_LIFT, "fibers = 1"),
+        (KDV_LIFT, "a1 = lam + u[0] + y1^2"), (COVERING, "X1 = lam + u[0] + y1^2"),
+        (KDV_LIFT, "phi1 = u[1]"), (KDV_LIFT, "degree = 4"), (EXACT, "c1 = 1"),
+    ]:
+        twice = text.replace(line + "\n", line + "\n" + line + "\n", 1)
+        assert _refused(twice, "bound twice") == _line(text, line) + 1, line
+
+
+def test_entry_bound_by_two_spellings_is_refused():
+    # On m = 1 (one fiber), v1 and v1_1 name one entry; the second used to
+    # win.  Leading zeros and a second index 0 are no spellings of it.
+    for text, line, extra in [
+        (FLAT_XY, "v2 = x1", "v1_1 = x1"),
+        (KDV_LIFT, "a2 = u[2] + 2*u[0]^2 - 2*lam*u[0] - 4*lam^2 + 2*u[1]*y1"
+                   " + y1^2*(2*u[0] - 4*lam)", "a1_1 = 0"),
+        (EXACT, "c2 = 0", "c1_1 = 0"),
+        (FC_PHI, "phi2 = v[1;2;]", "phi1_1 = 0"),
+    ]:
+        text = text.replace(line, line + "\n" + extra)
+        assert _refused(text, "binds an entry bound on an earlier line") == _line(text, extra)
+    at = _line(FLAT_XY, "v1 = x2")
+    assert _refused(FLAT_XY.replace("v1 = x2", "v01 = x2"), "malformed") == at
+    assert _refused(FLAT_XY.replace("v1 = x2", "v1_0 = x2"), "out of range") == at
+
+
+def test_unknown_chart_key_is_refused():
+    text = FLAT_XY.replace("kind = connection", "kind = connection\nfibres = 3")
+    assert _refused(text, "unknown \\[chart\\] key 'fibres'") == _line(text, "fibres = 3")
+
+
+def test_task_option_the_task_does_not_read_is_refused():
+    text = KDV_LIFT.replace("name = lift", "name = lift\nat = 1")
+    assert _refused(text, "task lift reads no option 'at'") == _line(text, "at = 1")
+
+
+def test_pullback_expr_is_parsed_with_its_line():
+    # The expression used to be parsed by the CLI, its errors at line 0.
+    pullback = KDV_LIFT.replace("name = lift", "name = pullback\nexpr = v[1;1;1]")
+    pullback = pullback.replace("[symmetry]\nphi1 = u[1]\n", "")
+    assert parse_problem(pullback).pullback_expr == Expr.wrap(fc(1, (1,), (1,)))
+    at = _line(pullback, "expr = v[1;1;1]")
+    assert _refused(pullback.replace("expr = v[1;1;1]", "expr = v[1;3;]"), "out of range") == at
+    assert _refused(pullback.replace("expr = v[1;1;1]", "expr = q"), "undeclared") == at
+
+
+def test_names_that_shadow_or_cannot_be_used_are_refused():
+    # names = x2, x1 made x2 mean x1, names = v1, t hid the fiber coordinate,
+    # 1x could never be written, and a name equal to a parameter lost to it.
+    for names, params in [("x2, x1", ""), ("v1, t", ""), ("1x", ""), ("a, a", ""),
+                          ("y1", ""), ("t", "t")]:
+        text = FLAT_XY.replace("kind = connection", "kind = connection\nnames = %s\nparams = %s"
+                               % (names, params))
+        assert _refused(text, "bad name '%s'" % names.split(",")[0]) == _line(text, "names = " + names)
+    text = FLAT_XY.replace("kind = connection", "kind = connection\nparams = x1")
+    assert _refused(text, "bad parameter name 'x1'") == _line(text, "params = x1")
+    ok = parse_problem(FLAT_XY.replace("kind = connection", "kind = connection\nnames = s, t"))
+    assert ok.names == ("s", "t")
+
+
+def test_file_is_checked_for_the_invoked_task():
+    with pytest.raises(ParseError, match="declares task 'check-flat', invoked as 'dfc'") as err:
+        parse_problem(FLAT_XY, "dfc")
+    assert err.value.line == _line(FLAT_XY, "name = check-flat")
+    undeclared = FLAT_XY.replace("[task]\nname = check-flat\n", "")
+    with pytest.raises(ParseError, match="task dfc needs an fc chart"):
+        parse_problem(undeclared, "dfc")
+    assert parse_problem(undeclared, "check-flat").task == "check-flat"
+    assert _refused(KDV_LIFT.replace("[flatrep]", "[ansatz2]"), "unknown section") == \
+        _line(KDV_LIFT, "[flatrep]")
