@@ -166,17 +166,8 @@ def _t_pullback(pf, args) -> Report:
 
 def _t_deformation(pf, args) -> Report:
     spec = pf.flat_representation()
-    pname = pf.task_options.get("param")
-    if pname is None:
-        if len(pf.params) != 1:
-            raise ValueError("deformation needs a 'param' option or exactly one parameter")
-        pname = pf.params[0]
-    elif pname not in pf.params:
-        raise ValueError("parameter %r is not declared in the chart" % pname)
-    at = args.lam
-    if at is None and "at" in pf.task_options:
-        at = Fraction(pf.task_options["at"])
-    res = flatrep.infinitesimal_deformation(spec, param(pname), at)
+    at = pf.deformation_at if args.lam is None else args.lam
+    res = flatrep.infinitesimal_deformation(spec, param(pf.deformation_param), at)
     witness = {
         "c%d_%d" % (i, d): render(e) for (i, d), e in sorted(res.cocycle.items())
     }

@@ -24,6 +24,13 @@ a :class:`fractions.Fraction` (equal values compare and hash alike in the two
 types, so the canonical form is unaffected); division is only defined by
 nonzero rational constants.  All values are immutable and
 hashable, so they are safe to share and to memoize on.
+
+Symbols are interned, so identity is equality, and they hash by identity
+with CPython's own C hash.  A set of symbols therefore iterates in
+heap-address order, which may differ from run to run; :meth:`Expr.symbols`
+returns its symbols in first-appearance order instead, validators walk them
+sorted by :attr:`Symbol.key`, and no output of the package depends on a
+hash.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ class Symbol:
     Instances are interned: equal keys give the identical object.
     """
 
-    __slots__ = ("key", "_hash", "_text")
+    __slots__ = ("key", "_text")
     _interned: Dict[tuple, "Symbol"] = {}
 
     def __new__(cls, key: tuple) -> "Symbol":
@@ -76,7 +83,6 @@ class Symbol:
             return got
         obj = object.__new__(cls)
         obj.key = key
-        obj._hash = hash(key)
         obj._text = None
         cls._interned[key] = obj
         return obj
@@ -111,11 +117,8 @@ class Symbol:
         return self.key[1]
 
     # ---- ordering / hashing --------------------------------------------------
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
+    # Interned, so identity is equality: object's C hash and equality serve.
+    __hash__ = object.__hash__
 
     def __lt__(self, other):
         return self.key < other.key
@@ -316,12 +319,10 @@ class Expr:
             return self.terms[()]
         raise ValueError("not a constant: %s" % (self,))
 
-    def symbols(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for s, _ in mono:
-                out.add(s)
-        return out
+    def symbols(self) -> Dict[Symbol, None]:
+        """The symbols of the terms, in first-appearance order (a dict, so
+        that iterating it never follows a hash)."""
+        return dict.fromkeys(s for mono in self.terms for s, _ in mono)
 
     def total_degree(self) -> int:
         """Maximum monomial degree; 0 for constants and for the zero polynomial."""

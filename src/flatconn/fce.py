@@ -88,7 +88,7 @@ class FcChart:
 
     def check_expr(self, e: Expr) -> Expr:
         e = Expr.wrap(e)
-        for s in e.symbols():
+        for s in sorted(e.symbols()):
             self.check_symbol(s)
         return e
 
@@ -181,7 +181,7 @@ class ConnectionSpec:
             if not (1 <= i <= n and 1 <= a <= m):
                 raise ValueError("coefficient v_%d^%d outside the n=%d, m=%d chart" % (i, a, n, m))
             e = Expr.wrap(e)
-            for s in e.symbols():
+            for s in sorted(e.symbols()):
                 if s.kind in (KIND_INDEP, KIND_BASEFIBER):
                     if s.kind == KIND_INDEP and s.index > n:
                         raise ValueError("independent %s outside chart" % render(s))

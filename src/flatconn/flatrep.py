@@ -56,8 +56,8 @@ if TYPE_CHECKING:
 class FlatRepSpec:
     """Declarative flat representation: scheme, direction split, coefficients.
 
-    Frozen, with read-only coefficients, so that its flatness residuals and
-    pullback images, cached on it, cannot go stale.
+    Frozen, with read-only coefficients, so that its flatness residuals,
+    pullback images and F_i images, cached on it, cannot go stale.
     """
 
     scheme: DerivScheme
@@ -65,6 +65,8 @@ class FlatRepSpec:
     fiber_dirs: Tuple[int, ...]
     coeffs: Mapping[Tuple[int, int], Expr] = field(default_factory=dict)
     _pullback_memo: Dict[Symbol, Expr] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _f_memo: Dict[Tuple[int, Symbol], Expr] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -87,13 +89,17 @@ class FlatRepSpec:
         """F_i(e), F_i = D_{x_i} + sum_d a_i^d D_d, for a base direction i."""
         if i not in self.base_dirs:
             raise ValueError("F_%d: base directions are %r" % (i, self.base_dirs))
+        memo = self._f_memo
         derive = self.scheme.derive_symbol
         terms = [(d, self.a(i, d)) for d in self.fiber_dirs if (i, d) in self.coeffs]
 
         def image(s: Symbol) -> Expr:
-            out = derive(s, i)
-            for d, a in terms:
-                out = out + a * derive(s, d)
+            out = memo.get((i, s))
+            if out is None:
+                out = derive(s, i)
+                for d, a in terms:
+                    out = out + a * derive(s, d)
+                memo[(i, s)] = out
             return out
 
         return Expr.wrap(e).derive(image)
@@ -338,7 +344,7 @@ def covering_to_flatrep(
             if not 1 <= b <= nfibers:
                 raise ValueError("fiber index %d out of range" % b)
             e = Expr.wrap(e)
-            for s in e.symbols():
+            for s in sorted(e.symbols()):
                 if s.kind == KIND_FIBER:
                     if s not in fibers:
                         raise ValueError("undeclared fiber %s in covering field" % render(s))

@@ -234,7 +234,7 @@ class Evolution(DerivScheme):
         self._dsigma = {}
         self._rule_syms = set()
         for f in self.rhs:
-            for s in f.symbols():
+            for s in sorted(f.symbols()):
                 self._validate(s)
                 self._rule_syms.add(s)
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
@@ -305,6 +306,8 @@ class ProblemFile:
     task: Optional[str] = None
     task_options: Dict[str, str] = field(default_factory=dict)
     pullback_expr: Optional[Expr] = None  # [task] expr, on the fc chart of the pullback
+    deformation_param: Optional[str] = None  # [task] param, else the one parameter
+    deformation_at: Optional[Fraction] = None  # [task] at
 
     # ---- builders -----------------------------------------------------------
     def fc_chart(self) -> fce.FcChart:
@@ -341,10 +344,11 @@ _KEYED = re.compile(r"([A-Za-z]+)(0|[1-9]\d*)(?:_(0|[1-9]\d*))?")
 _COORDINATE = re.compile(r"[xvy]\d+")
 
 
-def _read_sections(text: str) -> Dict[str, Dict[str, Tuple[int, str]]]:
-    """{section: {key: (line, value)}} in file order; a key bound twice in
-    one section is refused."""
+def _read_sections(text: str) -> Tuple[Dict[str, Dict[str, Tuple[int, str]]], Dict[str, int]]:
+    """{section: {key: (line, value)}} in file order, and {section: line of
+    its header}; a key bound twice in one section is refused."""
     sections: Dict[str, Dict[str, Tuple[int, str]]] = {}
+    headers: Dict[str, int] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -358,6 +362,7 @@ def _read_sections(text: str) -> Dict[str, Dict[str, Tuple[int, str]]]:
             if current in sections:
                 raise ParseError("duplicate section [%s]" % current, lineno)
             sections[current] = {}
+            headers[current] = lineno
             continue
         if current is None:
             raise ParseError("binding outside any section", lineno)
@@ -369,7 +374,7 @@ def _read_sections(text: str) -> Dict[str, Dict[str, Tuple[int, str]]]:
             raise ParseError("%r is bound twice in [%s], first on line %d"
                              % (key, current, rows[key][0]), lineno)
         rows[key] = (lineno, value)
-    return sections
+    return sections, headers
 
 
 def _split_key(key: str, line: int):
@@ -398,9 +403,9 @@ def _indexed(rows: Dict[str, Tuple[int, str]], prefix: str, n: int, m: int, env:
     return out
 
 
-def _positive(rows: Dict[str, Tuple[int, str]], key: str, missing: str) -> int:
+def _positive(rows: Dict[str, Tuple[int, str]], key: str, missing: str, header: int) -> int:
     if key not in rows:
-        raise ParseError(missing, 0)
+        raise ParseError(missing, header)
     ln, val = rows[key]
     if not val.isdigit() or int(val) < 1:
         raise ParseError("%s must be a positive integer" % key, ln)
@@ -417,8 +422,10 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
 
     The file is checked against ``TASKS`` for the task it declares, or for
     ``task``, the task it is invoked as; a file that declares another task
-    is refused."""
-    sections = _read_sections(text)
+    is refused.  A refusal of a whole section reads the line of its header;
+    one of the file for its task, that of the [task] header, else of the
+    [chart] header."""
+    sections, headers = _read_sections(text)
     if "chart" not in sections:
         raise ParseError("missing [chart] section", 0)
     chart = sections["chart"]
@@ -426,10 +433,10 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
         if key not in _CHART_KEYS:
             raise ParseError("unknown [chart] key %r" % key, ln)
 
-    n = _positive(chart, "n", "[chart] is missing 'n'")
-    m = _positive(chart, "m", "[chart] is missing 'm'")
+    n = _positive(chart, "n", "[chart] is missing 'n'", headers["chart"])
+    m = _positive(chart, "m", "[chart] is missing 'm'", headers["chart"])
     if "kind" not in chart:
-        raise ParseError("[chart] is missing 'kind'", 0)
+        raise ParseError("[chart] is missing 'kind'", headers["chart"])
     kind_ln, kind = chart["kind"]
     if kind not in ("connection", "fc", "evolution"):
         raise ParseError("unknown chart kind %r" % kind, kind_ln)
@@ -452,14 +459,15 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
 
     if "connection" in sections:
         if kind not in ("connection", "fc"):
-            raise ParseError("[connection] needs a connection or fc chart", 0)
+            raise ParseError("[connection] needs a connection or fc chart",
+                             headers["connection"])
         pf.connection = _indexed(sections["connection"], "v", n, m,
                                  _Env(n, m, "connection", names, params),
                                  "connection keys are v<i> or v<i>_<a>")
 
     if "equation" in sections:
         if kind != "evolution":
-            raise ParseError("[equation] needs an evolution chart", 0)
+            raise ParseError("[equation] needs an evolution chart", headers["equation"])
         rhs: Dict[int, Expr] = {}
         for key, (ln, val) in sections["equation"].items():
             fam, a, extra = _split_key(key, ln)
@@ -467,11 +475,12 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
                 raise ParseError("equation keys are f1..f%d" % m, ln)
             rhs[a] = _parse_expr(val, env, ln)
         if set(rhs) != set(range(1, m + 1)):
-            raise ParseError("equation must bind every dependent", 0)
+            raise ParseError("equation must bind every dependent", headers["equation"])
         pf.equation = [rhs[a] for a in range(1, m + 1)]
 
     if "flatrep" in sections and "covering" in sections:
-        raise ParseError("[flatrep] and [covering] are exclusive; declare one of them", 0)
+        raise ParseError("[flatrep] and [covering] are exclusive; declare one of them",
+                         max(headers["flatrep"], headers["covering"]))
     for sec, attr_fibers, attr_map, prefix in (
         ("flatrep", "flatrep_fibers", "flatrep_coeffs", "a"),
         ("covering", "covering_fibers", "covering_fields", "X"),
@@ -479,9 +488,9 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
         if sec not in sections:
             continue
         if kind != "evolution":
-            raise ParseError("[%s] needs an evolution chart" % sec, 0)
+            raise ParseError("[%s] needs an evolution chart" % sec, headers[sec])
         rows = dict(sections[sec])
-        nf = _positive(rows, "fibers", "[%s] needs a fibers count" % sec)
+        nf = _positive(rows, "fibers", "[%s] needs a fibers count" % sec, headers[sec])
         del rows["fibers"]
         setattr(pf, attr_fibers, nf)
         setattr(pf, attr_map, _indexed(
@@ -492,7 +501,8 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
 
     if "cochain" in sections:
         if not nf:
-            raise ParseError("[cochain] needs a [flatrep] or [covering] first", 0)
+            raise ParseError("[cochain] needs a [flatrep] or [covering] first",
+                             headers["cochain"])
         pf.cochain = _indexed(sections["cochain"], "c", 2, nf, fenv,
                               "cochain keys are c<i> or c<i>_<b>")
 
@@ -539,7 +549,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     options = dict(sections.get("task", {}))
     if "task" in sections:
         if "name" not in options:
-            raise ParseError("[task] is missing 'name'", 0)
+            raise ParseError("[task] is missing 'name'", headers["task"])
         ln, declared = options.pop("name")
         if declared not in TASKS:
             raise ParseError("unknown task %r" % declared, ln)
@@ -548,8 +558,9 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
                              % (declared, task), ln)
         task = declared
     pf.task = task
+    file_ln = headers.get("task", headers["chart"])
     if task is not None:
-        _check_task(pf, task)
+        _check_task(pf, task, file_ln)
     for key, (ln, val) in options.items():
         if key not in TASKS[task].options:
             raise ParseError("task %s reads no option %r" % (task, key), ln)
@@ -557,20 +568,37 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     if "expr" in options:
         ln, val = options["expr"]
         pf.pullback_expr = _parse_expr(val, _Env(2, nf, "fc", (), params), ln)
+    if task == "deformation":
+        if "param" in options:
+            ln, name = options["param"]
+            if name not in params:
+                raise ParseError("parameter %r is not declared in the chart" % name, ln)
+        elif len(params) == 1:
+            name = params[0]
+        else:
+            raise ParseError("deformation needs a 'param' option or exactly one parameter",
+                             file_ln)
+        pf.deformation_param = name
+    if "at" in options:
+        ln, val = options["at"]
+        try:
+            pf.deformation_at = Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("at must be a rational number, got %r" % val, ln)
     return pf
 
 
-def _check_task(pf: ProblemFile, task: str) -> None:
+def _check_task(pf: ProblemFile, task: str, line: int) -> None:
     need = TASKS[task]
     if pf.kind not in need.kinds:
-        raise ParseError("task %s needs %s" % (task, _CHART_NEED[need.kinds[0]]), 0)
+        raise ParseError("task %s needs %s" % (task, _CHART_NEED[need.kinds[0]]), line)
     have = {"connection": pf.connection is not None, "equation": pf.equation is not None,
             "flatrep": pf.nfibers() > 0, "symmetry": bool(pf.symmetry),
             "cochain": pf.cochain is not None}
     for sec in need.sections:
         if not have[sec]:
             what = _SECTION_NEED.get(sec, "requires a [%s] section" % sec)
-            raise ParseError("task %s %s" % (task, what), 0)
+            raise ParseError("task %s %s" % (task, what), line)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ class VForm:
         """d(g) in the coframe basis; error if it leaves the span."""
         g = Expr.wrap(g)
         out = []
-        for s in g.symbols():
+        for s in sorted(g.symbols()):
             if s.kind == KIND_PARAM:
                 continue
             k = self._pos.get(s)

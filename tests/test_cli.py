@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -346,14 +349,61 @@ def test_cli_mix_matches_golden_transcript():
         assert workloads.cli_invoke(inv) == (want["exit"], want["stdout"]), label
 
 
+# Replays the cli-mix transcript and two refusals that each name one of two
+# foreign symbols, in a process whose heap was first shifted by argv[1]
+# allocations and holes; prints the outputs as one JSON line.
+_REPLAY = r"""
+import importlib.util, json, sys
+junk = [(i,) * (i % 9) for i in range(int(sys.argv[1]))]
+del junk[::3]
+spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[2])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+from flatconn.expr import x, y
+from flatconn.fce import FcChart, cochain0
+out = {workloads.cli_label(inv): workloads.cli_invoke(inv) for inv in workloads.CLI_INVOCATIONS}
+out["refusals"] = []
+for e in (x(3) + y(1), y(1) + x(3)):
+    try:
+        cochain0(FcChart(2, 1), [e])
+    except ValueError as exc:
+        out["refusals"].append(str(exc))
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def test_outputs_do_not_depend_on_heap_layout_or_hash_seed():
+    # Symbols hash by identity, so a set of them iterates in address order;
+    # no output may follow it.  Two processes with different heaps and hash
+    # seeds must print the same bytes, and the golden transcript.
+    root = WORKLOADS.parents[1]
+    runs = []
+    for allocations, seed in [(0, "0"), (100003, "4242")]:
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _REPLAY, str(allocations), str(WORKLOADS)],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout)
+    assert runs[0] == runs[1]
+    out = json.loads(runs[0])
+    # equal Exprs are refused alike, by the first foreign symbol in key order
+    assert out.pop("refusals") == ["independent x3 outside chart"] * 2
+    golden = json.loads((root / "perfbench" / "golden" / "cli-mix.json").read_text("utf-8"))
+    assert out == {label: [want["exit"], want["stdout"]] for label, want in golden.items()}
+
+
 def test_file_refusals_exit_2_with_their_line(prob, capsys):
     # lift used to ignore a [task] option it does not read and exit 0; an
-    # error in pullback's expr was reported at line 0.
+    # error in pullback's expr was reported at line 0, as was a missing
+    # section, and deformation's at and param with no line.
     lift = MIURA + "[symmetry]\nphi1 = u[1]\n[task]\nname = lift\nat = 1\n"
     pullback = MIURA + "[task]\nname = pullback\nexpr = v[1;1;1] + q\n"
+    deformation = MIURA + "[task]\nname = deformation\nat = x\n"
     for task, text, line, why in [
         ("lift", lift, "at = 1", ":0: task lift reads no option 'at'"),
         ("pullback", pullback, "expr = v[1;1;1] + q", ":12: undeclared variable 'q'"),
+        ("lift", MIURA, "[chart]", ":0: task lift requires a [symmetry] section"),
+        ("deformation", deformation, "at = x", ":0: at must be a rational number, got 'x'"),
     ]:
         capsys.readouterr()
         assert run([task, prob(task + ".prob", text), "--json"]) == 2, task

@@ -200,6 +200,37 @@ def test_f_apply_matches_derivation_route(kdv):
     assert not bent_miura(kdv).is_flat
 
 
+def test_f_images_are_memoised_on_the_spec(kdv, monkeypatch):
+    base = kdv.miura
+    spec = flatrep.FlatRepSpec(base.scheme, base.base_dirs, base.fiber_dirs, dict(base.coeffs))
+    derive = spec.scheme.derive_symbol
+    calls = []
+
+    def counted(s, i):
+        calls.append((s, i))
+        return derive(s, i)
+
+    monkeypatch.setattr(spec.scheme, "derive_symbol", counted)
+    e = u(2) * y(1) + x(1) * u(0) ** 2
+    first = [spec.f_apply(i, e) for i in spec.base_dirs]
+    made = len(calls)
+    for _ in range(3):
+        assert [spec.f_apply(i, e) for i in spec.base_dirs] == first
+        assert spec.f_apply(1, e * e) == 2 * e * first[0]
+    assert len(calls) == made
+    # D_i(s) runs once per (i, s), and D_d(s) once per fiber direction d
+    own = [(s, i) for s, i in calls if i in spec.base_dirs]
+    assert len(own) == len(set(own)) == len(spec.base_dirs) * len(e.symbols())
+    assert len(calls) == len(own) * (1 + len(spec.fiber_dirs))
+    assert len(spec._f_memo) == len(own)
+    # the memo is no part of the value, and a substituted spec starts afresh
+    assert spec == base and repr(spec) == repr(base)
+    fresh = flatrep.FlatRepSpec(base.scheme, base.base_dirs, base.fiber_dirs, dict(base.coeffs))
+    assert spec == fresh and repr(spec) == repr(fresh) and not fresh._f_memo
+    at_one = spec.subs({kdv.lam: const(1)})
+    assert not at_one._f_memo and at_one.f_apply(1, e) == first[0].subs({kdv.lam: const(1)})
+
+
 def test_du_matches_hand_written_formulas(kdv):
     spec = linear_kdv_covering(kdv)
     assert flatrep.check_flat_rep(spec).ok

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from flatconn.expr import Expr, fc, jet, param, render, v, x, y
@@ -258,3 +260,46 @@ def test_file_is_checked_for_the_invoked_task():
     assert parse_problem(undeclared, "check-flat").task == "check-flat"
     assert _refused(KDV_LIFT.replace("[flatrep]", "[ansatz2]"), "unknown section") == \
         _line(KDV_LIFT, "[flatrep]")
+
+
+def test_section_refusals_read_the_line_of_their_header():
+    # These refusals used to read line 0.
+    no_symmetry = KDV_LIFT.replace("[symmetry]\nphi1 = u[1]\n", "")
+    for text, match, header in [
+        (no_symmetry, "task lift requires a \\[symmetry\\] section", "[task]"),
+        (FLAT_XY.replace("kind = connection", "kind = evolution"),
+         "\\[connection\\] needs a connection or fc chart", "[connection]"),
+        (FLAT_XY.replace("n = 2\n", ""), "\\[chart\\] is missing 'n'", "[chart]"),
+        (FLAT_XY.replace("kind = connection\n", ""), "missing 'kind'", "[chart]"),
+        (FLAT_XY.replace("name = check-flat\n", ""), "\\[task\\] is missing 'name'", "[task]"),
+        (KDV_LIFT.replace("fibers = 1\n", ""), "needs a fibers count", "[flatrep]"),
+        (KDV_LIFT.replace("m = 1", "m = 2"), "equation must bind every dependent", "[equation]"),
+        (FLAT_XY.replace("name = check-flat", "name = dfc"), "task dfc needs an fc chart",
+         "[task]"),
+    ]:
+        assert _refused(text, match) == _line(text, header), match
+    # invoked as a task the file does not declare: the [chart] header
+    undeclared = no_symmetry.replace("[task]\nname = lift\n", "")
+    with pytest.raises(ParseError, match="task lift requires a \\[symmetry\\] section") as err:
+        parse_problem(undeclared, "lift")
+    assert err.value.line == _line(undeclared, "[chart]")
+
+
+DEFORMATION = KDV_LIFT.split("[symmetry]")[0] + "[task]\nname = deformation\nparam = lam\nat = 1/2\n"
+
+
+def test_deformation_options_are_parsed_with_their_line():
+    # at and param used to be checked by the CLI after parsing, with no line.
+    pf = parse_problem(DEFORMATION)
+    assert (pf.deformation_param, pf.deformation_at) == ("lam", Fraction(1, 2))
+    default = parse_problem(DEFORMATION.replace("param = lam\nat = 1/2\n", ""))
+    assert (default.deformation_param, default.deformation_at) == ("lam", None)
+    for line, bad, match in [
+        ("at = 1/2", "at = x", "at must be a rational number, got 'x'"),
+        ("at = 1/2", "at = 1/0", "at must be a rational number, got '1/0'"),
+        ("param = lam", "param = q", "parameter 'q' is not declared in the chart"),
+    ]:
+        text = DEFORMATION.replace(line, bad)
+        assert _refused(text, match) == _line(text, bad)
+    two = DEFORMATION.replace("params = lam", "params = lam, mu").replace("param = lam\n", "")
+    assert _refused(two, "needs a 'param' option or exactly one parameter") == _line(two, "[task]")
