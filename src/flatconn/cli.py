@@ -158,8 +158,6 @@ def _t_check_flatrep(pf, args) -> Report:
 
 
 def _t_pullback(pf, args) -> Report:
-    if pf.pullback_expr is None:
-        raise ValueError("pullback needs an 'expr' option in [task]")
     image = flatrep.pullback(pf.flat_representation(), pf.pullback_expr)
     return Report("pullback", PASS, [], {"pullback": render(image)})
 

@@ -431,26 +431,7 @@ class Expr:
     # ---- calculus --------------------------------------------------------------------
     def partial(self, s: Symbol) -> "Expr":
         """Formal partial derivative with respect to the symbol ``s``."""
-        out: Dict[Monomial, Scalar] = {}
-        for mono, c in self.terms.items():
-            for k, (sym, p) in enumerate(mono):
-                if sym is s:
-                    if p == 1:
-                        m = mono[:k] + mono[k + 1:]
-                    else:
-                        m = mono[:k] + ((sym, p - 1),) + mono[k + 1:]
-                    cc = c * p
-                    acc = out.get(m)
-                    if acc is None:
-                        out[m] = cc
-                    else:
-                        acc = acc + cc
-                        if acc:
-                            out[m] = acc
-                        else:
-                            del out[m]
-                    break
-        return Expr(out)
+        return self.derive(lambda t: ONE if t is s else ZERO)
 
     def derive(self, image: Callable[[Symbol], "Expr"]) -> "Expr":
         """The derivation whose value on each symbol ``s`` is ``image(s)``.

@@ -24,14 +24,16 @@ Input is validated once, at the public entries (:func:`fc_total`,
 symbols of an explicit ansatz in :func:`recover_f`).  Everything past them
 works on expressions the chart built itself, through the unchecked kernels
 ``_fc_total`` and ``_fc_vertical``.  The chart owns the memos of D_i and
-D_{v^b} on symbols; a prolongation owns the memo of its coefficients.
+D_{v^b} on symbols, an immutable cochain holds its differential, and the memo
+of the prolongation coefficients S_I^{a,A} lives for one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, ONE, Symbol, ZERO,
@@ -221,21 +223,23 @@ def flatness_residual(spec: ConnectionSpec) -> List[Expr]:
 
 
 class Cochain:
-    """Element of V^q: degree 0 holds m functions, degree q >= 1 a map
-    (sorted direction tuple, fiber index) -> coefficient."""
+    """Element of V^q: degree 0 holds m functions, degree q >= 1 a read-only
+    map (sorted direction tuple, fiber index) -> coefficient.
+
+    Immutable, because it holds its own differential (:func:`dfc`).
+    """
+
+    __slots__ = ("chart", "degree", "data", "_d")
 
     def __init__(self, chart: FcChart, degree: int, data):
-        self.chart = chart
-        self.degree = degree
         if degree < 0:
             raise ValueError("negative degree")
         if degree == 0:
             comps = tuple(chart.check_expr(e) for e in data)
             if len(comps) != chart.m:
                 raise ValueError("expected %d components, got %d" % (chart.m, len(comps)))
-            self.data: Tuple[Expr, ...] = comps
         else:
-            out: Dict[Tuple[Tuple[int, ...], int], Expr] = {}
+            comps = {}  # (sorted dirs, alpha) -> coefficient
             for (dirs, alpha), e in data.items():
                 e = chart.check_expr(e)
                 chart.check_fiber(alpha)
@@ -245,8 +249,23 @@ class Cochain:
                     chart.check_direction(i)
                 skey, sign = sort_with_sign(tuple(dirs))
                 if sign != 0:
-                    add_term(out, (skey, alpha), e, sign)
-            self.data = out
+                    add_term(comps, (skey, alpha), e, sign)
+        self._fix(chart, degree, comps)
+
+    def _fix(self, chart: FcChart, degree: int, data) -> None:
+        """Set every field once; ``data`` is a tuple at degree 0, else a dict
+        taken over read-only."""
+        put = object.__setattr__
+        put(self, "chart", chart)
+        put(self, "degree", degree)
+        put(self, "data", data if degree == 0 else MappingProxyType(data))
+        put(self, "_d", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cochain is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Cochain is immutable")
 
     def component(self, dirs: Tuple[int, ...], alpha: int) -> Expr:
         if self.degree == 0:
@@ -276,7 +295,7 @@ class Cochain:
     def _built(cls, chart: FcChart, degree: int, data) -> "Cochain":
         """A cochain whose data the chart built itself, taken without checks."""
         c = cls.__new__(cls)
-        c.chart, c.degree, c.data = chart, degree, data
+        c._fix(chart, degree, data)
         return c
 
     def __repr__(self):
@@ -308,10 +327,14 @@ def dfc(c: Cochain) -> Cochain:
     d(f dx_I (x) D_{v^a}) = sum_i dx_i ^ dx_I (x) [D_i, f D_{v^a}]
                           = sum_i (D_i f) dx_i ^ dx_I (x) D_{v^a}
                             - sum_{i,b} v_i^{b,a} f dx_i ^ dx_I (x) D_{v^b}.
+
+    Computed once per cochain, which then holds it.
     """
-    chart = c.chart
-    return Cochain._built(chart, c.degree + 1, cochain_differential(
-        c.items(), range(1, chart.n + 1), lambda i, f: _fc_total(chart, i, f), chart.twist))
+    if c._d is None:
+        chart = c.chart
+        object.__setattr__(c, "_d", Cochain._built(chart, c.degree + 1, cochain_differential(
+            c.items(), range(1, chart.n + 1), lambda i, f: _fc_total(chart, i, f), chart.twist)))
+    return c._d
 
 
 def symmetry_from_f(chart: FcChart, f: Cochain) -> Cochain:
@@ -401,46 +424,34 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
     return None
 
 
-class _Prolongation:
-    """Coefficients S_I^{a,A} of the symmetry S_f on special coordinates,
-    memoised per (I, a) and per symbol."""
+def _prolongation(chart: FcChart, f: Cochain) -> Callable[[Symbol], Expr]:
+    """The coefficient function v_I^{a,A} -> S_I^{a,A} of the symmetry S_f.
 
-    def __init__(self, chart: FcChart, f: Cochain):
-        if f.degree != 0:
-            raise ValueError("expected a degree-0 cochain")
-        self.chart = chart
-        self.f = _on(chart, f)
-        self.phi = symmetry_from_f(chart, self.f)
-        self._base: Dict[Tuple[Tuple[int, ...], int], Expr] = {}
-        self._coefficient: Dict[Symbol, Expr] = {}
+    Memoised per symbol for as long as the returned function lives, which is
+    one call of its caller.
+    """
+    phi = symmetry_from_f(chart, f)
+    coefficients: Dict[Symbol, Expr] = {}
 
-    def base(self, ii: Tuple[int, ...], alpha: int) -> Expr:
-        """S_I^{a,empty} by the recursion S_{Ii} = D_i S_I + sum_b v_I^{a,b} phi_i^b."""
-        got = self._base.get((ii, alpha))
-        if got is not None:
-            return got
-        if len(ii) == 1:
-            out = self.phi.component(ii, alpha)
-        else:
-            head, i = ii[:-1], ii[-1]
-            out = _fc_total(self.chart, i, self.base(head, alpha))
-            for beta in range(1, self.chart.m + 1):
-                out = out + fc(alpha, head, (beta,)) * self.phi.component((i,), beta)
-        self._base[(ii, alpha)] = out
-        return out
-
-    def coefficient(self, s: Symbol) -> Expr:
-        """S_I^{a,A} on a chart symbol v_I^{a,A}, by S_I^{a,A} = D_{v^b} S_I^{a,A'}
-        with b the last element of A and A' the rest."""
-        got = self._coefficient.get(s)
+    def coefficient(s: Symbol) -> Expr:
+        """S_I^{a,A} = D_{v^b} S_I^{a,A'}, with b the last element of A and A'
+        the rest; on A empty, S_{Ii}^a = D_i S_I^a + sum_b v_I^{a,b} phi_i^b."""
+        got = coefficients.get(s)
         if got is None:
+            alpha, ii = s.index, s.ii
             if s.aa:
-                inner = self.coefficient(fc(s.index, s.ii, s.aa[:-1]))
-                got = _fc_vertical(self.chart, s.aa[-1], inner)
+                got = _fc_vertical(chart, s.aa[-1], coefficient(fc(alpha, ii, s.aa[:-1])))
+            elif len(ii) == 1:
+                got = phi.component(ii, alpha)
             else:
-                got = self.base(s.ii, s.index)
-            self._coefficient[s] = got
+                head, i = ii[:-1], ii[-1]
+                got = _fc_total(chart, i, coefficient(fc(alpha, head, ())))
+                for beta in range(1, chart.m + 1):
+                    got = got + fc(alpha, head, (beta,)) * phi.component((i,), beta)
+            coefficients[s] = got
         return got
+
+    return coefficient
 
 
 def prolong_symmetry(chart: FcChart, f: Cochain, targets: Iterable[Symbol]) -> Dict[Symbol, Expr]:
@@ -450,20 +461,21 @@ def prolong_symmetry(chart: FcChart, f: Cochain, targets: Iterable[Symbol]) -> D
         if s.kind != KIND_FC:
             raise ValueError("symmetry coefficients exist only on v_I^{a,A} with |I| >= 1")
         chart.check_symbol(s)
-    pro = _Prolongation(chart, f)
-    return {s: pro.coefficient(s) for s in targets}
+    coefficient = _prolongation(chart, f)
+    return {s: coefficient(s) for s in targets}
 
 
-def _action_image(chart: FcChart, pro: _Prolongation):
-    """S_f + V_f on one chart symbol, for the prolongation ``pro`` of f.
+def _action_image(chart: FcChart, f: Cochain):
+    """S_f + V_f on one chart symbol.
 
     V_f = sum_b f^b D_{v^b} moves both v^a and the higher coordinates (it
     raises the fiber multi-index), S_f moves only the |I| >= 1 coordinates.
     """
+    coefficient = _prolongation(chart, f)
 
     def image(s: Symbol) -> Expr:
-        img = pro.coefficient(s) if s.kind == KIND_FC else ZERO
-        for beta, comp in enumerate(pro.f.data, start=1):
+        img = coefficient(s) if s.kind == KIND_FC else ZERO
+        for beta, comp in enumerate(f.data, start=1):
             if not comp.is_zero():
                 img = img + comp * _vertical_symbol(chart, beta, s)
         return img
@@ -473,7 +485,7 @@ def _action_image(chart: FcChart, pro: _Prolongation):
 
 def symmetry_action(chart: FcChart, f: Cochain, e: Expr) -> Expr:
     """Action of the full field S_f + V_f on a function of the chart."""
-    return chart.check_expr(e).derive(_action_image(chart, _Prolongation(chart, f)))
+    return chart.check_expr(e).derive(_action_image(chart, f))
 
 
 def bracket0(chart: FcChart, f: Cochain, g: Cochain) -> Cochain:
@@ -481,7 +493,7 @@ def bracket0(chart: FcChart, f: Cochain, g: Cochain) -> Cochain:
     {f,g}^a = (S_f + V_f)(g^a) - (S_g + V_g)(f^a)."""
     if f.degree != 0 or g.degree != 0:
         raise ValueError("bracket0 expects degree-0 cochains")
-    act_f = _action_image(chart, _Prolongation(chart, f))
-    act_g = _action_image(chart, _Prolongation(chart, g))
+    act_f = _action_image(chart, f)
+    act_g = _action_image(chart, g)
     comps = tuple(ga.derive(act_f) - fa.derive(act_g) for fa, ga in zip(f.data, g.data))
     return Cochain._built(chart, 0, comps)

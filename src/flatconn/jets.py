@@ -165,10 +165,6 @@ class DerivScheme:
         """D_i applied to a single chart symbol."""
         raise NotImplementedError
 
-    def is_internal(self, s: Symbol) -> bool:
-        """True for symbols carrying nontrivial derivative rules (jets)."""
-        return s.kind == KIND_JET
-
     def rules_mention(self, s: Symbol) -> bool:
         """Whether any rule coefficient can depend on ``s``.
 
@@ -300,12 +296,9 @@ class Extended(DerivScheme):
             return self.base.derive_symbol(s, i)
         # Fiber direction on a base-chart symbol: the extension is trivial,
         # so independents, parameters and equation variables all map to 0.
-        if s.kind in (KIND_PARAM, KIND_INDEP) or self.base.is_internal(s):
+        if s.kind in (KIND_PARAM, KIND_INDEP, KIND_JET):
             return ZERO
         raise ValueError("symbol %s is foreign to the extended chart" % render(s))
-
-    def is_internal(self, s: Symbol) -> bool:
-        return self.base.is_internal(s)
 
     def rules_mention(self, s: Symbol) -> bool:
         if s in self._fiber_set:

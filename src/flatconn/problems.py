@@ -568,6 +568,8 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     if "expr" in options:
         ln, val = options["expr"]
         pf.pullback_expr = _parse_expr(val, _Env(2, nf, "fc", (), params), ln)
+    elif task == "pullback":
+        raise ParseError("pullback needs an 'expr' option in [task]", file_ln)
     if task == "deformation":
         if "param" in options:
             ln, name = options["param"]

@@ -21,12 +21,25 @@ def rand_expr(rng: random.Random, symbols, degree=2, terms=3, span=3) -> Expr:
     return out
 
 
+def partial_reference(f: Expr, s) -> Expr:
+    """df/ds term by term, one monomial at a time; independent of
+    Expr.derive, which Expr.partial is built on."""
+    out = {}
+    for mono, c in f.terms.items():
+        for k, (sym, p) in enumerate(mono):
+            if sym is s:
+                m = mono[:k] + (((sym, p - 1),) if p > 1 else ()) + mono[k + 1:]
+                out[m] = out.get(m, 0) + c * p
+                break
+    return Expr({m: c for m, c in out.items() if c})
+
+
 def leibniz_reference(f: Expr, image) -> Expr:
     """The derivation with values ``image(s)`` on symbols, by its definition
     sum_s image(s) * df/ds; the reference that Expr.derive is tested against."""
     out = ZERO
     for s in f.symbols():
-        out = out + image(s) * f.partial(s)
+        out = out + image(s) * partial_reference(f, s)
     return out
 
 
@@ -101,10 +114,10 @@ def prolong_reference(chart, f, targets):
     A in order; the reference that fce.prolong_symmetry is tested against."""
     from flatconn import fce
 
-    pro = fce._Prolongation(chart, f)
+    coefficient = fce._prolongation(chart, f)
     out = {}
     for s in targets:
-        e = pro.base(s.ii, s.index)
+        e = coefficient(fc(s.index, s.ii, ()))
         for beta in s.aa:
             e = fce.fc_vertical(chart, beta, e)
         out[s] = e

@@ -395,7 +395,8 @@ def test_outputs_do_not_depend_on_heap_layout_or_hash_seed():
 def test_file_refusals_exit_2_with_their_line(prob, capsys):
     # lift used to ignore a [task] option it does not read and exit 0; an
     # error in pullback's expr was reported at line 0, as was a missing
-    # section, and deformation's at and param with no line.
+    # section, and deformation's at and param and pullback's missing expr
+    # with no line.
     lift = MIURA + "[symmetry]\nphi1 = u[1]\n[task]\nname = lift\nat = 1\n"
     pullback = MIURA + "[task]\nname = pullback\nexpr = v[1;1;1] + q\n"
     deformation = MIURA + "[task]\nname = deformation\nat = x\n"
@@ -403,6 +404,9 @@ def test_file_refusals_exit_2_with_their_line(prob, capsys):
         ("lift", lift, "at = 1", ":0: task lift reads no option 'at'"),
         ("pullback", pullback, "expr = v[1;1;1] + q", ":12: undeclared variable 'q'"),
         ("lift", MIURA, "[chart]", ":0: task lift requires a [symmetry] section"),
+        ("pullback", MIURA + "[task]\nname = pullback\n", "[task]",
+         ":0: pullback needs an 'expr' option in [task]"),
+        ("pullback", MIURA, "[chart]", ":0: pullback needs an 'expr' option in [task]"),
         ("deformation", deformation, "at = x", ":0: at must be a rational number, got 'x'"),
     ]:
         capsys.readouterr()

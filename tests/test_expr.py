@@ -10,7 +10,7 @@ from flatconn.expr import (
 )
 from flatconn.kdv import build_kdv
 from flatconn.problems import parse_problem
-from helpers import fc_pool, leibniz_reference, rand_expr
+from helpers import fc_pool, leibniz_reference, partial_reference, rand_expr
 
 
 def test_difference_of_squares():
@@ -127,6 +127,7 @@ def test_leibniz_and_commuting_partials():
         t = rng.choice(pool)
         assert (f * g).partial(s) == f.partial(s) * g + f * g.partial(s)
         assert f.partial(s).partial(t) == f.partial(t).partial(s)
+        assert f.partial(s) == partial_reference(f, s)
         # derive against the definition: f^2 g has powers >= 2, and the images
         # range from ZERO (terms=0) to several terms
         values = {p: rand_expr(rng, pool, terms=rng.randint(0, 3)) for p in pool}

@@ -263,6 +263,56 @@ def test_vertical_memo_is_owned_by_the_frozen_chart(ch2):
         ch2._vertical_memo = {}
 
 
+def test_cochain_is_immutable(ch2):
+    f = fce.cochain0(ch2, [v(1), ZERO])
+    phi = fce.symmetry_from_f(ch2, f)
+    for c in (f, phi):
+        for name, value in [("data", ()), ("degree", 3), ("chart", ch2), ("_d", None)]:
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+        with pytest.raises(AttributeError):
+            del c.data
+        with pytest.raises(AttributeError):
+            c.memo = {}
+    with pytest.raises(TypeError):
+        phi.data[((1,), 1)] = ONE
+    with pytest.raises(TypeError):
+        fce.cochain1(ch2, {((1,), 1): v(2)}).data[((2,), 2)] = ONE
+    assert phi == fce.cochain1(ch2, dict(phi.data))
+
+
+def test_cochain_holds_its_differential(ch2):
+    f = fce.cochain0(ch2, [v(1) * v(2), x(1) * fc(2, (2,), ())])
+    d = fce.dfc(f)
+    assert fce.dfc(f) is d
+    assert fce.symmetry_from_f(ch2, f) is d
+    assert fce.dfc(d) is fce.dfc(d)
+    assert fce.dfc(d).is_zero()
+    assert fce.dfc(fce.cochain0(ch2, f.data)) == d  # an equal cochain computes its own
+
+
+def test_prolongations_reuse_the_differential_of_their_cochains(ch2, monkeypatch):
+    # Each bracket0 and symmetry_action used to run symmetry_from_f afresh:
+    # six differentials for these four calls, now one per cochain.
+    f = fce.cochain0(ch2, [v(1) * v(2), x(1) * fc(2, (2,), ())])
+    g = fce.cochain0(ch2, [Expr.wrap(fc(1, (1,), (2,))), v(1) ** 2])
+    s = fc(1, (1, 2), (2,)) * v(2) + x(2)
+    differential = fce.cochain_differential
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return differential(*args)
+
+    monkeypatch.setattr(fce, "cochain_differential", counted)
+    fg, gf = fce.bracket0(ch2, f, g), fce.bracket0(ch2, g, f)
+    sf, sg = fce.symmetry_action(ch2, f, s), fce.symmetry_action(ch2, g, s)
+    assert len(calls) == 2
+    assert (fg, gf) == (fce.bracket0(ch2, f, g), fce.bracket0(ch2, g, f))
+    assert (sf, sg) == (fce.symmetry_action(ch2, f, s), fce.symmetry_action(ch2, g, s))
+    assert len(calls) == 2
+
+
 def test_public_entries_reject_foreign_symbols(ch2):
     f = fce.cochain0(ch2, [ONE, ZERO])
     for s in FOREIGN:

@@ -202,7 +202,7 @@ PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
 KERNELS = ("_fc_total", "_fc_vertical")
 CHECKS = ("check_expr", "check_symbol")
 # Recursion inside fce on expressions the chart built itself.
-UNCHECKED = ("_total_symbol", "_Prolongation.base", "_Prolongation.coefficient", "dfc")
+UNCHECKED = ("_total_symbol", "_prolongation.coefficient", "dfc")
 
 
 def test_fce_checks_input_at_its_public_entries_only():
@@ -219,16 +219,16 @@ def test_check_scan_tells_public_entries_from_kernels():
     tree = ast.parse(
         "def dfc(c):\n"
         "    return Cochain(c.chart, 1, lambda i, f: _fc_total(c.chart, i, f))\n"
-        "class _Prolongation:\n"
-        "    def base(self, ii, a):\n"
-        "        return fc_total(self.chart, 1, self.chart.check_expr(ii))\n"
-        "    def coefficient(self, s):\n"
-        "        self.chart.check_symbol(s)\n"
-        "        return fce.fc_vertical(self.chart, 1, s)\n")
+        "def _prolongation(chart, f):\n"
+        "    def base(ii, a):\n"
+        "        return fc_total(chart, 1, chart.check_expr(ii))\n"
+        "    def coefficient(s):\n"
+        "        chart.check_symbol(s)\n"
+        "        return fce.fc_vertical(chart, 1, s)\n")
     assert _calls(tree, PUBLIC_DERIVATIONS) == [
-        ("_Prolongation.base", 5, "fc_total"), ("_Prolongation.coefficient", 8, "fc_vertical")]
+        ("_prolongation.base", 5, "fc_total"), ("_prolongation.coefficient", 8, "fc_vertical")]
     assert _calls(tree, CHECKS) == [
-        ("_Prolongation.base", 5, "check_expr"), ("_Prolongation.coefficient", 7, "check_symbol")]
+        ("_prolongation.base", 5, "check_expr"), ("_prolongation.coefficient", 7, "check_symbol")]
     assert _calls(tree, KERNELS) == [("dfc", 2, "_fc_total")]
 
 
