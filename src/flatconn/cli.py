@@ -1,7 +1,8 @@
 """Command line front end: bind problem files to library operations.
 
 Exit codes: 0 for pass/witness verdicts, 1 for fail/bounded-no, 2 for input
-errors (bad flags, unreadable files, parse or validation failures).
+errors (bad flags, unreadable files, parse or validation failures), 3 for
+internal faults (a failed self-check of the library, never a verdict).
 
 This module owns the command line.  ``_TASKS`` maps each task to its handler
 and the flags of ``_FLAGS`` it reads; the tasks of ``problems.TASKS``, and
@@ -283,6 +284,9 @@ def run(argv: List[str]) -> int:
     except (problems.ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
     report.ms = int((time.monotonic() - t0) * 1000)
     print(emit_report(report, "json" if args.json else "human"))
     return 0 if report.ok else 1

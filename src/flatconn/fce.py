@@ -40,7 +40,7 @@ from .expr import (
     fc, render, v, x,
 )
 from .jets import (
-    DirectionError, add_term, cochain_differential, cochain_preimage, sort_with_sign)
+    DirectionError, Frozen, add_term, cochain_differential, cochain_preimage, sort_with_sign)
 from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
 
@@ -222,7 +222,7 @@ def flatness_residual(spec: ConnectionSpec) -> List[Expr]:
     return out
 
 
-class Cochain:
+class Cochain(Frozen):
     """Element of V^q: degree 0 holds m functions, degree q >= 1 a read-only
     map (sorted direction tuple, fiber index) -> coefficient.
 
@@ -253,19 +253,9 @@ class Cochain:
         self._fix(chart, degree, comps)
 
     def _fix(self, chart: FcChart, degree: int, data) -> None:
-        """Set every field once; ``data`` is a tuple at degree 0, else a dict
-        taken over read-only."""
-        put = object.__setattr__
-        put(self, "chart", chart)
-        put(self, "degree", degree)
-        put(self, "data", data if degree == 0 else MappingProxyType(data))
-        put(self, "_d", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Cochain is immutable")
+        """Set every field once; ``data``, a dict at degree >= 1, goes read-only."""
+        self._put(chart=chart, degree=degree,
+                  data=data if degree == 0 else MappingProxyType(data), _d=None)
 
     def component(self, dirs: Tuple[int, ...], alpha: int) -> Expr:
         if self.degree == 0:
@@ -332,7 +322,7 @@ def dfc(c: Cochain) -> Cochain:
     """
     if c._d is None:
         chart = c.chart
-        object.__setattr__(c, "_d", Cochain._built(chart, c.degree + 1, cochain_differential(
+        c._put(_d=Cochain._built(chart, c.degree + 1, cochain_differential(
             c.items(), range(1, chart.n + 1), lambda i, f: _fc_total(chart, i, f), chart.twist)))
     return c._d
 

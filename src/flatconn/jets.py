@@ -39,7 +39,7 @@ from .linsolve import solve_by_superposition
 from .reports import FAIL, PASS, Report
 
 __all__ = [
-    "FreeJet", "Evolution", "Extended", "HForm",
+    "Frozen", "FreeJet", "Evolution", "Extended", "HForm",
     "total_derivative", "d_sigma", "evolutionary_apply",
     "is_symmetry_evolution", "d_h", "sort_with_sign", "add_term",
     "cochain_differential", "cochain_preimage", "DirectionError",
@@ -149,8 +149,25 @@ def cochain_preimage(
     return out
 
 
-class DerivScheme:
-    """Common behavior of total-derivative rule systems."""
+class Frozen:
+    """Base of the memo owners: the constructor sets each field once through
+    :meth:`_put`, and later assignment is refused, so no memo goes stale."""
+
+    __slots__ = ()
+
+    def _put(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+class DerivScheme(Frozen):
+    """Common behavior of total-derivative rule systems; immutable, because
+    each scheme owns the memo of :func:`d_sigma`."""
 
     ndirs: int
     m: int
@@ -184,10 +201,7 @@ class FreeJet(DerivScheme):
     def __init__(self, n: int, m: int):
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        self.n = n
-        self.m = m
-        self.ndirs = n
-        self._dsigma = {}
+        self._put(n=n, m=m, ndirs=n, _dsigma={})
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)
@@ -224,15 +238,12 @@ class Evolution(DerivScheme):
             raise ValueError("need m >= 1")
         if len(rhs) != m:
             raise ValueError("expected %d right-hand sides, got %d" % (m, len(rhs)))
-        self.m = m
-        self.ndirs = 2
-        self.rhs = tuple(Expr.wrap(f) for f in rhs)
-        self._dsigma = {}
-        self._rule_syms = set()
-        for f in self.rhs:
+        rhs = tuple(Expr.wrap(f) for f in rhs)
+        self._put(m=m, ndirs=2, rhs=rhs, _dsigma={},
+                  _rule_syms=frozenset(s for f in rhs for s in f.symbols()))
+        for f in rhs:
             for s in sorted(f.symbols()):
                 self._validate(s)
-                self._rule_syms.add(s)
 
     def _validate(self, s: Symbol) -> None:
         k = s.kind
@@ -275,12 +286,9 @@ class Extended(DerivScheme):
         for f in fibers:
             if f.kind != KIND_FIBER:
                 raise ValueError("extension fibers must be fiber symbols, got %s" % render(f))
-        self.base = base
-        self.fibers = tuple(fibers)
-        self.ndirs = base.ndirs + len(self.fibers)
-        self.m = base.m
-        self._fiber_set = set(self.fibers)
-        self._dsigma = {}
+        fibers = tuple(fibers)
+        self._put(base=base, fibers=fibers, ndirs=base.ndirs + len(fibers), m=base.m,
+                  _fiber_set=frozenset(fibers), _dsigma={})
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)

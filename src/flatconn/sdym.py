@@ -6,22 +6,25 @@ The unknowns are four g-valued functions A_1..A_4 on R^4 with g the full
 k-by-k matrix algebra; entry (p, q) of A_i is the jet dependent with family
 index ((i-1)k + (p-1))k + q over the free chart FreeJet(4, 4k^2).  The
 system, read off the coefficients of 1, lambda, lambda^2 in the Lax
-condition, orients three rewrite rules that eliminate d1(A2), d3(A4) and
-d1(A4); internal coordinates are the surviving jets, and the internal total
-derivative normalizes through the rules.
+condition, orients three rewrite rules that eliminate d1(A2), d1(A4) and
+d3(A4); a fourth, derived from their critical pair, eliminates d1 d4(A3).
+Each rewriter certifies at construction that its ranking is compatible and
+decreasing and that its critical pairs normalize to 0, so normal forms are
+unique; internal coordinates are the normal-form jets, and the internal
+total derivative normalizes through the rules.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .expr import (
-    Expr, KIND_INDEP, KIND_JET, KIND_PARAM, ONE, Symbol, ZERO, jet, param,
-    render, x, y,
-)
-from .jets import DerivScheme, Extended, FreeJet, d_sigma, evolutionary_apply, total_derivative
+from .expr import Expr, KIND_INDEP, KIND_JET, KIND_PARAM, ONE, Symbol, ZERO, jet, param, render, x, y
+from .jets import (
+    DerivScheme, Extended, FreeJet, Frozen, d_sigma, evolutionary_apply, total_derivative)
 from .flatrep import FlatRepSpec, du_vertical, symmetry_cocycle
 from .reports import FAIL, PASS, Report
 
@@ -51,11 +54,9 @@ class MatChart:
         return ((i - 1) * self.k + (p - 1)) * self.k + q
 
     def family(self, alpha: int) -> Tuple[int, int, int]:
-        a = alpha - 1
-        q = a % self.k
-        a //= self.k
-        p = a % self.k
-        return a // self.k + 1, p + 1, q + 1
+        a, q = divmod(alpha - 1, self.k)
+        i, p = divmod(a, self.k)
+        return i + 1, p + 1, q + 1
 
     def entry(self, i: int, p: int, q: int, sigma: Tuple[int, ...] = ()) -> Symbol:
         return jet(self.alpha(i, p, q), sigma)
@@ -86,10 +87,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[ea - eb for ea, eb in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    return mat_map(a, lambda e: Expr.wrap(c) * e)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     k = len(a)
     return [
@@ -118,96 +115,113 @@ def sigma_field(chart: MatChart, m: Matrix) -> Dict[int, Expr]:
     return out
 
 
-class SdymRewriter:
-    """Oriented rules from the three lambda coefficients of the Lax condition.
+def _divide(sigma: Sequence[int], mu: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """sigma minus mu as multisets, or None when mu does not fit inside sigma."""
+    rest = list(sigma)
+    for d in mu:
+        if d not in rest:
+            return None
+        rest.remove(d)
+    return tuple(rest)
+
+
+class SdymRewriter(Frozen):
+    """One rule table, (family i, sorted multi-index mu) -> matrix R in
+    firing order: the jet d_mu A_i[p, q] rewrites to R[p][q].
 
     d1 A2 -> d2 A1 - [A1, A2]
-    d3 A4 -> d4 A3 - [A3, A4]
     d1 A4 -> d4 A1 + d2 A3 - d3 A2 - [A1, A4] - [A3, A2]
+    d3 A4 -> d4 A3 - [A3, A4]
+    d1 d4 A3 -> d3 d4 A1 + d2 d3 A3 - d3 d3 A2 + (commutator terms)
 
-    plus all prolongations, entrywise.  The two eliminations of d1 d3 A4
-    overlap; resolving that critical pair yields one more on-equation
-    relation, oriented as a fourth rule
+    The first three orient the lambda coefficients; the fourth resolves
+    their one critical pair, normalized with them.  d_sigma A_i rewrites by
+    the first rule of family i whose mu fits inside sigma, to
+    D_{sigma - mu}(R).  The table is complete and certified at construction;
+    a failed check raises AssertionError, an internal fault:
 
-    d1 d4 A3 -> d3 d4 A1 + d2 d3 A3 - d3 d3 A2 + (commutator terms),
+    1. Ranking, checked first, so a table that would loop is refused before
+       any normalization: each jet of R ranks strictly below d_mu A_i in the
+       lexicographic order of (jet order, number of 1s in sigma, i).  D_j
+       raises both orders by one, both counts of 1s alike and keeps both
+       families, so the ranking is compatible with every D_j, and the jets
+       D_rho(s) of D_tau(R), rho inside tau, rank below D_tau(d_mu A_i) too.
+       Ranks are well-ordered, so rewriting terminates.
+    2. Critical pairs: the rewrites by two rules of one family of the jet at
+       the union of their multi-indices agree after normalization.
 
-    computed at construction by normalizing the overlap.  Every rule replaces
-    its left-hand symbol by symbols strictly smaller in the well-order
-    (jet order, number of 1s in the multi-index, family index), so rewriting
-    terminates; uniqueness of normal forms after completion is checked
-    empirically by comparing reduction strategies.
+    By the Riquier-Janet passivity criterion and Newman's lemma, the two
+    checks make normal forms unique, whatever the firing order.
     """
 
     def __init__(self, chart: MatChart):
-        self.chart = chart
-        self.free = FreeJet(4, chart.m)
-        self._nf: Dict[Tuple[Symbol, bool], Expr] = {}
-        d = lambda j, m: mat_map(m, lambda e: total_derivative(self.free, j, e))
-        # (family, eliminated direction) -> right-hand side: the leading jet
-        # minus the lambda coefficient that contains it
-        m0, m1, m2 = lambda_expand(chart.k)
-        self._base: Dict[Tuple[int, int], Matrix] = {
-            (2, 1): mat_sub(chart.matrix(2, (1,)), m0),
-            (4, 3): mat_sub(chart.matrix(4, (3,)), m2),
-            (4, 1): mat_sub(chart.matrix(4, (1,)), m1),
-        }
-        # Critical pair d3(rule 4,1) vs d1(rule 4,3): their difference is an
-        # on-equation relation whose leading symbol is d1 d4 A3.
-        overlap = mat_sub(d(3, self._base[(4, 1)]), d(1, self._base[(4, 3)]))
-        lead = chart.matrix(3, (1, 4))
-        raw = mat_add(lead, overlap)  # cancels the -d1 d4 A3 inside the overlap
-        rule = mat_map(raw, self.normalize)
-        for row in rule:
-            for e in row:
-                if any(self.reducible(s) for s in e.symbols()):  # pragma: no cover
-                    raise AssertionError("completion left a reducible symbol")
-        self._base[(3, 1)] = rule
-        self._nf.clear()  # drop normal forms computed before completion
+        lax = lambda_expand(chart.k)
+        rules = {(2, (1,)): mat_sub(chart.matrix(2, (1,)), lax[0]),
+                 (4, (1,)): mat_sub(chart.matrix(4, (1,)), lax[1]),
+                 (4, (3,)): mat_sub(chart.matrix(4, (3,)), lax[2])}
+        draft = SdymRewriter._uncertified(chart, lax, rules)
+        # d3(rule 4,1) - d1(rule 4,3) is -d1 d4 A3 + normal forms: solve it
+        (pair,) = draft._pairs()
+        rules[(3, (1, 4))] = mat_add(chart.matrix(3, (1, 4)), pair)
+        self._put(chart=chart, free=draft.free, lax=lax, rules=MappingProxyType(rules), _nf={})
+        self._certify()
 
-    def reducible(self, s: Symbol) -> bool:
-        if s.kind != KIND_JET:
-            return False
-        i, _, _ = self.chart.family(s.index)
-        if i == 2:
-            return 1 in s.sigma
-        if i == 4:
-            return 1 in s.sigma or 3 in s.sigma
-        if i == 3:
-            return (3, 1) in self._base and 1 in s.sigma and 4 in s.sigma
-        return False
+    @classmethod
+    def _uncertified(cls, chart: MatChart, lax, rules) -> SdymRewriter:
+        """A rewriter on a copy of ``rules``, not yet certified."""
+        self = cls.__new__(cls)
+        self._put(chart=chart, free=FreeJet(4, chart.m), lax=lax,
+                  rules=MappingProxyType(dict(rules)), _nf={})
+        return self
 
-    def normal_symbol(self, s: Symbol, alt: bool = False) -> Expr:
-        """Normal form of one reducible jet symbol.
-
-        ``alt`` flips which rule fires first on A4 jets containing both a 1
-        and a 3; used by the empirical confluence test.
-        """
-        got = self._nf.get((s, alt))
-        if got is not None:
-            return got
-        i, p, q = self.chart.family(s.index)
-        sig = list(s.sigma)
-        if i == 2:
-            drop = 1
-        elif i == 3:
-            # the completed rule eliminates the pair (1, 4) at once
-            sig.remove(4)
-            drop = 1
-        elif (1 in sig) and not (alt and 3 in sig):
-            drop = 1
-        else:
-            drop = 3
-        sig.remove(drop)
-        base = self._base[(i, drop)][p - 1][q - 1]
-        out = self.normalize(d_sigma(self.free, tuple(sig), base), alt)
-        self._nf[(s, alt)] = out
+    def _pairs(self) -> List[Matrix]:
+        """Check the ranking, then normalize D_{lcm - mu}(R_mu) - D_{lcm - nu}(R_nu)
+        for each two rules of one family, lcm the union of mu and nu."""
+        rank = lambda i, sigma: (len(sigma), sigma.count(1), i)
+        for (i, mu), r in self.rules.items():
+            for s in (s for row in r for e in row for s in e.symbols() if s.kind == KIND_JET):
+                if rank(self.chart.family(s.index)[0], s.sigma) >= rank(i, mu):
+                    raise AssertionError("rule %r does not lower the rank: %s" % ((i, mu), render(s)))
+        out = []
+        items = list(self.rules.items())
+        for n, ((i, mu), r_mu) in enumerate(items):
+            for (j, nu), r_nu in items[n + 1:]:
+                if i == j:
+                    lcm = tuple(sorted((Counter(mu) | Counter(nu)).elements()))
+                    a, b = _divide(lcm, mu), _divide(lcm, nu)
+                    out.append([[self.normalize(d_sigma(self.free, a, ea) - d_sigma(self.free, b, eb))
+                                 for ea, eb in zip(ra, rb)] for ra, rb in zip(r_mu, r_nu)])
         return out
 
-    def normalize(self, e: Expr, alt: bool = False) -> Expr:
+    def _certify(self) -> None:
+        if not all(mat_is_zero(m) for m in self._pairs()):
+            raise AssertionError("a critical pair of the SDYM rules does not normalize to 0")
+
+    def _match(self, s: Symbol) -> Optional[Tuple[Matrix, Tuple[int, ...]]]:
+        """The first rule that rewrites ``s``: its R and sigma - mu."""
+        if s.kind == KIND_JET:
+            family = self.chart.family(s.index)[0]
+            for (i, mu), r in self.rules.items():
+                rest = _divide(s.sigma, mu) if i == family else None
+                if rest is not None:
+                    return r, rest
+        return None
+
+    def reducible(self, s: Symbol) -> bool:
+        return self._match(s) is not None
+
+    def normal_symbol(self, s: Symbol) -> Expr:
+        """Normal form of one reducible jet symbol."""
+        got = self._nf.get(s)
+        if got is None:
+            r, rest = self._match(s)
+            _, p, q = self.chart.family(s.index)
+            got = self._nf[s] = self.normalize(d_sigma(self.free, rest, r[p - 1][q - 1]))
+        return got
+
+    def normalize(self, e: Expr) -> Expr:
         e = Expr.wrap(e)
-        bindings = {
-            s: self.normal_symbol(s, alt) for s in e.symbols() if self.reducible(s)
-        }
+        bindings = {s: self.normal_symbol(s) for s in e.symbols() if self.reducible(s)}
         return e.subs(bindings) if bindings else e
 
 
@@ -215,12 +229,8 @@ class SdymScheme(DerivScheme):
     """Internal coordinates of the SDYM system: normal-form jets with the
     total derivative composed with normalization."""
 
-    def __init__(self, chart: MatChart, rewriter: Optional[SdymRewriter] = None):
-        self.chart = chart
-        self.rewriter = rewriter or SdymRewriter(chart)
-        self.ndirs = 4
-        self.m = chart.m
-        self._dsigma = {}
+    def __init__(self, chart: MatChart):
+        self._put(chart=chart, rewriter=SdymRewriter(chart), ndirs=4, m=chart.m, _dsigma={})
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)
@@ -263,10 +273,8 @@ def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:
     a1, a2, a3, a4 = (chart.matrix(i) for i in (1, 2, 3, 4))
     d = lambda j, m: mat_map(m, lambda e: total_derivative(free, j, e))
     m0 = mat_add(mat_sub(d(1, a2), d(2, a1)), mat_bracket(a1, a2))
-    m1 = mat_add(
-        mat_sub(mat_add(d(1, a4), d(3, a2)), mat_add(d(4, a1), d(2, a3))),
-        mat_add(mat_bracket(a1, a4), mat_bracket(a3, a2)),
-    )
+    m1 = mat_add(mat_sub(mat_add(d(1, a4), d(3, a2)), mat_add(d(4, a1), d(2, a3))),
+                 mat_add(mat_bracket(a1, a4), mat_bracket(a3, a2)))
     m2 = mat_add(mat_sub(d(3, a4), d(4, a3)), mat_bracket(a3, a4))
     return m0, m1, m2
 
@@ -292,16 +300,12 @@ def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> SdymRep:
     lam = Expr.wrap(param("lam")) if lam0 is None else Expr.wrap(Fraction(lam0))
     coeffs: Dict[Tuple[int, int], Expr] = {(1, 3): lam, (2, 4): lam}
     for i in (1, 2):
-        m = mat_add(chart.matrix(i), mat_scale(chart.matrix(i + 2), lam))
+        m = mat_add(chart.matrix(i), mat_map(chart.matrix(i + 2), lambda e: lam * e))
         vert = sigma_field(chart, m)
         for p in range(1, k + 1):
             coeffs[(i, 4 + p)] = vert[p]
-    spec = FlatRepSpec(
-        scheme=ext,
-        base_dirs=(1, 2),
-        fiber_dirs=(3, 4) + tuple(range(5, 5 + k)),
-        coeffs=coeffs,
-    )
+    spec = FlatRepSpec(scheme=ext, base_dirs=(1, 2),
+                       fiber_dirs=(3, 4) + tuple(range(5, 5 + k)), coeffs=coeffs)
     return SdymRep(chart=chart, scheme=scheme, spec=spec, lam=lam)
 
 
@@ -326,21 +330,19 @@ def gauge_symmetry_residuals(scheme: SdymScheme, phi: Sequence[Expr]) -> List[Ma
     rewriter genuinely works (the raw linearization does not vanish on the
     free chart when H depends on jets).
     """
-    free = FreeJet(4, scheme.chart.m)
+    rew = scheme.rewriter
     out = []
-    for m in lambda_expand(scheme.chart.k):
-        lin = mat_map(m, lambda e: evolutionary_apply(free, list(phi), e))
-        out.append(mat_map(lin, scheme.rewriter.normalize))
+    for m in rew.lax:
+        lin = mat_map(m, lambda e: evolutionary_apply(rew.free, list(phi), e))
+        out.append(mat_map(lin, rew.normalize))
     return out
 
 
 def _resolve_h(chart: MatChart, h: Union[str, Matrix]) -> Matrix:
     if isinstance(h, str):
         if h == "const":
-            return [
-                [Expr.wrap(Fraction(p + chart.k * (q - 1))) for q in range(1, chart.k + 1)]
-                for p in range(1, chart.k + 1)
-            ]
+            return [[Expr.wrap(Fraction(p + chart.k * (q - 1))) for q in range(1, chart.k + 1)]
+                    for p in range(1, chart.k + 1)]
         if h == "a1":
             return chart.matrix(1)
         raise ValueError("unknown H choice %r (use 'const', 'a1', or a matrix)" % h)
@@ -361,11 +363,9 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
     phi = gauge_symmetry(scheme, hm)
     residuals: List[str] = []
     ok = True
-    for m in gauge_symmetry_residuals(scheme, phi):
-        for row in m:
-            for e in row:
-                residuals.append(render(e))
-                ok = ok and e.is_zero()
+    for e in (e for m in gauge_symmetry_residuals(scheme, phi) for row in m for e in row):
+        residuals.append(render(e))
+        ok = ok and e.is_zero()
     cocycle = symmetry_cocycle(spec, phi, check=False)
     vert: Dict[int, Expr] = {3: ZERO, 4: ZERO}
     for p in range(1, chart.k + 1):
@@ -377,9 +377,7 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
     trivial = du_vertical(spec, vert)
     for i in spec.base_dirs:
         for d in spec.fiber_dirs:
-            diff = scheme.rewriter.normalize(
-                cocycle.get((i, d), ZERO) + trivial.get((i, d), ZERO)
-            )
+            diff = scheme.rewriter.normalize(cocycle.get((i, d), ZERO) + trivial.get((i, d), ZERO))
             residuals.append(render(diff))
             ok = ok and diff.is_zero()
     return Report(task="sdym-ugh", verdict=PASS if ok else FAIL, residuals=residuals)

@@ -296,6 +296,34 @@ def test_input_errors_exit_2(prob, capsys):
         "error: line 12:0: order bounds jet orders, and a fc chart has none\n")
 
 
+def test_internal_faults_exit_3(monkeypatch, capsys):
+    # A failed self-check is an internal fault, not a verdict: one line on
+    # stderr, nothing on stdout, exit 3.  The checks are made to fail by
+    # feeding them a wrong value, not by changing them.
+    from flatconn import kdv, reports, sdym
+
+    expand = sdym.lambda_expand
+
+    def bent(k):
+        # a third-order jet in the lambda^2 coefficient: the rule on d3 A4
+        # no longer lowers the rank
+        m0, m1, m2 = expand(k)
+        return m0, m1, sdym.mat_add(m2, sdym.MatChart(k).matrix(4, (1, 1, 4)))
+
+    monkeypatch.setattr(sdym, "lambda_expand", bent)
+    monkeypatch.setattr(kdv, "is_symmetry_evolution",
+                        lambda scheme, phi: reports.Report("is-symmetry", reports.FAIL, ["1"]))
+    for argv, msg in ((["sdym-ugh", "--k", "1", "--json"], "does not lower the rank"),
+                      (["kdv-verify"], "is not a KdV symmetry")):
+        capsys.readouterr()
+        assert run(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: "), (argv, err)
+        assert msg in lines[0], (argv, err)
+
+
 def test_nonflat_representation_exits_2(prob, capsys):
     # The library refuses a non-flat representation (and lift_symmetry a phi
     # that is no symmetry) with a ValueError; the exactness and lift tasks

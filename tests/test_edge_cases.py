@@ -91,3 +91,32 @@ def test_expr_wrap_rejects_junk():
         Expr.wrap("u[0]")
     with pytest.raises(TypeError):
         Expr.wrap(1.5)
+
+
+def test_memo_owners_refuse_assignment():
+    # Each of these owns a memo (of D_sigma, of normal forms, of F_i images,
+    # of a differential); assigning a field could leave it stale.
+    from flatconn import sdym
+
+    free = FreeJet(2, 1)
+    evo = Evolution(1, [Expr.wrap(jet(1, (1, 1)))])
+    ext = Extended(evo, (y(1),))
+    scheme = sdym.SdymScheme(sdym.MatChart(1))
+    rewriter = scheme.rewriter
+    chart = fce.FcChart(2, 1)
+    spec = flatrep.FlatRepSpec(ext, (1, 2), (3,), {(1, 3): Expr.wrap(y(1))})
+    cochain = fce.cochain0(chart, [Expr.wrap(v(1))])
+    cases = [
+        (free, "m", 2), (evo, "rhs", (ZERO,)), (ext, "base", free),
+        (scheme, "rewriter", None), (rewriter, "rules", {}), (rewriter, "_nf", {}),
+        (chart, "m", 2), (spec, "coeffs", {}), (cochain, "data", (ZERO,)),
+    ]
+    for obj, name, value in cases:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before, (type(obj).__name__, name)
+    with pytest.raises(TypeError):
+        rewriter.rules[(1, (1,))] = rewriter.rules[(2, (1,))]  # the table is read-only

@@ -56,11 +56,11 @@ def test_rewrite_rules_are_the_oriented_lax_equations():
         a1, a2, a3, a4 = (chart.matrix(i) for i in (1, 2, 3, 4))
         d = lambda j, m: sdym.mat_map(m, lambda e: total_derivative(free, j, e))
         add, sub, br = sdym.mat_add, sdym.mat_sub, sdym.mat_bracket
-        rules = sdym.SdymRewriter(chart)._base
-        assert rules[(2, 1)] == sub(d(2, a1), br(a1, a2))
-        assert rules[(4, 3)] == sub(d(4, a3), br(a3, a4))
-        assert rules[(4, 1)] == sub(sub(add(d(4, a1), d(2, a3)), d(3, a2)),
-                                    add(br(a1, a4), br(a3, a2)))
+        rules = sdym.SdymRewriter(chart).rules
+        assert rules[(2, (1,))] == sub(d(2, a1), br(a1, a2))
+        assert rules[(4, (3,))] == sub(d(4, a3), br(a3, a4))
+        assert rules[(4, (1,))] == sub(sub(add(d(4, a1), d(2, a3)), d(3, a2)),
+                                       add(br(a1, a4), br(a3, a2)))
 
 
 def test_rewriter_terminates_on_deep_jets(chart2):
@@ -71,6 +71,9 @@ def test_rewriter_terminates_on_deep_jets(chart2):
 
 
 def test_rewriter_empirical_confluence(chart2):
+    # Uniqueness of normal forms is the certificate's job (the tests below);
+    # here 50 seeded random expressions check that normalize is idempotent
+    # and leaves no reducible symbol.
     rng = random.Random(61)
     rew = sdym.SdymRewriter(chart2)
     pool = []
@@ -89,7 +92,34 @@ def test_rewriter_empirical_confluence(chart2):
             for _ in range(rng.randint(1, 2)):
                 mono = mono * rng.choice(pool)
             e = e + mono
-        assert rew.normalize(e) == rew.normalize(e, alt=True)
+        out = rew.normalize(e)
+        assert rew.normalize(out) == out
+        assert not any(rew.reducible(s) for s in out.symbols())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rewriter_certificate_passes(k):
+    rew = sdym.SdymRewriter(sdym.MatChart(k))  # raises if the certificate fails
+    assert list(rew.rules) == [(2, (1,)), (4, (1,)), (4, (3,)), (3, (1, 4))]
+    assert all(sdym.mat_is_zero(m) for m in rew._pairs())
+
+
+def test_rewriter_certificate_fails_without_the_completion_rule(chart2):
+    rew = sdym.SdymRewriter(chart2)
+    three = {key: r for key, r in rew.rules.items() if key != (3, (1, 4))}
+    draft = sdym.SdymRewriter._uncertified(chart2, rew.lax, three)
+    with pytest.raises(AssertionError, match="critical pair"):
+        draft._certify()
+
+
+def test_rewriter_ranking_refuses_a_rule_that_keeps_its_own_jet(chart2):
+    # d1 A2 -> d1 A2 + d2 A1 would rewrite forever; the ranking check runs
+    # before any normalization and refuses it.
+    rew = sdym.SdymRewriter(chart2)
+    loop = sdym.mat_add(chart2.matrix(2, (1,)), chart2.matrix(1, (2,)))
+    draft = sdym.SdymRewriter._uncertified(chart2, rew.lax, {(2, (1,)): loop})
+    with pytest.raises(AssertionError, match="does not lower the rank"):
+        draft._certify()
 
 
 def test_scheme_directions_commute(chart2):
