@@ -7,10 +7,10 @@ The lam-family of flat representations over (x1, x2) has a non-exact
 infinitesimal cocycle (the parameter is essential), while the cocycle of any
 generalized gauge symmetry G_H is exact with explicit witness -sigma(H).
 
-Run:  python3 demos/04_sdym.py   (about half a minute for the k=2 solve)
+Run:  python3 demos/04_sdym.py   (a few seconds, most of them in the k=2 solve)
 """
 
-from flatconn.expr import jet, param, render, x
+from flatconn.expr import jet, param, render, x, y
 from flatconn.linsolve import AnsatzSpec
 from flatconn import flatrep, sdym
 
@@ -23,12 +23,11 @@ for deg, m in ((0, m0), (1, m1), (2, m2)):
 
 # --- rewriting: the equations are the rules ------------------------------------
 
-chart = sdym.MatChart(2)
-rew = sdym.SdymRewriter(chart)
+rew = sdym.SdymRewriter(2)
 m0, m1, m2 = sdym.lambda_expand(2)
 print("\nk = 2: residuals normalize to zero:",
       all(rew.normalize(e).is_zero() for m in (m0, m1, m2) for row in m for e in row))
-deep = jet(chart.alpha(4, 1, 2), (1, 1, 3))
+deep = jet(sdym.alpha(2, 4, 1, 2), (1, 1, 3))
 print("a deep reducible jet, normalized, has %d terms"
       % len(rew.normalize(deep + 0 * deep).terms))
 
@@ -39,12 +38,12 @@ print("\nflat for symbolic lam:", flatrep.check_flat_rep(rep.spec).verdict)
 res = flatrep.infinitesimal_deformation(rep.spec, param("lam"))
 print("lam-family cocycle closed:", res.report.verdict)
 
-pool = [x(i) for i in (1, 2, 3, 4)] + [chart.w(p) for p in (1, 2)]
-for alpha in range(1, chart.m + 1):
+pool = [x(i) for i in (1, 2, 3, 4)] + [y(p) for p in (1, 2)]
+for alpha in range(1, rew.m + 1):
     pool.append(jet(alpha, ()))
     for d in (1, 2, 3, 4):
         s = jet(alpha, (d,))
-        if not rep.scheme.rewriter.reducible(s):
+        if not rep.scheme.reducible(s):
             pool.append(s)
 witness = flatrep.exactness_test(res.base, res.cocycle, AnsatzSpec(tuple(pool), 2))
 print("exact at w-degree <= 2, jet order <= 1:",

@@ -257,15 +257,9 @@ def infinitesimal_deformation(
     for key, e in family.coeffs.items():
         add_term(cocycle, key, e.subs({p: base_point + eps}).coefficient(eps, 1))
     base = family if at is None else family.subs({p: Expr.wrap(Fraction(at))})
-    residuals = du_cochain1(base, cocycle)
-    report = Report(
-        task="deformation",
-        verdict=PASS if not residuals else FAIL,
-        residuals=[render(e) for e in residuals.values()] or ["0"],
-    )
-    if residuals:  # pragma: no cover - guaranteed by the flatness identity
+    if du_cochain1(base, cocycle):  # pragma: no cover - guaranteed by the flatness identity
         raise AssertionError("deformation cocycle is not closed")
-    return DeformationResult(base=base, cocycle=cocycle, report=report)
+    return DeformationResult(base=base, cocycle=cocycle, report=Report("deformation", PASS, ["0"]))
 
 
 def exactness_test(

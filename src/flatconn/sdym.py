@@ -4,14 +4,16 @@ gauge symmetries, and the exactness identity for their cocycles.
 
 The unknowns are four g-valued functions A_1..A_4 on R^4 with g the full
 k-by-k matrix algebra; entry (p, q) of A_i is the jet dependent with family
-index ((i-1)k + (p-1))k + q over the free chart FreeJet(4, 4k^2).  The
-system, read off the coefficients of 1, lambda, lambda^2 in the Lax
-condition, orients three rewrite rules that eliminate d1(A2), d1(A4) and
-d3(A4); a fourth, derived from their critical pair, eliminates d1 d4(A3).
-Each rewriter certifies at construction that its ranking is compatible and
-decreasing and that its critical pairs normalize to 0, so normal forms are
-unique; internal coordinates are the normal-form jets, and the internal
-total derivative normalizes through the rules.
+index alpha(k, i, p, q) = ((i-1)k + (p-1))k + q over the free chart
+FreeJet(4, 4k^2), and the fiber coordinate w_p is y(p).  The system, read
+off the coefficients of 1, lambda, lambda^2 in the Lax condition, orients
+three rewrite rules that eliminate d1(A2), d1(A4) and d3(A4); a fourth,
+derived from their critical pair, eliminates d1 d4(A3).  One immutable
+:class:`SdymRewriter` per k holds the rule table and is the scheme of
+internal coordinates: it certifies at construction that its ranking is
+compatible and decreasing and that its critical pairs normalize to 0, so
+normal forms are unique; internal coordinates are the normal-form jets,
+and its total derivative normalizes through the rules.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 
 from .expr import Expr, KIND_INDEP, KIND_JET, KIND_PARAM, ONE, Symbol, ZERO, jet, param, render, x, y
 from .jets import (
-    DerivScheme, Extended, FreeJet, Frozen, d_sigma, evolutionary_apply, total_derivative)
+    DerivScheme, Extended, FreeJet, d_sigma, evolutionary_apply, total_derivative)
 from .flatrep import FlatRepSpec, du_vertical, symmetry_cocycle
 from .reports import FAIL, PASS, Report
 
 __all__ = [
-    "MatChart", "SdymRewriter", "SdymScheme", "SdymRep",
+    "SdymRewriter", "SdymRep", "alpha", "family", "matrix",
     "lambda_expand", "build_flatrep", "gauge_symmetry",
     "gauge_symmetry_residuals", "verify_ugh", "sigma_field",
     "mat_add", "mat_sub", "mat_mul", "mat_bracket", "mat_map", "mat_is_zero",
@@ -39,38 +41,24 @@ if TYPE_CHECKING:
     Matrix = List[List[Expr]]
 
 
-class MatChart:
-    """Size-k matrix chart: 4 k^2 dependents over x_1..x_4, fibers w_1..w_k."""
+def alpha(k: int, i: int, p: int, q: int) -> int:
+    """Family index of the entry A_i[p, q] in the size-k chart."""
+    if not (1 <= i <= 4 and 1 <= p <= k and 1 <= q <= k):
+        raise ValueError("entry A_%d[%d,%d] outside the chart" % (i, p, q))
+    return ((i - 1) * k + (p - 1)) * k + q
 
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("need k >= 1")
-        self.k = k
-        self.m = 4 * k * k
 
-    def alpha(self, i: int, p: int, q: int) -> int:
-        if not (1 <= i <= 4 and 1 <= p <= self.k and 1 <= q <= self.k):
-            raise ValueError("entry A_%d[%d,%d] outside the chart" % (i, p, q))
-        return ((i - 1) * self.k + (p - 1)) * self.k + q
+def family(k: int, index: int) -> Tuple[int, int, int]:
+    """(i, p, q) of the family index ``index`` in the size-k chart."""
+    a, q = divmod(index - 1, k)
+    i, p = divmod(a, k)
+    return i + 1, p + 1, q + 1
 
-    def family(self, alpha: int) -> Tuple[int, int, int]:
-        a, q = divmod(alpha - 1, self.k)
-        i, p = divmod(a, self.k)
-        return i + 1, p + 1, q + 1
 
-    def entry(self, i: int, p: int, q: int, sigma: Tuple[int, ...] = ()) -> Symbol:
-        return jet(self.alpha(i, p, q), sigma)
-
-    def matrix(self, i: int, sigma: Tuple[int, ...] = ()) -> Matrix:
-        return [
-            [Expr.wrap(self.entry(i, p, q, sigma)) for q in range(1, self.k + 1)]
-            for p in range(1, self.k + 1)
-        ]
-
-    def w(self, p: int) -> Symbol:
-        if not 1 <= p <= self.k:
-            raise ValueError("fiber index %d outside 1..%d" % (p, self.k))
-        return y(p)
+def matrix(k: int, i: int, sigma: Tuple[int, ...] = ()) -> Matrix:
+    """The matrix d_sigma A_i of jet symbols."""
+    return [[Expr.wrap(jet(alpha(k, i, p, q), sigma)) for q in range(1, k + 1)]
+            for p in range(1, k + 1)]
 
 
 # ---- small exact matrix algebra over Expr -------------------------------------------
@@ -103,16 +91,10 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(e.is_zero() for row in a for e in row)
 
 
-def sigma_field(chart: MatChart, m: Matrix) -> Dict[int, Expr]:
-    """The action sigma(X) = - sum X_{pq} w_q d/dw_p as fiber components
-    {p: sigma(X)(w_p)}; the sign makes sigma a Lie algebra homomorphism."""
-    out = {}
-    for p in range(1, chart.k + 1):
-        acc = ZERO
-        for q in range(1, chart.k + 1):
-            acc = acc - m[p - 1][q - 1] * chart.w(q)
-        out[p] = acc
-    return out
+def sigma_field(m: Matrix) -> Dict[int, Expr]:
+    """The action sigma(X) = - sum X_{pq} w_q d/dw_p, w_q = y(q), as fiber
+    components {p: sigma(X)(w_p)}; the sign makes sigma a Lie algebra homomorphism."""
+    return {p: -sum((e * y(q) for q, e in enumerate(row, 1)), ZERO) for p, row in enumerate(m, 1)}
 
 
 def _divide(sigma: Sequence[int], mu: Sequence[int]) -> Optional[Tuple[int, ...]]:
@@ -125,9 +107,15 @@ def _divide(sigma: Sequence[int], mu: Sequence[int]) -> Optional[Tuple[int, ...]
     return tuple(rest)
 
 
-class SdymRewriter(Frozen):
-    """One rule table, (family i, sorted multi-index mu) -> matrix R in
-    firing order: the jet d_mu A_i[p, q] rewrites to R[p][q].
+class SdymRewriter(DerivScheme):
+    """The SDYM system for one k: its rule table and its internal
+    coordinates, the normal-form jets, with the total derivative composed
+    with normalization.  Immutable: it owns k, the lambda coefficients
+    ``lax``, the read-only rule table and the memos of normal forms and of
+    D_sigma, and refuses assignment to every field.
+
+    The table maps (family i, sorted multi-index mu) -> matrix R in firing
+    order: the jet d_mu A_i[p, q] rewrites to R[p][q].
 
     d1 A2 -> d2 A1 - [A1, A2]
     d1 A4 -> d4 A1 + d2 A3 - d3 A2 - [A1, A4] - [A3, A2]
@@ -154,24 +142,25 @@ class SdymRewriter(Frozen):
     checks make normal forms unique, whatever the firing order.
     """
 
-    def __init__(self, chart: MatChart):
-        lax = lambda_expand(chart.k)
-        rules = {(2, (1,)): mat_sub(chart.matrix(2, (1,)), lax[0]),
-                 (4, (1,)): mat_sub(chart.matrix(4, (1,)), lax[1]),
-                 (4, (3,)): mat_sub(chart.matrix(4, (3,)), lax[2])}
-        draft = SdymRewriter._uncertified(chart, lax, rules)
+    def __init__(self, k: int):
+        lax = lambda_expand(k)
+        rules = {(2, (1,)): mat_sub(matrix(k, 2, (1,)), lax[0]),
+                 (4, (1,)): mat_sub(matrix(k, 4, (1,)), lax[1]),
+                 (4, (3,)): mat_sub(matrix(k, 4, (3,)), lax[2])}
+        draft = SdymRewriter._uncertified(k, lax, rules)
         # d3(rule 4,1) - d1(rule 4,3) is -d1 d4 A3 + normal forms: solve it
         (pair,) = draft._pairs()
-        rules[(3, (1, 4))] = mat_add(chart.matrix(3, (1, 4)), pair)
-        self._put(chart=chart, free=draft.free, lax=lax, rules=MappingProxyType(rules), _nf={})
+        rules[(3, (1, 4))] = mat_add(matrix(k, 3, (1, 4)), pair)
+        self._put(k=k, m=draft.m, ndirs=4, free=draft.free, lax=lax,
+                  rules=MappingProxyType(rules), _nf={}, _dsigma={})
         self._certify()
 
     @classmethod
-    def _uncertified(cls, chart: MatChart, lax, rules) -> SdymRewriter:
+    def _uncertified(cls, k: int, lax, rules) -> SdymRewriter:
         """A rewriter on a copy of ``rules``, not yet certified."""
         self = cls.__new__(cls)
-        self._put(chart=chart, free=FreeJet(4, chart.m), lax=lax,
-                  rules=MappingProxyType(dict(rules)), _nf={})
+        self._put(k=k, m=4 * k * k, ndirs=4, free=FreeJet(4, 4 * k * k), lax=lax,
+                  rules=MappingProxyType(dict(rules)), _nf={}, _dsigma={})
         return self
 
     def _pairs(self) -> List[Matrix]:
@@ -180,7 +169,7 @@ class SdymRewriter(Frozen):
         rank = lambda i, sigma: (len(sigma), sigma.count(1), i)
         for (i, mu), r in self.rules.items():
             for s in (s for row in r for e in row for s in e.symbols() if s.kind == KIND_JET):
-                if rank(self.chart.family(s.index)[0], s.sigma) >= rank(i, mu):
+                if rank(family(self.k, s.index)[0], s.sigma) >= rank(i, mu):
                     raise AssertionError("rule %r does not lower the rank: %s" % ((i, mu), render(s)))
         out = []
         items = list(self.rules.items())
@@ -200,9 +189,9 @@ class SdymRewriter(Frozen):
     def _match(self, s: Symbol) -> Optional[Tuple[Matrix, Tuple[int, ...]]]:
         """The first rule that rewrites ``s``: its R and sigma - mu."""
         if s.kind == KIND_JET:
-            family = self.chart.family(s.index)[0]
+            fam = family(self.k, s.index)[0]
             for (i, mu), r in self.rules.items():
-                rest = _divide(s.sigma, mu) if i == family else None
+                rest = _divide(s.sigma, mu) if i == fam else None
                 if rest is not None:
                     return r, rest
         return None
@@ -215,7 +204,7 @@ class SdymRewriter(Frozen):
         got = self._nf.get(s)
         if got is None:
             r, rest = self._match(s)
-            _, p, q = self.chart.family(s.index)
+            _, p, q = family(self.k, s.index)
             got = self._nf[s] = self.normalize(d_sigma(self.free, rest, r[p - 1][q - 1]))
         return got
 
@@ -223,14 +212,6 @@ class SdymRewriter(Frozen):
         e = Expr.wrap(e)
         bindings = {s: self.normal_symbol(s) for s in e.symbols() if self.reducible(s)}
         return e.subs(bindings) if bindings else e
-
-
-class SdymScheme(DerivScheme):
-    """Internal coordinates of the SDYM system: normal-form jets with the
-    total derivative composed with normalization."""
-
-    def __init__(self, chart: MatChart):
-        self._put(chart=chart, rewriter=SdymRewriter(chart), ndirs=4, m=chart.m, _dsigma={})
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)
@@ -241,12 +222,10 @@ class SdymScheme(DerivScheme):
         if s.kind == KIND_JET:
             if s.index > self.m:
                 raise ValueError("jet %s outside the matrix chart" % render(s))
-            if self.rewriter.reducible(s):
+            if self.reducible(s):
                 raise ValueError("%s is not an internal coordinate" % render(s))
             up = jet(s.index, s.sigma + (i,))
-            if self.rewriter.reducible(up):
-                return self.rewriter.normal_symbol(up)
-            return Expr.wrap(up)
+            return self.normal_symbol(up) if self.reducible(up) else Expr.wrap(up)
         if s.kind == KIND_INDEP:
             if s.index > 4:
                 raise ValueError("independent %s outside the chart" % render(s))
@@ -258,19 +237,14 @@ class SdymScheme(DerivScheme):
     def rules_mention(self, s: Symbol) -> bool:
         return s.kind == KIND_JET
 
-    def internal_matrix(self, m: Matrix) -> Matrix:
-        return mat_map(m, self.rewriter.normalize)
-
-    def d_matrix(self, i: int, m: Matrix) -> Matrix:
-        return mat_map(m, lambda e: total_derivative(self, i, e))
-
 
 def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:
     """Coefficient matrices of lambda^0, lambda^1, lambda^2 in the Lax
     condition [d1 + A1 + lam (d3 + A3), d2 + A2 + lam (d4 + A4)] = 0."""
-    chart = MatChart(k)
-    free = FreeJet(4, chart.m)
-    a1, a2, a3, a4 = (chart.matrix(i) for i in (1, 2, 3, 4))
+    if k < 1:
+        raise ValueError("need k >= 1")
+    free = FreeJet(4, 4 * k * k)
+    a1, a2, a3, a4 = (matrix(k, i) for i in (1, 2, 3, 4))
     d = lambda j, m: mat_map(m, lambda e: total_derivative(free, j, e))
     m0 = mat_add(mat_sub(d(1, a2), d(2, a1)), mat_bracket(a1, a2))
     m1 = mat_add(mat_sub(mat_add(d(1, a4), d(3, a2)), mat_add(d(4, a1), d(2, a3))),
@@ -281,8 +255,7 @@ def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:
 
 @dataclass
 class SdymRep:
-    chart: MatChart
-    scheme: SdymScheme
+    scheme: SdymRewriter
     spec: FlatRepSpec
     lam: Expr  # the parameter as used in the coefficients (symbol or constant)
 
@@ -294,57 +267,52 @@ def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> SdymRep:
     (resp. lam D_4) and sigma(A_i + lam A_{i+2}) to D_1 (resp. D_2).
     ``lam0`` fixes the parameter to a rational; None keeps it symbolic.
     """
-    chart = MatChart(k)
-    scheme = SdymScheme(chart)
-    ext = Extended(scheme, tuple(chart.w(p) for p in range(1, k + 1)))
+    scheme = SdymRewriter(k)
+    ext = Extended(scheme, tuple(y(p) for p in range(1, k + 1)))
     lam = Expr.wrap(param("lam")) if lam0 is None else Expr.wrap(Fraction(lam0))
     coeffs: Dict[Tuple[int, int], Expr] = {(1, 3): lam, (2, 4): lam}
     for i in (1, 2):
-        m = mat_add(chart.matrix(i), mat_map(chart.matrix(i + 2), lambda e: lam * e))
-        vert = sigma_field(chart, m)
-        for p in range(1, k + 1):
-            coeffs[(i, 4 + p)] = vert[p]
+        m = mat_add(matrix(k, i), mat_map(matrix(k, i + 2), lambda e: lam * e))
+        for p, e in sigma_field(m).items():
+            coeffs[(i, 4 + p)] = e
     spec = FlatRepSpec(scheme=ext, base_dirs=(1, 2),
                        fiber_dirs=(3, 4) + tuple(range(5, 5 + k)), coeffs=coeffs)
-    return SdymRep(chart=chart, scheme=scheme, spec=spec, lam=lam)
+    return SdymRep(scheme=scheme, spec=spec, lam=lam)
 
 
-def gauge_symmetry(scheme: SdymScheme, h: Matrix) -> List[Expr]:
+def gauge_symmetry(scheme: SdymRewriter, h: Matrix) -> List[Expr]:
     """Characteristics of the generalized gauge symmetry G_H(A_i) =
-    D_i(H) - [H, A_i], flattened per dependent family index."""
-    chart = scheme.chart
-    h = scheme.internal_matrix(h)
-    phi = [ZERO] * chart.m
+    D_i(H) - [H, A_i], flattened in family-index order (i, p, q)."""
+    h = mat_map(h, scheme.normalize)
+    phi: List[Expr] = []
     for i in range(1, 5):
-        g = mat_sub(scheme.d_matrix(i, h), mat_bracket(h, chart.matrix(i)))
-        for p in range(1, chart.k + 1):
-            for q in range(1, chart.k + 1):
-                phi[chart.alpha(i, p, q) - 1] = g[p - 1][q - 1]
+        g = mat_sub(mat_map(h, lambda e: total_derivative(scheme, i, e)),
+                    mat_bracket(h, matrix(scheme.k, i)))
+        phi += [e for row in g for e in row]
     return phi
 
 
-def gauge_symmetry_residuals(scheme: SdymScheme, phi: Sequence[Expr]) -> List[Matrix]:
+def gauge_symmetry_residuals(scheme: SdymRewriter, phi: Sequence[Expr]) -> List[Matrix]:
     """Residuals of the linearized lambda-coefficient equations, normalized.
 
     Zero for every characteristic of an SDYM symmetry; this is where the
     rewriter genuinely works (the raw linearization does not vanish on the
     free chart when H depends on jets).
     """
-    rew = scheme.rewriter
     out = []
-    for m in rew.lax:
-        lin = mat_map(m, lambda e: evolutionary_apply(rew.free, list(phi), e))
-        out.append(mat_map(lin, rew.normalize))
+    for m in scheme.lax:
+        lin = mat_map(m, lambda e: evolutionary_apply(scheme.free, list(phi), e))
+        out.append(mat_map(lin, scheme.normalize))
     return out
 
 
-def _resolve_h(chart: MatChart, h: Union[str, Matrix]) -> Matrix:
+def _resolve_h(k: int, h: Union[str, Matrix]) -> Matrix:
     if isinstance(h, str):
         if h == "const":
-            return [[Expr.wrap(Fraction(p + chart.k * (q - 1))) for q in range(1, chart.k + 1)]
-                    for p in range(1, chart.k + 1)]
+            return [[Expr.wrap(Fraction(p + k * (q - 1))) for q in range(1, k + 1)]
+                    for p in range(1, k + 1)]
         if h == "a1":
-            return chart.matrix(1)
+            return matrix(k, 1)
         raise ValueError("unknown H choice %r (use 'const', 'a1', or a matrix)" % h)
     return [[Expr.wrap(e) for e in row] for row in h]
 
@@ -354,12 +322,12 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
     [[Ubar_F, G_H]] + [[Ubar_F, sigma(H)]] = 0 for symbolic lambda.
 
     ``witness='square'`` replaces sigma(H) by a non-gauge vertical field (the
-    componentwise-square action), which breaks the identity; used as the
-    planted counterexample.
+    componentwise-square action, w_q -> w_q^2 in sigma(H)), which breaks the
+    identity; used as the planted counterexample.
     """
     rep = build_flatrep(k, None)
-    chart, scheme, spec = rep.chart, rep.scheme, rep.spec
-    hm = _resolve_h(chart, h)
+    scheme, spec = rep.scheme, rep.spec
+    hm = _resolve_h(k, h)
     phi = gauge_symmetry(scheme, hm)
     residuals: List[str] = []
     ok = True
@@ -367,17 +335,15 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
         residuals.append(render(e))
         ok = ok and e.is_zero()
     cocycle = symmetry_cocycle(spec, phi, check=False)
-    vert: Dict[int, Expr] = {3: ZERO, 4: ZERO}
-    for p in range(1, chart.k + 1):
-        acc = ZERO
-        for q in range(1, chart.k + 1):
-            wq = Expr.wrap(chart.w(q))
-            acc = acc - hm[p - 1][q - 1] * (wq if witness == "sigma" else wq ** 2)
-        vert[4 + p] = acc
-    trivial = du_vertical(spec, vert)
+    # H passed gauge_symmetry, which refuses fiber symbols: w_q is only the factor
+    vert = {4 + p: e for p, e in sigma_field(hm).items()}
+    if witness != "sigma":
+        square = {y(q): Expr.wrap(y(q)) ** 2 for q in range(1, k + 1)}
+        vert = {d: e.subs(square) for d, e in vert.items()}
+    trivial = du_vertical(spec, {3: ZERO, 4: ZERO, **vert})
     for i in spec.base_dirs:
         for d in spec.fiber_dirs:
-            diff = scheme.rewriter.normalize(cocycle.get((i, d), ZERO) + trivial.get((i, d), ZERO))
+            diff = scheme.normalize(cocycle.get((i, d), ZERO) + trivial.get((i, d), ZERO))
             residuals.append(render(diff))
             ok = ok and diff.is_zero()
     return Report(task="sdym-ugh", verdict=PASS if ok else FAIL, residuals=residuals)

@@ -308,7 +308,7 @@ def test_internal_faults_exit_3(monkeypatch, capsys):
         # a third-order jet in the lambda^2 coefficient: the rule on d3 A4
         # no longer lowers the rank
         m0, m1, m2 = expand(k)
-        return m0, m1, sdym.mat_add(m2, sdym.MatChart(k).matrix(4, (1, 1, 4)))
+        return m0, m1, sdym.mat_add(m2, sdym.matrix(k, 4, (1, 1, 4)))
 
     monkeypatch.setattr(sdym, "lambda_expand", bent)
     monkeypatch.setattr(kdv, "is_symmetry_evolution",

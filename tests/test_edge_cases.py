@@ -101,14 +101,13 @@ def test_memo_owners_refuse_assignment():
     free = FreeJet(2, 1)
     evo = Evolution(1, [Expr.wrap(jet(1, (1, 1)))])
     ext = Extended(evo, (y(1),))
-    scheme = sdym.SdymScheme(sdym.MatChart(1))
-    rewriter = scheme.rewriter
+    rewriter = sdym.SdymRewriter(1)
     chart = fce.FcChart(2, 1)
     spec = flatrep.FlatRepSpec(ext, (1, 2), (3,), {(1, 3): Expr.wrap(y(1))})
     cochain = fce.cochain0(chart, [Expr.wrap(v(1))])
     cases = [
         (free, "m", 2), (evo, "rhs", (ZERO,)), (ext, "base", free),
-        (scheme, "rewriter", None), (rewriter, "rules", {}), (rewriter, "_nf", {}),
+        (rewriter, "k", 2), (rewriter, "rules", {}), (rewriter, "_nf", {}),
         (chart, "m", 2), (spec, "coeffs", {}), (cochain, "data", (ZERO,)),
     ]
     for obj, name, value in cases:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -39,6 +40,16 @@ def test_no_module_imports_a_name_it_never_uses():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += ["%s:%d %s" % (path.name, line, name) for line, name in _unused_imports(tree)]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_every_exported_name_resolves():
+    # A stale name in __all__ breaks `from flatconn.<module> import *` only.
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "flatconn" if path.stem == "__init__" else "flatconn." + path.stem
+        mod = importlib.import_module(name)
+        missing += ["%s.%s" % (name, n) for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing, "unresolved exports: " + ", ".join(missing)
 
 
 def test_scan_sees_unused_names_and_reexports():
