@@ -145,17 +145,18 @@ def _total_symbol(chart: FcChart, i: int, s: Symbol) -> Expr:
         return ONE if s.index == i else ZERO
     if k == KIND_PARAM:
         return ZERO
-    if k == KIND_BASEFIBER:
-        return Expr.wrap(fc(s.index, (i,), ()))
-    if not s.aa:
-        return Expr.wrap(fc(s.index, s.ii + (i,), ()))
     got = chart._total_memo.get((s, i))
     if got is not None:
         return got
-    beta, rest = s.aa[0], s.aa[1:]
-    out = _fc_vertical(chart, beta, _total_symbol(chart, i, fc(s.index, s.ii, rest)))
-    for gamma in range(1, chart.m + 1):
-        out = out - fc(gamma, (i,), (beta,)) * fc(s.index, s.ii, tuple(sorted(rest + (gamma,))))
+    if k == KIND_BASEFIBER:
+        out = Expr.wrap(fc(s.index, (i,), ()))
+    elif not s.aa:
+        out = Expr.wrap(fc(s.index, s.ii + (i,), ()))
+    else:
+        beta, rest = s.aa[0], s.aa[1:]
+        out = _fc_vertical(chart, beta, _total_symbol(chart, i, fc(s.index, s.ii, rest)))
+        for gamma in range(1, chart.m + 1):
+            out = out - fc(gamma, (i,), (beta,)) * fc(s.index, s.ii, tuple(sorted(rest + (gamma,))))
     chart._total_memo[(s, i)] = out
     return out
 

@@ -22,14 +22,17 @@ E_fc, and ``flatrep.du_vertical``/``du_cochain1`` the d_U of any phi.
 :func:`cochain_preimage` is its bounded inverse in degree 0, the one place
 where an ansatz system is built and solved: ``flatrep.exactness_test`` (and
 ``lift_symmetry`` through it) asks it whether a cocycle of phi is exact, and
-``fce.recover_f`` asks it for the f of a symmetry of E_fc.  Every signed
-sparse sum of the package goes through :func:`add_term`.
+``fce.recover_f`` asks it for the f of a symmetry of E_fc.  It builds the
+images of the ansatz basis once per monomial (F_i(mu) is shared by every
+fiber, and mu times a twist value is a shift of its monomials), and checks
+every answer by re-substituting it through :func:`cochain_differential`.
+Every signed sparse sum of the package goes through :func:`add_term`.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, ONE, Symbol, ZERO,
@@ -121,32 +124,65 @@ def cochain_preimage(
     the ansatz holds none (bounded-no).
 
     The unknowns are the coefficients of the basis mu e_a, a over ``fibers``
-    and mu over the ansatz monomials; a returned answer has been
-    re-substituted and checked against ``target`` exactly.
+    and mu over the ansatz monomials, in that order (a outer, mu inner).
+    The images d(mu e_a) are built once per monomial by :func:`_basis_images`;
+    a returned answer has been re-substituted through
+    :func:`cochain_differential` and checked against ``target`` exactly.
     """
     monos = ansatz.monomials()
-    basis = [(a, mu) for a in fibers for mu in monos]
     keys = [((i,), a) for i in directions for a in fibers]
-
-    def d(cochain0):
-        return cochain_differential(
-            ((((), a), f) for a, f in cochain0), directions, horizontal, twist)
-
-    images = []
-    for a, mu in basis:
-        img = d([(a, mu)])
-        images.append([img.get(k, ZERO) for k in keys])
+    images = _basis_images(directions, fibers, horizontal, twist, monos)
     coeffs = solve_by_superposition(images, [target.get(k, ZERO) for k in keys])
     if coeffs is None:
         return None
     out = {a: ZERO for a in fibers}
+    basis = ((a, mu) for a in fibers for mu in monos)
     for (a, mu), q in zip(basis, coeffs):
         if q:
             out[a] = out[a] + q * mu
-    back = d(out.items())
+    back = cochain_differential(
+        ((((), a), f) for a, f in out.items()), directions, horizontal, twist)
     if any(back.get(k, ZERO) != target.get(k, ZERO) for k in set(back) | set(target)):
         raise AssertionError("cochain preimage fails verification")  # pragma: no cover
     return out
+
+
+def _basis_images(
+    directions: Sequence[int], fibers: Sequence[int],
+    horizontal: Callable[[int, Expr], Expr],
+    twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
+    monos: Sequence[Expr],
+) -> List[List[Expr]]:
+    """The components ((i,), b), i outer and b inner, of
+    d(mu e_a) = sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b)
+    for every fiber a and monomial mu, in slot ``a_pos * len(monos) + k`` for
+    mu = monos[k].
+
+    F_i(mu) does not depend on a, so it is computed once per (i, mu) and
+    shared by all fibers.  The twist values are negated once per call, and
+    mu times one of them only shifts its monomials (:meth:`Expr.shift`); the
+    one sum is F_i(mu) plus the twist part in component (i, a).
+    """
+    neg: Dict[Tuple[int, int], Dict[int, Expr]] = {}
+    for i in directions:
+        for a in fibers:
+            acc = neg[(i, a)] = {}
+            for b, t in twist.get((i, a), ()):
+                add_term(acc, b, t, -1)
+    n = len(monos)
+    images: List[List[Expr]] = [[] for _ in range(len(fibers) * n)]
+    for k, mu in enumerate(monos):
+        (mono,) = mu.terms
+        hs = [(i, horizontal(i, mu)) for i in directions]
+        for pos, a in enumerate(fibers):
+            comps = images[pos * n + k]
+            for i, h in hs:
+                row = neg[(i, a)]
+                for b in fibers:
+                    t = row.get(b)
+                    part = ZERO if t is None else t.shift(mono)
+                    comps.append(h + part if b == a else part)
+    return images
 
 
 class Frozen:

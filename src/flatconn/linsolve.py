@@ -4,14 +4,15 @@ The exactness, lifting and recovery questions in this package reduce to: does
 a linear operator equation have a polynomial solution whose monomials come
 from a declared finite pool?  An :class:`AnsatzSpec` fixes the pool (allowed
 symbols and a total-degree cap).  ``jets.cochain_preimage`` applies the
-operator, the degree-0 cochain differential, to every basis element of the
-pool; :func:`solve_by_superposition` finds the rational combination of those
-images that equals the target: the images are keyed by (component, monomial)
-into sparse rows over Q, and :func:`solve_linear` solves them exactly.  Most
-rows pin one unknown at 0: it propagates those pins until none is new, then
-runs one Gaussian elimination on what is left, with no split into blocks.
-Rows go in unsorted: the pivot columns are the leading columns of the row
-space, so only the column (basis) order fixes a solution.
+operator, the degree-0 cochain differential, to every basis element mu e_a
+of the pool, once per monomial mu and in the column order (fiber a outer,
+mu inner); :func:`solve_by_superposition` finds the rational combination of
+those images that equals the target: the images are keyed by (component,
+monomial) into sparse rows over Q, and :func:`solve_linear` solves them
+exactly.  Most rows pin one unknown at 0: it propagates those pins until
+none is new, then runs one Gaussian elimination on what is left, with no
+split into blocks.  Rows go in unsorted: the pivot columns are the leading
+columns of the row space, so only the column (basis) order fixes a solution.
 
 A "no solution" answer is always relative to the ansatz (bounded-no).
 """

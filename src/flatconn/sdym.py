@@ -323,8 +323,11 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
 
     ``witness='square'`` replaces sigma(H) by a non-gauge vertical field (the
     componentwise-square action, w_q -> w_q^2 in sigma(H)), which breaks the
-    identity; used as the planted counterexample.
+    identity; used as the planted counterexample.  Any other ``witness`` is
+    refused with ``ValueError``.
     """
+    if witness not in ("sigma", "square"):
+        raise ValueError("witness must be 'sigma' or 'square', got %r" % (witness,))
     rep = build_flatrep(k, None)
     scheme, spec = rep.scheme, rep.spec
     hm = _resolve_h(k, h)
@@ -337,7 +340,7 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
     cocycle = symmetry_cocycle(spec, phi, check=False)
     # H passed gauge_symmetry, which refuses fiber symbols: w_q is only the factor
     vert = {4 + p: e for p, e in sigma_field(hm).items()}
-    if witness != "sigma":
+    if witness == "square":
         square = {y(q): Expr.wrap(y(q)) ** 2 for q in range(1, k + 1)}
         vert = {d: e.subs(square) for d, e in vert.items()}
     trivial = du_vertical(spec, {3: ZERO, 4: ZERO, **vert})

@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property tests."""
+"""Seeded random generators shared by the property tests, and a spy on the
+ansatz solver."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 from fractions import Fraction
 
 from flatconn.expr import KIND_FC, ZERO, Expr, const, fc, jet, v, x
+from flatconn import jets, linsolve
 from flatconn.jets import d_sigma, sort_with_sign
 
 
@@ -160,3 +162,34 @@ def fc_pool(n, m, max_i=1, max_a=1):
 
 def spatial_jets(m, max_order):
     return [jet(a, (1,) * k) for a in range(1, m + 1) for k in range(max_order + 1)]
+
+
+def spy_solver(monkeypatch) -> list:
+    """Record every ansatz solve of ``jets.cochain_preimage`` as a dict:
+    ``unknowns``; ``rows`` and ``nnz`` handed to ``solve_linear``; ``left``,
+    the (rows, columns) that reach elimination after pin propagation, or
+    None when propagation alone decides; and ``none``, whether the answer
+    is bounded-no."""
+    log = []
+    solve, linear, eliminate = (
+        jets.solve_by_superposition, linsolve.solve_linear, linsolve._eliminate)
+
+    def spy_solve(images, target):
+        rec = {"unknowns": len(images), "left": None}
+        log.append(rec)
+        got = solve(images, target)
+        rec["none"] = got is None
+        return got
+
+    def spy_linear(rows):
+        log[-1].update(rows=len(rows), nnz=sum(len(c) for c, _ in rows))
+        return linear(rows)
+
+    def spy_eliminate(rows):
+        log[-1]["left"] = (len(rows), len({j for c, _ in rows for j in c}))
+        return eliminate(rows)
+
+    monkeypatch.setattr(jets, "solve_by_superposition", spy_solve)
+    monkeypatch.setattr(linsolve, "solve_linear", spy_linear)
+    monkeypatch.setattr(linsolve, "_eliminate", spy_eliminate)
+    return log

@@ -18,7 +18,7 @@ from flatconn.linsolve import AnsatzSpec
 from flatconn import fce, flatrep, sdym
 from flatconn.kdv import build_kdv, miura_at
 from flatconn.vforms import connection_forms
-from helpers import fc_pool, fc_symbols, rand_expr
+from helpers import fc_pool, fc_symbols, rand_expr, spy_solver
 
 
 @contextmanager
@@ -179,7 +179,8 @@ def test_criterion_7_lifting_verdicts():
             spec1, [kdv.symmetries["scaling"]], _pinned(False)) is None
 
 
-def test_criterion_8_sdym():
+def test_criterion_8_sdym(monkeypatch):
+    log = spy_solver(monkeypatch)
     with criterion(8, "SDYM: expansion, exactness identity, essential parameter", 300):
         m0, m1, m2 = sdym.lambda_expand(2)
         assert all(not sdym.mat_is_zero(m) for m in (m0, m1, m2))
@@ -197,6 +198,9 @@ def test_criterion_8_sdym():
                     pool.append(s)
         ansatz = AnsatzSpec(symbols=tuple(pool), degree=2)
         assert flatrep.exactness_test(res.base, res.cocycle, ansatz) is None
+    # The system the bounded-no rests on; pin propagation alone decides it.
+    assert log == [{"unknowns": 11400, "rows": 374290, "nnz": 432100,
+                    "left": None, "none": True}]
 
 
 def test_criterion_9_lie_subalgebra():

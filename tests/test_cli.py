@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from flatconn.cli import run
+from helpers import spy_solver
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -109,6 +110,21 @@ def test_kdv_lift_galilean_bounded_no(prob, capsys):
     rep = _json_report(capsys)
     assert code == 1
     assert rep["verdict"] == "bounded-no"
+
+
+@pytest.mark.parametrize("argv, code, solve", [
+    # Pin propagation alone finds the bounded-no: nothing reaches elimination.
+    (["galilean", "--lambda", "1"], 1,
+     {"unknowns": 330, "rows": 1998, "nnz": 3626, "left": None, "none": True}),
+    (["x-translation"], 0,
+     {"unknowns": 495, "rows": 3189, "nnz": 5152, "left": (11, 3), "none": False}),
+])
+def test_kdv_lift_solver_counts(monkeypatch, argv, code, solve):
+    # The system each lift builds, counted at the solver: a change to how the
+    # basis images are built must leave every count as it is.
+    log = spy_solver(monkeypatch)
+    assert run(["kdv-lift"] + argv + ["--json"]) == code
+    assert log == [solve]
 
 
 def test_kdv_verify(prob, capsys):

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from flatconn.expr import Expr, const, jet, param, render, v, x, y, ZERO
+from flatconn import fce, sdym
+from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO
 from flatconn.jets import (
-    DirectionError, Evolution, Extended, FreeJet, HForm, d_h, d_sigma,
-    evolutionary_apply, is_symmetry_evolution, total_derivative,
+    DirectionError, Evolution, Extended, FreeJet, HForm, _basis_images,
+    cochain_differential, d_h, d_sigma, evolutionary_apply, is_symmetry_evolution,
+    total_derivative,
 )
+from flatconn.kdv import build_kdv
+from flatconn.linsolve import AnsatzSpec
 from helpers import rand_expr, spatial_jets
 
 
@@ -164,3 +168,37 @@ def test_hform_sign_normalization():
     b = HForm(kdv, 2, {(1, 2): -Expr.wrap(u(0))})
     assert a == b
     assert HForm(kdv, 2, {(1, 1): Expr.wrap(u(0))}).is_zero()
+
+
+def _preimage_problems():
+    """(name, directions, fibers, horizontal, twist, pool) of three degree-0
+    inverse problems, each with a nonzero twist."""
+    chart = fce.FcChart(2, 2)
+    yield ("fc(2,2)", range(1, 3), range(1, 3),
+           lambda i, e: fce.fc_total(chart, i, e), chart.twist,
+           AnsatzSpec((x(1), v(1), v(2), fc(1, (2,)), fc(2, (1,), (2,))), 2))
+    miura = build_kdv().miura
+    yield ("miura", miura.base_dirs, miura.fiber_dirs, miura.f_apply, miura.twist,
+           AnsatzSpec((x(2), y(1), u(0), u(1), param("lam")), 3))
+    spec = sdym.build_flatrep(1, None).spec
+    yield ("sdym k=1", spec.base_dirs, spec.fiber_dirs, spec.f_apply, spec.twist,
+           AnsatzSpec((x(1), x(3), y(1), jet(1), jet(4), jet(1, (2,)), jet(3, (4,))), 2))
+
+
+@pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
+def test_basis_images_match_cochain_differential(problem):
+    # A bounded-no answer is never re-substituted, so this is what checks the
+    # per-monomial kernel of cochain_preimage against the one differential.
+    _, dirs, fibers, horizontal, twist, ansatz = problem
+    assert twist
+    monos = ansatz.monomials()
+    images = _basis_images(dirs, fibers, horizontal, twist, monos)
+    keys = [((i,), b) for i in dirs for b in fibers]
+    assert len(images) == len(fibers) * len(monos)
+    slot = 0
+    for a in fibers:  # column order: a outer, mu inner
+        for mu in monos:
+            want = cochain_differential([(((), a), mu)], dirs, horizontal, twist)
+            assert set(want) <= set(keys)
+            assert images[slot] == [want.get(k, ZERO) for k in keys], (a, render(mu))
+            slot += 1

@@ -193,6 +193,15 @@ def test_verify_ugh_verdicts():
     assert bad.verdict == "fail"
 
 
+def test_verify_ugh_refuses_unknown_witness(monkeypatch):
+    built = []
+    monkeypatch.setattr(sdym, "build_flatrep", lambda *a: built.append(a))
+    for witness in ("sigam", "Square", ""):
+        with pytest.raises(ValueError, match="witness must be 'sigma' or 'square'"):
+            sdym.verify_ugh(1, "a1", witness=witness)
+    assert built == []  # refused before any work
+
+
 def test_lambda_family_cocycle_closed_and_not_exact(rep2):
     res = flatrep.infinitesimal_deformation(rep2.spec, param("lam"))
     assert res.report.verdict == "pass"
