@@ -390,12 +390,6 @@ class Expr:
 
     __rmul__ = __mul__
 
-    def shift(self, mono: Monomial) -> "Expr":
-        """self times the monomial ``mono`` (coefficient 1).  Multiplying by
-        a monomial is injective on monomials, so no two terms merge and every
-        coefficient stays as it is."""
-        return Expr({_mono_mul(m, mono): c for m, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError("exponent must be a plain integer, got %r" % (n,))

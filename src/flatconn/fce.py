@@ -368,17 +368,16 @@ def default_recover_ansatz(chart: FcChart, phi: Cochain) -> AnsatzSpec:
     an explicit AnsatzSpec overrides the default.
     """
     degree = 0
-    pool: Set[Symbol] = set()
-    pool.update(x(i) for i in range(1, chart.n + 1))
-    pool.update(v(a) for a in range(1, chart.m + 1))
+    seen: Dict[Symbol, None] = {}
     for _, e in phi.items():
         degree = max(degree, e.total_degree())
-        for s in e.symbols():
-            if s.kind == KIND_PARAM:
-                pool.add(s)
-            elif s.kind == KIND_FC:
-                for aa in _sub_multisets(s.aa):
-                    pool.add(fc(s.index, s.ii, aa))
+        seen.update(e.symbols())
+    pool: Set[Symbol] = {s for s in seen if s.kind == KIND_PARAM}
+    pool.update(x(i) for i in range(1, chart.n + 1))
+    pool.update(v(a) for a in range(1, chart.m + 1))
+    reductions = {(s.index, s.ii, aa) for s in seen if s.kind == KIND_FC
+                  for aa in _sub_multisets(s.aa)}
+    pool.update(fc(alpha, ii, aa) for alpha, ii, aa in reductions)
     return AnsatzSpec(symbols=tuple(sorted(pool, key=lambda s: s.key)), degree=degree)
 
 

@@ -23,15 +23,17 @@ E_fc, and ``flatrep.du_vertical``/``du_cochain1`` the d_U of any phi.
 where an ansatz system is built and solved: ``flatrep.exactness_test`` (and
 ``lift_symmetry`` through it) asks it whether a cocycle of phi is exact, and
 ``fce.recover_f`` asks it for the f of a symmetry of E_fc.  It builds the
-images of the ansatz basis once per monomial (F_i(mu) is shared by every
-fiber, and mu times a twist value is a shift of its monomials), and checks
-every answer by re-substituting it through :func:`cochain_differential`.
-Every signed sparse sum of the package goes through :func:`add_term`.
+images of the ansatz basis once per monomial on packed integer keys (each
+symbol a bit field of width W = D.bit_length(), D bounding every monomial's
+total degree, so keys never carry and are never unpacked), and checks every
+answer by re-substituting it through :func:`cochain_differential`.
+Every signed sparse sum of Exprs in the package goes through :func:`add_term`.
 """
 
 from __future__ import annotations
 
 import warnings
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
@@ -84,6 +86,7 @@ def add_term(acc: dict, key, value, sign: int = 1) -> None:
 
 
 if TYPE_CHECKING:
+    from .expr import Scalar
     from .linsolve import AnsatzSpec
 
     # The key (sorted directions I, fiber index a) of the term f dx_I (x) e_a.
@@ -121,18 +124,21 @@ def cochain_preimage(
 ) -> Optional[Dict[int, Expr]]:
     """A 0-cochain {a: f^a} with components in the ansatz whose
     :func:`cochain_differential` is the 1-cochain ``target``, or None when
-    the ansatz holds none (bounded-no).
+    the ansatz holds none (bounded-no).  ``horizontal`` must be a
+    derivation, so that F_i is fixed by its values on the pool symbols.
 
     The unknowns are the coefficients of the basis mu e_a, a over ``fibers``
     and mu over the ansatz monomials, in that order (a outer, mu inner).
-    The images d(mu e_a) are built once per monomial by :func:`_basis_images`;
-    a returned answer has been re-substituted through
-    :func:`cochain_differential` and checked against ``target`` exactly.
+    :func:`_basis_images` builds their images and packs the target on
+    integer monomial keys; a returned answer is rebuilt as Exprs and checked
+    exactly through :func:`cochain_differential`, the Expr path checking the
+    packed one.
     """
     monos = ansatz.monomials()
     keys = [((i,), a) for i in directions for a in fibers]
-    images = _basis_images(directions, fibers, horizontal, twist, monos)
-    coeffs = solve_by_superposition(images, [target.get(k, ZERO) for k in keys])
+    goal = [target.get(k, ZERO) for k in keys]
+    images, pack = _basis_images(directions, fibers, horizontal, twist, monos, goal)
+    coeffs = solve_by_superposition(images, [pack(e) for e in goal])
     if coeffs is None:
         return None
     out = {a: ZERO for a in fibers}
@@ -147,42 +153,128 @@ def cochain_preimage(
     return out
 
 
+# A component of a basis image that is zero; shared, and never written.
+_NO_TERMS: Mapping[int, Scalar] = MappingProxyType({})
+
+
 def _basis_images(
     directions: Sequence[int], fibers: Sequence[int],
     horizontal: Callable[[int, Expr], Expr],
     twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
-    monos: Sequence[Expr],
-) -> List[List[Expr]]:
+    monos: Sequence[Expr], target: Sequence[Expr],
+) -> Tuple[List[List[Mapping[int, Scalar]]], Callable[[Expr], Dict[int, Scalar]]]:
     """The components ((i,), b), i outer and b inner, of
     d(mu e_a) = sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b)
     for every fiber a and monomial mu, in slot ``a_pos * len(monos) + k`` for
-    mu = monos[k].
+    mu = monos[k], as sparse maps {packed key: coefficient}; and ``pack``,
+    which puts an Expr (a component of ``target``) on the same keys.
 
-    F_i(mu) does not depend on a, so it is computed once per (i, mu) and
-    shared by all fibers.  The twist values are negated once per call, and
-    mu times one of them only shifts its monomials (:meth:`Expr.shift`); the
-    one sum is F_i(mu) plus the twist part in component (i, a).
+    Packed exponent vectors (Monagan and Pearce): each symbol of ``monos``,
+    of their F_i images, of the twist values and of ``target`` gets a bit
+    field of width W = D.bit_length(), D bounding the total degree of every
+    image and target monomial, and prod s^p_s packs to sum p_s 2^(W slot(s)).
+    No field carries, so keys are compared and never unpacked, and a product
+    of monomials is a sum of keys: F_i(mu) is built by Leibniz as
+    key(mu) - key(s) + key(m) with coefficient p c, for each factor s^p of mu
+    and term c m of F_i(s), once per (i, mu) for every fiber; the twist part
+    is key(mu) + key(t).
     """
-    neg: Dict[Tuple[int, int], Dict[int, Expr]] = {}
-    for i in directions:
-        for a in fibers:
-            acc = neg[(i, a)] = {}
-            for b, t in twist.get((i, a), ()):
-                add_term(acc, b, t, -1)
+    syms: Dict[Symbol, None] = {}  # slot order: first appearance
+    mdeg = _scan(monos, syms)
+    pool = list(syms)
+    values = {(i, s): horizontal(i, Expr.wrap(s)) for i in directions for s in pool}
+    twists = [(i, a, b, t) for i in directions for a in fibers for b, t in twist.get((i, a), ())]
+    fdeg = _scan(values.values(), syms)
+    tdeg = _scan((t for *_, t in twists), syms)
+    gdeg = _scan(target, syms)
+    # A term of F_i(mu) has degree at most deg(mu) - 1 + deg F_i(s), a twist
+    # term deg(mu) + deg(t); _scan gives -1 where there is no term at all.
+    width = max(0, gdeg, mdeg + tdeg, mdeg - 1 + fdeg).bit_length()
+    unit = {s: 1 << (width * n) for n, s in enumerate(syms)}
+
+    def pack(e: Expr) -> Dict[int, Scalar]:
+        out = {}
+        for mono, c in e.terms.items():
+            k = 0
+            for s, p in mono:
+                k += p * unit[s]
+            out[k] = c
+        return out
+
+    # F_i(s) as (key(m) - key(s), c) per term c m, and -D_a(a_i^b) packed.
+    lead = {i: {s: [(k - unit[s], c) for k, c in pack(values[(i, s)]).items()] for s in pool}
+            for i in directions}
+    neg: Dict[Tuple[int, int, int], Dict[int, Scalar]] = {}
+    for i, a, b, t in twists:
+        acc = neg.setdefault((i, a, b), {})
+        for k, c in pack(t).items():
+            _add_coeff(acc, k, -c)
+    plans = [[[neg.get((i, a, b)) for b in fibers] for i in directions] for a in fibers]
     n = len(monos)
-    images: List[List[Expr]] = [[] for _ in range(len(fibers) * n)]
+    images: List[List[Mapping[int, Scalar]]] = [[] for _ in range(len(fibers) * n)]
     for k, mu in enumerate(monos):
         (mono,) = mu.terms
-        hs = [(i, horizontal(i, mu)) for i in directions]
-        for pos, a in enumerate(fibers):
+        (kmu,) = pack(mu)
+        hs = []
+        for i in directions:
+            shifts = lead[i]
+            h: Dict[int, Scalar] = {}
+            for s, p in mono:
+                for d, c in shifts[s]:  # _add_coeff(h, kmu + d, p * c), inlined
+                    kk = kmu + d
+                    if p != 1:
+                        c *= p
+                    got = h.get(kk)
+                    if got is None:
+                        h[kk] = c
+                    else:
+                        got += c
+                        if got:
+                            h[kk] = got
+                        else:
+                            del h[kk]
+            hs.append(h)
+        for pos, plan in enumerate(plans):
             comps = images[pos * n + k]
-            for i, h in hs:
-                row = neg[(i, a)]
-                for b in fibers:
-                    t = row.get(b)
-                    part = ZERO if t is None else t.shift(mono)
-                    comps.append(h + part if b == a else part)
-    return images
+            for h, parts in zip(hs, plan):
+                for bpos, t in enumerate(parts):
+                    if bpos == pos:
+                        if t:
+                            h = dict(h)
+                            for kt, c in t.items():
+                                _add_coeff(h, kmu + kt, c)
+                        comps.append(h)
+                    else:
+                        comps.append({kmu + kt: c for kt, c in t.items()} if t else _NO_TERMS)
+    return images, pack
+
+
+def _scan(exprs: Iterable[Expr], syms: Dict[Symbol, None]) -> int:
+    """The largest total degree of a monomial of ``exprs``, -1 if there is
+    none; adds their symbols to ``syms``, in first-appearance order."""
+    deg = -1
+    for e in exprs:
+        for mono in e.terms:
+            d = 0
+            for s, p in mono:
+                syms[s] = None
+                d += p
+            if d > deg:
+                deg = d
+    return deg
+
+
+def _add_coeff(acc: Dict[int, Scalar], key: int, c: Scalar) -> None:
+    """acc[key] += c in a sparse map of nonzero coefficients."""
+    got = acc.get(key)
+    if got is None:
+        acc[key] = c
+    else:
+        got += c
+        if got:
+            acc[key] = got
+        else:
+            del acc[key]
 
 
 class Frozen:

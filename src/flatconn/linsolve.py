@@ -6,13 +6,17 @@ from a declared finite pool?  An :class:`AnsatzSpec` fixes the pool (allowed
 symbols and a total-degree cap).  ``jets.cochain_preimage`` applies the
 operator, the degree-0 cochain differential, to every basis element mu e_a
 of the pool, once per monomial mu and in the column order (fiber a outer,
-mu inner); :func:`solve_by_superposition` finds the rational combination of
-those images that equals the target: the images are keyed by (component,
-monomial) into sparse rows over Q, and :func:`solve_linear` solves them
-exactly.  Most rows pin one unknown at 0: it propagates those pins until
-none is new, then runs one Gaussian elimination on what is left, with no
-split into blocks.  Rows go in unsorted: the pivot columns are the leading
-columns of the row space, so only the column (basis) order fixes a solution.
+mu inner), on packed integer monomial keys: each symbol is a bit field of
+width W = D.bit_length(), D bounding every monomial's total degree, so keys
+never carry and are never unpacked.  :func:`solve_by_superposition` finds
+the rational combination of those images that equals the target: each
+component of an image is a sparse map {key: coefficient} whose keys it
+treats as opaque, the rows are keyed by (component, key), and
+:func:`solve_linear` solves them exactly.  Most rows pin one unknown at 0:
+it propagates those pins until none is new, then runs one Gaussian
+elimination on what is left, with no split into blocks.  Rows go in
+unsorted: the pivot columns are the leading columns of the row space, so
+only the column (basis) order fixes a solution.
 
 A "no solution" answer is always relative to the ansatz (bounded-no).
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import Expr, ONE, Symbol
 
@@ -132,30 +136,40 @@ def _eliminate(rows) -> Optional[Dict[int, Scalar]]:
 
 
 def solve_by_superposition(
-    images: Sequence[Sequence[Expr]], target: Sequence[Expr]
+    images: Sequence[Sequence[Mapping[Hashable, Scalar]]],
+    target: Sequence[Mapping[Hashable, Scalar]],
 ) -> Optional[List[Scalar]]:
     """Coefficients c with sum_j c_j images[j] == target componentwise.
 
     ``images[j]`` holds the components of a linear operator applied to the
-    j-th basis element.  Unknowns that no equation constrains come back as
-    zero.  Returns None when no combination exists (bounded-no at the
-    basis).
+    j-th basis element.  A component, like each entry of ``target``, is a
+    sparse map {key: nonzero coefficient}; the keys (packed monomials, or
+    the monomials of :attr:`Expr.terms`) are only hashed and compared, and
+    the system has one row per (component, key).  Unknowns that no equation
+    constrains come back as zero.  Returns None when no combination exists
+    (bounded-no at the basis).
     """
     ncomp = len(target)
-    rows: Dict[tuple, Dict[int, Scalar]] = {}
+    # The rows of component ci, keyed by key: together, rows keyed (ci, key).
+    keyed: List[Dict[Hashable, Dict[int, Scalar]]] = [{} for _ in range(ncomp)]
     for j, comps in enumerate(images):
         if len(comps) != ncomp:
             raise ValueError("image %d has %d components, expected %d"
                              % (j, len(comps), ncomp))
-        for ci, e in enumerate(comps):
-            for mono, q in Expr.wrap(e).terms.items():
-                rows.setdefault((ci, mono), {})[j] = q  # one term per monomial: no sum
-    consts: Dict[tuple, Scalar] = {}
-    for ci, e in enumerate(target):
-        for mono, q in Expr.wrap(e).terms.items():
-            rows.setdefault((ci, mono), {})
-            consts[(ci, mono)] = -q
-    sol = solve_linear([(coeffs, consts.get(key, 0)) for key, coeffs in rows.items()])
+        for rows, comp in zip(keyed, comps):
+            for key, q in comp.items():
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {j: q}
+                else:
+                    row[j] = q  # one entry per key: no sum
+    consts = []
+    for rows, comp in zip(keyed, target):
+        for key in comp:
+            rows.setdefault(key, {})
+        consts.append({key: -q for key, q in comp.items()})
+    sol = solve_linear([(coeffs, const.get(key, 0)) for rows, const in zip(keyed, consts)
+                        for key, coeffs in rows.items()])
     if sol is None:
         return None
     return [sol.get(j, 0) for j in range(len(images))]

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .expr import Expr, KIND_INDEP, KIND_JET, KIND_PARAM, ONE, Symbol, ZERO, jet, param, render, x, y
 from .jets import (
@@ -107,6 +107,16 @@ def _divide(sigma: Sequence[int], mu: Sequence[int]) -> Optional[Tuple[int, ...]
     return tuple(rest)
 
 
+def _by_index(k: int, rules: Mapping[Tuple[int, Tuple[int, ...]], Matrix]
+              ) -> Mapping[int, Tuple[Tuple[Tuple[int, ...], Matrix], ...]]:
+    """The rules grouped by family, read-only: each family index of the
+    size-k chart maps to the (mu, R) of the rules of its family i, in firing
+    order."""
+    fams = {i: tuple((mu, r) for (j, mu), r in rules.items() if j == i) for i in range(1, 5)}
+    return MappingProxyType({index: fams[family(k, index)[0]]
+                             for index in range(1, 4 * k * k + 1)})
+
+
 class SdymRewriter(DerivScheme):
     """The SDYM system for one k: its rule table and its internal
     coordinates, the normal-form jets, with the total derivative composed
@@ -115,7 +125,9 @@ class SdymRewriter(DerivScheme):
     D_sigma, and refuses assignment to every field.
 
     The table maps (family i, sorted multi-index mu) -> matrix R in firing
-    order: the jet d_mu A_i[p, q] rewrites to R[p][q].
+    order: the jet d_mu A_i[p, q] rewrites to R[p][q].  A read-only copy
+    grouped by family, built with the table, gives each jet index the rules
+    of its family, so a match scans only those.
 
     d1 A2 -> d2 A1 - [A1, A2]
     d1 A4 -> d4 A1 + d2 A3 - d3 A2 - [A1, A4] - [A3, A2]
@@ -152,7 +164,8 @@ class SdymRewriter(DerivScheme):
         (pair,) = draft._pairs()
         rules[(3, (1, 4))] = mat_add(matrix(k, 3, (1, 4)), pair)
         self._put(k=k, m=draft.m, ndirs=4, free=draft.free, lax=lax,
-                  rules=MappingProxyType(rules), _nf={}, _dsigma={})
+                  rules=MappingProxyType(rules), _by_index=_by_index(k, rules),
+                  _nf={}, _dsigma={})
         self._certify()
 
     @classmethod
@@ -160,7 +173,8 @@ class SdymRewriter(DerivScheme):
         """A rewriter on a copy of ``rules``, not yet certified."""
         self = cls.__new__(cls)
         self._put(k=k, m=4 * k * k, ndirs=4, free=FreeJet(4, 4 * k * k), lax=lax,
-                  rules=MappingProxyType(dict(rules)), _nf={}, _dsigma={})
+                  rules=MappingProxyType(dict(rules)), _by_index=_by_index(k, rules),
+                  _nf={}, _dsigma={})
         return self
 
     def _pairs(self) -> List[Matrix]:
@@ -189,9 +203,8 @@ class SdymRewriter(DerivScheme):
     def _match(self, s: Symbol) -> Optional[Tuple[Matrix, Tuple[int, ...]]]:
         """The first rule that rewrites ``s``: its R and sigma - mu."""
         if s.kind == KIND_JET:
-            fam = family(self.k, s.index)[0]
-            for (i, mu), r in self.rules.items():
-                rest = _divide(s.sigma, mu) if i == fam else None
+            for mu, r in self._by_index.get(s.index, ()):
+                rest = _divide(s.sigma, mu)
                 if rest is not None:
                     return r, rest
         return None

@@ -218,6 +218,22 @@ def test_recover_f_rejects_non_cocycles(ch):
         fce.recover_f(ch, bad)
 
 
+def test_default_recover_ansatz_pool_is_pinned(ch2):
+    # x_i, v^a, the parameters, and every fiber-multi-index reduction of each
+    # special coordinate of phi, sorted by Symbol.key; the degree is deg(phi).
+    lam = param("lam")
+    f = fce.cochain0(ch2, [lam * fc(1, (1,), (2,)) * v(2) + x(1) * fc(2, (2,), (1,)),
+                           fc(2, (1,), (1,)) ** 2 + v(1)])
+    phi = fce.symmetry_from_f(ch2, f)
+    ans = fce.default_recover_ansatz(ch2, phi)
+    assert ans.degree == 4
+    assert " ".join(render(s) for s in ans.symbols) == (
+        "lam x1 x2 v1 v2 v[1;1;] v[1;1;1] v[1;1;2] v[1;1,1;] v[1;1,1;2] v[1;1,2;] "
+        "v[1;1,2;2] v[1;2;] v[1;2;1] v[1;2;2] v[2;1;] v[2;1;1] v[2;1;2] v[2;1,1;] "
+        "v[2;1,1;1] v[2;1,2;] v[2;1,2;1] v[2;2;] v[2;2;1] v[2;2;2] v[2;2,2;] v[2;2,2;1]")
+    assert fce.recover_f(ch2, phi) == f
+
+
 def test_recover_f_bounded_no_is_bound_relative(ch):
     # force an ansatz too small to contain the true f
     f = fce.cochain0(ch, [v(1) ** 3])

@@ -6,7 +6,7 @@ from flatconn import fce, sdym
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO
 from flatconn.jets import (
     DirectionError, Evolution, Extended, FreeJet, HForm, _basis_images,
-    cochain_differential, d_h, d_sigma, evolutionary_apply, is_symmetry_evolution,
+    cochain_differential, cochain_preimage, d_h, d_sigma, evolutionary_apply, is_symmetry_evolution,
     total_derivative,
 )
 from flatconn.kdv import build_kdv
@@ -185,20 +185,107 @@ def _preimage_problems():
            AnsatzSpec((x(1), x(3), y(1), jet(1), jet(4), jet(1, (2,)), jet(3, (4,))), 2))
 
 
-@pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
-def test_basis_images_match_cochain_differential(problem):
-    # A bounded-no answer is never re-substituted, so this is what checks the
-    # per-monomial kernel of cochain_preimage against the one differential.
-    _, dirs, fibers, horizontal, twist, ansatz = problem
-    assert twist
+def _check_basis_images(dirs, fibers, horizontal, twist, ansatz):
+    """Every image of the packed kernel equals cochain_differential of
+    {((), a): mu}, packed with the kernel's own slot table, component by
+    component; and packing is injective on the monomials of those images."""
     monos = ansatz.monomials()
-    images = _basis_images(dirs, fibers, horizontal, twist, monos)
     keys = [((i,), b) for i in dirs for b in fibers]
+    images, pack = _basis_images(dirs, fibers, horizontal, twist, monos, [ZERO] * len(keys))
     assert len(images) == len(fibers) * len(monos)
+    seen = set()
     slot = 0
     for a in fibers:  # column order: a outer, mu inner
         for mu in monos:
             want = cochain_differential([(((), a), mu)], dirs, horizontal, twist)
             assert set(want) <= set(keys)
-            assert images[slot] == [want.get(k, ZERO) for k in keys], (a, render(mu))
+            assert [dict(c) for c in images[slot]] == [pack(want.get(k, ZERO)) for k in keys], \
+                (a, render(mu))
+            seen.update(m for e in want.values() for m in e.terms)
             slot += 1
+    assert len({next(iter(pack(Expr({m: 1})))) for m in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
+def test_basis_images_match_cochain_differential(problem):
+    # A bounded-no answer is never re-substituted, so this is what checks the
+    # packed per-monomial kernel of cochain_preimage against the one
+    # differential.
+    _, dirs, fibers, horizontal, twist, ansatz = problem
+    assert twist
+    _check_basis_images(dirs, fibers, horizontal, twist, ansatz)
+
+
+def test_slot_width_covers_the_leibniz_and_twist_degrees():
+    # Two systems in which one degree bound alone sets W: on KdV, D_t(u[0]) =
+    # u[3] + 6*u[0]*u[1] raises the degree of F_t(mu) by one; on J(1, 1) with
+    # the twist value x1^3, the twist part exceeds every other degree.
+    kdv = kdv_scheme()
+    _check_basis_images([1, 2], [1], lambda i, f: total_derivative(kdv, i, f), {},
+                        AnsatzSpec((u(0), u(1)), 2))
+    free = FreeJet(1, 1)
+    _check_basis_images([1], [1, 2], lambda i, f: total_derivative(free, i, f),
+                        {(1, 1): ((2, x(1) ** 3),)}, AnsatzSpec((x(1), u(0)), 1))
+
+
+def _d_h_problem():
+    """(directions, fibers, horizontal, twist) of d_h on the free jet space
+    J(1, 1): one fiber and no twist."""
+    scheme = FreeJet(1, 1)
+    return [1], [1], lambda i, f: total_derivative(scheme, i, f), {}
+
+
+def test_preimage_slot_width_comes_from_the_target():
+    # On the degree-1 ansatz (x1, u[0]) the images 1 and u[1] have degree at
+    # most 1, so the images alone would give W = 1, with slots x1, u[0],
+    # u[1]: x1^4 would pack onto u[1], the image of u[0], and give the false
+    # witness u[0], which the re-substitution refuses.  W comes from the
+    # target's degree 4 instead, and the answer is bounded-no.
+    dirs, fibers, horizontal, twist = _d_h_problem()
+    ansatz = AnsatzSpec((x(1), u(0)), 1)
+    target = {((1,), 1): x(1) ** 4}
+    assert cochain_preimage(dirs, fibers, horizontal, twist, target, ansatz) is None
+    _, pack = _basis_images(dirs, fibers, horizontal, twist, ansatz.monomials(),
+                            [x(1) ** 4])
+    assert pack(x(1) ** 4) != pack(Expr.wrap(u(1)))
+    target = {((1,), 1): 3 * x(1) ** 2}
+    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
+                            AnsatzSpec((x(1),), 3)) == {1: x(1) ** 3}
+
+
+def test_preimage_target_symbol_in_no_image_is_bounded_no():
+    # u[2] is in no image of the pool (x1,), so its row has no unknown.
+    dirs, fibers, horizontal, twist = _d_h_problem()
+    target = {((1,), 1): x(1) + u(2)}
+    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
+                            AnsatzSpec((x(1),), 2)) is None
+    assert cochain_preimage(dirs, fibers, horizontal, twist, {((1,), 1): Expr.wrap(x(1))},
+                            AnsatzSpec((x(1),), 2)) == {1: x(1) ** 2 / 2}
+
+
+def test_preimage_packs_lam_like_any_symbol():
+    # lam gets a slot of its own: lam is not the constant 1, and d(lam x1) =
+    # lam dx1 needs lam in the pool.
+    lam = param("lam")
+    dirs, fibers, horizontal, twist = _d_h_problem()
+    target = {((1,), 1): Expr.wrap(lam)}
+    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
+                            AnsatzSpec((x(1),), 2)) is None
+    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
+                            AnsatzSpec((x(1), lam), 2)) == {1: lam * x(1)}
+    # The target lam*x1 makes D = 2, so every monomial below packs injectively.
+    _, pack = _basis_images(dirs, fibers, horizontal, twist,
+                            AnsatzSpec((x(1), lam), 2).monomials(), [lam * x(1)])
+    keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(x(1)),
+                                          lam * x(1), lam ** 2)]
+    assert len(set(keys)) == len(keys)
+    assert keys[3] == keys[1] + keys[2] and keys[4] == 2 * keys[1]
+    # On the Miura spec at symbolic lambda, lam enters only through F_i(y1),
+    # and it gets a slot there too.
+    miura = build_kdv().miura
+    assert lam in miura.f_apply(1, Expr.wrap(y(1))).symbols()
+    _, pack = _basis_images(miura.base_dirs, miura.fiber_dirs, miura.f_apply, miura.twist,
+                            AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
+    keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(y(1)),
+                                          lam * y(1))]
+    assert len(set(keys)) == len(keys) and keys[3] == keys[1] + keys[2]

@@ -5,6 +5,11 @@ from flatconn.expr import Expr, param, render, v, x, ZERO, ONE
 from flatconn.linsolve import AnsatzSpec, _eliminate, solve_by_superposition, solve_linear
 
 
+def comps(*es):
+    """Components in the solver's one type: sparse maps {monomial: coefficient}."""
+    return [Expr.wrap(e).terms for e in es]
+
+
 def test_monomials_deterministic_and_bounded():
     ans = AnsatzSpec(symbols=(x(1), v(1)), degree=2)
     monos = [render(m) for m in ans.monomials()]
@@ -14,19 +19,21 @@ def test_monomials_deterministic_and_bounded():
 
 def test_solve_simple_system():
     # a * (x1 + v1) + b * v1 == 2 * x1 identically
-    images = [[x(1) + v(1)], [Expr.wrap(v(1))]]
-    assert solve_by_superposition(images, [2 * x(1)]) == [Fraction(2), Fraction(-2)]
+    images = [comps(x(1) + v(1)), comps(v(1))]
+    assert solve_by_superposition(images, comps(2 * x(1))) == [Fraction(2), Fraction(-2)]
+    # Keys are opaque: the same system on integer keys, x1 -> 1 and v1 -> 2.
+    assert solve_by_superposition([[{1: 1, 2: 1}], [{2: 1}]], [{1: 2}]) == [2, -2]
 
 
 def test_solve_reports_inconsistency():
     # a * x1 == x1 + 1 needs the impossible constant row 0 = 1
-    assert solve_by_superposition([[Expr.wrap(x(1))]], [x(1) + ONE]) is None
+    assert solve_by_superposition([comps(x(1))], comps(x(1) + ONE)) is None
     assert solve_linear([({}, Fraction(1))]) is None
 
 
 def test_unconstrained_unknowns_default_to_zero():
     # the second basis element has the zero image, so nothing constrains it
-    assert solve_by_superposition([[Expr.wrap(x(1))], [ZERO]], [Expr.wrap(x(1))]) == \
+    assert solve_by_superposition([comps(x(1)), comps(ZERO)], comps(x(1))) == \
         [Fraction(1), Fraction(0)]
     assert solve_linear([({0: Fraction(1), 1: Fraction(1)}, Fraction(-1))]) == \
         {0: Fraction(1)}
@@ -116,7 +123,7 @@ def test_solutions_are_exact_rationals():
     # int rows must not divide into floats: the answer is an identity over Q
     sol = solve_linear([({0: 3}, -1)])
     assert sol == {0: Fraction(1, 3)} and type(sol[0]) is Fraction
-    assert solve_by_superposition([[3 * x(1)], [Expr.wrap(v(1))]], [x(1) - v(1)]) == \
+    assert solve_by_superposition([comps(3 * x(1)), comps(v(1))], comps(x(1) - v(1))) == \
         [Fraction(1, 3), -1]
     for scalar in (int, Fraction):
         for rows in random_consistent_systems(73, scalar):
@@ -124,8 +131,8 @@ def test_solutions_are_exact_rationals():
             assert all(type(q) in (int, Fraction) for q in sol.values())
             for coeffs, const_ in rows:
                 assert sum(q * sol.get(j, 0) for j, q in coeffs.items()) + const_ == 0
-    images = [[3 * x(1) + v(1), 2 * v(1)], [x(1) / 2, Expr.wrap(v(1))], [ONE, ZERO]]
-    got = solve_by_superposition(images, [2 * x(1) + 1, 4 * v(1)])
+    images = [comps(3 * x(1) + v(1), 2 * v(1)), comps(x(1) / 2, v(1)), comps(ONE, ZERO)]
+    got = solve_by_superposition(images, comps(2 * x(1) + 1, 4 * v(1)))
     assert got == [0, 4, 1] and all(type(q) in (int, Fraction) for q in got)
 
 
@@ -133,6 +140,6 @@ def test_rows_split_params_from_carriers():
     # lam is part of the carrier monomial lam*x1, not an unknown: a * x1 == lam * x1
     # has no rational solution, while a * x1 == x1 has one
     lam = param("lam")
-    assert solve_by_superposition([[Expr.wrap(x(1))]], [lam * x(1)]) is None
-    assert solve_by_superposition([[Expr.wrap(x(1))], [lam * x(1)]], [lam * x(1)]) == \
+    assert solve_by_superposition([comps(x(1))], comps(lam * x(1))) is None
+    assert solve_by_superposition([comps(x(1)), comps(lam * x(1))], comps(lam * x(1))) == \
         [Fraction(0), Fraction(1)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -95,6 +96,32 @@ def test_rewriter_certificate_passes(k):
     rew = sdym.SdymRewriter(k)  # raises if the certificate fails
     assert list(rew.rules) == [(2, (1,)), (4, (1,)), (4, (3,)), (3, (1, 4))]
     assert all(sdym.mat_is_zero(m) for m in rew._pairs())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rewriter_match_scans_the_family_table(k):
+    # The grouped table answers as a scan of the whole table in firing order,
+    # keeping the first rule of the jet's family whose mu fits, on every jet
+    # of order <= 3 and on one index outside the chart.
+    rew = sdym.SdymRewriter(k)
+
+    def scan(s):
+        fam = sdym.family(k, s.index)[0]
+        for (i, mu), r in rew.rules.items():
+            rest = sdym._divide(s.sigma, mu) if i == fam else None
+            if rest is not None:
+                return r, rest
+        return None
+
+    sigmas = [()] + [tuple(sorted(c)) for n in (1, 2, 3)
+                     for c in itertools.combinations_with_replacement((1, 2, 3, 4), n)]
+    for index in range(1, 4 * k * k + 2):
+        for sigma in sigmas:
+            s = jet(index, sigma)
+            assert rew._match(s) == scan(s), (index, sigma)
+    assert rew._match(x(1)) is None
+    with pytest.raises(TypeError):
+        rew._by_index[1] = ()
 
 
 def test_rewriter_certificate_fails_without_the_completion_rule():
