@@ -29,8 +29,8 @@ print("flat for symbolic lam:", flatrep.check_flat_rep(kdv.miura).verdict)
 
 res = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
 print("\ninfinitesimal part of the lam-family:")
-print("  dx-component:", render(res.cocycle[(1, 3)]))
-print("  dt-component:", render(res.cocycle[(2, 3)]))
+print("  dx-component:", render(res.cocycle.component((1,), 3)))
+print("  dt-component:", render(res.cocycle.component((2,), 3)))
 print("closed:", res.report.verdict)
 
 ansatz = AnsatzSpec(symbols=(x(1), x(2), y(1), u(0), u(1), u(2)), degree=4)
@@ -59,4 +59,4 @@ for name, spec, with_lam in (
     if lift is None:
         print("  %-24s bounded-no" % name)
     else:
-        print("  %-24s lifts with a = %s" % (name, render(lift[3])))
+        print("  %-24s lifts with a = %s" % (name, render(lift.component((), 3))))

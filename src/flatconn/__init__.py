@@ -5,7 +5,7 @@ Subpackages by layer:
 * :mod:`flatconn.expr` -- canonical sparse polynomials over Q in a typed
   symbol universe;
 * :mod:`flatconn.jets` -- total-derivative schemes, evolutionary fields,
-  horizontal differential;
+  the complex of a flat representation and its one cochain type;
 * :mod:`flatconn.vforms` -- vector-valued forms and the
   Froelicher-Nijenhuis bracket;
 * :mod:`flatconn.fce` -- calculus on the equation of flat connections
@@ -19,7 +19,7 @@ Subpackages by layer:
 
 from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
 from .jets import (
-    Evolution, Extended, FreeJet, HForm, d_h, d_sigma, evolutionary_apply,
+    Cochain, Complex, Evolution, Extended, FreeJet, d_sigma, evolutionary_apply,
     is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
@@ -27,7 +27,7 @@ from .reports import Report, emit_report
 
 __all__ = [
     "Expr", "Symbol", "const", "fc", "jet", "param", "render", "v", "x", "y",
-    "Evolution", "Extended", "FreeJet", "HForm", "d_h", "d_sigma",
+    "Cochain", "Complex", "Evolution", "Extended", "FreeJet", "d_sigma",
     "evolutionary_apply", "is_symmetry_evolution", "total_derivative",
     "AnsatzSpec", "Report", "emit_report",
 ]

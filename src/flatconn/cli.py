@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .expr import Expr, KIND_JET, ZERO, param, render
-from .jets import is_symmetry_evolution
+from .jets import Cochain, is_symmetry_evolution
 from .linsolve import AnsatzSpec
 from . import fce, flatrep, problems, sdym
 from .kdv import build_kdv, miura_at
@@ -168,7 +168,7 @@ def _t_deformation(pf, args) -> Report:
     at = pf.deformation_at if args.lam is None else args.lam
     res = flatrep.infinitesimal_deformation(spec, param(pf.deformation_param), at)
     witness = {
-        "c%d_%d" % (i, d): render(e) for (i, d), e in sorted(res.cocycle.items())
+        "c%d_%d" % (i, d): render(e) for ((i,), d), e in sorted(res.cocycle.items())
     }
     return Report("deformation", PASS, res.report.residuals, witness)
 
@@ -176,11 +176,12 @@ def _t_deformation(pf, args) -> Report:
 def _t_exactness(pf, args) -> Report:
     spec = pf.flat_representation()
     shift = spec.scheme.base.ndirs
-    c = {(i, shift + b): e for (i, b), e in pf.cochain.items()}
+    data = {((i,), shift + b): e for (i, b), e in pf.cochain.items()}
     ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(
-        spec, list(c.values()), order=order))
+        spec, list(data.values()), order=order))
+    c = Cochain(spec.complex, 1, data)
     return _bounded(args, ansatz, flatrep.exactness_test(spec, c, ansatz),
-                    lambda b: {"b%d" % (d - shift): render(e) for d, e in sorted(b.items())})
+                    lambda b: {"b%d" % (d - shift): render(e) for ((), d), e in sorted(b.items())})
 
 
 def _t_lift(pf, args) -> Report:
@@ -189,7 +190,7 @@ def _t_lift(pf, args) -> Report:
     phi = _sym_components(pf, "phi")
     ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(spec, phi, order=order))
     return _bounded(args, ansatz, flatrep.lift_symmetry(spec, phi, ansatz),
-                    lambda a: {"a%d" % (d - shift): render(e) for d, e in sorted(a.items())})
+                    lambda a: {"a%d" % (d - shift): render(e) for ((), d), e in sorted(a.items())})
 
 
 def _t_kdv_verify(args) -> Report:
@@ -210,13 +211,13 @@ def _t_kdv_lift(args) -> Report:
     spec = bundle.miura if args.lam is None else miura_at(bundle, args.lam)
     ansatz = flatrep.default_ansatz(spec, [phi], degree=args.degree, order=args.order)
     return _bounded(args, ansatz, flatrep.lift_symmetry(spec, [phi], ansatz),
-                    lambda lift: {"a": render(lift[3])})
+                    lambda lift: {"a": render(lift.component((), 3))})
 
 
 def _t_kdv_deformation(args) -> Report:
     bundle = build_kdv()
     res = flatrep.infinitesimal_deformation(bundle.miura, bundle.lam, args.lam)
-    witness = {"c%d" % i: render(e) for (i, _), e in sorted(res.cocycle.items())}
+    witness = {"c%d" % i: render(e) for ((i,), _), e in sorted(res.cocycle.items())}
     return Report("kdv-deformation", PASS, res.report.residuals, witness)
 
 

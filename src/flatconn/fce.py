@@ -10,37 +10,37 @@ everything are
   [D_i, D_{v^b}] = - sum_g v_i^{g,b} D_{v^g}.
 
 On top of them: the flatness residuals of a coordinate connection, the
-cochain complex differential :func:`dfc` (the case phi = identity of the one
-cochain differential ``jets.cochain_differential``, with F_i = D_i and twist
-D_{v^a}(v_i^b) = v_i^{b,a}), symmetry reconstruction and recovery,
-prolongation of symmetries to all special coordinates, and the induced
-bracket on 0-cochains.  Each derivation (D_{v^b}, D_i, the horizontal lift
-in the flatness residual, S_f + V_f) is given by its values on symbols and
-applied through the one Leibniz kernel :meth:`Expr.derive`.
+vertical complex (``FcChart.complex``, the case phi = identity of the one
+``jets.Complex``, with F_i = D_i and twist D_{v^a}(v_i^b) = v_i^{b,a}) and
+its differential :func:`dfc` on ``jets.Cochain``, symmetry reconstruction
+and recovery, prolongation of symmetries to all special coordinates, and the
+induced bracket on 0-cochains.  Each derivation (D_{v^b}, D_i, the
+horizontal lift in the flatness residual, S_f + V_f) is given by its values
+on symbols and applied through the one Leibniz kernel :meth:`Expr.derive`.
 
 Input is validated once, at the public entries (:func:`fc_total`,
-:func:`fc_vertical`, :class:`Cochain`, the expression of
+:func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart's
+complex, the expression of
 :func:`symmetry_action`, the targets of :func:`prolong_symmetry` and the
 symbols of an explicit ansatz in :func:`recover_f`).  Everything past them
 works on expressions the chart built itself, through the unchecked kernels
 ``_fc_total`` and ``_fc_vertical``.  The chart owns the memos of D_i and
-D_{v^b} on symbols, an immutable cochain holds its differential, and the memo
-of the prolongation coefficients S_I^{a,A} lives for one call.
+D_{v^b} on symbols and its complex, an immutable cochain holds its
+differential, and the memo of the prolongation coefficients S_I^{a,A} lives
+for one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, ONE, Symbol, ZERO,
     fc, render, v, x,
 )
-from .jets import (
-    DirectionError, Frozen, add_term, cochain_differential, cochain_preimage, sort_with_sign)
+from .jets import Cochain, Complex, DirectionError, add_term, cochain_preimage
 from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
 
@@ -102,12 +102,23 @@ class FcChart:
         if not 1 <= b <= self.m:
             raise ValueError("fiber index %d out of range 1..%d" % (b, self.m))
 
+    def check_component(self, dirs: Tuple[int, ...], a: int, e: Expr) -> Expr:
+        """The component e dx_I (x) D_{v^a} of a cochain, validated."""
+        e = self.check_expr(e)
+        self.check_fiber(a)
+        for i in dirs:
+            self.check_direction(i)
+        return e
+
     @cached_property
-    def twist(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, Expr], ...]]:
-        """D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value)."""
-        fibers = range(1, self.m + 1)
-        return {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
-                for i in range(1, self.n + 1) for a in fibers}
+    def complex(self) -> Complex:
+        """The vertical complex: F_i = D_i, fibers 1..m, and the twist
+        D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value)."""
+        dirs, fibers = range(1, self.n + 1), range(1, self.m + 1)
+        twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
+                 for i in dirs for a in fibers}
+        return Complex(dirs, fibers, lambda i, f: _fc_total(self, i, f), twist,
+                       self.check_component)
 
 
 def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
@@ -223,109 +234,22 @@ def flatness_residual(spec: ConnectionSpec) -> List[Expr]:
     return out
 
 
-class Cochain(Frozen):
-    """Element of V^q: degree 0 holds m functions, degree q >= 1 a read-only
-    map (sorted direction tuple, fiber index) -> coefficient.
-
-    Immutable, because it holds its own differential (:func:`dfc`).
-    """
-
-    __slots__ = ("chart", "degree", "data", "_d")
-
-    def __init__(self, chart: FcChart, degree: int, data):
-        if degree < 0:
-            raise ValueError("negative degree")
-        if degree == 0:
-            comps = tuple(chart.check_expr(e) for e in data)
-            if len(comps) != chart.m:
-                raise ValueError("expected %d components, got %d" % (chart.m, len(comps)))
-        else:
-            comps = {}  # (sorted dirs, alpha) -> coefficient
-            for (dirs, alpha), e in data.items():
-                e = chart.check_expr(e)
-                chart.check_fiber(alpha)
-                if len(dirs) != degree:
-                    raise ValueError("key %r does not match degree %d" % (dirs, degree))
-                for i in dirs:
-                    chart.check_direction(i)
-                skey, sign = sort_with_sign(tuple(dirs))
-                if sign != 0:
-                    add_term(comps, (skey, alpha), e, sign)
-        self._fix(chart, degree, comps)
-
-    def _fix(self, chart: FcChart, degree: int, data) -> None:
-        """Set every field once; ``data``, a dict at degree >= 1, goes read-only."""
-        self._put(chart=chart, degree=degree,
-                  data=data if degree == 0 else MappingProxyType(data), _d=None)
-
-    def component(self, dirs: Tuple[int, ...], alpha: int) -> Expr:
-        if self.degree == 0:
-            return self.data[alpha - 1]
-        return self.data.get((tuple(dirs), alpha), ZERO)
-
-    def items(self):
-        if self.degree == 0:
-            for alpha, e in enumerate(self.data, start=1):
-                yield ((), alpha), e
-        else:
-            yield from self.data.items()
-
-    def is_zero(self) -> bool:
-        if self.degree == 0:
-            return all(e.is_zero() for e in self.data)
-        return not self.data
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.degree == other.degree
-            and self.data == other.data
-        )
-
-    @classmethod
-    def _built(cls, chart: FcChart, degree: int, data) -> "Cochain":
-        """A cochain whose data the chart built itself, taken without checks."""
-        c = cls.__new__(cls)
-        c._fix(chart, degree, data)
-        return c
-
-    def __repr__(self):
-        if self.degree == 0:
-            return "(" + ", ".join(render(e) for e in self.data) + ")"
-        bits = []
-        for (dirs, alpha) in sorted(self.data):
-            wedge = "^".join("dx%d" % i for i in dirs)
-            bits.append("(%s) %s (x) D_v%d" % (render(self.data[(dirs, alpha)]), wedge, alpha))
-        return " + ".join(bits) if bits else "0"
-
-
-def _on(chart: FcChart, c: Cochain) -> Cochain:
-    """``c`` itself when ``chart`` built it, else ``c`` checked against ``chart``."""
-    return c if c.chart is chart else Cochain(chart, c.degree, c.data)
-
-
 def cochain0(chart: FcChart, comps: Sequence[Expr]) -> Cochain:
-    return Cochain(chart, 0, comps)
+    comps = tuple(comps)
+    if len(comps) != chart.m:
+        raise ValueError("expected %d components, got %d" % (chart.m, len(comps)))
+    return Cochain(chart.complex, 0, {((), a): e for a, e in enumerate(comps, 1)})
 
 
 def cochain1(chart: FcChart, data: Mapping[Tuple[Tuple[int, ...], int], Expr]) -> Cochain:
-    return Cochain(chart, 1, data)
+    return Cochain(chart.complex, 1, data)
 
 
 def dfc(c: Cochain) -> Cochain:
-    """The differential of the vertical complex on the equation.
-
-    d(f dx_I (x) D_{v^a}) = sum_i dx_i ^ dx_I (x) [D_i, f D_{v^a}]
-                          = sum_i (D_i f) dx_i ^ dx_I (x) D_{v^a}
-                            - sum_{i,b} v_i^{b,a} f dx_i ^ dx_I (x) D_{v^b}.
-
-    Computed once per cochain, which then holds it.
-    """
-    if c._d is None:
-        chart = c.chart
-        c._put(_d=Cochain._built(chart, c.degree + 1, cochain_differential(
-            c.items(), range(1, chart.n + 1), lambda i, f: _fc_total(chart, i, f), chart.twist)))
-    return c._d
+    """The differential of the vertical complex on the equation,
+    d(f dx_I (x) D_{v^a}) = sum_i dx_i ^ dx_I (x) [D_i, f D_{v^a}], which
+    the cochain computes once and holds."""
+    return c.d
 
 
 def symmetry_from_f(chart: FcChart, f: Cochain) -> Cochain:
@@ -333,14 +257,14 @@ def symmetry_from_f(chart: FcChart, f: Cochain) -> Cochain:
     phi_i^a = D_i(f^a) - sum_b v_i^{a,b} f^b.  Always a 1-cocycle."""
     if f.degree != 0:
         raise ValueError("expected a degree-0 cochain")
-    return dfc(_on(chart, f))
+    return f.on(chart.complex).d
 
 
 def is_symmetry(chart: FcChart, phi: Cochain) -> Report:
     """A 1-cochain is a symmetry generating section iff it is d_fc-closed."""
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    image = dfc(_on(chart, phi))
+    image = phi.on(chart.complex).d
     return Report(
         task="is-symmetry-fce",
         verdict=PASS if image.is_zero() else FAIL,
@@ -394,8 +318,8 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
     """
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    phi = _on(chart, phi)
-    if not dfc(phi).is_zero():
+    phi = phi.on(chart.complex)
+    if not phi.d.is_zero():
         raise ValueError("input is not d_fc-closed; it is not a symmetry")
     if ansatz is None:
         base = default_recover_ansatz(chart, phi)
@@ -405,12 +329,10 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
         for s in ansatz.symbols:
             chart.check_symbol(s)
         tries = [ansatz]
-    fibers = range(1, chart.m + 1)
     for ans in tries:
-        f = cochain_preimage(range(1, chart.n + 1), fibers,
-                             lambda i, e: _fc_total(chart, i, e), chart.twist, phi.data, ans)
+        f = cochain_preimage(chart.complex, phi, ans)
         if f is not None:
-            return cochain0(chart, list(f.values()))
+            return f
     return None
 
 
@@ -486,4 +408,4 @@ def bracket0(chart: FcChart, f: Cochain, g: Cochain) -> Cochain:
     act_f = _action_image(chart, f)
     act_g = _action_image(chart, g)
     comps = tuple(ga.derive(act_f) - fa.derive(act_g) for fa, ga in zip(f.data, g.data))
-    return Cochain._built(chart, 0, comps)
+    return Cochain._built(chart.complex, 0, comps)

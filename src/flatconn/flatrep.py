@@ -13,9 +13,12 @@ coordinates, differentiates parametric families into deformation 1-cocycles,
 tests cocycles for exactness inside a bounded ansatz, and lifts equation
 symmetries to the covering.
 
-Its differential d_U (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
-degree 1) is the one cochain differential ``jets.cochain_differential`` with
-F_i as horizontal part and the twist D_d(a_i^b) cached as ``spec.twist``.
+Its complex (``spec.complex``) is the one ``jets.Complex`` with F_i as
+horizontal part and the twist D_d(a_i^b) cached as ``spec.twist``; its
+cochains, deformation and symmetry cocycles and exactness witnesses alike,
+are ``jets.Cochain``s keyed ((i,), d) in degree 1, and d_U is their
+differential (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
+degree 1).
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
     Expr, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
-    DerivScheme, Evolution, Extended, add_term, cochain_differential, cochain_preimage,
+    Cochain, Complex, DerivScheme, Evolution, Extended, add_term, cochain_preimage,
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
@@ -41,15 +44,8 @@ __all__ = [
     "FlatRepSpec", "AnsatzSpec", "check_flat_rep", "pullback",
     "infinitesimal_deformation", "DeformationResult", "exactness_test",
     "symmetry_cocycle", "lift_symmetry", "covering_to_flatrep",
-    "du_vertical", "du_cochain1", "is_closed", "default_ansatz",
+    "du_vertical", "du_cochain1", "default_ansatz",
 ]
-
-if TYPE_CHECKING:
-    from .jets import CochainKey
-
-    # Cochains of the representation complex: (base direction, fiber direction)
-    # -> coefficient for degree 1, (i, j, fiber) -> coefficient for degree 2.
-    Cochain1 = Dict[Tuple[int, int], Expr]
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,21 @@ class FlatRepSpec:
                     out[(i, d)] = pairs
         return out
 
+    def check_component(self, dirs: Tuple[int, ...], d: int, e: Expr) -> Expr:
+        """The component e dx_I (x) D_d of a cochain, refused off the split."""
+        if d not in self.fiber_dirs or any(i not in self.base_dirs for i in dirs):
+            raise ValueError(
+                "cochain component %r is off the split: base directions %r, "
+                "fiber directions %r" % (dirs + (d,) if dirs else d,
+                                         self.base_dirs, self.fiber_dirs))
+        return Expr.wrap(e)
+
+    @cached_property
+    def complex(self) -> Complex:
+        """The complex of the representation: F_i over the base directions."""
+        return Complex(self.base_dirs, self.fiber_dirs, self.f_apply, self.twist,
+                       self.check_component)
+
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:
     """Report of the flatness residuals; a new Report on every call."""
@@ -199,41 +210,23 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
     return f.subs({s: image(s) for s in f.symbols() if s.kind != KIND_PARAM})
 
 
-def _du(spec: FlatRepSpec, cochain: Mapping[CochainKey, Expr]) -> Dict[CochainKey, Expr]:
-    """d_U through the one cochain differential.  A component whose directions
-    or fiber index lie outside the spec's split raises ValueError."""
-    for dirs, d in cochain:
-        if d not in spec.fiber_dirs or any(i not in spec.base_dirs for i in dirs):
-            raise ValueError(
-                "cochain component %r is off the split: base directions %r, "
-                "fiber directions %r" % (dirs + (d,) if dirs else d,
-                                         spec.base_dirs, spec.fiber_dirs))
-    return cochain_differential(
-        (((dirs, d), Expr.wrap(e)) for (dirs, d), e in cochain.items()),
-        spec.base_dirs, spec.f_apply, spec.twist)
-
-
-def du_vertical(spec: FlatRepSpec, vert: Mapping[int, Expr]) -> Cochain1:
+def du_vertical(spec: FlatRepSpec, vert: Mapping[int, Expr]) -> Cochain:
     """d_U(V) for a vertical field V = sum_d b^d D_d:
-    component (i, d) = F_i(b^d) - V(a_i^d)."""
-    out = _du(spec, {((), d): b for d, b in vert.items()})
-    return {(i, d): e for ((i,), d), e in out.items()}
+    component ((i,), d) = F_i(b^d) - V(a_i^d)."""
+    return Cochain(spec.complex, 0, {((), d): b for d, b in vert.items()}).d
 
 
-def du_cochain1(spec: FlatRepSpec, c: Cochain1) -> Dict[Tuple[int, int, int], Expr]:
-    """d_U on 1-cochains; component (i, j, d) for i < j."""
-    out = _du(spec, {((i,), d): e for (i, d), e in c.items()})
-    return {(i, j, d): e for ((i, j), d), e in out.items()}
-
-
-def is_closed(spec: FlatRepSpec, c: Cochain1) -> bool:
-    return not du_cochain1(spec, c)
+def du_cochain1(spec: FlatRepSpec, c: Cochain) -> Cochain:
+    """d_U on 1-cochains; component ((i, j), d) for i < j."""
+    if c.degree != 1:
+        raise ValueError("expected a degree-1 cochain")
+    return c.on(spec.complex).d
 
 
 @dataclass
 class DeformationResult:
     base: FlatRepSpec
-    cocycle: Cochain1
+    cocycle: Cochain
     report: Report
 
 
@@ -253,51 +246,46 @@ def infinitesimal_deformation(
         raise ValueError("family is not flat for the symbolic parameter")
     eps = param("_eps")
     base_point = Expr.wrap(p if at is None else Fraction(at))
-    cocycle: Cochain1 = {}
-    for key, e in family.coeffs.items():
-        add_term(cocycle, key, e.subs({p: base_point + eps}).coefficient(eps, 1))
     base = family if at is None else family.subs({p: Expr.wrap(Fraction(at))})
-    if du_cochain1(base, cocycle):  # pragma: no cover - guaranteed by the flatness identity
+    cocycle = Cochain(base.complex, 1, {
+        ((i,), d): e.subs({p: base_point + eps}).coefficient(eps, 1)
+        for (i, d), e in family.coeffs.items()})
+    if not cocycle.d.is_zero():  # pragma: no cover - guaranteed by the flatness identity
         raise AssertionError("deformation cocycle is not closed")
     return DeformationResult(base=base, cocycle=cocycle, report=Report("deformation", PASS, ["0"]))
 
 
-def exactness_test(
-    spec: FlatRepSpec, c: Cochain1, ansatz: AnsatzSpec
-) -> Optional[Dict[int, Expr]]:
+def exactness_test(spec: FlatRepSpec, c: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:
     """Solve d_U(V) = c for a vertical field V inside the ansatz.
 
-    Returns the witness components {fiber direction: b^d} or None
+    Returns the witness V = sum_d b^d D_d as a 0-cochain, or None
     (bounded-no).  A returned witness has been re-substituted into d_U and
     checked against c exactly.
     """
     _require_flat(spec)
-    if not is_closed(spec, c):
+    c = c.on(spec.complex)
+    if not du_cochain1(spec, c).is_zero():
         raise ValueError("cochain is not closed; exactness is ill-posed")
-    return cochain_preimage(
-        spec.base_dirs, spec.fiber_dirs, spec.f_apply, spec.twist,
-        {((i,), d): Expr.wrap(e) for (i, d), e in c.items()}, ansatz)
+    return cochain_preimage(spec.complex, c, ansatz)
 
 
-def symmetry_cocycle(spec: FlatRepSpec, phi: Sequence[Expr], check: bool = True) -> Cochain1:
+def symmetry_cocycle(spec: FlatRepSpec, phi: Sequence[Expr], check: bool = True) -> Cochain:
     """c_S = [[U, S]] for the lift of the equation symmetry with generating
-    functions phi; component (i, d) = -S(a_i^d)."""
+    functions phi; component ((i,), d) = -S(a_i^d)."""
     if check:
         base = spec.scheme.base if isinstance(spec.scheme, Extended) else spec.scheme
         if not isinstance(base, Evolution):
             raise ValueError("symmetry check requires an evolution scheme underneath")
         if not is_symmetry_evolution(base, phi).ok:
             raise ValueError("phi is not a symmetry of the underlying equation")
-    out: Cochain1 = {}
-    for key, a in spec.coeffs.items():
-        add_term(out, key, evolutionary_apply(spec.scheme, phi, a), -1)
-    return out
+    return Cochain(spec.complex, 1, {
+        ((i,), d): -evolutionary_apply(spec.scheme, phi, a) for (i, d), a in spec.coeffs.items()})
 
 
 def lift_symmetry(
     spec: FlatRepSpec, phi: Sequence[Expr], ansatz: AnsatzSpec
-) -> Optional[Dict[int, Expr]]:
-    """Fiber components of a lift of the symmetry phi to the covering.
+) -> Optional[Cochain]:
+    """The fiber part of a lift of the symmetry phi to the covering, a 0-cochain.
 
     Raises ValueError unless phi is a symmetry of the underlying equation.
     Solves the exactness problem for c_S; the lifted symmetry is
@@ -309,9 +297,8 @@ def lift_symmetry(
     witness = exactness_test(spec, c, ansatz)
     if witness is None:
         return None
-    lift = {d: -witness[d] for d in spec.fiber_dirs}
-    du_lift = du_vertical(spec, lift)
-    if any(du_lift.get((i, d), ZERO) != evolutionary_apply(spec.scheme, phi, spec.a(i, d))
+    lift = Cochain._built(spec.complex, 0, tuple(-b for b in witness.data))
+    if any(lift.d.component((i,), d) != evolutionary_apply(spec.scheme, phi, spec.a(i, d))
            for i in spec.base_dirs for d in spec.fiber_dirs):  # pragma: no cover
         raise AssertionError("lift witness fails the commutation condition")
     return lift

@@ -12,27 +12,29 @@ each direction acts on every symbol of its chart.  Three built-in flavors:
   original variables are independent of (the trivial extension used by
   coverings and flat representations).
 
-On top of the schemes: evolutionary vector fields, the symmetry test for
-evolution systems, and the horizontal de Rham differential d_h.  Every
-derivation here is fixed by its values on symbols and applied through the
-one Leibniz kernel :meth:`Expr.derive`.  :func:`cochain_differential` is the
-one differential of the complex of a flat representation phi: d_h is its case
-with one trivial fiber and no twist, ``fce.dfc`` the case phi = identity on
-E_fc, and ``flatrep.du_vertical``/``du_cochain1`` the d_U of any phi.
-:func:`cochain_preimage` is its bounded inverse in degree 0, the one place
-where an ansatz system is built and solved: ``flatrep.exactness_test`` (and
-``lift_symmetry`` through it) asks it whether a cocycle of phi is exact, and
-``fce.recover_f`` asks it for the f of a symmetry of E_fc.  It builds the
-images of the ansatz basis once per monomial on packed integer keys (each
-symbol a bit field of width W = D.bit_length(), D bounding every monomial's
-total degree, so keys never carry and are never unpacked), and checks every
-answer by re-substituting it through :func:`cochain_differential`.
+On top of the schemes: evolutionary vector fields and the symmetry test for
+evolution systems.  Every derivation here is fixed by its values on symbols
+and applied through the one Leibniz kernel :meth:`Expr.derive`.
+
+A flat representation phi attaches to an equation the complex C_phi, a
+:class:`Complex` (directions, fibers, F_i, twist), and every cochain of the
+package is one frozen :class:`Cochain` on one: ``fce`` gives the case
+phi = identity on E_fc, ``flatrep`` the d_U of any phi, and the horizontal
+de Rham complex is the case with one trivial fiber and no twist.  A cochain
+computes its differential :attr:`Cochain.d`, through
+:func:`cochain_differential`, once.  :func:`cochain_preimage` is its bounded
+inverse in degree 0, the one place where an ansatz system is built and
+solved: ``flatrep.exactness_test`` (and ``lift_symmetry`` through it) asks
+it whether a cocycle of phi is exact, and ``fce.recover_f`` asks it for the
+f of a symmetry of E_fc.  It builds the images of the ansatz basis once per
+monomial on packed integer keys (each symbol a bit field of width
+W = D.bit_length(), D bounding every monomial's total degree, so keys never
+carry and are never unpacked), and checks every answer by its differential.
 Every signed sparse sum of Exprs in the package goes through :func:`add_term`.
 """
 
 from __future__ import annotations
 
-import warnings
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,9 +46,9 @@ from .linsolve import solve_by_superposition
 from .reports import FAIL, PASS, Report
 
 __all__ = [
-    "Frozen", "FreeJet", "Evolution", "Extended", "HForm",
+    "Frozen", "FreeJet", "Evolution", "Extended", "Complex", "Cochain",
     "total_derivative", "d_sigma", "evolutionary_apply",
-    "is_symmetry_evolution", "d_h", "sort_with_sign", "add_term",
+    "is_symmetry_evolution", "sort_with_sign", "add_term",
     "cochain_differential", "cochain_preimage", "DirectionError",
 ]
 
@@ -85,6 +87,22 @@ def add_term(acc: dict, key, value, sign: int = 1) -> None:
         acc[key] = value
 
 
+class Frozen:
+    """Base of the memo owners: the constructor sets each field once through
+    :meth:`_put`, and later assignment is refused, so no memo goes stale."""
+
+    __slots__ = ()
+
+    def _put(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
 if TYPE_CHECKING:
     from .expr import Scalar
     from .linsolve import AnsatzSpec
@@ -93,20 +111,122 @@ if TYPE_CHECKING:
     CochainKey = Tuple[Tuple[int, ...], int]
 
 
+class Complex(Frozen):
+    """The complex C_phi of a flat representation phi: its base
+    ``directions``, its ``fibers``, ``horizontal(i, f)`` = F_i(f), a
+    derivation, and ``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with a
+    nonzero value.  ``check(I, a, f)`` validates one component f dx_I (x) e_a
+    of a cochain handed in from outside and returns f as an Expr."""
+
+    __slots__ = ("directions", "fibers", "horizontal", "twist", "check")
+
+    def __init__(self, directions: Iterable[int], fibers: Iterable[int],
+                 horizontal: Callable[[int, Expr], Expr],
+                 twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
+                 check: Callable[[Tuple[int, ...], int, Expr], Expr]):
+        self._put(directions=tuple(directions), fibers=tuple(fibers), horizontal=horizontal,
+                  twist=twist, check=check)
+
+
+class Cochain(Frozen):
+    """A q-cochain sum f dx_I (x) e_a of a :class:`Complex`, keyed (I, a)
+    with I sorted.  Degree 0 holds its components as a tuple in fiber
+    order, degree q >= 1 a read-only map {(I, a): f} without zero values.
+
+    Immutable, because it holds its own differential :attr:`d`.
+    """
+
+    __slots__ = ("complex", "degree", "data", "_d")
+
+    def __init__(self, complex: Complex, degree: int, data: Mapping[CochainKey, Expr]):
+        if degree < 0:
+            raise ValueError("negative degree")
+        comps: Dict[CochainKey, Expr] = {}
+        for (dirs, a), e in data.items():
+            dirs = tuple(dirs)
+            e = complex.check(dirs, a, e)
+            if len(dirs) != degree:
+                raise ValueError("key %r does not match degree %d" % (dirs, degree))
+            key, sign = sort_with_sign(dirs)
+            if sign != 0:
+                add_term(comps, (key, a), e, sign)
+        if degree == 0:
+            comps = tuple(comps.get(((), a), ZERO) for a in complex.fibers)
+        self._fix(complex, degree, comps)
+
+    def _fix(self, complex: Complex, degree: int, data) -> None:
+        """Set every field once; ``data``, a dict at degree >= 1, goes read-only."""
+        self._put(complex=complex, degree=degree,
+                  data=data if degree == 0 else MappingProxyType(data), _d=None)
+
+    @classmethod
+    def _built(cls, complex: Complex, degree: int, data) -> "Cochain":
+        """A cochain whose data (a tuple at degree 0, else a dict) ``complex``
+        built itself, taken without checks."""
+        c = cls.__new__(cls)
+        c._fix(complex, degree, data)
+        return c
+
+    def on(self, complex: Complex) -> "Cochain":
+        """This cochain when it lives on ``complex``, else its data checked
+        against ``complex``."""
+        if self.complex is complex:
+            return self
+        return Cochain(complex, self.degree, dict(self.items()))
+
+    @property
+    def d(self) -> "Cochain":
+        """The differential, computed once by :func:`cochain_differential`."""
+        if self._d is None:
+            cx = self.complex
+            self._put(_d=Cochain._built(
+                cx, self.degree + 1, cochain_differential(self.items(), cx)))
+        return self._d
+
+    def component(self, dirs: Tuple[int, ...], a: int) -> Expr:
+        if self.degree:
+            return self.data.get((dirs, a), ZERO)
+        return self.data[self.complex.fibers.index(a)]
+
+    def items(self) -> Iterable[Tuple[CochainKey, Expr]]:
+        if self.degree:
+            return self.data.items()
+        return zip((((), a) for a in self.complex.fibers), self.data)
+
+    def is_zero(self) -> bool:
+        if self.degree:
+            return not self.data
+        return all(e.is_zero() for e in self.data)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Cochain)
+            and self.degree == other.degree
+            and self.data == other.data
+        )
+
+    def __repr__(self):
+        if self.degree == 0:
+            return "(" + ", ".join(render(e) for e in self.data) + ")"
+        bits = []
+        for (dirs, a) in sorted(self.data):
+            wedge = "^".join("dx%d" % i for i in dirs)
+            bits.append("(%s) %s (x) e%d" % (render(self.data[(dirs, a)]), wedge, a))
+        return " + ".join(bits) if bits else "0"
+
+
 def cochain_differential(
-    items: Iterable[Tuple[CochainKey, Expr]], directions: Sequence[int],
-    horizontal: Callable[[int, Expr], Expr],
-    twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
+    items: Iterable[Tuple[CochainKey, Expr]], complex: Complex,
 ) -> Dict[CochainKey, Expr]:
     """The differential of the complex C_phi of a flat representation phi,
     d(f dx_I (x) e_a) = sum_i dx_i ^ dx_I (x) (F_i(f) e_a - sum_b f D_a(a_i^b) e_b),
-    on ``((I, a), f)`` items, skipping zero ones.  ``horizontal(i, f)`` is F_i(f);
-    ``twist[(i, a)]`` lists the pairs (b, D_a(a_i^b)) with a nonzero value."""
+    on ``((I, a), f)`` items, skipping zero ones; :attr:`Cochain.d` calls it."""
+    horizontal, twist = complex.horizontal, complex.twist
     out: Dict[CochainKey, Expr] = {}
     for (dirs, a), f in items:
         if f.is_zero():
             continue
-        for i in directions:
+        for i in complex.directions:
             key, sign = sort_with_sign((i,) + dirs)
             if sign == 0:
                 continue
@@ -116,41 +236,35 @@ def cochain_differential(
     return out
 
 
-def cochain_preimage(
-    directions: Sequence[int], fibers: Sequence[int],
-    horizontal: Callable[[int, Expr], Expr],
-    twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
-    target: Mapping[CochainKey, Expr], ansatz: AnsatzSpec,
-) -> Optional[Dict[int, Expr]]:
-    """A 0-cochain {a: f^a} with components in the ansatz whose
-    :func:`cochain_differential` is the 1-cochain ``target``, or None when
-    the ansatz holds none (bounded-no).  ``horizontal`` must be a
-    derivation, so that F_i is fixed by its values on the pool symbols.
+def cochain_preimage(complex: Complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:
+    """A 0-cochain of ``complex`` with components in the ansatz whose
+    differential is the 1-cochain ``target``, or None when the ansatz holds
+    none (bounded-no).
 
-    The unknowns are the coefficients of the basis mu e_a, a over ``fibers``
-    and mu over the ansatz monomials, in that order (a outer, mu inner).
-    :func:`_basis_images` builds their images and packs the target on
-    integer monomial keys; a returned answer is rebuilt as Exprs and checked
-    exactly through :func:`cochain_differential`, the Expr path checking the
-    packed one.
+    The unknowns are the coefficients of the basis mu e_a, a over the
+    fibers and mu over the ansatz monomials, in that order (a outer, mu
+    inner).  :func:`_basis_images` builds their images and packs the target
+    on integer monomial keys; a returned answer is rebuilt as Exprs and
+    checked exactly by its differential, the Expr path checking the packed
+    one.
     """
+    target = target.on(complex)
+    fibers = complex.fibers
     monos = ansatz.monomials()
-    keys = [((i,), a) for i in directions for a in fibers]
-    goal = [target.get(k, ZERO) for k in keys]
-    images, pack = _basis_images(directions, fibers, horizontal, twist, monos, goal)
+    goal = [target.component((i,), a) for i in complex.directions for a in fibers]
+    images, pack = _basis_images(complex, monos, goal)
     coeffs = solve_by_superposition(images, [pack(e) for e in goal])
     if coeffs is None:
         return None
-    out = {a: ZERO for a in fibers}
-    basis = ((a, mu) for a in fibers for mu in monos)
-    for (a, mu), q in zip(basis, coeffs):
+    comps = [ZERO] * len(fibers)
+    basis = ((pos, mu) for pos in range(len(fibers)) for mu in monos)
+    for (pos, mu), q in zip(basis, coeffs):
         if q:
-            out[a] = out[a] + q * mu
-    back = cochain_differential(
-        ((((), a), f) for a, f in out.items()), directions, horizontal, twist)
-    if any(back.get(k, ZERO) != target.get(k, ZERO) for k in set(back) | set(target)):
+            comps[pos] = comps[pos] + q * mu
+    answer = Cochain._built(complex, 0, tuple(comps))
+    if answer.d != target:
         raise AssertionError("cochain preimage fails verification")  # pragma: no cover
-    return out
+    return answer
 
 
 # A component of a basis image that is zero; shared, and never written.
@@ -158,16 +272,14 @@ _NO_TERMS: Mapping[int, Scalar] = MappingProxyType({})
 
 
 def _basis_images(
-    directions: Sequence[int], fibers: Sequence[int],
-    horizontal: Callable[[int, Expr], Expr],
-    twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
-    monos: Sequence[Expr], target: Sequence[Expr],
+    complex: Complex, monos: Sequence[Expr], target: Sequence[Expr],
 ) -> Tuple[List[List[Mapping[int, Scalar]]], Callable[[Expr], Dict[int, Scalar]]]:
     """The components ((i,), b), i outer and b inner, of
     d(mu e_a) = sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b)
-    for every fiber a and monomial mu, in slot ``a_pos * len(monos) + k`` for
-    mu = monos[k], as sparse maps {packed key: coefficient}; and ``pack``,
-    which puts an Expr (a component of ``target``) on the same keys.
+    for every fiber a and monomial mu of ``complex``, in slot
+    ``a_pos * len(monos) + k`` for mu = monos[k], as sparse maps
+    {packed key: coefficient}; and ``pack``, which puts an Expr (a component
+    of ``target``) on the same keys.
 
     Packed exponent vectors (Monagan and Pearce): each symbol of ``monos``,
     of their F_i images, of the twist values and of ``target`` gets a bit
@@ -179,10 +291,11 @@ def _basis_images(
     and term c m of F_i(s), once per (i, mu) for every fiber; the twist part
     is key(mu) + key(t).
     """
+    directions, fibers, twist = complex.directions, complex.fibers, complex.twist
     syms: Dict[Symbol, None] = {}  # slot order: first appearance
     mdeg = _scan(monos, syms)
     pool = list(syms)
-    values = {(i, s): horizontal(i, Expr.wrap(s)) for i in directions for s in pool}
+    values = {(i, s): complex.horizontal(i, Expr.wrap(s)) for i in directions for s in pool}
     twists = [(i, a, b, t) for i in directions for a in fibers for b, t in twist.get((i, a), ())]
     fdeg = _scan(values.values(), syms)
     tdeg = _scan((t for *_, t in twists), syms)
@@ -275,22 +388,6 @@ def _add_coeff(acc: Dict[int, Scalar], key: int, c: Scalar) -> None:
             acc[key] = got
         else:
             del acc[key]
-
-
-class Frozen:
-    """Base of the memo owners: the constructor sets each field once through
-    :meth:`_put`, and later assignment is refused, so no memo goes stale."""
-
-    __slots__ = ()
-
-    def _put(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    __delattr__ = __setattr__
 
 
 class DerivScheme(Frozen):
@@ -503,56 +600,3 @@ def is_symmetry_evolution(scheme: Evolution, phi: Sequence[Expr]) -> Report:
         verdict=PASS if ok else FAIL,
         residuals=[render(r) for r in residuals],
     )
-
-
-class HForm:
-    """Horizontal differential form: sorted direction tuples -> coefficients."""
-
-    def __init__(self, scheme: DerivScheme, degree: int, terms=None):
-        self.scheme = scheme
-        self.degree = degree
-        data: Dict[Tuple[int, ...], Expr] = {}
-        for key, coeff in (terms or {}).items():
-            coeff = Expr.wrap(coeff)
-            if len(key) != degree:
-                raise ValueError("key %r does not match degree %d" % (key, degree))
-            for i in key:
-                scheme.check_direction(i)
-            skey, sign = sort_with_sign(key)
-            if sign != 0:
-                add_term(data, skey, coeff, sign)
-        self.terms = data
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HForm)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            wedge = "^".join("dx%d" % i for i in key) or "1"
-            bits.append("(%s) %s" % (render(self.terms[key]), wedge))
-        return " + ".join(bits)
-
-
-def d_h(scheme: DerivScheme, omega: HForm) -> HForm:
-    """Horizontal de Rham differential: d_h(f dx_I) = sum_i D_i(f) dx_i ^ dx_I.
-
-    The cochain differential with one dummy fiber index and no twist.
-    """
-    if omega.degree >= scheme.ndirs:
-        warnings.warn("d_h on a top-degree form is zero", stacklevel=2)
-    out = cochain_differential(
-        (((key, 0), f) for key, f in omega.terms.items()), range(1, scheme.ndirs + 1),
-        lambda i, f: total_derivative(scheme, i, f), {})
-    result = HForm(scheme, omega.degree + 1)
-    result.terms = {key: e for (key, _), e in out.items()}
-    return result

@@ -359,7 +359,7 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
     trivial = du_vertical(spec, {3: ZERO, 4: ZERO, **vert})
     for i in spec.base_dirs:
         for d in spec.fiber_dirs:
-            diff = scheme.normalize(cocycle.get((i, d), ZERO) + trivial.get((i, d), ZERO))
+            diff = scheme.normalize(cocycle.component((i,), d) + trivial.component((i,), d))
             residuals.append(render(diff))
             ok = ok and diff.is_zero()
     return Report(task="sdym-ugh", verdict=PASS if ok else FAIL, residuals=residuals)

@@ -49,7 +49,7 @@ def leibniz_reference(f: Expr, image) -> Expr:
 # index; the references that jets.cochain_differential is tested against.
 
 def du_vertical_reference(spec, vert):
-    """d_U(V), component (i, d) = F_i(b^d) - sum_c b^c D_c(a_i^d)."""
+    """d_U(V), component ((i,), d) = F_i(b^d) - sum_c b^c D_c(a_i^d)."""
     out = {}
     for i in spec.base_dirs:
         for d in spec.fiber_dirs:
@@ -59,35 +59,35 @@ def du_vertical_reference(spec, vert):
                 if not b.is_zero():
                     val = val - b * d_sigma(spec.scheme, (c,), spec.a(i, d))
             if not val.is_zero():
-                out[(i, d)] = val
+                out[((i,), d)] = val
     return out
 
 
 def du_cochain1_reference(spec, c):
-    """d_U on 1-cochains, component (i, j, d) for i < j:
+    """d_U on the 1-cochain {((i,), d): c_i^d}, component ((i, j), d) for i < j:
     F_i(c_j^d) - F_j(c_i^d) - sum_e c_j^e D_e(a_i^d) + sum_e c_i^e D_e(a_j^d)."""
     out = {}
     for ai, i in enumerate(spec.base_dirs):
         for j in spec.base_dirs[ai + 1:]:
             for d in spec.fiber_dirs:
-                val = spec.f_apply(i, Expr.wrap(c.get((j, d), ZERO)))
-                val = val - spec.f_apply(j, Expr.wrap(c.get((i, d), ZERO)))
+                val = spec.f_apply(i, Expr.wrap(c.get(((j,), d), ZERO)))
+                val = val - spec.f_apply(j, Expr.wrap(c.get(((i,), d), ZERO)))
                 for e in spec.fiber_dirs:
-                    cj = Expr.wrap(c.get((j, e), ZERO))
-                    ci = Expr.wrap(c.get((i, e), ZERO))
+                    cj = Expr.wrap(c.get(((j,), e), ZERO))
+                    ci = Expr.wrap(c.get(((i,), e), ZERO))
                     if not cj.is_zero():
                         val = val - cj * d_sigma(spec.scheme, (e,), spec.a(i, d))
                     if not ci.is_zero():
                         val = val + ci * d_sigma(spec.scheme, (e,), spec.a(j, d))
                 if not val.is_zero():
-                    out[(i, j, d)] = val
+                    out[((i, j), d)] = val
     return out
 
 
 def dfc_reference(c, total):
     """Data of dfc(c): sum_i (D_i f) dx_i ^ dx_I (x) D_{v^a}
     - sum_{i,b} v_i^{b,a} f dx_i ^ dx_I (x) D_{v^b}, with ``total(i, f)`` = D_i f."""
-    chart = c.chart
+    directions, fibers = c.complex.directions, c.complex.fibers
     out = {}
 
     def add(key, e):
@@ -98,13 +98,13 @@ def dfc_reference(c, total):
             out[key] = acc
 
     for (dirs, alpha), f in c.items():
-        for i in range(1, chart.n + 1):
+        for i in directions:
             skey, sign = sort_with_sign((i,) + dirs)
             if sign == 0:
                 continue
             lead = total(i, f)
             add((skey, alpha), lead if sign > 0 else -lead)
-            for beta in range(1, chart.m + 1):
+            for beta in fibers:
                 tail = fc(beta, (i,), (alpha,)) * f
                 add((skey, beta), -tail if sign > 0 else tail)
     return out

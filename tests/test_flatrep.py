@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO, ONE
-from flatconn.jets import Evolution, total_derivative, evolutionary_apply
+from flatconn.jets import Cochain, Evolution, total_derivative, evolutionary_apply
 from flatconn import fce, flatrep, sdym
 from flatconn.kdv import build_kdv, miura_at
 from flatconn.linsolve import AnsatzSpec
@@ -59,7 +59,7 @@ def test_check_flat_rep_examples(kdv):
     with pytest.raises(ValueError):
         flatrep.pullback(bent, Expr.wrap(v(1)))
     with pytest.raises(ValueError):
-        flatrep.exactness_test(bent, {}, pinned_ansatz())
+        flatrep.exactness_test(bent, Cochain(bent.complex, 1, {}), pinned_ansatz())
     with pytest.raises(ValueError):
         flatrep.lift_symmetry(bent, [kdv.symmetries["x-translation"]], pinned_ansatz())
 
@@ -113,16 +113,16 @@ def test_pullback_rejects_invalid_spec(kdv):
 def test_infinitesimal_deformation_miura(kdv):
     res = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
     assert res.report.verdict == "pass"
-    assert res.cocycle[(1, 3)] == ONE
-    assert res.cocycle[(2, 3)] == -(2 * u(0) + 8 * param("lam") + 4 * y(1) ** 2)
+    assert res.cocycle.component((1,), 3) == ONE
+    assert res.cocycle.component((2,), 3) == -(2 * u(0) + 8 * param("lam") + 4 * y(1) ** 2)
     # at a rational base point the lam disappears
     res0 = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam, Fraction(0))
-    assert res0.cocycle[(2, 3)] == -(2 * u(0) + 4 * y(1) ** 2)
+    assert res0.cocycle.component((2,), 3) == -(2 * u(0) + 4 * y(1) ** 2)
 
 
 def test_constant_family_has_zero_cocycle(kdv):
     res = flatrep.infinitesimal_deformation(kdv.miura, param("mu"))
-    assert res.cocycle == {}
+    assert res.cocycle.data == {}
 
 
 def test_deformation_rejects_nonflat_family(kdv):
@@ -140,7 +140,7 @@ def test_exponential_of_vertical_field_is_trivial_to_first_order(kdv):
     spec = kdv.miura
     eps = param("_tst_eps")
     vfield = {3: Expr.wrap(y(1))}
-    inf = {key: -e for key, e in flatrep.du_vertical(spec, vfield).items()}
+    inf = {(i, d): -e for ((i,), d), e in flatrep.du_vertical(spec, vfield).items()}
     keys = set(spec.coeffs) | set(inf)
     fam = flatrep.FlatRepSpec(
         spec.scheme, spec.base_dirs, spec.fiber_dirs,
@@ -244,11 +244,12 @@ def test_du_matches_hand_written_formulas(kdv):
     for _ in range(6):
         vert = {3: rand_expr(rng, pool), 4: rand_expr(rng, pool)}
         want = du_vertical_reference(spec, vert)
-        assert want and flatrep.du_vertical(spec, vert) == want
-        assert flatrep.du_vertical(spec, {4: vert[4]}) == du_vertical_reference(spec, {4: vert[4]})
-        c = {(i, d): rand_expr(rng, pool) for i in (1, 2) for d in (3, 4)}
+        assert want and flatrep.du_vertical(spec, vert).data == want
+        assert flatrep.du_vertical(spec, {4: vert[4]}).data == \
+            du_vertical_reference(spec, {4: vert[4]})
+        c = {((i,), d): rand_expr(rng, pool) for i in (1, 2) for d in (3, 4)}
         want = du_cochain1_reference(spec, c)
-        assert want and flatrep.du_cochain1(spec, c) == want
+        assert want and flatrep.du_cochain1(spec, Cochain(spec.complex, 1, c)).data == want
 
 
 def test_du_squares_to_zero(kdv):
@@ -260,8 +261,8 @@ def test_du_squares_to_zero(kdv):
         pool = [x(1), x(2), u(0), u(1), u(2), kdv.lam] + [y(d - 2) for d in fibers]
         for _ in range(6):
             vert = {d: rand_expr(rng, pool, degree=3) for d in fibers}
-            assert flatrep.du_vertical(spec, vert)
-            assert flatrep.du_cochain1(spec, flatrep.du_vertical(spec, vert)) == {}
+            assert not flatrep.du_vertical(spec, vert).is_zero()
+            assert flatrep.du_cochain1(spec, flatrep.du_vertical(spec, vert)).data == {}
 
 
 def test_exactness_planted_witness(kdv):
@@ -271,15 +272,18 @@ def test_exactness_planted_witness(kdv):
     assert got is not None
     # any witness differs from y d_y by a kernel element; re-substitution is
     # checked inside exactness_test, and here the kernel is trivial:
-    assert got == {3: Expr.wrap(y(1))}
-    assert flatrep.exactness_test(spec, {}, pinned_ansatz(with_lam=True)) == {3: ZERO}
+    assert dict(got.items()) == {((), 3): Expr.wrap(y(1))}
+    zero = Cochain(spec.complex, 1, {})
+    assert dict(flatrep.exactness_test(spec, zero, pinned_ansatz(with_lam=True)).items()) == \
+        {((), 3): ZERO}
     # Several fibers and an off-diagonal twist: the witness is read back per
     # fiber from one solve, with the twist coupling the fibers.
     spec = linear_kdv_covering(kdv)
     planted = {3: x(1) * y(2) + y(1), 4: u(0) * y(1)}
     c = flatrep.du_vertical(spec, planted)
     pool = (x(1), x(2), y(1), y(2), u(0), u(1), kdv.lam)
-    assert flatrep.exactness_test(spec, c, AnsatzSpec(pool, 2)) == planted
+    got = flatrep.exactness_test(spec, c, AnsatzSpec(pool, 2))
+    assert dict(got.items()) == {((), d): b for d, b in planted.items()}
     assert flatrep.exactness_test(spec, c, AnsatzSpec(pool[1:], 2)) is None
 
 
@@ -290,8 +294,9 @@ def test_miura_lambda_cocycle_not_exact_at_degree_4(kdv):
 
 
 def test_exactness_rejects_non_closed(kdv):
+    c = Cochain(kdv.miura.complex, 1, {((1,), 3): Expr.wrap(y(1))})
     with pytest.raises(ValueError):
-        flatrep.exactness_test(kdv.miura, {(1, 3): Expr.wrap(y(1))}, pinned_ansatz())
+        flatrep.exactness_test(kdv.miura, c, pinned_ansatz())
 
 
 def test_cochain_keyed_off_the_split_is_refused(kdv):
@@ -299,27 +304,45 @@ def test_cochain_keyed_off_the_split_is_refused(kdv):
     # cochain it would pass as closed, with the false witness {3: 0}
     spec = kdv.miura
     with pytest.raises(ValueError, match=r"cochain component \(1, 1\) is off the split"):
-        flatrep.exactness_test(spec, {(1, 1): Expr.wrap(y(1))}, AnsatzSpec((x(1), y(1)), 1))
-    with pytest.raises(ValueError, match=r"\(1, 1\)"):
-        flatrep.is_closed(spec, {(1, 1): Expr.wrap(y(1))})
+        flatrep.exactness_test(spec, Cochain(spec.complex, 1, {((1,), 1): Expr.wrap(y(1))}),
+                               AnsatzSpec((x(1), y(1)), 1))
     with pytest.raises(ValueError, match=r"\(3, 3\)"):
-        flatrep.du_cochain1(spec, {(3, 3): ZERO})
+        flatrep.du_cochain1(spec, Cochain(spec.complex, 1, {((3,), 3): ZERO}))
     with pytest.raises(ValueError, match="component 1 is off the split"):
         flatrep.du_vertical(spec, {1: Expr.wrap(y(1))})
-    assert flatrep.du_vertical(spec, {3: ZERO}) == {}
+    assert flatrep.du_vertical(spec, {3: ZERO}).data == {}
+
+
+def test_cochain_of_another_spec_is_checked(kdv):
+    # A cochain built on one spec and used on another is checked against the
+    # one it is used on: the linear covering has the fiber direction 4, the
+    # Miura covering does not.
+    wide = linear_kdv_covering(kdv)
+    c = Cochain(wide.complex, 1, {((1,), 3): Expr.wrap(y(1)), ((2,), 4): Expr.wrap(y(2))})
+    with pytest.raises(ValueError, match=r"cochain component \(2, 4\) is off the split"):
+        flatrep.exactness_test(kdv.miura, c, pinned_ansatz())
+    with pytest.raises(ValueError, match=r"cochain component \(2, 4\) is off the split"):
+        flatrep.du_cochain1(kdv.miura, c)
+    # A cocycle of a family at a base point lives on that base point, not on
+    # the family, and is tested there.
+    res = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam, Fraction(1))
+    assert res.cocycle.complex is res.base.complex
+    ans = flatrep.default_ansatz(res.base)
+    assert ans.degree == 4 and len(ans.symbols) == 7
+    assert flatrep.exactness_test(res.base, res.cocycle, ans) is None
 
 
 def test_symmetry_cocycle_values_and_closedness(kdv):
     spec = kdv.miura
     phi = [Expr.wrap(u(1))]
     c = flatrep.symmetry_cocycle(spec, phi)
-    assert c[(1, 3)] == -evolutionary_apply(spec.scheme, phi, spec.a(1, 3))
-    assert c[(2, 3)] == -evolutionary_apply(spec.scheme, phi, spec.a(2, 3))
-    assert c[(1, 3)] == -Expr.wrap(u(1))
+    assert c.component((1,), 3) == -evolutionary_apply(spec.scheme, phi, spec.a(1, 3))
+    assert c.component((2,), 3) == -evolutionary_apply(spec.scheme, phi, spec.a(2, 3))
+    assert c.component((1,), 3) == -Expr.wrap(u(1))
     for name in ("x-translation", "t-translation", "galilean"):
         cc = flatrep.symmetry_cocycle(spec, [kdv.symmetries[name]])
-        assert flatrep.is_closed(spec, cc)
-    assert flatrep.symmetry_cocycle(spec, [ZERO]) == {}
+        assert flatrep.du_cochain1(spec, cc).is_zero()
+    assert flatrep.symmetry_cocycle(spec, [ZERO]).data == {}
     with pytest.raises(ValueError):
         flatrep.symmetry_cocycle(spec, [Expr.wrap(u(0))])
 
@@ -327,13 +350,13 @@ def test_symmetry_cocycle_values_and_closedness(kdv):
 def test_lift_x_translation_witness(kdv):
     lift = flatrep.lift_symmetry(
         kdv.miura, [kdv.symmetries["x-translation"]], pinned_ansatz(with_lam=True))
-    assert lift == {3: param("lam") + u(0) + y(1) ** 2}
+    assert dict(lift.items()) == {((), 3): param("lam") + u(0) + y(1) ** 2}
 
 
 def test_lift_t_translation(kdv):
     lift = flatrep.lift_symmetry(
         kdv.miura, [kdv.symmetries["t-translation"]], pinned_ansatz(with_lam=True))
-    assert lift == {3: kdv.miura.a(2, 3)}
+    assert dict(lift.items()) == {((), 3): kdv.miura.a(2, 3)}
 
 
 def test_lift_galilean_bounded_no_at_lambda_1(kdv):
@@ -348,7 +371,7 @@ def test_lift_scaling_verdicts(kdv):
         y(1) + x(1) * (u(0) + y(1) ** 2)
         + 3 * x(2) * (u(2) + 2 * u(0) ** 2 + 2 * u(1) * y(1) + 2 * u(0) * y(1) ** 2)
     )
-    assert got == {3: expected}
+    assert dict(got.items()) == {((), 3): expected}
     assert flatrep.lift_symmetry(miura_at(kdv, Fraction(1)), phi, pinned_ansatz()) is None
 
 
@@ -358,7 +381,8 @@ def test_lifted_commutator_of_liftable_flows(kdv):
     p2 = kdv.symmetries["t-translation"]
     comm = evolutionary_apply(kdv.scheme, [p1], p2) - evolutionary_apply(kdv.scheme, [p2], p1)
     assert comm.is_zero()
-    assert flatrep.lift_symmetry(kdv.miura, [comm], pinned_ansatz(with_lam=True)) == {3: ZERO}
+    lift = flatrep.lift_symmetry(kdv.miura, [comm], pinned_ansatz(with_lam=True))
+    assert dict(lift.items()) == {((), 3): ZERO}
 
 
 def test_default_ansatz_covers_the_data(kdv):

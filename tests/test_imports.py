@@ -192,6 +192,20 @@ def test_only_cochain_preimage_builds_and_solves_ansatz_systems():
     assert sorted(name for _, _, name in found) == sorted(SOLVER_CALLEES), found
 
 
+def test_one_cochain_type_and_one_differential_call():
+    # Every cochain of the package is a jets.Cochain on a jets.Complex, and
+    # only it calls the cochain differential (its memoised property d).
+    found, classes = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [("%s.%s" % (path.stem, owner), line, name)
+                  for owner, line, name in _calls(tree, ("cochain_differential",))]
+        classes += [path.stem for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and node.name == "Cochain"]
+    assert found and all(owner.startswith("jets.Cochain.") for owner, _, _ in found), found
+    assert classes == ["jets"], classes
+
+
 def test_solver_call_scan_sees_every_caller():
     tree = ast.parse(
         "def f(a):\n"
@@ -213,7 +227,7 @@ PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
 KERNELS = ("_fc_total", "_fc_vertical")
 CHECKS = ("check_expr", "check_symbol")
 # Recursion inside fce on expressions the chart built itself.
-UNCHECKED = ("_total_symbol", "_prolongation.coefficient", "dfc")
+UNCHECKED = ("_total_symbol", "_prolongation.coefficient", "FcChart.complex")
 
 
 def test_fce_checks_input_at_its_public_entries_only():

@@ -5,8 +5,8 @@ import pytest
 from flatconn import fce, sdym
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO
 from flatconn.jets import (
-    DirectionError, Evolution, Extended, FreeJet, HForm, _basis_images,
-    cochain_differential, cochain_preimage, d_h, d_sigma, evolutionary_apply, is_symmetry_evolution,
+    Cochain, Complex, DirectionError, Evolution, Extended, FreeJet, _basis_images,
+    cochain_differential, cochain_preimage, d_sigma, evolutionary_apply, is_symmetry_evolution,
     total_derivative,
 )
 from flatconn.kdv import build_kdv
@@ -125,79 +125,85 @@ def test_extended_scheme_fibers():
     assert total_derivative(ext, 1, Expr.wrap(y(1))).is_zero()
 
 
+def scheme_complex(scheme, fibers, twist):
+    """The complex over all directions of ``scheme`` with F_i = D_i, the
+    given fibers and twist; a component is checked for its directions and
+    fiber."""
+    def check(dirs, a, e):
+        if a not in fibers:
+            raise ValueError("fiber %r outside %r" % (a, fibers))
+        for i in dirs:
+            scheme.check_direction(i)
+        return Expr.wrap(e)
+
+    return Complex(range(1, scheme.ndirs + 1), fibers,
+                   lambda i, f: total_derivative(scheme, i, f), twist, check)
+
+
+def horizontal(scheme):
+    """The horizontal de Rham complex of ``scheme``: one trivial fiber 0 and
+    no twist, so that the differential is d_h(f dx_I) = sum_i D_i(f) dx_i ^ dx_I."""
+    return scheme_complex(scheme, (0,), {})
+
+
 def test_d_h_examples():
-    free = FreeJet(2, 1)
-    w0 = HForm(free, 0, {(): Expr.wrap(x(1))})
-    assert d_h(free, w0).terms == {(1,): const(1)}
+    free = horizontal(FreeJet(2, 1))
+    w0 = Cochain(free, 0, {((), 0): Expr.wrap(x(1))})
+    assert w0.d.data == {((1,), 0): const(1)}
 
-    kdv = kdv_scheme()
-    w = HForm(kdv, 1, {(1,): Expr.wrap(u(0))})
-    image = d_h(kdv, w)
+    kdv = horizontal(kdv_scheme())
+    image = Cochain(kdv, 1, {((1,), 0): Expr.wrap(u(0))}).d
     # d_h(u0 dx) = D_t(u0) dt ^ dx = -(u3 + 6 u0 u1) dx ^ dt
-    assert image.terms == {(1, 2): -(u(3) + 6 * u(0) * u(1))}
+    assert image.data == {((1, 2), 0): -(u(3) + 6 * u(0) * u(1))}
 
 
-@pytest.mark.filterwarnings("ignore:d_h on a top-degree")
 def test_d_h_squared_zero():
     rng = random.Random(8)
-    kdv = kdv_scheme()
-    free = FreeJet(2, 1)
     for scheme, pool in (
-        (kdv, spatial_jets(1, 3) + [x(1), x(2)]),
-        (free, [jet(1, s) for s in [(), (1,), (2,), (1, 2)]] + [x(1)]),
+        (kdv_scheme(), spatial_jets(1, 3) + [x(1), x(2)]),
+        (FreeJet(2, 1), [jet(1, s) for s in [(), (1,), (2,), (1, 2)]] + [x(1)]),
     ):
+        cx = horizontal(scheme)
         for _ in range(8):
             f = rand_expr(rng, pool)
-            w = HForm(scheme, 0, {(): f})
-            assert d_h(scheme, d_h(scheme, w)).is_zero()
-            w1 = HForm(scheme, 1, {(1,): f, (2,): rand_expr(rng, pool)})
-            assert d_h(scheme, d_h(scheme, w1)).is_zero()
-
-
-def test_d_h_top_degree_notice():
-    kdv = kdv_scheme()
-    top = HForm(kdv, 2, {(1, 2): Expr.wrap(u(0))})
-    with pytest.warns(UserWarning, match="top-degree"):
-        out = d_h(kdv, top)
-    assert out.degree == 3 and out.is_zero()
+            w = Cochain(cx, 0, {((), 0): f})
+            assert w.d.d.is_zero()
+            w1 = Cochain(cx, 1, {((1,), 0): f, ((2,), 0): rand_expr(rng, pool)})
+            assert w1.d.d.is_zero()
 
 
 def test_hform_sign_normalization():
-    kdv = kdv_scheme()
-    a = HForm(kdv, 2, {(2, 1): Expr.wrap(u(0))})
-    b = HForm(kdv, 2, {(1, 2): -Expr.wrap(u(0))})
+    kdv = horizontal(kdv_scheme())
+    a = Cochain(kdv, 2, {((2, 1), 0): Expr.wrap(u(0))})
+    b = Cochain(kdv, 2, {((1, 2), 0): -Expr.wrap(u(0))})
     assert a == b
-    assert HForm(kdv, 2, {(1, 1): Expr.wrap(u(0))}).is_zero()
+    assert Cochain(kdv, 2, {((1, 1), 0): Expr.wrap(u(0))}).is_zero()
 
 
 def _preimage_problems():
-    """(name, directions, fibers, horizontal, twist, pool) of three degree-0
-    inverse problems, each with a nonzero twist."""
-    chart = fce.FcChart(2, 2)
-    yield ("fc(2,2)", range(1, 3), range(1, 3),
-           lambda i, e: fce.fc_total(chart, i, e), chart.twist,
+    """(name, complex, pool) of three degree-0 inverse problems, each with a
+    nonzero twist."""
+    yield ("fc(2,2)", fce.FcChart(2, 2).complex,
            AnsatzSpec((x(1), v(1), v(2), fc(1, (2,)), fc(2, (1,), (2,))), 2))
-    miura = build_kdv().miura
-    yield ("miura", miura.base_dirs, miura.fiber_dirs, miura.f_apply, miura.twist,
+    yield ("miura", build_kdv().miura.complex,
            AnsatzSpec((x(2), y(1), u(0), u(1), param("lam")), 3))
-    spec = sdym.build_flatrep(1, None).spec
-    yield ("sdym k=1", spec.base_dirs, spec.fiber_dirs, spec.f_apply, spec.twist,
+    yield ("sdym k=1", sdym.build_flatrep(1, None).spec.complex,
            AnsatzSpec((x(1), x(3), y(1), jet(1), jet(4), jet(1, (2,)), jet(3, (4,))), 2))
 
 
-def _check_basis_images(dirs, fibers, horizontal, twist, ansatz):
+def _check_basis_images(cx, ansatz):
     """Every image of the packed kernel equals cochain_differential of
     {((), a): mu}, packed with the kernel's own slot table, component by
     component; and packing is injective on the monomials of those images."""
     monos = ansatz.monomials()
-    keys = [((i,), b) for i in dirs for b in fibers]
-    images, pack = _basis_images(dirs, fibers, horizontal, twist, monos, [ZERO] * len(keys))
-    assert len(images) == len(fibers) * len(monos)
+    keys = [((i,), b) for i in cx.directions for b in cx.fibers]
+    images, pack = _basis_images(cx, monos, [ZERO] * len(keys))
+    assert len(images) == len(cx.fibers) * len(monos)
     seen = set()
     slot = 0
-    for a in fibers:  # column order: a outer, mu inner
+    for a in cx.fibers:  # column order: a outer, mu inner
         for mu in monos:
-            want = cochain_differential([(((), a), mu)], dirs, horizontal, twist)
+            want = cochain_differential([(((), a), mu)], cx)
             assert set(want) <= set(keys)
             assert [dict(c) for c in images[slot]] == [pack(want.get(k, ZERO)) for k in keys], \
                 (a, render(mu))
@@ -211,28 +217,25 @@ def test_basis_images_match_cochain_differential(problem):
     # A bounded-no answer is never re-substituted, so this is what checks the
     # packed per-monomial kernel of cochain_preimage against the one
     # differential.
-    _, dirs, fibers, horizontal, twist, ansatz = problem
-    assert twist
-    _check_basis_images(dirs, fibers, horizontal, twist, ansatz)
+    _, cx, ansatz = problem
+    assert cx.twist
+    _check_basis_images(cx, ansatz)
 
 
 def test_slot_width_covers_the_leibniz_and_twist_degrees():
     # Two systems in which one degree bound alone sets W: on KdV, D_t(u[0]) =
     # u[3] + 6*u[0]*u[1] raises the degree of F_t(mu) by one; on J(1, 1) with
     # the twist value x1^3, the twist part exceeds every other degree.
-    kdv = kdv_scheme()
-    _check_basis_images([1, 2], [1], lambda i, f: total_derivative(kdv, i, f), {},
-                        AnsatzSpec((u(0), u(1)), 2))
-    free = FreeJet(1, 1)
-    _check_basis_images([1], [1, 2], lambda i, f: total_derivative(free, i, f),
-                        {(1, 1): ((2, x(1) ** 3),)}, AnsatzSpec((x(1), u(0)), 1))
+    _check_basis_images(scheme_complex(kdv_scheme(), (1,), {}), AnsatzSpec((u(0), u(1)), 2))
+    _check_basis_images(scheme_complex(FreeJet(1, 1), (1, 2), {(1, 1): ((2, x(1) ** 3),)}),
+                        AnsatzSpec((x(1), u(0)), 1))
 
 
 def _d_h_problem():
-    """(directions, fibers, horizontal, twist) of d_h on the free jet space
-    J(1, 1): one fiber and no twist."""
-    scheme = FreeJet(1, 1)
-    return [1], [1], lambda i, f: total_derivative(scheme, i, f), {}
+    """The complex of d_h on the free jet space J(1, 1), with one fiber 1
+    and no twist, and a 1-cochain builder on it."""
+    cx = scheme_complex(FreeJet(1, 1), (1,), {})
+    return cx, lambda e: Cochain(cx, 1, {((1,), 1): e})
 
 
 def test_preimage_slot_width_comes_from_the_target():
@@ -241,41 +244,34 @@ def test_preimage_slot_width_comes_from_the_target():
     # u[1]: x1^4 would pack onto u[1], the image of u[0], and give the false
     # witness u[0], which the re-substitution refuses.  W comes from the
     # target's degree 4 instead, and the answer is bounded-no.
-    dirs, fibers, horizontal, twist = _d_h_problem()
+    cx, one = _d_h_problem()
     ansatz = AnsatzSpec((x(1), u(0)), 1)
-    target = {((1,), 1): x(1) ** 4}
-    assert cochain_preimage(dirs, fibers, horizontal, twist, target, ansatz) is None
-    _, pack = _basis_images(dirs, fibers, horizontal, twist, ansatz.monomials(),
-                            [x(1) ** 4])
+    assert cochain_preimage(cx, one(x(1) ** 4), ansatz) is None
+    _, pack = _basis_images(cx, ansatz.monomials(), [x(1) ** 4])
     assert pack(x(1) ** 4) != pack(Expr.wrap(u(1)))
-    target = {((1,), 1): 3 * x(1) ** 2}
-    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
-                            AnsatzSpec((x(1),), 3)) == {1: x(1) ** 3}
+    got = cochain_preimage(cx, one(3 * x(1) ** 2), AnsatzSpec((x(1),), 3))
+    assert dict(got.items()) == {((), 1): x(1) ** 3}
 
 
 def test_preimage_target_symbol_in_no_image_is_bounded_no():
     # u[2] is in no image of the pool (x1,), so its row has no unknown.
-    dirs, fibers, horizontal, twist = _d_h_problem()
-    target = {((1,), 1): x(1) + u(2)}
-    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
-                            AnsatzSpec((x(1),), 2)) is None
-    assert cochain_preimage(dirs, fibers, horizontal, twist, {((1,), 1): Expr.wrap(x(1))},
-                            AnsatzSpec((x(1),), 2)) == {1: x(1) ** 2 / 2}
+    cx, one = _d_h_problem()
+    assert cochain_preimage(cx, one(x(1) + u(2)), AnsatzSpec((x(1),), 2)) is None
+    got = cochain_preimage(cx, one(Expr.wrap(x(1))), AnsatzSpec((x(1),), 2))
+    assert dict(got.items()) == {((), 1): x(1) ** 2 / 2}
 
 
 def test_preimage_packs_lam_like_any_symbol():
     # lam gets a slot of its own: lam is not the constant 1, and d(lam x1) =
     # lam dx1 needs lam in the pool.
     lam = param("lam")
-    dirs, fibers, horizontal, twist = _d_h_problem()
-    target = {((1,), 1): Expr.wrap(lam)}
-    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
-                            AnsatzSpec((x(1),), 2)) is None
-    assert cochain_preimage(dirs, fibers, horizontal, twist, target,
-                            AnsatzSpec((x(1), lam), 2)) == {1: lam * x(1)}
+    cx, one = _d_h_problem()
+    target = one(Expr.wrap(lam))
+    assert cochain_preimage(cx, target, AnsatzSpec((x(1),), 2)) is None
+    got = cochain_preimage(cx, target, AnsatzSpec((x(1), lam), 2))
+    assert dict(got.items()) == {((), 1): lam * x(1)}
     # The target lam*x1 makes D = 2, so every monomial below packs injectively.
-    _, pack = _basis_images(dirs, fibers, horizontal, twist,
-                            AnsatzSpec((x(1), lam), 2).monomials(), [lam * x(1)])
+    _, pack = _basis_images(cx, AnsatzSpec((x(1), lam), 2).monomials(), [lam * x(1)])
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(x(1)),
                                           lam * x(1), lam ** 2)]
     assert len(set(keys)) == len(keys)
@@ -284,8 +280,7 @@ def test_preimage_packs_lam_like_any_symbol():
     # and it gets a slot there too.
     miura = build_kdv().miura
     assert lam in miura.f_apply(1, Expr.wrap(y(1))).symbols()
-    _, pack = _basis_images(miura.base_dirs, miura.fiber_dirs, miura.f_apply, miura.twist,
-                            AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
+    _, pack = _basis_images(miura.complex, AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(y(1)),
                                           lam * y(1))]
     assert len(set(keys)) == len(keys) and keys[3] == keys[1] + keys[2]
