@@ -5,7 +5,8 @@ Subpackages by layer:
 * :mod:`flatconn.expr` -- canonical sparse polynomials over Q in a typed
   symbol universe;
 * :mod:`flatconn.jets` -- total-derivative schemes, evolutionary fields,
-  the complex of a flat representation and its one cochain type;
+  and the one cochain type, which lives on a chart or a flat
+  representation (each is its own complex);
 * :mod:`flatconn.vforms` -- vector-valued forms and the
   Froelicher-Nijenhuis bracket;
 * :mod:`flatconn.fce` -- calculus on the equation of flat connections
@@ -19,7 +20,7 @@ Subpackages by layer:
 
 from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
 from .jets import (
-    Cochain, Complex, Evolution, Extended, FreeJet, d_sigma, evolutionary_apply,
+    Cochain, Evolution, Extended, FreeJet, d_sigma, evolutionary_apply,
     is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
@@ -27,7 +28,7 @@ from .reports import Report, emit_report
 
 __all__ = [
     "Expr", "Symbol", "const", "fc", "jet", "param", "render", "v", "x", "y",
-    "Cochain", "Complex", "Evolution", "Extended", "FreeJet", "d_sigma",
+    "Cochain", "Evolution", "Extended", "FreeJet", "d_sigma",
     "evolutionary_apply", "is_symmetry_evolution", "total_derivative",
     "AnsatzSpec", "Report", "emit_report",
 ]

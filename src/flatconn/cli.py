@@ -179,7 +179,7 @@ def _t_exactness(pf, args) -> Report:
     data = {((i,), shift + b): e for (i, b), e in pf.cochain.items()}
     ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(
         spec, list(data.values()), order=order))
-    c = Cochain(spec.complex, 1, data)
+    c = Cochain(spec, 1, data)
     return _bounded(args, ansatz, flatrep.exactness_test(spec, c, ansatz),
                     lambda b: {"b%d" % (d - shift): render(e) for ((), d), e in sorted(b.items())})
 

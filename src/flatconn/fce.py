@@ -10,24 +10,24 @@ everything are
   [D_i, D_{v^b}] = - sum_g v_i^{g,b} D_{v^g}.
 
 On top of them: the flatness residuals of a coordinate connection, the
-vertical complex (``FcChart.complex``, the case phi = identity of the one
-``jets.Complex``, with F_i = D_i and twist D_{v^a}(v_i^b) = v_i^{b,a}) and
-its differential :func:`dfc` on ``jets.Cochain``, symmetry reconstruction
-and recovery, prolongation of symmetries to all special coordinates, and the
-induced bracket on 0-cochains.  Each derivation (D_{v^b}, D_i, the
-horizontal lift in the flatness residual, S_f + V_f) is given by its values
-on symbols and applied through the one Leibniz kernel :meth:`Expr.derive`.
+vertical complex and its differential :func:`dfc` on ``jets.Cochain``,
+symmetry reconstruction and recovery, prolongation of symmetries to all
+special coordinates, and the induced bracket on 0-cochains.  The chart is
+itself the vertical complex, the case phi = identity of ``jets``: base
+directions 1..n, fibers 1..m, F_i = D_i (:meth:`FcChart.f_apply`) and twist
+D_{v^a}(v_i^b) = v_i^{b,a}.  Each derivation (D_{v^b}, D_i, the horizontal
+lift in the flatness residual, S_f + V_f) is given by its values on symbols
+and applied through the one Leibniz kernel :meth:`Expr.derive`.
 
 Input is validated once, at the public entries (:func:`fc_total`,
-:func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart's
-complex, the expression of
-:func:`symmetry_action`, the targets of :func:`prolong_symmetry` and the
-symbols of an explicit ansatz in :func:`recover_f`).  Everything past them
-works on expressions the chart built itself, through the unchecked kernels
-``_fc_total`` and ``_fc_vertical``.  The chart owns the memos of D_i and
-D_{v^b} on symbols and its complex, an immutable cochain holds its
-differential, and the memo of the prolongation coefficients S_I^{a,A} lives
-for one call.
+:func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart, the
+expression of :func:`symmetry_action`, the targets of
+:func:`prolong_symmetry` and the symbols of an explicit ansatz in
+:func:`recover_f`).  Everything past them works on expressions the chart
+built itself, through the unchecked kernels :meth:`FcChart.f_apply` and
+``_fc_vertical``.  The chart owns the memos of D_i and D_{v^b} on symbols,
+an immutable cochain holds its differential, and the memo of the
+prolongation coefficients S_I^{a,A} lives for one call.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, ONE, Symbol, ZERO,
     fc, render, v, x,
 )
-from .jets import Cochain, Complex, DirectionError, add_term, cochain_preimage
+from .jets import Cochain, DirectionError, add_term, cochain_preimage
 from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
 
@@ -54,7 +54,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FcChart:
-    """Chart dimensions: n base directions, m fiber directions.
+    """Chart dimensions: n base directions, m fiber directions; the chart is
+    also the vertical complex that its cochains live on.
 
     Frozen, because the memos of D_i and D_{v^b} on symbols depend on m.
     """
@@ -111,14 +112,22 @@ class FcChart:
         return e
 
     @cached_property
-    def complex(self) -> Complex:
-        """The vertical complex: F_i = D_i, fibers 1..m, and the twist
-        D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value)."""
-        dirs, fibers = range(1, self.n + 1), range(1, self.m + 1)
-        twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
-                 for i in dirs for a in fibers}
-        return Complex(dirs, fibers, lambda i, f: _fc_total(self, i, f), twist,
-                       self.check_component)
+    def base_dirs(self) -> Tuple[int, ...]:
+        return tuple(range(1, self.n + 1))
+
+    @cached_property
+    def fiber_dirs(self) -> Tuple[int, ...]:
+        return tuple(range(1, self.m + 1))
+
+    @cached_property
+    def twist(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, Expr], ...]]:
+        """D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value)."""
+        return {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in self.fiber_dirs)
+                for i in self.base_dirs for a in self.fiber_dirs}
+
+    def f_apply(self, i: int, f: Expr) -> Expr:
+        """D_i f, unchecked: F_i of the identity representation."""
+        return f.derive(lambda s: _total_symbol(self, i, s))
 
 
 def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
@@ -172,14 +181,10 @@ def _total_symbol(chart: FcChart, i: int, s: Symbol) -> Expr:
     return out
 
 
-def _fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
-    return f.derive(lambda s: _total_symbol(chart, i, s))
-
-
 def fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
     """The total derivative D_i = D_{x_i} + sum_b v_i^b D_{v^b} on the equation."""
     chart.check_direction(i)
-    return _fc_total(chart, i, chart.check_expr(f))
+    return chart.f_apply(i, chart.check_expr(f))
 
 
 class ConnectionSpec:
@@ -238,11 +243,11 @@ def cochain0(chart: FcChart, comps: Sequence[Expr]) -> Cochain:
     comps = tuple(comps)
     if len(comps) != chart.m:
         raise ValueError("expected %d components, got %d" % (chart.m, len(comps)))
-    return Cochain(chart.complex, 0, {((), a): e for a, e in enumerate(comps, 1)})
+    return Cochain(chart, 0, {((), a): e for a, e in enumerate(comps, 1)})
 
 
 def cochain1(chart: FcChart, data: Mapping[Tuple[Tuple[int, ...], int], Expr]) -> Cochain:
-    return Cochain(chart.complex, 1, data)
+    return Cochain(chart, 1, data)
 
 
 def dfc(c: Cochain) -> Cochain:
@@ -257,14 +262,14 @@ def symmetry_from_f(chart: FcChart, f: Cochain) -> Cochain:
     phi_i^a = D_i(f^a) - sum_b v_i^{a,b} f^b.  Always a 1-cocycle."""
     if f.degree != 0:
         raise ValueError("expected a degree-0 cochain")
-    return f.on(chart.complex).d
+    return f.on(chart).d
 
 
 def is_symmetry(chart: FcChart, phi: Cochain) -> Report:
     """A 1-cochain is a symmetry generating section iff it is d_fc-closed."""
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    image = phi.on(chart.complex).d
+    image = phi.on(chart).d
     return Report(
         task="is-symmetry-fce",
         verdict=PASS if image.is_zero() else FAIL,
@@ -318,7 +323,7 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
     """
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    phi = phi.on(chart.complex)
+    phi = phi.on(chart)
     if not phi.d.is_zero():
         raise ValueError("input is not d_fc-closed; it is not a symmetry")
     if ansatz is None:
@@ -330,7 +335,7 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
             chart.check_symbol(s)
         tries = [ansatz]
     for ans in tries:
-        f = cochain_preimage(chart.complex, phi, ans)
+        f = cochain_preimage(chart, phi, ans)
         if f is not None:
             return f
     return None
@@ -357,7 +362,7 @@ def _prolongation(chart: FcChart, f: Cochain) -> Callable[[Symbol], Expr]:
                 got = phi.component(ii, alpha)
             else:
                 head, i = ii[:-1], ii[-1]
-                got = _fc_total(chart, i, coefficient(fc(alpha, head, ())))
+                got = chart.f_apply(i, coefficient(fc(alpha, head, ())))
                 for beta in range(1, chart.m + 1):
                     got = got + fc(alpha, head, (beta,)) * phi.component((i,), beta)
             coefficients[s] = got
@@ -408,4 +413,4 @@ def bracket0(chart: FcChart, f: Cochain, g: Cochain) -> Cochain:
     act_f = _action_image(chart, f)
     act_g = _action_image(chart, g)
     comps = tuple(ga.derive(act_f) - fa.derive(act_g) for fa, ga in zip(f.data, g.data))
-    return Cochain._built(chart.complex, 0, comps)
+    return Cochain._built(chart, 0, comps)

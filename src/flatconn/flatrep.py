@@ -13,11 +13,12 @@ coordinates, differentiates parametric families into deformation 1-cocycles,
 tests cocycles for exactness inside a bounded ansatz, and lifts equation
 symmetries to the covering.
 
-Its complex (``spec.complex``) is the one ``jets.Complex`` with F_i as
-horizontal part and the twist D_d(a_i^b) cached as ``spec.twist``; its
+The spec is itself its complex C_phi in the sense of ``jets``: base and
+fiber directions, F_i (:meth:`FlatRepSpec.f_apply`), the twist D_d(a_i^b)
+cached as ``spec.twist`` and :meth:`FlatRepSpec.check_component`.  Its
 cochains, deformation and symmetry cocycles and exactness witnesses alike,
-are ``jets.Cochain``s keyed ((i,), d) in degree 1, and d_U is their
-differential (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
+are ``jets.Cochain``s on the spec, keyed ((i,), d) in degree 1, and d_U is
+their differential (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
 degree 1).
 """
 
@@ -34,7 +35,7 @@ from .expr import (
     Expr, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
-    Cochain, Complex, DerivScheme, Evolution, Extended, add_term, cochain_preimage,
+    Cochain, DerivScheme, Evolution, Extended, add_term, cochain_preimage,
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
@@ -143,12 +144,6 @@ class FlatRepSpec:
                                          self.base_dirs, self.fiber_dirs))
         return Expr.wrap(e)
 
-    @cached_property
-    def complex(self) -> Complex:
-        """The complex of the representation: F_i over the base directions."""
-        return Complex(self.base_dirs, self.fiber_dirs, self.f_apply, self.twist,
-                       self.check_component)
-
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:
     """Report of the flatness residuals; a new Report on every call."""
@@ -174,53 +169,52 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
     recursion order irrelevant.
     """
     _require_flat(spec)
-    memo = spec._pullback_memo
-
-    n, m = len(spec.base_dirs), len(spec.fiber_dirs)
-
-    def image(s: Symbol) -> Expr:
-        got = memo.get(s)
-        if got is not None:
-            return got
-        k = s.kind
-        if k == KIND_INDEP and s.index <= n:
-            out = Expr.wrap(spec.scheme.indep(spec.base_dirs[s.index - 1]))
-        elif k == KIND_FC:
-            if s.index > m or any(i > n for i in s.ii) or any(a > m for a in s.aa):
-                raise ValueError("symbol %s outside the matching fc chart" % render(s))
-            if s.aa:
-                beta = s.aa[-1]
-                prev = image(fc(s.index, s.ii, s.aa[:-1]))
-                out = total_derivative(spec.scheme, spec.fiber_dirs[beta - 1], prev)
-            elif len(s.ii) == 1:
-                out = spec.a(spec.base_dirs[s.ii[0] - 1], spec.fiber_dirs[s.index - 1])
-            else:
-                prev = image(fc(s.index, s.ii[:-1], ()))
-                out = spec.f_apply(spec.base_dirs[s.ii[-1] - 1], prev)
-        elif k == KIND_BASEFIBER and s.index <= m:
-            out = Expr.wrap(spec.scheme.indep(spec.fiber_dirs[s.index - 1]))
-        elif k == KIND_PARAM:
-            out = Expr.wrap(s)
-        else:
-            raise ValueError("symbol %s is foreign to the fc chart" % render(s))
-        memo[s] = out
-        return out
-
     f = Expr.wrap(f)
-    return f.subs({s: image(s) for s in f.symbols() if s.kind != KIND_PARAM})
+    return f.subs({s: _pullback_symbol(spec, s) for s in f.symbols() if s.kind != KIND_PARAM})
+
+
+def _pullback_symbol(spec: FlatRepSpec, s: Symbol) -> Expr:
+    """phi*(s) for one symbol of the fc chart, memoised on the spec."""
+    got = spec._pullback_memo.get(s)
+    if got is not None:
+        return got
+    n, m = len(spec.base_dirs), len(spec.fiber_dirs)
+    k = s.kind
+    if k == KIND_INDEP and s.index <= n:
+        out = Expr.wrap(spec.scheme.indep(spec.base_dirs[s.index - 1]))
+    elif k == KIND_FC:
+        if s.index > m or any(i > n for i in s.ii) or any(a > m for a in s.aa):
+            raise ValueError("symbol %s outside the matching fc chart" % render(s))
+        if s.aa:
+            beta = s.aa[-1]
+            prev = _pullback_symbol(spec, fc(s.index, s.ii, s.aa[:-1]))
+            out = total_derivative(spec.scheme, spec.fiber_dirs[beta - 1], prev)
+        elif len(s.ii) == 1:
+            out = spec.a(spec.base_dirs[s.ii[0] - 1], spec.fiber_dirs[s.index - 1])
+        else:
+            prev = _pullback_symbol(spec, fc(s.index, s.ii[:-1], ()))
+            out = spec.f_apply(spec.base_dirs[s.ii[-1] - 1], prev)
+    elif k == KIND_BASEFIBER and s.index <= m:
+        out = Expr.wrap(spec.scheme.indep(spec.fiber_dirs[s.index - 1]))
+    elif k == KIND_PARAM:
+        out = Expr.wrap(s)
+    else:
+        raise ValueError("symbol %s is foreign to the fc chart" % render(s))
+    spec._pullback_memo[s] = out
+    return out
 
 
 def du_vertical(spec: FlatRepSpec, vert: Mapping[int, Expr]) -> Cochain:
     """d_U(V) for a vertical field V = sum_d b^d D_d:
     component ((i,), d) = F_i(b^d) - V(a_i^d)."""
-    return Cochain(spec.complex, 0, {((), d): b for d, b in vert.items()}).d
+    return Cochain(spec, 0, {((), d): b for d, b in vert.items()}).d
 
 
 def du_cochain1(spec: FlatRepSpec, c: Cochain) -> Cochain:
     """d_U on 1-cochains; component ((i, j), d) for i < j."""
     if c.degree != 1:
         raise ValueError("expected a degree-1 cochain")
-    return c.on(spec.complex).d
+    return c.on(spec).d
 
 
 @dataclass
@@ -247,7 +241,7 @@ def infinitesimal_deformation(
     eps = param("_eps")
     base_point = Expr.wrap(p if at is None else Fraction(at))
     base = family if at is None else family.subs({p: Expr.wrap(Fraction(at))})
-    cocycle = Cochain(base.complex, 1, {
+    cocycle = Cochain(base, 1, {
         ((i,), d): e.subs({p: base_point + eps}).coefficient(eps, 1)
         for (i, d), e in family.coeffs.items()})
     if not cocycle.d.is_zero():  # pragma: no cover - guaranteed by the flatness identity
@@ -263,10 +257,10 @@ def exactness_test(spec: FlatRepSpec, c: Cochain, ansatz: AnsatzSpec) -> Optiona
     checked against c exactly.
     """
     _require_flat(spec)
-    c = c.on(spec.complex)
+    c = c.on(spec)
     if not du_cochain1(spec, c).is_zero():
         raise ValueError("cochain is not closed; exactness is ill-posed")
-    return cochain_preimage(spec.complex, c, ansatz)
+    return cochain_preimage(spec, c, ansatz)
 
 
 def symmetry_cocycle(spec: FlatRepSpec, phi: Sequence[Expr], check: bool = True) -> Cochain:
@@ -278,7 +272,7 @@ def symmetry_cocycle(spec: FlatRepSpec, phi: Sequence[Expr], check: bool = True)
             raise ValueError("symmetry check requires an evolution scheme underneath")
         if not is_symmetry_evolution(base, phi).ok:
             raise ValueError("phi is not a symmetry of the underlying equation")
-    return Cochain(spec.complex, 1, {
+    return Cochain(spec, 1, {
         ((i,), d): -evolutionary_apply(spec.scheme, phi, a) for (i, d), a in spec.coeffs.items()})
 
 
@@ -297,7 +291,7 @@ def lift_symmetry(
     witness = exactness_test(spec, c, ansatz)
     if witness is None:
         return None
-    lift = Cochain._built(spec.complex, 0, tuple(-b for b in witness.data))
+    lift = Cochain._built(spec, 0, tuple(-b for b in witness.data))
     if any(lift.d.component((i,), d) != evolutionary_apply(spec.scheme, phi, spec.a(i, d))
            for i in spec.base_dirs for d in spec.fiber_dirs):  # pragma: no cover
         raise AssertionError("lift witness fails the commutation condition")

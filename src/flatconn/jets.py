@@ -16,11 +16,16 @@ On top of the schemes: evolutionary vector fields and the symmetry test for
 evolution systems.  Every derivation here is fixed by its values on symbols
 and applied through the one Leibniz kernel :meth:`Expr.derive`.
 
-A flat representation phi attaches to an equation the complex C_phi, a
-:class:`Complex` (directions, fibers, F_i, twist), and every cochain of the
-package is one frozen :class:`Cochain` on one: ``fce`` gives the case
-phi = identity on E_fc, ``flatrep`` the d_U of any phi, and the horizontal
-de Rham complex is the case with one trivial fiber and no twist.  A cochain
+A flat representation phi attaches to an equation the complex C_phi, and
+every cochain of the package is one frozen :class:`Cochain` on the object
+that fixes it.  That object provides five names: ``base_dirs`` and
+``fiber_dirs`` (tuples), ``f_apply(i, f)`` = F_i(f), a derivation,
+``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with a nonzero value, and
+``check_component(I, a, f)``, which validates one component
+f dx_I (x) e_a handed in from outside and returns f as an Expr.
+``flatrep.FlatRepSpec`` is such an object for any phi, and
+``fce.FcChart`` for phi = identity on E_fc (F_i = D_i); the horizontal de
+Rham complex is the case with one trivial fiber and no twist.  A cochain
 computes its differential :attr:`Cochain.d`, through
 :func:`cochain_differential`, once.  :func:`cochain_preimage` is its bounded
 inverse in degree 0, the one place where an ansatz system is built and
@@ -46,7 +51,7 @@ from .linsolve import solve_by_superposition
 from .reports import FAIL, PASS, Report
 
 __all__ = [
-    "Frozen", "FreeJet", "Evolution", "Extended", "Complex", "Cochain",
+    "Frozen", "FreeJet", "Evolution", "Extended", "Cochain",
     "total_derivative", "d_sigma", "evolutionary_apply",
     "is_symmetry_evolution", "sort_with_sign", "add_term",
     "cochain_differential", "cochain_preimage", "DirectionError",
@@ -111,63 +116,47 @@ if TYPE_CHECKING:
     CochainKey = Tuple[Tuple[int, ...], int]
 
 
-class Complex(Frozen):
-    """The complex C_phi of a flat representation phi: its base
-    ``directions``, its ``fibers``, ``horizontal(i, f)`` = F_i(f), a
-    derivation, and ``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with a
-    nonzero value.  ``check(I, a, f)`` validates one component f dx_I (x) e_a
-    of a cochain handed in from outside and returns f as an Expr."""
-
-    __slots__ = ("directions", "fibers", "horizontal", "twist", "check")
-
-    def __init__(self, directions: Iterable[int], fibers: Iterable[int],
-                 horizontal: Callable[[int, Expr], Expr],
-                 twist: Mapping[Tuple[int, int], Sequence[Tuple[int, Expr]]],
-                 check: Callable[[Tuple[int, ...], int, Expr], Expr]):
-        self._put(directions=tuple(directions), fibers=tuple(fibers), horizontal=horizontal,
-                  twist=twist, check=check)
-
-
 class Cochain(Frozen):
-    """A q-cochain sum f dx_I (x) e_a of a :class:`Complex`, keyed (I, a)
-    with I sorted.  Degree 0 holds its components as a tuple in fiber
-    order, degree q >= 1 a read-only map {(I, a): f} without zero values.
+    """A q-cochain sum f dx_I (x) e_a of the complex of ``complex``, a chart
+    or a flat representation (see the module docstring), keyed (I, a) with
+    I sorted.  Degree 0 holds its components as a tuple in fiber order,
+    degree q >= 1 a read-only map {(I, a): f} without zero values.
 
     Immutable, because it holds its own differential :attr:`d`.
     """
 
     __slots__ = ("complex", "degree", "data", "_d")
 
-    def __init__(self, complex: Complex, degree: int, data: Mapping[CochainKey, Expr]):
+    def __init__(self, complex, degree: int, data: Mapping[CochainKey, Expr]):
         if degree < 0:
             raise ValueError("negative degree")
         comps: Dict[CochainKey, Expr] = {}
         for (dirs, a), e in data.items():
             dirs = tuple(dirs)
-            e = complex.check(dirs, a, e)
+            e = complex.check_component(dirs, a, e)
             if len(dirs) != degree:
                 raise ValueError("key %r does not match degree %d" % (dirs, degree))
             key, sign = sort_with_sign(dirs)
             if sign != 0:
                 add_term(comps, (key, a), e, sign)
         if degree == 0:
-            comps = tuple(comps.get(((), a), ZERO) for a in complex.fibers)
+            comps = tuple(comps.get(((), a), ZERO) for a in complex.fiber_dirs)
         self._fix(complex, degree, comps)
 
-    def _fix(self, complex: Complex, degree: int, data) -> None:
+    def _fix(self, complex, degree: int, data) -> None:
         """Set every field once; ``data``, a dict at degree >= 1, goes read-only."""
         self._put(complex=complex, degree=degree,
                   data=data if degree == 0 else MappingProxyType(data), _d=None)
 
     @classmethod
-    def _built(cls, complex: Complex, degree: int, data) -> "Cochain":
+    def _built(cls, complex, degree: int, data) -> "Cochain":
         """A cochain whose data (a tuple at degree 0, else a dict) ``complex``
         built itself, taken without checks."""
         c = cls.__new__(cls)
         c._fix(complex, degree, data)
         return c
 
-    def on(self, complex: Complex) -> "Cochain":
+    def on(self, complex) -> "Cochain":
         """This cochain when it lives on ``complex``, else its data checked
         against ``complex``."""
         if self.complex is complex:
@@ -186,12 +175,12 @@ class Cochain(Frozen):
     def component(self, dirs: Tuple[int, ...], a: int) -> Expr:
         if self.degree:
             return self.data.get((dirs, a), ZERO)
-        return self.data[self.complex.fibers.index(a)]
+        return self.data[self.complex.fiber_dirs.index(a)]
 
     def items(self) -> Iterable[Tuple[CochainKey, Expr]]:
         if self.degree:
             return self.data.items()
-        return zip((((), a) for a in self.complex.fibers), self.data)
+        return zip((((), a) for a in self.complex.fiber_dirs), self.data)
 
     def is_zero(self) -> bool:
         if self.degree:
@@ -216,27 +205,27 @@ class Cochain(Frozen):
 
 
 def cochain_differential(
-    items: Iterable[Tuple[CochainKey, Expr]], complex: Complex,
+    items: Iterable[Tuple[CochainKey, Expr]], complex,
 ) -> Dict[CochainKey, Expr]:
     """The differential of the complex C_phi of a flat representation phi,
     d(f dx_I (x) e_a) = sum_i dx_i ^ dx_I (x) (F_i(f) e_a - sum_b f D_a(a_i^b) e_b),
     on ``((I, a), f)`` items, skipping zero ones; :attr:`Cochain.d` calls it."""
-    horizontal, twist = complex.horizontal, complex.twist
+    f_apply, twist = complex.f_apply, complex.twist
     out: Dict[CochainKey, Expr] = {}
     for (dirs, a), f in items:
         if f.is_zero():
             continue
-        for i in complex.directions:
+        for i in complex.base_dirs:
             key, sign = sort_with_sign((i,) + dirs)
             if sign == 0:
                 continue
-            add_term(out, (key, a), horizontal(i, f), sign)
+            add_term(out, (key, a), f_apply(i, f), sign)
             for b, t in twist.get((i, a), ()):
                 add_term(out, (key, b), t * f, -sign)
     return out
 
 
-def cochain_preimage(complex: Complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:
+def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:
     """A 0-cochain of ``complex`` with components in the ansatz whose
     differential is the 1-cochain ``target``, or None when the ansatz holds
     none (bounded-no).
@@ -249,9 +238,9 @@ def cochain_preimage(complex: Complex, target: Cochain, ansatz: AnsatzSpec) -> O
     one.
     """
     target = target.on(complex)
-    fibers = complex.fibers
+    fibers = complex.fiber_dirs
     monos = ansatz.monomials()
-    goal = [target.component((i,), a) for i in complex.directions for a in fibers]
+    goal = [target.component((i,), a) for i in complex.base_dirs for a in fibers]
     images, pack = _basis_images(complex, monos, goal)
     coeffs = solve_by_superposition(images, [pack(e) for e in goal])
     if coeffs is None:
@@ -272,7 +261,7 @@ _NO_TERMS: Mapping[int, Scalar] = MappingProxyType({})
 
 
 def _basis_images(
-    complex: Complex, monos: Sequence[Expr], target: Sequence[Expr],
+    complex, monos: Sequence[Expr], target: Sequence[Expr],
 ) -> Tuple[List[List[Mapping[int, Scalar]]], Callable[[Expr], Dict[int, Scalar]]]:
     """The components ((i,), b), i outer and b inner, of
     d(mu e_a) = sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b)
@@ -291,11 +280,11 @@ def _basis_images(
     and term c m of F_i(s), once per (i, mu) for every fiber; the twist part
     is key(mu) + key(t).
     """
-    directions, fibers, twist = complex.directions, complex.fibers, complex.twist
+    directions, fibers, twist = complex.base_dirs, complex.fiber_dirs, complex.twist
     syms: Dict[Symbol, None] = {}  # slot order: first appearance
     mdeg = _scan(monos, syms)
     pool = list(syms)
-    values = {(i, s): complex.horizontal(i, Expr.wrap(s)) for i in directions for s in pool}
+    values = {(i, s): complex.f_apply(i, Expr.wrap(s)) for i in directions for s in pool}
     twists = [(i, a, b, t) for i in directions for a in fibers for b, t in twist.get((i, a), ())]
     fdeg = _scan(values.values(), syms)
     tdeg = _scan((t for *_, t in twists), syms)

@@ -87,7 +87,7 @@ def du_cochain1_reference(spec, c):
 def dfc_reference(c, total):
     """Data of dfc(c): sum_i (D_i f) dx_i ^ dx_I (x) D_{v^a}
     - sum_{i,b} v_i^{b,a} f dx_i ^ dx_I (x) D_{v^b}, with ``total(i, f)`` = D_i f."""
-    directions, fibers = c.complex.directions, c.complex.fibers
+    directions, fibers = c.complex.base_dirs, c.complex.fiber_dirs
     out = {}
 
     def add(key, e):

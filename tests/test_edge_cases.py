@@ -32,7 +32,7 @@ def test_fc_chart_rejects_foreign_symbols():
 
 
 def test_cochain_sign_normalization():
-    ch = fce.FcChart(2, 1).complex
+    ch = fce.FcChart(2, 1)
     a = fce.Cochain(ch, 2, {((2, 1), 1): Expr.wrap(v(1))})
     b = fce.Cochain(ch, 2, {((1, 2), 1): -Expr.wrap(v(1))})
     assert a == b

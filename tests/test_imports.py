@@ -193,8 +193,8 @@ def test_only_cochain_preimage_builds_and_solves_ansatz_systems():
 
 
 def test_one_cochain_type_and_one_differential_call():
-    # Every cochain of the package is a jets.Cochain on a jets.Complex, and
-    # only it calls the cochain differential (its memoised property d).
+    # Every cochain of the package is a jets.Cochain, and only it calls the
+    # cochain differential (its memoised property d).
     found, classes = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -224,10 +224,11 @@ def test_solver_call_scan_sees_every_caller():
 
 
 PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
-KERNELS = ("_fc_total", "_fc_vertical")
+# D_i is FcChart.f_apply, on one symbol _total_symbol; D_{v^b} is _fc_vertical.
+KERNELS = ("f_apply", "_total_symbol", "_fc_vertical")
 CHECKS = ("check_expr", "check_symbol")
 # Recursion inside fce on expressions the chart built itself.
-UNCHECKED = ("_total_symbol", "_prolongation.coefficient", "FcChart.complex")
+UNCHECKED = ("_total_symbol", "_prolongation.coefficient", "FcChart.f_apply")
 
 
 def test_fce_checks_input_at_its_public_entries_only():
@@ -243,7 +244,7 @@ def test_fce_checks_input_at_its_public_entries_only():
 def test_check_scan_tells_public_entries_from_kernels():
     tree = ast.parse(
         "def dfc(c):\n"
-        "    return Cochain(c.chart, 1, lambda i, f: _fc_total(c.chart, i, f))\n"
+        "    return Cochain(c.chart, 1, lambda i, f: c.chart.f_apply(i, f))\n"
         "def _prolongation(chart, f):\n"
         "    def base(ii, a):\n"
         "        return fc_total(chart, 1, chart.check_expr(ii))\n"
@@ -254,7 +255,7 @@ def test_check_scan_tells_public_entries_from_kernels():
         ("_prolongation.base", 5, "fc_total"), ("_prolongation.coefficient", 8, "fc_vertical")]
     assert _calls(tree, CHECKS) == [
         ("_prolongation.base", 5, "check_expr"), ("_prolongation.coefficient", 7, "check_symbol")]
-    assert _calls(tree, KERNELS) == [("dfc", 2, "_fc_total")]
+    assert _calls(tree, KERNELS) == [("dfc", 2, "f_apply")]
 
 
 def _imports_of(tree, module):
@@ -357,3 +358,54 @@ def test_reimports_leave_one_copy_of_expr_alive():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "1"
+
+
+PROBLEMS = SRC.parents[1] / "perfbench" / "problems"
+
+
+def test_library_calls_leave_no_cyclic_garbage():
+    # Charts, specs and their memos are freed by reference counting once the
+    # caller drops them: with the collector off, each scenario, run a second
+    # time after a warm-up, leaves nothing for gc.collect().  bracket0,
+    # symmetry_action and prolong_symmetry are left out: the memo function
+    # of fce._prolongation calls itself through its closure cell, so every
+    # prolongation is a reference cycle that only the collector frees.
+    script = (
+        "import contextlib, gc, io, sys\n"
+        "from fractions import Fraction\n"
+        "from flatconn import cli, fce, flatrep, sdym\n"
+        "from flatconn.expr import Expr, fc, v\n"
+        "from flatconn.kdv import build_kdv\n"
+        "def chart():\n"
+        "    ch = fce.FcChart(2, 2)\n"
+        "    f = fce.cochain0(ch, [v(1) * fc(1, (2,)), Expr.wrap(v(2))])\n"
+        "    phi = fce.symmetry_from_f(ch, f)\n"
+        "    assert fce.is_symmetry(ch, phi).ok and fce.recover_f(ch, phi) == f\n"
+        "def kdv():\n"
+        "    k = build_kdv()\n"
+        "    ans = flatrep.default_ansatz(k.miura, degree=4)\n"
+        "    lift = flatrep.lift_symmetry(k.miura, [k.symmetries['x-translation']], ans)\n"
+        "    assert lift is not None\n"
+        "    res = flatrep.infinitesimal_deformation(k.miura, k.lam, Fraction(1))\n"
+        "    ans = flatrep.default_ansatz(res.base)\n"
+        "    assert flatrep.exactness_test(res.base, res.cocycle, ans) is None\n"
+        "    assert not flatrep.pullback(k.miura, Expr.wrap(fc(1, (1, 1), (1,)))).is_zero()\n"
+        "def sdym_():\n"
+        "    assert sdym.verify_ugh(1).ok\n"
+        "    assert flatrep.check_flat_rep(sdym.build_flatrep(1).spec).ok\n"
+        "def cli_():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(['pullback', sys.argv[1], '--json']) == 0\n"
+        "        assert cli.run(['kdv-lift', 'x-translation', '--json']) == 0\n"
+        "gc.disable()\n"
+        "for fn in (chart, kdv, sdym_, cli_):\n"
+        "    fn()\n"
+        "    gc.collect()\n"
+        "    fn()\n"
+        "    print(fn.__name__, gc.collect())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    prob = PROBLEMS / "miura_pullback.prob"
+    out = subprocess.run([sys.executable, "-c", script, str(prob)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["chart", "0", "kdv", "0", "sdym_", "0", "cli_", "0"], out

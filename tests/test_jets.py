@@ -1,11 +1,12 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from flatconn import fce, sdym
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO
 from flatconn.jets import (
-    Cochain, Complex, DirectionError, Evolution, Extended, FreeJet, _basis_images,
+    Cochain, DirectionError, Evolution, Extended, FreeJet, _basis_images,
     cochain_differential, cochain_preimage, d_sigma, evolutionary_apply, is_symmetry_evolution,
     total_derivative,
 )
@@ -128,7 +129,8 @@ def test_extended_scheme_fibers():
 def scheme_complex(scheme, fibers, twist):
     """The complex over all directions of ``scheme`` with F_i = D_i, the
     given fibers and twist; a component is checked for its directions and
-    fiber."""
+    fiber.  It carries the five names that a cochain reads from what it
+    lives on."""
     def check(dirs, a, e):
         if a not in fibers:
             raise ValueError("fiber %r outside %r" % (a, fibers))
@@ -136,8 +138,10 @@ def scheme_complex(scheme, fibers, twist):
             scheme.check_direction(i)
         return Expr.wrap(e)
 
-    return Complex(range(1, scheme.ndirs + 1), fibers,
-                   lambda i, f: total_derivative(scheme, i, f), twist, check)
+    return SimpleNamespace(
+        base_dirs=tuple(range(1, scheme.ndirs + 1)), fiber_dirs=tuple(fibers),
+        f_apply=lambda i, f: total_derivative(scheme, i, f), twist=twist,
+        check_component=check)
 
 
 def horizontal(scheme):
@@ -183,11 +187,11 @@ def test_hform_sign_normalization():
 def _preimage_problems():
     """(name, complex, pool) of three degree-0 inverse problems, each with a
     nonzero twist."""
-    yield ("fc(2,2)", fce.FcChart(2, 2).complex,
+    yield ("fc(2,2)", fce.FcChart(2, 2),
            AnsatzSpec((x(1), v(1), v(2), fc(1, (2,)), fc(2, (1,), (2,))), 2))
-    yield ("miura", build_kdv().miura.complex,
+    yield ("miura", build_kdv().miura,
            AnsatzSpec((x(2), y(1), u(0), u(1), param("lam")), 3))
-    yield ("sdym k=1", sdym.build_flatrep(1, None).spec.complex,
+    yield ("sdym k=1", sdym.build_flatrep(1, None).spec,
            AnsatzSpec((x(1), x(3), y(1), jet(1), jet(4), jet(1, (2,)), jet(3, (4,))), 2))
 
 
@@ -196,12 +200,12 @@ def _check_basis_images(cx, ansatz):
     {((), a): mu}, packed with the kernel's own slot table, component by
     component; and packing is injective on the monomials of those images."""
     monos = ansatz.monomials()
-    keys = [((i,), b) for i in cx.directions for b in cx.fibers]
+    keys = [((i,), b) for i in cx.base_dirs for b in cx.fiber_dirs]
     images, pack = _basis_images(cx, monos, [ZERO] * len(keys))
-    assert len(images) == len(cx.fibers) * len(monos)
+    assert len(images) == len(cx.fiber_dirs) * len(monos)
     seen = set()
     slot = 0
-    for a in cx.fibers:  # column order: a outer, mu inner
+    for a in cx.fiber_dirs:  # column order: a outer, mu inner
         for mu in monos:
             want = cochain_differential([(((), a), mu)], cx)
             assert set(want) <= set(keys)
@@ -280,7 +284,7 @@ def test_preimage_packs_lam_like_any_symbol():
     # and it gets a slot there too.
     miura = build_kdv().miura
     assert lam in miura.f_apply(1, Expr.wrap(y(1))).symbols()
-    _, pack = _basis_images(miura.complex, AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
+    _, pack = _basis_images(miura, AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(y(1)),
                                           lam * y(1))]
     assert len(set(keys)) == len(keys) and keys[3] == keys[1] + keys[2]
