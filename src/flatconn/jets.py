@@ -31,10 +31,12 @@ computes its differential :attr:`Cochain.d`, through
 inverse in degree 0, the one place where an ansatz system is built and
 solved: ``flatrep.exactness_test`` (and ``lift_symmetry`` through it) asks
 it whether a cocycle of phi is exact, and ``fce.recover_f`` asks it for the
-f of a symmetry of E_fc.  It builds the images of the ansatz basis once per
-monomial on packed integer keys (each symbol a bit field of width
+f of a symmetry of E_fc.  It assembles only the connected blocks of the
+ansatz system that hold the target's rows, grown from those rows by key
+lookups on packed integer keys (each symbol a bit field of width
 W = D.bit_length(), D bounding every monomial's total degree, so keys never
-carry and are never unpacked), and checks every answer by its differential.
+carry and are never unpacked); every other coefficient is 0 in the solver's
+answer.  It checks every answer by its differential.
 Every signed sparse sum of Exprs in the package goes through :func:`add_term`.
 """
 
@@ -232,43 +234,44 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
 
     The unknowns are the coefficients of the basis mu e_a, a over the
     fibers and mu over the ansatz monomials, in that order (a outer, mu
-    inner).  :func:`_basis_images` builds their images and packs the target
-    on integer monomial keys; a returned answer is rebuilt as Exprs and
-    checked exactly by its differential, the Expr path checking the packed
-    one.
+    inner); :meth:`AnsatzSpec.unknowns` refuses too many before any is
+    built.  Only the blocks that hold the target's rows are assembled
+    (:func:`_target_block`): every other column lies in a block with a zero
+    right-hand side, so it is 0 in the answer of :func:`solve_linear` (free
+    columns 0, pivots the leading columns of the row space), and the blocks
+    solved in global column order give the whole system's answer.  A
+    returned answer is rebuilt as Exprs and checked exactly by its
+    differential, the Expr path checking the packed one.
     """
     target = target.on(complex)
     fibers = complex.fiber_dirs
+    ansatz.unknowns(len(fibers))
     monos = ansatz.monomials()
     goal = [target.component((i,), a) for i in complex.base_dirs for a in fibers]
-    images, pack = _basis_images(complex, monos, goal)
+    columns, images, pack = _target_block(complex, monos, goal)
     coeffs = solve_by_superposition(images, [pack(e) for e in goal])
     if coeffs is None:
         return None
     comps = [ZERO] * len(fibers)
-    basis = ((pos, mu) for pos in range(len(fibers)) for mu in monos)
-    for (pos, mu), q in zip(basis, coeffs):
+    for j, q in zip(columns, coeffs):
         if q:
-            comps[pos] = comps[pos] + q * mu
+            pos, k = divmod(j, len(monos))
+            comps[pos] = comps[pos] + q * monos[k]
     answer = Cochain._built(complex, 0, tuple(comps))
     if answer.d != target:
         raise AssertionError("cochain preimage fails verification")  # pragma: no cover
     return answer
 
 
-# A component of a basis image that is zero; shared, and never written.
-_NO_TERMS: Mapping[int, Scalar] = MappingProxyType({})
-
-
-def _basis_images(
+def _target_block(
     complex, monos: Sequence[Expr], target: Sequence[Expr],
-) -> Tuple[List[List[Mapping[int, Scalar]]], Callable[[Expr], Dict[int, Scalar]]]:
-    """The components ((i,), b), i outer and b inner, of
-    d(mu e_a) = sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b)
-    for every fiber a and monomial mu of ``complex``, in slot
-    ``a_pos * len(monos) + k`` for mu = monos[k], as sparse maps
-    {packed key: coefficient}; and ``pack``, which puts an Expr (a component
-    of ``target``) on the same keys.
+) -> Tuple[List[int], List[List[Mapping[int, Scalar]]], Callable[[Expr], Dict[int, Scalar]]]:
+    """The columns (increasing) and images of the connected blocks of
+    d(sum_j c_j mu e_a) = ``target`` that hold a row of the target, and
+    ``pack``, which puts an Expr on the images' keys.  Column
+    ``a_pos * len(monos) + k`` is mu e_a, mu = monos[k]; its image is the
+    components ((i,), b), i outer and b inner, of d(mu e_a) =
+    sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b), as sparse maps.
 
     Packed exponent vectors (Monagan and Pearce): each symbol of ``monos``,
     of their F_i images, of the twist values and of ``target`` gets a bit
@@ -277,8 +280,15 @@ def _basis_images(
     No field carries, so keys are compared and never unpacked, and a product
     of monomials is a sum of keys: F_i(mu) is built by Leibniz as
     key(mu) - key(s) + key(m) with coefficient p c, for each factor s^p of mu
-    and term c m of F_i(s), once per (i, mu) for every fiber; the twist part
-    is key(mu) + key(t).
+    and term c m of F_i(s), once per mu for every fiber; the twist part is
+    key(mu) + key(t).
+
+    The blocks grow from the target's rows (component ((i,), b), key K),
+    looking up key(mu) in a map to k: through F_i, K - key(m) + key(s) in
+    fiber b; through the twist, K - key(t) for each term t of D_a(a_i^b),
+    in fiber a.  A column found so is built once, joins if its image holds
+    K, and adds its rows, until no row is new: the connected components of
+    Pothen and Fan's block triangular form.
     """
     directions, fibers, twist = complex.base_dirs, complex.fiber_dirs, complex.twist
     syms: Dict[Symbol, None] = {}  # slot order: first appearance
@@ -312,43 +322,59 @@ def _basis_images(
         for k, c in pack(t).items():
             _add_coeff(acc, k, -c)
     plans = [[[neg.get((i, a, b)) for b in fibers] for i in directions] for a in fibers]
+    # The two lookups per component ((i,), b): (fiber position, key shift).
+    shifts = [list(dict.fromkeys([(bpos, d) for s in pool for d, _ in lead[i][s]] + [
+        (apos, kt) for apos, plan in enumerate(plans) for kt in plan[ipos][bpos] or ()]))
+        for ipos, i in enumerate(directions) for bpos in range(len(fibers))]
     n = len(monos)
-    images: List[List[Mapping[int, Scalar]]] = [[] for _ in range(len(fibers) * n)]
-    for k, mu in enumerate(monos):
-        (mono,) = mu.terms
-        (kmu,) = pack(mu)
-        hs = []
-        for i in directions:
-            shifts = lead[i]
-            h: Dict[int, Scalar] = {}
-            for s, p in mono:
-                for d, c in shifts[s]:  # _add_coeff(h, kmu + d, p * c), inlined
-                    kk = kmu + d
-                    if p != 1:
-                        c *= p
-                    got = h.get(kk)
-                    if got is None:
-                        h[kk] = c
-                    else:
-                        got += c
-                        if got:
-                            h[kk] = got
-                        else:
-                            del h[kk]
-            hs.append(h)
-        for pos, plan in enumerate(plans):
-            comps = images[pos * n + k]
-            for h, parts in zip(hs, plan):
-                for bpos, t in enumerate(parts):
-                    if bpos == pos:
-                        if t:
-                            h = dict(h)
-                            for kt, c in t.items():
-                                _add_coeff(h, kmu + kt, c)
-                        comps.append(h)
-                    else:
-                        comps.append({kmu + kt: c for kt, c in t.items()} if t else _NO_TERMS)
-    return images, pack
+    keys = [next(iter(pack(mu))) for mu in monos]
+    index = {kmu: k for k, kmu in enumerate(keys)}
+    leibniz: Dict[int, List[Dict[int, Scalar]]] = {}  # k: F_i(mu) for every i
+    built: Dict[int, List[Mapping[int, Scalar]]] = {}
+
+    def image(j: int) -> List[Mapping[int, Scalar]]:
+        pos, k = divmod(j, n)
+        kmu = keys[k]
+        hs = leibniz.get(k)
+        if hs is None:
+            hs = leibniz[k] = [{} for _ in directions]
+            (mono,) = monos[k].terms
+            for h, i in zip(hs, directions):
+                for s, p in mono:
+                    for d, c in lead[i][s]:
+                        _add_coeff(h, kmu + d, p * c)
+        comps = built[j] = []
+        for h, parts in zip(hs, plans[pos]):
+            for bpos, t in enumerate(parts):
+                if bpos == pos:
+                    if t:
+                        h = dict(h)
+                        for kt, c in t.items():
+                            _add_coeff(h, kmu + kt, c)
+                    comps.append(h)
+                else:
+                    comps.append({kmu + kt: c for kt, c in t.items()} if t else {})
+        return comps
+
+    seen = [set(pack(e)) for e in target]
+    todo = [(ci, key) for ci, row_keys in enumerate(seen) for key in row_keys]
+    block: Dict[int, List[Mapping[int, Scalar]]] = {}
+    while todo:
+        ci, key = todo.pop()
+        for pos, d in shifts[ci]:
+            k = index.get(key - d)
+            if k is None or pos * n + k in block:
+                continue
+            j = pos * n + k
+            comps = built.get(j) or image(j)
+            if key in comps[ci]:
+                block[j] = comps
+                for cj, comp in enumerate(comps):
+                    new = comp.keys() - seen[cj]
+                    seen[cj] |= new
+                    todo += [(cj, kk) for kk in new]
+    columns = sorted(block)
+    return columns, [block[j] for j in columns], pack
 
 
 def _scan(exprs: Iterable[Expr], syms: Dict[Symbol, None]) -> int:

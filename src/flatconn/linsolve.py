@@ -3,20 +3,21 @@
 The exactness, lifting and recovery questions in this package reduce to: does
 a linear operator equation have a polynomial solution whose monomials come
 from a declared finite pool?  An :class:`AnsatzSpec` fixes the pool (allowed
-symbols and a total-degree cap).  ``jets.cochain_preimage`` applies the
-operator, the degree-0 cochain differential, to every basis element mu e_a
-of the pool, once per monomial mu and in the column order (fiber a outer,
-mu inner), on packed integer monomial keys: each symbol is a bit field of
-width W = D.bit_length(), D bounding every monomial's total degree, so keys
-never carry and are never unpacked.  :func:`solve_by_superposition` finds
-the rational combination of those images that equals the target: each
-component of an image is a sparse map {key: coefficient} whose keys it
-treats as opaque, the rows are keyed by (component, key), and
-:func:`solve_linear` solves them exactly.  Most rows pin one unknown at 0:
-it propagates those pins until none is new, then runs one Gaussian
-elimination on what is left, with no split into blocks.  Rows go in
-unsorted: the pivot columns are the leading columns of the row space, so
-only the column (basis) order fixes a solution.
+symbols and a total-degree cap, at most :data:`MAX_UNKNOWNS` unknowns).
+``jets.cochain_preimage`` applies the operator, the degree-0 cochain
+differential, to the basis elements mu e_a (fiber a outer, mu inner) of the
+connected blocks of the system that hold the target's rows, on packed
+integer monomial keys: each symbol is a bit field of width W =
+D.bit_length(), D bounding every monomial's total degree, so keys never
+carry and are never unpacked.  Every other column is 0 in the answer.
+:func:`solve_by_superposition` finds the rational combination of the images
+it is given that equals the target: each component of an image is a sparse
+map {key: coefficient} whose keys it treats as opaque, the rows are keyed by
+(component, key), and :func:`solve_linear` solves them exactly.  Most rows
+pin one unknown at 0: it propagates those pins until none is new, then runs
+one Gaussian elimination on what is left, with no further split into
+blocks.  Rows go in unsorted: the pivot columns are the leading columns of
+the row space, so only the column (basis) order fixes a solution.
 
 A "no solution" answer is always relative to the ansatz (bounded-no).
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import Expr, ONE, Symbol
@@ -33,7 +35,12 @@ from .expr import Expr, ONE, Symbol
 if TYPE_CHECKING:
     from .expr import Scalar
 
-__all__ = ["AnsatzSpec", "solve_linear", "solve_by_superposition"]
+__all__ = ["AnsatzSpec", "MAX_UNKNOWNS", "solve_linear", "solve_by_superposition"]
+
+# The most unknowns, monomials times fibers, that an ansatz may give: about
+# 17 times the 11,400 of the SDYM exactness test, and few enough that
+# enumerating the monomials takes seconds, not minutes.
+MAX_UNKNOWNS = 200_000
 
 
 @dataclass
@@ -47,6 +54,16 @@ class AnsatzSpec:
         if self.degree < 0:
             raise ValueError("degree bound must be nonnegative")
         self.symbols = tuple(sorted(set(self.symbols), key=lambda s: s.key))
+
+    def unknowns(self, fibers: int) -> int:
+        """C(len(symbols) + degree, degree) monomials times ``fibers``, by
+        arithmetic; over :data:`MAX_UNKNOWNS`, a ValueError that states it."""
+        n = comb(len(self.symbols) + self.degree, self.degree) * fibers
+        if n > MAX_UNKNOWNS:
+            raise ValueError("ansatz too large: %d unknowns (%d symbols, degree %d, %d fibers), "
+                             "over the cap of %d" % (n, len(self.symbols), self.degree, fibers,
+                                                     MAX_UNKNOWNS))
+        return n
 
     def monomials(self) -> List[Expr]:
         """All monomials of the pool, in a deterministic order."""

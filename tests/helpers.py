@@ -166,17 +166,25 @@ def spatial_jets(m, max_order):
 
 def spy_solver(monkeypatch) -> list:
     """Record every ansatz solve of ``jets.cochain_preimage`` as a dict:
-    ``unknowns``; ``rows`` and ``nnz`` handed to ``solve_linear``; ``left``,
-    the (rows, columns) that reach elimination after pin propagation, or
-    None when propagation alone decides; and ``none``, whether the answer
-    is bounded-no."""
+    ``basis``, the full basis size (monomials times fibers) that the ansatz
+    gives; ``unknowns``, the columns of the blocks that hold the target's
+    rows, which is all the solver sees; ``rows`` and ``nnz`` handed to
+    ``solve_linear``; ``left``, the (rows, columns) that reach elimination
+    after pin propagation, or None when propagation alone decides; and
+    ``none``, whether the answer is bounded-no."""
     log = []
-    solve, linear, eliminate = (
-        jets.solve_by_superposition, linsolve.solve_linear, linsolve._eliminate)
+    unknowns, solve, linear, eliminate = (
+        linsolve.AnsatzSpec.unknowns, jets.solve_by_superposition,
+        linsolve.solve_linear, linsolve._eliminate)
+
+    def spy_unknowns(ansatz, fibers):
+        basis = unknowns(ansatz, fibers)
+        log.append({"basis": basis, "left": None})
+        return basis
 
     def spy_solve(images, target):
-        rec = {"unknowns": len(images), "left": None}
-        log.append(rec)
+        rec = log[-1]
+        rec["unknowns"] = len(images)
         got = solve(images, target)
         rec["none"] = got is None
         return got
@@ -189,6 +197,7 @@ def spy_solver(monkeypatch) -> list:
         log[-1]["left"] = (len(rows), len({j for c, _ in rows for j in c}))
         return eliminate(rows)
 
+    monkeypatch.setattr(linsolve.AnsatzSpec, "unknowns", spy_unknowns)
     monkeypatch.setattr(jets, "solve_by_superposition", spy_solve)
     monkeypatch.setattr(linsolve, "solve_linear", spy_linear)
     monkeypatch.setattr(linsolve, "_eliminate", spy_eliminate)

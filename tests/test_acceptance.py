@@ -198,8 +198,11 @@ def test_criterion_8_sdym(monkeypatch):
                     pool.append(s)
         ansatz = AnsatzSpec(symbols=tuple(pool), degree=2)
         assert flatrep.exactness_test(res.base, res.cocycle, ansatz) is None
-    # The system the bounded-no rests on; pin propagation alone decides it.
-    assert log == [{"unknowns": 11400, "rows": 374290, "nnz": 432100,
+    # The ansatz gives C(76, 2) = 2,850 monomials times four fibers; the
+    # bounded-no rests on the one block that holds the target's rows, and
+    # pin propagation alone decides it.
+    assert len(ansatz.symbols) == 74
+    assert log == [{"basis": 11400, "unknowns": 2, "rows": 54, "nnz": 46,
                     "left": None, "none": True}]
 
 

@@ -115,13 +115,14 @@ def test_kdv_lift_galilean_bounded_no(prob, capsys):
 @pytest.mark.parametrize("argv, code, solve", [
     # Pin propagation alone finds the bounded-no: nothing reaches elimination.
     (["galilean", "--lambda", "1"], 1,
-     {"unknowns": 330, "rows": 1998, "nnz": 3626, "left": None, "none": True}),
+     {"basis": 330, "unknowns": 154, "rows": 934, "nnz": 1719, "left": None, "none": True}),
     (["x-translation"], 0,
-     {"unknowns": 495, "rows": 3189, "nnz": 5152, "left": (11, 3), "none": False}),
+     {"basis": 495, "unknowns": 27, "rows": 160, "nnz": 262, "left": (11, 3), "none": False}),
 ])
 def test_kdv_lift_solver_counts(monkeypatch, argv, code, solve):
-    # The system each lift builds, counted at the solver: a change to how the
-    # basis images are built must leave every count as it is.
+    # The ansatz each lift declares, and the blocks of its system that hold
+    # the target's rows, counted at the solver: a change to how the block is
+    # assembled must leave every count as it is.
     log = spy_solver(monkeypatch)
     assert run(["kdv-lift"] + argv + ["--json"]) == code
     assert log == [solve]
@@ -310,6 +311,24 @@ def test_input_errors_exit_2(prob, capsys):
     assert run(["recover-f", prob("rec.prob", FC_RECOVER + "[ansatz]\norder = 1\n")]) == 2
     assert capsys.readouterr().err == (
         "error: line 12:0: order bounds jet orders, and a fc chart has none\n")
+
+
+def test_huge_ansatz_exits_2(prob, capsys):
+    # The size is refused by arithmetic before any monomial is built:
+    # C(206, 6) = 98,619,368,491 monomials on one fiber.
+    text = MIURA + """
+[cochain]
+c1 = 1
+c2 = -8*lam - 2*u[0] - 4*y1^2
+[ansatz]
+degree = 200
+symbols = x1, x2, y1, u[0], u[1], u[2]
+"""
+    capsys.readouterr()
+    assert run(["exactness", prob("huge.prob", text), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ansatz too large: 98619368491 unknowns ("), err
 
 
 def test_internal_faults_exit_3(monkeypatch, capsys):

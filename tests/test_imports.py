@@ -153,26 +153,24 @@ def test_typing_scan_sees_import_time_subscripts_only():
     assert _import_time_typing_subscripts(eager) == [(2, "List")]
 
 
-SOLVER_CALLEES = ("solve_by_superposition", "monomials")
+SOLVER_CALLEES = ("solve_by_superposition", "monomials", "_target_block")
 
 
-def _calls(tree, callees):
-    """Sorted (enclosing definition, line, callee) of every call of a name in
-    ``callees``, bare or as an attribute.
+def _owned(tree, pick):
+    """Sorted (enclosing definition, line, name) of every node for which
+    ``pick(node)`` gives a name.
 
     The enclosing definition is the dotted path of the functions and classes
-    around the call, ``<module>`` at top level.
+    around the node, ``<module>`` at top level.
     """
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owner = node.name if owner == "<module>" else owner + "." + node.name
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in callees:
-                found.append((owner, node.lineno, name))
+        name = pick(node)
+        if name is not None:
+            found.append((owner, node.lineno, name))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
@@ -180,30 +178,66 @@ def _calls(tree, callees):
     return sorted(found)
 
 
-def test_only_cochain_preimage_builds_and_solves_ansatz_systems():
-    # One bounded preimage of the cochain differential: every ansatz system
-    # is assembled and solved in jets.cochain_preimage.
+def _call_of(callees):
+    """A pick for _owned: the name of a call of one of ``callees``, bare or
+    as an attribute."""
+    def pick(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in callees:
+                return name
+        return None
+
+    return pick
+
+
+def _calls(tree, callees):
+    """_owned for every call of a name in ``callees``."""
+    return _owned(tree, _call_of(callees))
+
+
+def _src_scan(pick):
+    """_owned over every module of src, each owner prefixed by its module."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [("%s.%s" % (path.stem, owner), line, name)
-                  for owner, line, name in _calls(tree, SOLVER_CALLEES)]
+                  for owner, line, name in _owned(tree, pick)]
+    return found
+
+
+def test_only_cochain_preimage_builds_and_solves_ansatz_systems():
+    # One bounded preimage of the cochain differential: every ansatz system
+    # is assembled (only the blocks that hold the target, by _target_block)
+    # and solved in jets.cochain_preimage.
+    found = _src_scan(_call_of(SOLVER_CALLEES))
     assert {owner for owner, _, _ in found} == {"jets.cochain_preimage"}, found
     assert sorted(name for _, _, name in found) == sorted(SOLVER_CALLEES), found
+
+
+def test_no_function_builds_basis_images_beside_the_block():
+    # The image d(mu e_a) of a basis column needs the twist D_a(a_i^b):
+    # only the differential and the closure of cochain_preimage read it,
+    # and the full-system builder _basis_images is gone.
+    reads = _src_scan(lambda node: node.attr if isinstance(node, ast.Attribute)
+                      and node.attr == "twist" and isinstance(node.ctx, ast.Load) else None)
+    assert {owner for owner, _, _ in reads} == {
+        "jets.cochain_differential", "jets._target_block"}, reads
+    defs = _src_scan(lambda node: node.name if isinstance(node, ast.FunctionDef)
+                     and node.name == "_basis_images" else None)
+    assert defs == [], defs
 
 
 def test_one_cochain_type_and_one_differential_call():
     # Every cochain of the package is a jets.Cochain, and only it calls the
     # cochain differential (its memoised property d).
-    found, classes = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [("%s.%s" % (path.stem, owner), line, name)
-                  for owner, line, name in _calls(tree, ("cochain_differential",))]
-        classes += [path.stem for node in ast.walk(tree)
-                    if isinstance(node, ast.ClassDef) and node.name == "Cochain"]
+    found = _src_scan(_call_of(("cochain_differential",)))
+    classes = [owner for owner, _, _ in _src_scan(
+        lambda node: node.name if isinstance(node, ast.ClassDef) and node.name == "Cochain"
+        else None)]
     assert found and all(owner.startswith("jets.Cochain.") for owner, _, _ in found), found
-    assert classes == ["jets"], classes
+    assert classes == ["jets.Cochain"], classes
 
 
 def test_solver_call_scan_sees_every_caller():

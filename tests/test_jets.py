@@ -3,16 +3,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from flatconn import fce, sdym
+from fractions import Fraction
+
+from flatconn import fce, flatrep, sdym
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO
 from flatconn.jets import (
-    Cochain, DirectionError, Evolution, Extended, FreeJet, _basis_images,
+    Cochain, DirectionError, Evolution, Extended, FreeJet, _target_block,
     cochain_differential, cochain_preimage, d_sigma, evolutionary_apply, is_symmetry_evolution,
     total_derivative,
 )
-from flatconn.kdv import build_kdv
-from flatconn.linsolve import AnsatzSpec
-from helpers import rand_expr, spatial_jets
+from flatconn.kdv import build_kdv, miura_at
+from flatconn.linsolve import AnsatzSpec, solve_by_superposition
+from helpers import fc_pool, rand_expr, spatial_jets, spy_solver
 
 
 def u(k):
@@ -196,31 +198,33 @@ def _preimage_problems():
 
 
 def _check_basis_images(cx, ansatz):
-    """Every image of the packed kernel equals cochain_differential of
-    {((), a): mu}, packed with the kernel's own slot table, component by
-    component; and packing is injective on the monomials of those images."""
+    """Every column of the packed closure, grown from the target
+    d(mu e_a), holds that target as its image, packed with the closure's
+    own slot table, component by component; and packing is injective on
+    the monomials of those images."""
     monos = ansatz.monomials()
     keys = [((i,), b) for i in cx.base_dirs for b in cx.fiber_dirs]
-    images, pack = _basis_images(cx, monos, [ZERO] * len(keys))
-    assert len(images) == len(cx.fiber_dirs) * len(monos)
     seen = set()
-    slot = 0
-    for a in cx.fiber_dirs:  # column order: a outer, mu inner
-        for mu in monos:
+    for pos, a in enumerate(cx.fiber_dirs):  # column order: a outer, mu inner
+        for k, mu in enumerate(monos):
             want = cochain_differential([(((), a), mu)], cx)
             assert set(want) <= set(keys)
-            assert [dict(c) for c in images[slot]] == [pack(want.get(k, ZERO)) for k in keys], \
-                (a, render(mu))
+            goal = [want.get(key, ZERO) for key in keys]
+            columns, images, pack = _target_block(cx, monos, goal)
+            j = pos * len(monos) + k
+            assert (j in columns) == bool(want), (a, render(mu))
+            if want:
+                assert [dict(c) for c in images[columns.index(j)]] == [pack(e) for e in goal], \
+                    (a, render(mu))
             seen.update(m for e in want.values() for m in e.terms)
-            slot += 1
     assert len({next(iter(pack(Expr({m: 1})))) for m in seen}) == len(seen)
 
 
 @pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
 def test_basis_images_match_cochain_differential(problem):
     # A bounded-no answer is never re-substituted, so this is what checks the
-    # packed per-monomial kernel of cochain_preimage against the one
-    # differential.
+    # packed per-monomial kernel of cochain_preimage's closure against the
+    # one differential.
     _, cx, ansatz = problem
     assert cx.twist
     _check_basis_images(cx, ansatz)
@@ -251,7 +255,7 @@ def test_preimage_slot_width_comes_from_the_target():
     cx, one = _d_h_problem()
     ansatz = AnsatzSpec((x(1), u(0)), 1)
     assert cochain_preimage(cx, one(x(1) ** 4), ansatz) is None
-    _, pack = _basis_images(cx, ansatz.monomials(), [x(1) ** 4])
+    *_, pack = _target_block(cx, ansatz.monomials(), [x(1) ** 4])
     assert pack(x(1) ** 4) != pack(Expr.wrap(u(1)))
     got = cochain_preimage(cx, one(3 * x(1) ** 2), AnsatzSpec((x(1),), 3))
     assert dict(got.items()) == {((), 1): x(1) ** 3}
@@ -275,7 +279,7 @@ def test_preimage_packs_lam_like_any_symbol():
     got = cochain_preimage(cx, target, AnsatzSpec((x(1), lam), 2))
     assert dict(got.items()) == {((), 1): lam * x(1)}
     # The target lam*x1 makes D = 2, so every monomial below packs injectively.
-    _, pack = _basis_images(cx, AnsatzSpec((x(1), lam), 2).monomials(), [lam * x(1)])
+    *_, pack = _target_block(cx, AnsatzSpec((x(1), lam), 2).monomials(), [lam * x(1)])
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(x(1)),
                                           lam * x(1), lam ** 2)]
     assert len(set(keys)) == len(keys)
@@ -284,7 +288,164 @@ def test_preimage_packs_lam_like_any_symbol():
     # and it gets a slot there too.
     miura = build_kdv().miura
     assert lam in miura.f_apply(1, Expr.wrap(y(1))).symbols()
-    _, pack = _basis_images(miura, AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
+    *_, pack = _target_block(miura, AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(y(1)),
                                           lam * y(1))]
     assert len(set(keys)) == len(keys) and keys[3] == keys[1] + keys[2]
+
+
+def _full_system_preimage(cx, target, ansatz):
+    """The reference for cochain_preimage: every column's image from
+    cochain_differential on Expr keys, the whole system solved by
+    solve_by_superposition; the components of the witness, or None."""
+    keys = [((i,), b) for i in cx.base_dirs for b in cx.fiber_dirs]
+    basis = [(pos, mu) for pos in range(len(cx.fiber_dirs)) for mu in ansatz.monomials()]
+    images = []
+    for pos, mu in basis:
+        image = cochain_differential([(((), cx.fiber_dirs[pos]), mu)], cx)
+        images.append([dict(image.get(key, ZERO).terms) for key in keys])
+    coeffs = solve_by_superposition(images, [dict(target.component(*key).terms) for key in keys])
+    if coeffs is None:
+        return None
+    comps = [ZERO] * len(cx.fiber_dirs)
+    for (pos, mu), q in zip(basis, coeffs):
+        comps[pos] = comps[pos] + q * mu
+    return comps
+
+
+def _same_as_full_system(cx, target, ansatz):
+    """cochain_preimage gives the reference's witness, or None with it;
+    returns whether there was a witness."""
+    got = cochain_preimage(cx, target, ansatz)
+    want = _full_system_preimage(cx, target.on(cx), ansatz)
+    assert (got is None) == (want is None), (target, ansatz)
+    if got is not None:
+        assert list(got.data) == want, (target, ansatz)
+    return got is not None
+
+
+def _seeded_preimage_problems():
+    """(name, complex, target, ansatz) on the E_fc charts, the Miura
+    covering and SDYM at k = 1: closed targets d(f), f drawn from a pool
+    one symbol wider than the ansatz, and the same targets perturbed."""
+    rng = random.Random(20)
+    for n, m in ((2, 1), (2, 2), (3, 1)):
+        chart = fce.FcChart(n, m)
+        pool = fc_pool(n, m, 1, 1)
+        for _ in range(4):
+            syms = rng.sample(pool, 5)
+            ansatz = AnsatzSpec(tuple(syms[:4]), 2)
+            f = Cochain(chart, 0, {((), a): rand_expr(rng, syms) for a in chart.fiber_dirs})
+            yield "fc(%d,%d)" % (n, m), chart, f.d, ansatz
+            extra = {((rng.randint(1, n),), rng.randint(1, m)): rand_expr(rng, syms[:4])}
+            yield "fc(%d,%d)+" % (n, m), chart, _plus(chart, f.d, extra), ansatz
+    kdv = build_kdv()
+    for lam, spec in (("lam", kdv.miura), ("0", miura_at(kdv, Fraction(0))),
+                      ("1", miura_at(kdv, Fraction(1)))):
+        params = (param("lam"),) if lam == "lam" else ()
+        for name, phi in kdv.symmetries.items():
+            c = flatrep.symmetry_cocycle(spec, [phi])
+            for degree, order in ((2, 1), (2, 2), (3, 2), (3, 3)):
+                ansatz = AnsatzSpec((x(1), x(2), y(1)) + params + tuple(
+                    u(k) for k in range(order + 1)), degree)
+                yield "miura lam=%s %s" % (lam, name), spec, c, ansatz
+    rep = sdym.build_flatrep(1, None)
+    res = flatrep.infinitesimal_deformation(rep.spec, param("lam"))
+    pool = (x(1), x(2), x(3), x(4), y(1), jet(1), jet(3), jet(4), jet(3, (3,)))
+    for degree in (1, 2):
+        ansatz = AnsatzSpec(pool, degree)
+        yield "sdym k=1 deformation", res.base, res.cocycle, ansatz
+        f = Cochain(res.base, 0, {((), a): rand_expr(rng, pool) for a in res.base.fiber_dirs})
+        yield "sdym k=1 exact", res.base, f.d, ansatz
+        yield "sdym k=1 exact+", res.base, _plus(res.base, f.d, {((1,), 4): Expr.wrap(x(3))}), \
+            ansatz
+
+
+def _plus(cx, c, extra):
+    """The 1-cochain c plus the components ``extra``."""
+    data = dict(c.items())
+    for key, e in extra.items():
+        data[key] = data.get(key, ZERO) + e
+    return Cochain(cx, 1, data)
+
+
+def test_preimage_matches_the_full_system():
+    # The closure solves only the blocks that hold the target's rows; the
+    # reference assembles and solves every column.  Both verdicts occur.
+    found = [_same_as_full_system(cx, target, ansatz)
+             for _, cx, target, ansatz in _seeded_preimage_problems()]
+    assert len(found) == 24 + 48 + 6
+    assert 0 < sum(found) < len(found), sum(found)
+
+
+def test_preimage_block_smaller_than_the_system(monkeypatch):
+    # d(x1^2/2) = x1 dx1: the block is the column x1^2 and the rows it
+    # reaches, not the six columns of the ansatz.
+    log = spy_solver(monkeypatch)
+    cx, one = _d_h_problem()
+    ansatz = AnsatzSpec((x(1), u(0)), 2)
+    assert _same_as_full_system(cx, one(Expr.wrap(x(1))), ansatz)
+    assert log[0]["basis"] == 6 and log[0]["unknowns"] == 1
+
+
+def test_preimage_target_no_column_hits_or_zero(monkeypatch):
+    # u[2] is in no image of the pool (x1,): the block has no column, and
+    # the bounded-no needs no elimination of a column.  The zero target
+    # has no row, and its witness is the zero cochain.
+    log = spy_solver(monkeypatch)
+    cx, one = _d_h_problem()
+    ansatz = AnsatzSpec((x(1),), 2)
+    assert not _same_as_full_system(cx, one(Expr.wrap(u(2))), ansatz)
+    zero = cochain_preimage(cx, one(ZERO), ansatz)
+    assert zero is not None and zero.is_zero()
+    assert [(r["basis"], r["unknowns"], r["none"]) for r in log] == [
+        (3, 0, True), (3, 0, False)]
+
+
+def test_preimage_column_only_the_twist_reaches(monkeypatch):
+    # Fibers 1 and 2 on J(1, 1) with D_1(a_1^2) = x1^3: d(1 e_1) = -x1^3
+    # dx1 (x) e_2, so the row x1^3 of component (1, 2) is hit only through
+    # the twist lookup, by a column of fiber 1, and the row 1 only through
+    # the F_1 lookup, by x1 e_2.  The witness needs both.
+    log = spy_solver(monkeypatch)
+    cx = scheme_complex(FreeJet(1, 1), (1, 2), {(1, 1): ((2, x(1) ** 3),)})
+    target = Cochain(cx, 1, {((1,), 2): 1 - x(1) ** 3})
+    assert _same_as_full_system(cx, target, AnsatzSpec((x(1), u(0)), 1))
+    got = cochain_preimage(cx, target, AnsatzSpec((x(1), u(0)), 1))
+    assert list(got.data) == [const(1), Expr.wrap(x(1))]
+    assert log[0]["basis"] == 6 and log[0]["unknowns"] == 2
+
+
+def test_preimage_refuses_a_huge_ansatz_before_building_it(monkeypatch):
+    # 2 symbols at degree 700 give C(702, 700) = 246,051 monomials, over the
+    # cap: the refusal states the size, and no monomial is built.
+    def no_monomials(self):
+        raise AssertionError("monomials built before the size check")
+
+    monkeypatch.setattr(AnsatzSpec, "monomials", no_monomials)
+    cx, one = _d_h_problem()
+    with pytest.raises(ValueError, match="246051 unknowns"):
+        cochain_preimage(cx, one(Expr.wrap(x(1))), AnsatzSpec((x(1), u(0)), 700))
+
+
+def test_preimage_candidate_whose_image_cancels_the_row_stays_out(monkeypatch):
+    # With the twist D_1(a_2^1) = 6 u[1] on KdV, d(u[0] e_1) has the
+    # t-component u[3] + 6 u[0] u[1] - 6 u[0] u[1] = u[3]: the F_t lookup
+    # finds u[0] for the row u[0] u[1], but its image does not hold it, so
+    # the block stays empty and the answer is bounded-no.
+    log = spy_solver(monkeypatch)
+    cx = scheme_complex(kdv_scheme(), (1,), {(2, 1): ((1, 6 * u(1)),)})
+    target = Cochain(cx, 1, {((2,), 1): u(0) * u(1)})
+    assert not _same_as_full_system(cx, target, AnsatzSpec((u(0), u(1)), 1))
+    assert (log[0]["basis"], log[0]["unknowns"]) == (3, 0)
+
+
+def test_preimage_keeps_the_global_column_order():
+    # With D_1(a_1^2) = 1 on J(1, 1), d(e_1 + x1 e_2) = 0, so the target
+    # 1 dx1 (x) e_2 has two witnesses, -e_1 and x1 e_2; the leading column
+    # of the whole system, 1 e_1, is the pivot, as in the block.
+    cx = scheme_complex(FreeJet(1, 1), (1, 2), {(1, 1): ((2, const(1)),)})
+    target = Cochain(cx, 1, {((1,), 2): const(1)})
+    assert _same_as_full_system(cx, target, AnsatzSpec((x(1),), 1))
+    got = cochain_preimage(cx, target, AnsatzSpec((x(1),), 1))
+    assert list(got.data) == [const(-1), ZERO]

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from flatconn import linsolve
 from flatconn.expr import Expr, param, render, v, x, ZERO, ONE
 from flatconn.linsolve import AnsatzSpec, _eliminate, solve_by_superposition, solve_linear
 
@@ -143,3 +146,20 @@ def test_rows_split_params_from_carriers():
     assert solve_by_superposition([comps(x(1))], comps(lam * x(1))) is None
     assert solve_by_superposition([comps(x(1)), comps(lam * x(1))], comps(lam * x(1))) == \
         [Fraction(0), Fraction(1)]
+
+
+def test_ansatz_cap_is_arithmetic(monkeypatch):
+    # The unknowns are C(len(symbols) + degree, degree) monomials times the
+    # fibers: 74 symbols at degree 2 over four fibers (the SDYM exactness
+    # test) give 2,850 * 4 = 11,400, far under the cap.
+    ans = AnsatzSpec(tuple(x(i) for i in range(1, 75)), 2)
+    assert ans.unknowns(1) == 2850 and ans.unknowns(4) == 11400
+    assert linsolve.MAX_UNKNOWNS >= 10 * 11400
+    monkeypatch.setattr(linsolve, "MAX_UNKNOWNS", 11400)
+    assert ans.unknowns(4) == 11400
+    with pytest.raises(ValueError, match=r"14250 unknowns \(74 symbols, degree 2, 5 fibers\)"):
+        ans.unknowns(5)
+    monkeypatch.undo()
+    huge = AnsatzSpec(tuple(x(i) for i in range(1, 101)), 4)
+    with pytest.raises(ValueError, match="4598126 unknowns .*, over the cap of 200000"):
+        huge.unknowns(1)
