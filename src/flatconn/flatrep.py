@@ -49,12 +49,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlatRepSpec:
     """Declarative flat representation: scheme, direction split, coefficients.
 
     Frozen, with read-only coefficients, so that its flatness residuals,
-    pullback images and F_i images, cached on it, cannot go stale.
+    pullback images and F_i images, cached on it, cannot go stale.  It is
+    also the complex its cochains live on, so it compares and hashes by
+    identity: two specs with equal fields are two complexes with two memos.
     """
 
     scheme: DerivScheme

@@ -276,7 +276,8 @@ def _target_block(
     Packed exponent vectors (Monagan and Pearce): each symbol of ``monos``,
     of their F_i images, of the twist values and of ``target`` gets a bit
     field of width W = D.bit_length(), D bounding the total degree of every
-    image and target monomial, and prod s^p_s packs to sum p_s 2^(W slot(s)).
+    ansatz, image and target monomial, and prod s^p_s packs to
+    sum p_s 2^(W slot(s)).
     No field carries, so keys are compared and never unpacked, and a product
     of monomials is a sum of keys: F_i(mu) is built by Leibniz as
     key(mu) - key(s) + key(m) with coefficient p c, for each factor s^p of mu
@@ -299,9 +300,10 @@ def _target_block(
     fdeg = _scan(values.values(), syms)
     tdeg = _scan((t for *_, t in twists), syms)
     gdeg = _scan(target, syms)
-    # A term of F_i(mu) has degree at most deg(mu) - 1 + deg F_i(s), a twist
-    # term deg(mu) + deg(t); _scan gives -1 where there is no term at all.
-    width = max(0, gdeg, mdeg + tdeg, mdeg - 1 + fdeg).bit_length()
+    # The monomials mu key the index; a term of F_i(mu) has degree at most
+    # deg(mu) - 1 + deg F_i(s), a twist term deg(mu) + deg(t); _scan gives -1
+    # where there is no term at all.
+    width = max(mdeg, gdeg, mdeg + tdeg, mdeg - 1 + fdeg).bit_length()
     unit = {s: 1 << (width * n) for n, s in enumerate(syms)}
 
     def pack(e: Expr) -> Dict[int, Scalar]:

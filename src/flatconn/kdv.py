@@ -1,12 +1,20 @@
 """Prebuilt KdV objects: the evolution scheme u_t = u_3 + 6 u_0 u_1, the
 one-fiber covering attached to the Miura transformation with its parameter,
-and the four classical symmetry characteristics."""
+and the four classical symmetry characteristics.
+
+The model never changes, so a process builds and checks it once: every
+:func:`build_kdv` returns the same frozen :class:`KdvBundle`, whose Miura
+spec keeps its memos across calls.  A specialisation :func:`miura_at` is
+built afresh on every call, so memory grows with the models, not with the
+parameter values asked for.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .expr import Expr, Symbol, jet, param, x, y
 from .flatrep import FlatRepSpec, check_flat_rep, covering_to_flatrep
@@ -19,21 +27,36 @@ def _u(k: int) -> Symbol:
     return jet(1, (1,) * k)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KdvBundle:
+    """The KdV model, frozen, with read-only symmetries: the one bundle of
+    the process is shared by every caller of :func:`build_kdv`."""
+
     scheme: Evolution
     miura: FlatRepSpec          # fiber component y1, parameter lam symbolic
-    symmetries: Dict[str, Expr]
+    symmetries: Mapping[str, Expr]
     lam: Symbol
+
+    def __post_init__(self):
+        object.__setattr__(self, "symmetries", MappingProxyType(dict(self.symmetries)))
+
+
+# The bundle of this process, once build_kdv has built and checked it.
+_BUNDLE: Optional[KdvBundle] = None
 
 
 def build_kdv() -> KdvBundle:
-    """Construct and self-check the KdV bundle.
+    """The KdV bundle of this process, constructed and self-checked on the
+    first call; a failed check raises and keeps nothing, so the next call
+    checks again.
 
     The Miura covering is y_x = lam + u_0 + y^2, y_t = u_2 + 2 u_0^2
     - 2 lam u_0 - 4 lam^2 + 2 u_1 y + y^2 (2 u_0 - 4 lam); its compatibility
     is the KdV equation itself, verified here with the parameter symbolic.
     """
+    global _BUNDLE
+    if _BUNDLE is not None:
+        return _BUNDLE
     u0, u1, u2, u3 = _u(0), _u(1), _u(2), _u(3)
     rhs = u3 + 6 * u0 * u1
     scheme = Evolution(1, [rhs])
@@ -60,11 +83,13 @@ def build_kdv() -> KdvBundle:
     for name, phi in symmetries.items():
         if not is_symmetry_evolution(scheme, [phi]).ok:
             raise AssertionError("%s is not a KdV symmetry" % name)
-    return KdvBundle(scheme=scheme, miura=miura, symmetries=symmetries, lam=lam)
+    _BUNDLE = KdvBundle(scheme=scheme, miura=miura, symmetries=symmetries, lam=lam)
+    return _BUNDLE
 
 
 def miura_at(bundle: KdvBundle, value: Fraction) -> FlatRepSpec:
-    """The Miura representation at a fixed rational parameter value."""
+    """The Miura representation at a fixed rational parameter value, a new
+    spec on every call."""
     spec = bundle.miura.subs({bundle.lam: Expr.wrap(Fraction(value))})
     if not check_flat_rep(spec).ok:  # pragma: no cover - substitution preserves it
         raise AssertionError("specialized Miura covering is not flat")

@@ -14,6 +14,13 @@ internal coordinates: it certifies at construction that its ranking is
 compatible and decreasing and that its critical pairs normalize to 0, so
 normal forms are unique; internal coordinates are the normal-form jets,
 and its total derivative normalizes through the rules.
+
+The model never changes, so a process builds it once per k: the symbolic
+family of :func:`build_flatrep`, with its certified rewriter, is interned by
+k and shared by every caller, :func:`verify_ugh` included, with the memos of
+its rewriter and spec.  A family at a rational lambda is a new spec on every
+call, over the shared rewriter, so memory grows with the number of k, not
+with the parameter values asked for.
 """
 
 from __future__ import annotations
@@ -266,11 +273,16 @@ def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:
     return m0, m1, m2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SdymRep:
     scheme: SdymRewriter
     spec: FlatRepSpec
     lam: Expr  # the parameter as used in the coefficients (symbol or constant)
+
+
+# The symbolic family of each k built so far, interned by k: a rewriter is
+# certified once per k per process, and a failed build interns nothing.
+_FAMILIES: Dict[int, SdymRep] = {}
 
 
 def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> SdymRep:
@@ -278,11 +290,19 @@ def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> SdymRep:
 
     Fiber directions are x_3, x_4 and the w's; the connection adds lam D_3
     (resp. lam D_4) and sigma(A_i + lam A_{i+2}) to D_1 (resp. D_2).
-    ``lam0`` fixes the parameter to a rational; None keeps it symbolic.
+    ``lam0`` fixes the parameter to a rational, in a new spec on every call;
+    None keeps it symbolic and returns the process's one family of k.
     """
-    scheme = SdymRewriter(k)
+    rep = _FAMILIES.get(k)
+    if rep is None:
+        rep = _FAMILIES[k] = _family(SdymRewriter(k), Expr.wrap(param("lam")))
+    return rep if lam0 is None else _family(rep.scheme, Expr.wrap(Fraction(lam0)))
+
+
+def _family(scheme: SdymRewriter, lam: Expr) -> SdymRep:
+    """The family over ``scheme`` with the parameter ``lam``."""
+    k = scheme.k
     ext = Extended(scheme, tuple(y(p) for p in range(1, k + 1)))
-    lam = Expr.wrap(param("lam")) if lam0 is None else Expr.wrap(Fraction(lam0))
     coeffs: Dict[Tuple[int, int], Expr] = {(1, 3): lam, (2, 4): lam}
     for i in (1, 2):
         m = mat_add(matrix(k, i), mat_map(matrix(k, i + 2), lambda e: lam * e))

@@ -334,9 +334,12 @@ symbols = x1, x2, y1, u[0], u[1], u[2]
 def test_internal_faults_exit_3(monkeypatch, capsys):
     # A failed self-check is an internal fault, not a verdict: one line on
     # stderr, nothing on stdout, exit 3.  The checks are made to fail by
-    # feeding them a wrong value, not by changing them.
+    # feeding them a wrong value, not by changing them.  The models are
+    # shared within a process, so the test starts from none built.
     from flatconn import kdv, reports, sdym
 
+    monkeypatch.setattr(kdv, "_BUNDLE", None)
+    monkeypatch.setattr(sdym, "_FAMILIES", {})
     expand = sdym.lambda_expand
 
     def bent(k):
@@ -402,14 +405,19 @@ def test_human_format_lines(prob, capsys):
 def test_cli_mix_matches_golden_transcript():
     # Replays the benchmark's cli-mix invocations from its own files, so any
     # drift in rendering or exit codes fails here as well as in the benchmark.
+    # The KdV and SDYM models are shared within a process, so the replay runs
+    # twice, the second time in reverse order: no invocation may leave state
+    # that changes another's output.
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     golden = json.loads(workloads.GOLDEN.read_text(encoding="utf-8"))
-    for inv in workloads.CLI_INVOCATIONS:
-        label = workloads.cli_label(inv)
-        want = golden[label]
-        assert workloads.cli_invoke(inv) == (want["exit"], want["stdout"]), label
+    invocations = workloads.CLI_INVOCATIONS
+    for order in (invocations, invocations[::-1]):
+        for inv in order:
+            label = workloads.cli_label(inv)
+            want = golden[label]
+            assert workloads.cli_invoke(inv) == (want["exit"], want["stdout"]), label
 
 
 # Replays the cli-mix transcript and two refusals that each name one of two

@@ -201,7 +201,7 @@ def _check_basis_images(cx, ansatz):
     """Every column of the packed closure, grown from the target
     d(mu e_a), holds that target as its image, packed with the closure's
     own slot table, component by component; and packing is injective on
-    the monomials of those images."""
+    the ansatz monomials and on the monomials of those images."""
     monos = ansatz.monomials()
     keys = [((i,), b) for i in cx.base_dirs for b in cx.fiber_dirs]
     seen = set()
@@ -218,6 +218,7 @@ def _check_basis_images(cx, ansatz):
                     (a, render(mu))
             seen.update(m for e in want.values() for m in e.terms)
     assert len({next(iter(pack(Expr({m: 1})))) for m in seen}) == len(seen)
+    assert len({next(iter(pack(mu))) for mu in monos}) == len(monos)
 
 
 @pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
@@ -237,6 +238,20 @@ def test_slot_width_covers_the_leibniz_and_twist_degrees():
     _check_basis_images(scheme_complex(kdv_scheme(), (1,), {}), AnsatzSpec((u(0), u(1)), 2))
     _check_basis_images(scheme_complex(FreeJet(1, 1), (1, 2), {(1, 1): ((2, x(1) ** 3),)}),
                         AnsatzSpec((x(1), u(0)), 1))
+
+
+def test_slot_width_covers_the_ansatz_degree():
+    # On the horizontal complex of J(2, 1) with the ansatz (x1, x2) at
+    # degree 2, every image and the target dx2 have degree at most 1, which
+    # alone gives W = 1: x1^2 would pack onto x2, and the column x2, whose
+    # image is dx2, would never be found.  The ansatz degree sets W = 2.
+    cx = horizontal(FreeJet(2, 1))
+    ansatz = AnsatzSpec((x(1), x(2)), 2)
+    target = Cochain(cx, 1, {((2,), 0): const(1)})
+    got = cochain_preimage(cx, target, ansatz)
+    assert got is not None and list(got.data) == _full_system_preimage(cx, target, ansatz)
+    assert dict(got.items()) == {((), 0): Expr.wrap(x(2))}
+    _check_basis_images(cx, ansatz)
 
 
 def _d_h_problem():

@@ -52,3 +52,35 @@ def test_miura_at_rational_values(kdv):
     assert render(spec0.a(2, 3)) == "2*u[0]^2 + 2*u[0]*y1^2 + 2*u[1]*y1 + u[2]"
     spec_half = miura_at(kdv, Fraction(1, 2))
     assert flatrep.check_flat_rep(spec_half).verdict == "pass"
+
+
+def test_one_bundle_per_process(kdv):
+    assert build_kdv() is kdv and build_kdv() is build_kdv()
+    # a specialisation is a new spec on every call
+    assert miura_at(kdv, Fraction(1)) is not miura_at(kdv, Fraction(1))
+
+
+def test_bundle_refuses_assignment(kdv):
+    with pytest.raises(AttributeError):
+        kdv.lam = param("mu")
+    with pytest.raises(AttributeError):
+        kdv.miura = miura_at(kdv, Fraction(0))
+    with pytest.raises(TypeError):
+        kdv.symmetries["zero"] = Expr.wrap(0)
+    with pytest.raises(TypeError):
+        del kdv.symmetries["galilean"]
+    assert len(kdv.symmetries) == 4
+
+
+def test_failed_build_keeps_nothing(monkeypatch):
+    # The check is made to fail by feeding it a wrong verdict; each call then
+    # checks again and fails again, and no bundle is kept.
+    from flatconn import kdv as kdv_module, reports
+
+    monkeypatch.setattr(kdv_module, "_BUNDLE", None)
+    monkeypatch.setattr(kdv_module, "is_symmetry_evolution",
+                        lambda scheme, phi: reports.Report("is-symmetry", reports.FAIL, ["1"]))
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="is not a KdV symmetry"):
+            build_kdv()
+        assert kdv_module._BUNDLE is None

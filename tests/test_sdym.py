@@ -229,6 +229,59 @@ def test_verify_ugh_refuses_unknown_witness(monkeypatch):
     assert built == []  # refused before any work
 
 
+def test_one_symbolic_family_per_k(rep2):
+    assert sdym.build_flatrep(2) is rep2 and sdym.build_flatrep(2).spec is rep2.spec
+    assert sdym.build_flatrep(1) is not rep2
+    # a rational lambda gives a new spec on every call, over the shared rewriter
+    at_one = sdym.build_flatrep(2, Fraction(1))
+    assert at_one.spec is not sdym.build_flatrep(2, Fraction(1)).spec
+    assert at_one.scheme is rep2.scheme and at_one.lam == const(1)
+
+
+def test_rewriter_is_certified_once_per_k(monkeypatch):
+    certify = sdym.SdymRewriter._certify
+    made = []
+
+    def counted(self):
+        made.append(self.k)
+        return certify(self)
+
+    monkeypatch.setattr(sdym, "_FAMILIES", {})
+    monkeypatch.setattr(sdym.SdymRewriter, "_certify", counted)
+    for _ in range(2):
+        sdym.build_flatrep(2)
+        sdym.build_flatrep(2, Fraction(1, 2))
+        assert sdym.verify_ugh(2, "const").ok
+    assert made == [2]
+    sdym.build_flatrep(1, Fraction(0))
+    assert sdym.verify_ugh(1, "a1").ok
+    assert made == [2, 1]
+
+
+def test_failed_build_interns_nothing(monkeypatch):
+    # A third-order jet in the lambda^2 coefficient: the rule on d3 A4 no
+    # longer lowers the rank.  Each call certifies again and fails again.
+    expand = sdym.lambda_expand
+
+    def bent(k):
+        m0, m1, m2 = expand(k)
+        return m0, m1, sdym.mat_add(m2, sdym.matrix(k, 4, (1, 1, 4)))
+
+    monkeypatch.setattr(sdym, "_FAMILIES", {})
+    monkeypatch.setattr(sdym, "lambda_expand", bent)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="does not lower the rank"):
+            sdym.build_flatrep(1)
+        assert sdym._FAMILIES == {}
+
+
+def test_rep_refuses_assignment(rep2):
+    with pytest.raises(AttributeError):
+        rep2.lam = const(0)
+    with pytest.raises(AttributeError):
+        rep2.spec = sdym.build_flatrep(2, Fraction(0)).spec
+
+
 def test_lambda_family_cocycle_closed_and_not_exact(rep2):
     res = flatrep.infinitesimal_deformation(rep2.spec, param("lam"))
     assert res.report.verdict == "pass"
