@@ -51,12 +51,6 @@ KIND_JET = 3
 KIND_FC = 4
 KIND_FIBER = 5
 
-_KIND_NAMES = {
-    KIND_PARAM: "param", KIND_INDEP: "indep", KIND_BASEFIBER: "basefiber",
-    KIND_JET: "jet", KIND_FC: "fc", KIND_FIBER: "fiber",
-}
-
-
 def _check_indices(ix: Iterable[int], what: str) -> Tuple[int, ...]:
     t = tuple(sorted(ix))
     for i in t:

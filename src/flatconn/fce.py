@@ -11,36 +11,38 @@ everything are
 
 On top of them: the flatness residuals of a coordinate connection, the
 vertical complex and its differential :func:`dfc` on ``jets.Cochain``,
-symmetry reconstruction and recovery, prolongation of symmetries to all
-special coordinates, and the induced bracket on 0-cochains.  The chart is
-itself the vertical complex, the case phi = identity of ``jets``: base
-directions 1..n, fibers 1..m, F_i = D_i (:meth:`FcChart.f_apply`) and twist
-D_{v^a}(v_i^b) = v_i^{b,a}.  Each derivation (D_{v^b}, D_i, the horizontal
-lift in the flatness residual, S_f + V_f) is given by its values on symbols
-and applied through the one Leibniz kernel :meth:`Expr.derive`.
+symmetry reconstruction and recovery, the symmetry S_f of a 0-cochain
+with its prolongation to all special coordinates, and the induced bracket
+on 0-cochains.  The chart is itself the vertical complex, the case phi =
+identity of ``jets``: base directions 1..n, fibers 1..m, F_i = D_i
+(:meth:`FcChart.f_apply`) and twist D_{v^a}(v_i^b) = v_i^{b,a}.  Each
+derivation (D_{v^b}, D_i, the horizontal lift in the flatness residual,
+S_f + V_f) is given by its values on symbols and applied through the one
+Leibniz kernel :meth:`Expr.derive`.
 
 Input is validated once, at the public entries (:func:`fc_total`,
 :func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart, the
-expression of :func:`symmetry_action`, the targets of
+expression of :meth:`Symmetry.apply`, the targets of
 :func:`prolong_symmetry` and the symbols of an explicit ansatz in
 :func:`recover_f`).  Everything past them works on expressions the chart
 built itself, through the unchecked kernels :meth:`FcChart.f_apply` and
-``_fc_vertical``.  The chart owns the memos of D_i and D_{v^b} on symbols,
-an immutable cochain holds its differential, and the memo of the
-prolongation coefficients S_I^{a,A} lives for one call.
+``_fc_vertical``.  Each memo is owned by an immutable object: the chart
+holds D_i and D_{v^b} on symbols, a cochain its differential, and a
+:class:`Symmetry` the coefficients S_I^{a,A} for as long as its caller
+keeps it (one call, inside the library).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, ONE, Symbol, ZERO,
     fc, render, v, x,
 )
-from .jets import Cochain, DirectionError, add_term, cochain_preimage
+from .jets import Cochain, DirectionError, Frozen, add_term, cochain_preimage
 from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
 
@@ -48,7 +50,7 @@ __all__ = [
     "FcChart", "ConnectionSpec", "Cochain", "cochain0", "cochain1",
     "fc_vertical", "fc_total", "flatness_residual", "dfc",
     "symmetry_from_f", "is_symmetry", "recover_f", "default_recover_ansatz",
-    "prolong_symmetry", "bracket0", "symmetry_action",
+    "Symmetry", "prolong_symmetry", "bracket0", "symmetry_action",
 ]
 
 
@@ -307,7 +309,7 @@ def default_recover_ansatz(chart: FcChart, phi: Cochain) -> AnsatzSpec:
     reductions = {(s.index, s.ii, aa) for s in seen if s.kind == KIND_FC
                   for aa in _sub_multisets(s.aa)}
     pool.update(fc(alpha, ii, aa) for alpha, ii, aa in reductions)
-    return AnsatzSpec(symbols=tuple(sorted(pool, key=lambda s: s.key)), degree=degree)
+    return AnsatzSpec(symbols=tuple(pool), degree=degree)
 
 
 def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None) -> Optional[Cochain]:
@@ -341,34 +343,48 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
     return None
 
 
-def _prolongation(chart: FcChart, f: Cochain) -> Callable[[Symbol], Expr]:
-    """The coefficient function v_I^{a,A} -> S_I^{a,A} of the symmetry S_f.
+class Symmetry(Frozen):
+    """The symmetry S_f of a 0-cochain f moved onto ``chart``, with phi = d f;
+    immutable, because it holds the memo of the coefficients S_I^{a,A}."""
 
-    Memoised per symbol for as long as the returned function lives, which is
-    one call of its caller.
-    """
-    phi = symmetry_from_f(chart, f)
-    coefficients: Dict[Symbol, Expr] = {}
+    __slots__ = ("chart", "f", "phi", "_coefficients")
 
-    def coefficient(s: Symbol) -> Expr:
+    def __init__(self, chart: FcChart, f: Cochain):
+        if f.degree != 0:
+            raise ValueError("expected a degree-0 cochain")
+        f = f.on(chart)
+        self._put(chart=chart, f=f, phi=f.d, _coefficients={})
+
+    def apply(self, e: Expr) -> Expr:
+        """The full field S_f + V_f on a function of the chart."""
+        return self.chart.check_expr(e).derive(self._image)
+
+    def _coefficient(self, s: Symbol) -> Expr:
         """S_I^{a,A} = D_{v^b} S_I^{a,A'}, with b the last element of A and A'
         the rest; on A empty, S_{Ii}^a = D_i S_I^a + sum_b v_I^{a,b} phi_i^b."""
-        got = coefficients.get(s)
+        got = self._coefficients.get(s)
         if got is None:
-            alpha, ii = s.index, s.ii
+            chart, phi, alpha, ii = self.chart, self.phi, s.index, s.ii
             if s.aa:
-                got = _fc_vertical(chart, s.aa[-1], coefficient(fc(alpha, ii, s.aa[:-1])))
+                got = _fc_vertical(chart, s.aa[-1], self._coefficient(fc(alpha, ii, s.aa[:-1])))
             elif len(ii) == 1:
                 got = phi.component(ii, alpha)
             else:
                 head, i = ii[:-1], ii[-1]
-                got = chart.f_apply(i, coefficient(fc(alpha, head, ())))
+                got = chart.f_apply(i, self._coefficient(fc(alpha, head, ())))
                 for beta in range(1, chart.m + 1):
                     got = got + fc(alpha, head, (beta,)) * phi.component((i,), beta)
-            coefficients[s] = got
+            self._coefficients[s] = got
         return got
 
-    return coefficient
+    def _image(self, s: Symbol) -> Expr:
+        """S_f + V_f on one chart symbol: V_f = sum_b f^b D_{v^b} moves v^a and
+        raises the fiber multi-index A, S_f moves the |I| >= 1 coordinates."""
+        img = self._coefficient(s) if s.kind == KIND_FC else ZERO
+        for beta, comp in enumerate(self.f.data, start=1):
+            if not comp.is_zero():
+                img = img + comp * _vertical_symbol(self.chart, beta, s)
+        return img
 
 
 def prolong_symmetry(chart: FcChart, f: Cochain, targets: Iterable[Symbol]) -> Dict[Symbol, Expr]:
@@ -378,39 +394,19 @@ def prolong_symmetry(chart: FcChart, f: Cochain, targets: Iterable[Symbol]) -> D
         if s.kind != KIND_FC:
             raise ValueError("symmetry coefficients exist only on v_I^{a,A} with |I| >= 1")
         chart.check_symbol(s)
-    coefficient = _prolongation(chart, f)
-    return {s: coefficient(s) for s in targets}
-
-
-def _action_image(chart: FcChart, f: Cochain):
-    """S_f + V_f on one chart symbol.
-
-    V_f = sum_b f^b D_{v^b} moves both v^a and the higher coordinates (it
-    raises the fiber multi-index), S_f moves only the |I| >= 1 coordinates.
-    """
-    coefficient = _prolongation(chart, f)
-
-    def image(s: Symbol) -> Expr:
-        img = coefficient(s) if s.kind == KIND_FC else ZERO
-        for beta, comp in enumerate(f.data, start=1):
-            if not comp.is_zero():
-                img = img + comp * _vertical_symbol(chart, beta, s)
-        return img
-
-    return image
+    symmetry = Symmetry(chart, f)
+    return {s: symmetry._coefficient(s) for s in targets}
 
 
 def symmetry_action(chart: FcChart, f: Cochain, e: Expr) -> Expr:
     """Action of the full field S_f + V_f on a function of the chart."""
-    return chart.check_expr(e).derive(_action_image(chart, f))
+    return Symmetry(chart, f).apply(e)
 
 
 def bracket0(chart: FcChart, f: Cochain, g: Cochain) -> Cochain:
     """The bracket on 0-cochains induced by commutation of symmetries:
     {f,g}^a = (S_f + V_f)(g^a) - (S_g + V_g)(f^a)."""
-    if f.degree != 0 or g.degree != 0:
-        raise ValueError("bracket0 expects degree-0 cochains")
-    act_f = _action_image(chart, f)
-    act_g = _action_image(chart, g)
-    comps = tuple(ga.derive(act_f) - fa.derive(act_g) for fa, ga in zip(f.data, g.data))
+    sf, sg = Symmetry(chart, f), Symmetry(chart, g)
+    comps = tuple(ga.derive(sf._image) - fa.derive(sg._image)
+                  for fa, ga in zip(sf.f.data, sg.f.data))
     return Cochain._built(chart, 0, comps)

@@ -372,4 +372,4 @@ def default_ansatz(
     for alpha in sorted(deps):
         for k in range(order + 1):
             pool.add(jet_symbol(alpha, (1,) * k))
-    return AnsatzSpec(symbols=tuple(sorted(pool, key=lambda s: s.key)), degree=degree)
+    return AnsatzSpec(symbols=tuple(pool), degree=degree)

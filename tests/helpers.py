@@ -112,14 +112,14 @@ def dfc_reference(c, total):
 
 def prolong_reference(chart, f, targets):
     """S_I^{a,A} on each target v_I^{a,A} by its definition: the base
-    coefficient S_I^{a} of the prolongation of f, then D_{v^b} for each b of
-    A in order; the reference that fce.prolong_symmetry is tested against."""
+    coefficient S_I^{a} of the symmetry of f, then D_{v^b} for each b of A
+    in order; the reference that fce.prolong_symmetry is tested against."""
     from flatconn import fce
 
-    coefficient = fce._prolongation(chart, f)
+    symmetry = fce.Symmetry(chart, f)
     out = {}
     for s in targets:
-        e = coefficient(fc(s.index, s.ii, ()))
+        e = symmetry._coefficient(fc(s.index, s.ii, ()))
         for beta in s.aa:
             e = fce.fc_vertical(chart, beta, e)
         out[s] = e

@@ -130,10 +130,10 @@ def test_criterion_5_bracket():
         f = fce.cochain0(ch, [rand_expr(rng, pool, terms=2), rand_expr(rng, pool, terms=2)])
         g = fce.cochain0(ch, [rand_expr(rng, pool, terms=2), rand_expr(rng, pool, terms=2)])
         fg = fce.bracket0(ch, f, g)
+        sf, sg = fce.Symmetry(ch, f), fce.Symmetry(ch, g)
         for s in targets:
             lhs = fce.symmetry_action(ch, fg, s)
-            rhs = fce.symmetry_action(ch, f, fce.symmetry_action(ch, g, s)) - \
-                fce.symmetry_action(ch, g, fce.symmetry_action(ch, f, s))
+            rhs = sf.apply(sg.apply(s)) - sg.apply(sf.apply(s))
             assert lhs == rhs
 
 

@@ -262,7 +262,7 @@ PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
 KERNELS = ("f_apply", "_total_symbol", "_fc_vertical")
 CHECKS = ("check_expr", "check_symbol")
 # Recursion inside fce on expressions the chart built itself.
-UNCHECKED = ("_total_symbol", "_prolongation.coefficient", "FcChart.f_apply")
+UNCHECKED = ("_total_symbol", "Symmetry._coefficient", "FcChart.f_apply")
 
 
 def test_fce_checks_input_at_its_public_entries_only():
@@ -398,12 +398,10 @@ PROBLEMS = SRC.parents[1] / "perfbench" / "problems"
 
 
 def test_library_calls_leave_no_cyclic_garbage():
-    # Charts, specs and their memos are freed by reference counting once the
-    # caller drops them: with the collector off, each scenario, run a second
-    # time after a warm-up, leaves nothing for gc.collect().  bracket0,
-    # symmetry_action and prolong_symmetry are left out: the memo function
-    # of fce._prolongation calls itself through its closure cell, so every
-    # prolongation is a reference cycle that only the collector frees.
+    # Charts, specs, symmetries and their memos are freed by reference
+    # counting once the caller drops them: with the collector off, each
+    # scenario, run a second time after a warm-up, leaves nothing for
+    # gc.collect().
     script = (
         "import contextlib, gc, io, sys\n"
         "from fractions import Fraction\n"
@@ -415,6 +413,16 @@ def test_library_calls_leave_no_cyclic_garbage():
         "    f = fce.cochain0(ch, [v(1) * fc(1, (2,)), Expr.wrap(v(2))])\n"
         "    phi = fce.symmetry_from_f(ch, f)\n"
         "    assert fce.is_symmetry(ch, phi).ok and fce.recover_f(ch, phi) == f\n"
+        "def symmetry():\n"
+        "    ch = fce.FcChart(2, 2)\n"
+        "    f = fce.cochain0(ch, [v(1) * fc(1, (2,)), Expr.wrap(v(2))])\n"
+        "    g = fce.cochain0(ch, [Expr.wrap(fc(2, (1,), (1,))), v(1) * v(2)])\n"
+        "    s = fc(1, (1, 2), (2,)) * v(2) + v(1)\n"
+        "    fg = fce.bracket0(ch, f, g)\n"
+        "    assert fce.symmetry_action(ch, fg, s) == fce.Symmetry(ch, fg).apply(s)\n"
+        "    assert fce.prolong_symmetry(ch, f, [fc(1, (1, 2), (1, 2))])\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.run(['bracket', sys.argv[2], '--json']) == 0\n"
         "def kdv():\n"
         "    k = build_kdv()\n"
         "    ans = flatrep.default_ansatz(k.miura, degree=4)\n"
@@ -432,14 +440,15 @@ def test_library_calls_leave_no_cyclic_garbage():
         "        assert cli.run(['pullback', sys.argv[1], '--json']) == 0\n"
         "        assert cli.run(['kdv-lift', 'x-translation', '--json']) == 0\n"
         "gc.disable()\n"
-        "for fn in (chart, kdv, sdym_, cli_):\n"
+        "for fn in (chart, symmetry, kdv, sdym_, cli_):\n"
         "    fn()\n"
         "    gc.collect()\n"
         "    fn()\n"
         "    print(fn.__name__, gc.collect())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    prob = PROBLEMS / "miura_pullback.prob"
-    out = subprocess.run([sys.executable, "-c", script, str(prob)], env=env, check=True,
+    probs = [str(PROBLEMS / name) for name in ("miura_pullback.prob", "fc_pair.prob")]
+    out = subprocess.run([sys.executable, "-c", script, *probs], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["chart", "0", "kdv", "0", "sdym_", "0", "cli_", "0"], out
+    assert out.split() == ["chart", "0", "symmetry", "0", "kdv", "0", "sdym_", "0",
+                           "cli_", "0"], out
