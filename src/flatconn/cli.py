@@ -27,11 +27,20 @@ from .reports import BOUNDED_NO, FAIL, PASS, Report, WITNESS, emit_report
 
 __all__ = ["run", "main"]
 
+
+def _fraction(text: str) -> Fraction:
+    """A rational flag value; a zero denominator is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("invalid Fraction value: %r" % text) from None
+
+
 _FLAGS = {
     "name": dict(help="symmetry name (x-translation, t-translation, galilean, scaling)"),
     "--degree": dict(type=int, help="ansatz total-degree bound override"),
     "--order": dict(type=int, help="ansatz jet-order bound override"),
-    "--lambda": dict(dest="lam", type=Fraction,
+    "--lambda": dict(dest="lam", type=_fraction,
                      help="rational parameter value (symbolic when omitted)"),
     "--k": dict(type=int, default=2, help="matrix size for sdym tasks"),
     "--h": dict(default="a1", choices=("a1", "const"), help="gauge generator choice"),
@@ -295,3 +304,7 @@ def run(argv: List[str]) -> int:
 
 def main() -> None:  # pragma: no cover - thin wrapper
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":  # pragma: no cover - python -m flatconn.cli
+    main()

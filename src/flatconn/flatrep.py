@@ -351,6 +351,8 @@ def default_ansatz(
     seen in the data plus one, and every parameter present.  Degree bound:
     maximal total degree seen plus one.  ``degree``/``order`` override.
     """
+    if order is not None and order < 0:
+        raise ValueError("jet-order bound must be nonnegative")
     exprs = list(spec.coeffs.values()) + [Expr.wrap(e) for e in extra]
     max_deg = 0
     max_ord = 0

@@ -1,7 +1,8 @@
 """Total-derivative schemes on jet spaces and evolution equations.
 
-A scheme knows a set of pairwise commuting directions D_1, ..., D_N and how
-each direction acts on every symbol of its chart.  Three built-in flavors:
+A scheme knows a set of pairwise commuting directions D_1, ..., D_N and states
+how each acts on the jets of its chart; :class:`DerivScheme` states once how
+they act on every other symbol.  Three built-in flavors:
 
 * :class:`FreeJet` -- the free jet space J^inf of an n-by-m trivial bundle,
   D_i(u_sigma) = u_{sigma i};
@@ -409,7 +410,9 @@ def _add_coeff(acc: Dict[int, Scalar], key: int, c: Scalar) -> None:
 
 class DerivScheme(Frozen):
     """Common behavior of total-derivative rule systems; immutable, because
-    each scheme owns the memo of :func:`d_sigma`."""
+    each scheme owns the memo of :func:`d_sigma`.  A scheme states ``ndirs``,
+    ``m`` and :meth:`_derive_jet`, its rule on jets, which refuses a jet
+    outside its chart; :meth:`rules_mention` too if its rules mention more."""
 
     ndirs: int
     m: int
@@ -418,10 +421,26 @@ class DerivScheme(Frozen):
 
     def indep(self, i: int) -> Symbol:
         """The coordinate whose differential pairs with direction i."""
-        raise NotImplementedError
+        self.check_direction(i)
+        return x(i)
 
     def derive_symbol(self, s: Symbol, i: int) -> Expr:
-        """D_i applied to a single chart symbol."""
+        """D_i applied to a single chart symbol: the scheme's rule on a jet,
+        delta_ij on x_j (j <= ndirs), 0 on a parameter; any other is refused."""
+        self.check_direction(i)
+        k = s.kind
+        if k == KIND_JET:
+            return self._derive_jet(s, i)
+        if k == KIND_INDEP:
+            if s.index > self.ndirs:
+                raise ValueError("independent %s outside chart" % render(s))
+            return ONE if s.index == i else ZERO
+        if k == KIND_PARAM:
+            return ZERO
+        raise ValueError("symbol %s is foreign to the chart" % render(s))
+
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+        """D_i applied to the jet symbol ``s``, once the direction is checked."""
         raise NotImplementedError
 
     def rules_mention(self, s: Symbol) -> bool:
@@ -430,7 +449,7 @@ class DerivScheme(Frozen):
         Used to decide when [D_i, d/ds] vanishes; must err on the side of
         True.
         """
-        raise NotImplementedError
+        return s.kind == KIND_JET
 
     def check_direction(self, i: int) -> None:
         if not 1 <= i <= self.ndirs:
@@ -445,27 +464,10 @@ class FreeJet(DerivScheme):
             raise ValueError("need n >= 1 and m >= 1")
         self._put(n=n, m=m, ndirs=n, _dsigma={})
 
-    def indep(self, i: int) -> Symbol:
-        self.check_direction(i)
-        return x(i)
-
-    def derive_symbol(self, s: Symbol, i: int) -> Expr:
-        self.check_direction(i)
-        k = s.kind
-        if k == KIND_JET:
-            if s.index > self.m or any(d > self.n for d in s.sigma):
-                raise ValueError("jet symbol %s outside chart" % render(s))
-            return Expr.wrap(jet(s.index, s.sigma + (i,)))
-        if k == KIND_INDEP:
-            if s.index > self.n:
-                raise ValueError("independent %s outside chart" % render(s))
-            return ONE if s.index == i else ZERO
-        if k == KIND_PARAM:
-            return ZERO
-        raise ValueError("symbol %s is foreign to a free jet chart" % render(s))
-
-    def rules_mention(self, s: Symbol) -> bool:
-        return s.kind == KIND_JET
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+        if s.index > self.m or any(d > self.n for d in s.sigma):
+            raise ValueError("jet symbol %s outside chart" % render(s))
+        return Expr.wrap(jet(s.index, s.sigma + (i,)))
 
 
 class Evolution(DerivScheme):
@@ -483,39 +485,16 @@ class Evolution(DerivScheme):
         rhs = tuple(Expr.wrap(f) for f in rhs)
         self._put(m=m, ndirs=2, rhs=rhs, _dsigma={},
                   _rule_syms=frozenset(s for f in rhs for s in f.symbols()))
-        for f in rhs:
+        for f in rhs:  # D_x refuses a symbol outside the chart; the first in key order
             for s in sorted(f.symbols()):
-                self._validate(s)
+                self.derive_symbol(s, 1)
 
-    def _validate(self, s: Symbol) -> None:
-        k = s.kind
-        if k == KIND_JET:
-            if s.index > self.m or (s.sigma and set(s.sigma) != {1}):
-                raise ValueError("jet %s is not spatial or outside chart" % render(s))
-        elif k == KIND_INDEP:
-            if s.index > 2:
-                raise ValueError("independent %s outside (x, t) chart" % render(s))
-        elif k != KIND_PARAM:
-            raise ValueError("symbol %s is foreign to an evolution chart" % render(s))
-
-    def indep(self, i: int) -> Symbol:
-        self.check_direction(i)
-        return x(i)
-
-    def derive_symbol(self, s: Symbol, i: int) -> Expr:
-        self.check_direction(i)
-        k = s.kind
-        if k == KIND_JET:
-            self._validate(s)
-            if i == 1:
-                return Expr.wrap(jet(s.index, s.sigma + (1,)))
-            return d_sigma(self, s.sigma, self.rhs[s.index - 1])
-        if k == KIND_INDEP:
-            self._validate(s)
-            return ONE if s.index == i else ZERO
-        if k == KIND_PARAM:
-            return ZERO
-        raise ValueError("symbol %s is foreign to an evolution chart" % render(s))
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+        if s.index > self.m or (s.sigma and set(s.sigma) != {1}):
+            raise ValueError("jet %s is not spatial or outside chart" % render(s))
+        if i == 1:
+            return Expr.wrap(jet(s.index, s.sigma + (1,)))
+        return d_sigma(self, s.sigma, self.rhs[s.index - 1])
 
     def rules_mention(self, s: Symbol) -> bool:
         return s.kind == KIND_JET or s in self._rule_syms
@@ -548,7 +527,7 @@ class Extended(DerivScheme):
         # so independents, parameters and equation variables all map to 0.
         if s.kind in (KIND_PARAM, KIND_INDEP, KIND_JET):
             return ZERO
-        raise ValueError("symbol %s is foreign to the extended chart" % render(s))
+        raise ValueError("symbol %s is foreign to the chart" % render(s))
 
     def rules_mention(self, s: Symbol) -> bool:
         if s in self._fiber_set:

@@ -644,8 +644,8 @@ def render_problem(pf: ProblemFile) -> str:
                           for row in _indexed_rows(fam, pf.symmetry[fam], False)])
     rows = ["%s = %d" % (key, bound) for key, bound in
             (("degree", pf.ansatz_degree), ("order", pf.ansatz_order)) if bound is not None]
-    if pf.ansatz_symbols:
-        rows.append("symbols = %s" % ", ".join(render(s) for s in pf.ansatz_symbols))
+    if pf.ansatz_symbols is not None:
+        rows.append(("symbols = " + ", ".join(render(s) for s in pf.ansatz_symbols)).rstrip())
     if rows:
         emit("ansatz", rows)
     if pf.task is not None:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .expr import Expr, KIND_INDEP, KIND_JET, KIND_PARAM, ONE, Symbol, ZERO, jet, param, render, x, y
+from .expr import Expr, KIND_JET, Symbol, ZERO, jet, param, render, y
 from .jets import (
     DerivScheme, Extended, FreeJet, d_sigma, evolutionary_apply, total_derivative)
 from .flatrep import FlatRepSpec, du_vertical, symmetry_cocycle
@@ -233,29 +233,13 @@ class SdymRewriter(DerivScheme):
         bindings = {s: self.normal_symbol(s) for s in e.symbols() if self.reducible(s)}
         return e.subs(bindings) if bindings else e
 
-    def indep(self, i: int) -> Symbol:
-        self.check_direction(i)
-        return x(i)
-
-    def derive_symbol(self, s: Symbol, i: int) -> Expr:
-        self.check_direction(i)
-        if s.kind == KIND_JET:
-            if s.index > self.m:
-                raise ValueError("jet %s outside the matrix chart" % render(s))
-            if self.reducible(s):
-                raise ValueError("%s is not an internal coordinate" % render(s))
-            up = jet(s.index, s.sigma + (i,))
-            return self.normal_symbol(up) if self.reducible(up) else Expr.wrap(up)
-        if s.kind == KIND_INDEP:
-            if s.index > 4:
-                raise ValueError("independent %s outside the chart" % render(s))
-            return ONE if s.index == i else ZERO
-        if s.kind == KIND_PARAM:
-            return ZERO
-        raise ValueError("symbol %s is foreign to the SDYM chart" % render(s))
-
-    def rules_mention(self, s: Symbol) -> bool:
-        return s.kind == KIND_JET
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+        if s.index > self.m:
+            raise ValueError("jet %s outside the matrix chart" % render(s))
+        if self.reducible(s):
+            raise ValueError("%s is not an internal coordinate" % render(s))
+        up = jet(s.index, s.sigma + (i,))
+        return self.normal_symbol(up) if self.reducible(up) else Expr.wrap(up)
 
 
 def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:

@@ -1,13 +1,16 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from flatconn import flatrep
 from flatconn.cli import run
+from flatconn.kdv import build_kdv
 from helpers import spy_solver
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -311,6 +314,32 @@ def test_input_errors_exit_2(prob, capsys):
     assert run(["recover-f", prob("rec.prob", FC_RECOVER + "[ansatz]\norder = 1\n")]) == 2
     assert capsys.readouterr().err == (
         "error: line 12:0: order bounds jet orders, and a fc chart has none\n")
+    # argparse makes a usage error of a flag's ValueError, not of Fraction's
+    # ZeroDivisionError, which used to escape run
+    miura = prob("miura.prob", MIURA)
+    for argv in (["kdv-lift", "x-translation"], ["kdv-deformation"], ["deformation", miura],
+                 ["sdym-flatrep", "--k", "1"]):
+        for value in ("1/0", "abc"):
+            assert run(argv + ["--lambda", value, "--json"]) == 2, (argv, value)
+            out, err = capsys.readouterr()
+            assert out == "", (argv, value)
+            assert err.endswith("error: argument --lambda: invalid Fraction value: %r\n"
+                                % value), err
+
+
+def test_negative_order_exits_2(prob, capsys):
+    # A negative jet-order bound used to answer bounded-no over a pool with
+    # no jets; it is bad input, as [ansatz] order = -1 and --degree -1 are.
+    exact = MIURA + "[cochain]\nc1 = 1\nc2 = -8*lam - 2*u[0] - 4*y1^2\n"
+    for argv in (["kdv-lift", "x-translation", "--order", "-1"],
+                 ["lift", prob("lift.prob", KDV_LIFT), "--order", "-1"],
+                 ["exactness", prob("exact.prob", exact), "--order", "-2"]):
+        capsys.readouterr()
+        assert run(argv + ["--json"]) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: jet-order bound must be nonnegative\n"), argv
+    with pytest.raises(ValueError, match="jet-order bound must be nonnegative"):
+        flatrep.default_ansatz(build_kdv().miura, order=-1)
 
 
 def test_huge_ansatz_exits_2(prob, capsys):
@@ -461,6 +490,27 @@ def test_outputs_do_not_depend_on_heap_layout_or_hash_seed():
     assert out.pop("refusals") == ["independent x3 outside chart"] * 2
     golden = json.loads((root / "perfbench" / "golden" / "cli-mix.json").read_text("utf-8"))
     assert out == {label: [want["exit"], want["stdout"]] for label, want in golden.items()}
+
+
+def test_module_runs_as_a_command(capsys):
+    # python -m flatconn.cli used to import the module, do nothing and exit 0.
+    root = WORKLOADS.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def command(*argv):
+        return subprocess.run([sys.executable, "-m", "flatconn.cli", *argv], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    done = command("kdv-verify", "--json")
+    assert done.returncode == 0, done.stderr
+    capsys.readouterr()
+    assert run(["kdv-verify", "--json"]) == 0
+    ms = re.compile(r'"ms": \d+')
+    assert ms.sub("", done.stdout) == ms.sub("", capsys.readouterr().out)
+    done = command("kdv-deformation", "--lambda", "1/0")
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert "Traceback" not in done.stderr
+    assert "argument --lambda: invalid Fraction value: '1/0'" in done.stderr
 
 
 def test_file_refusals_exit_2_with_their_line(prob, capsys):

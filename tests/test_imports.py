@@ -240,6 +240,62 @@ def test_one_cochain_type_and_one_differential_call():
     assert classes == ["jets.Cochain"], classes
 
 
+# What a total-derivative scheme defines: DerivScheme states the rules off
+# the jets once, Extended keeps its own (fiber directions), Evolution's rule
+# coefficients also mention its right-hand side, and each concrete scheme
+# states its rule on jets.  vforms.FiniteChart is no scheme: no rule of it
+# mentions a symbol.
+SCHEME_RULES = {
+    "indep": {"jets.DerivScheme", "jets.Extended"},
+    "derive_symbol": {"jets.DerivScheme", "jets.Extended"},
+    "rules_mention": {"jets.DerivScheme", "jets.Extended", "jets.Evolution",
+                      "vforms.FiniteChart"},
+    "_derive_jet": {"jets.DerivScheme", "jets.FreeJet", "jets.Evolution",
+                    "sdym.SdymRewriter"},
+}
+
+
+def _definitions(names):
+    """A pick for _owned: the name of a function defined with a name in
+    ``names``; its owner ends in that name."""
+    return lambda node: node.name if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names else None
+
+
+def _definers(found):
+    """{name: the set of what encloses each of its definitions} of the _owned
+    hits of :func:`_definitions`, e.g. ``jets.FreeJet`` for a method."""
+    out = {}
+    for owner, _, name in found:
+        out.setdefault(name, set()).add(owner.rpartition(".")[0])
+    return out
+
+
+def test_schemes_state_only_their_rule_on_jets():
+    found = _src_scan(_definitions(SCHEME_RULES))
+    assert _definers(found) == SCHEME_RULES, found
+
+
+def test_scheme_rule_scan_sees_every_definition():
+    tree = ast.parse(
+        "class FreeJet(DerivScheme):\n"
+        "    def indep(self, i):\n"
+        "        return x(i)\n"
+        "    async def derive_symbol(self, s, i):\n"
+        "        def rules_mention(s):\n"
+        "            return indep(s)\n"
+        "def _derive_jet(s, i):\n"
+        "    return derive_symbol(s, i)\n")
+    found = _owned(tree, _definitions(SCHEME_RULES))
+    assert found == [
+        ("FreeJet.derive_symbol", 4, "derive_symbol"),
+        ("FreeJet.derive_symbol.rules_mention", 5, "rules_mention"),
+        ("FreeJet.indep", 2, "indep"), ("_derive_jet", 7, "_derive_jet")]
+    assert _definers(found) == {
+        "indep": {"FreeJet"}, "derive_symbol": {"FreeJet"},
+        "rules_mention": {"FreeJet.derive_symbol"}, "_derive_jet": {""}}
+
+
 def test_solver_call_scan_sees_every_caller():
     tree = ast.parse(
         "def f(a):\n"

@@ -128,6 +128,43 @@ def test_extended_scheme_fibers():
     assert total_derivative(ext, 1, Expr.wrap(y(1))).is_zero()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: FreeJet(2, 1), kdv_scheme, lambda: sdym.SdymRewriter(1),
+], ids=["free-jet", "evolution", "sdym"])
+def test_schemes_share_the_rules_off_their_jets(build):
+    # DerivScheme states them once: direction i pairs with x_i, D_i x_j is
+    # delta_ij up to ndirs, a parameter is a constant, and any other symbol
+    # is refused, in one wording for every scheme.
+    scheme = build()
+    n = scheme.ndirs
+    for i in (0, n + 1):
+        with pytest.raises(DirectionError):
+            scheme.indep(i)
+        with pytest.raises(DirectionError):
+            scheme.derive_symbol(x(1), i)
+    for i in range(1, n + 1):
+        assert scheme.indep(i) == x(i)
+        assert scheme.derive_symbol(param("lam"), i) == ZERO
+        for j in range(1, n + 1):
+            assert scheme.derive_symbol(x(j), i) == (const(1) if i == j else ZERO)
+        with pytest.raises(ValueError, match=r"^independent x%d outside chart$" % (n + 1)):
+            scheme.derive_symbol(x(n + 1), i)
+        for s in (y(1), v(1), fc(1, (1,), ())):
+            with pytest.raises(ValueError, match=r"^symbol .* is foreign to the chart$"):
+                scheme.derive_symbol(s, i)
+
+
+def test_evolution_refuses_its_first_foreign_symbol_in_key_order():
+    # The constructor checks every right-hand-side symbol by D_x, in key order.
+    assert sorted([y(1), x(3)])[0] == x(3)
+    with pytest.raises(ValueError, match=r"^independent x3 outside chart$"):
+        Evolution(1, [y(1) + x(3)])
+    with pytest.raises(ValueError, match="not spatial"):
+        Evolution(1, [u(1) * jet(1, (2,))])
+    with pytest.raises(ValueError, match="foreign to the chart"):
+        Evolution(1, [u(0) + v(1)])
+
+
 def scheme_complex(scheme, fibers, twist):
     """The complex over all directions of ``scheme`` with F_i = D_i, the
     given fibers and twist; a component is checked for its directions and

@@ -129,7 +129,11 @@ name = recover-f
 
 
 def test_round_trip_stability():
-    for text in (FLAT_XY, KDV_LIFT):
+    # An empty pool (constants only) used to render as no symbols line, and
+    # to re-read as the default pool.
+    constants = KDV_LIFT.replace("symbols = x1, x2, y1, u[0], u[1], u[2], u[3], lam", "symbols =")
+    assert parse_problem(constants).ansatz_symbols == ()
+    for text in (FLAT_XY, KDV_LIFT, constants):
         pf = parse_problem(text)
         again = parse_problem(render_problem(pf))
         assert render_problem(again) == render_problem(pf)
