@@ -31,6 +31,15 @@ heap-address order, which may differ from run to run; :meth:`Expr.symbols`
 returns its symbols in first-appearance order instead, validators walk them
 sorted by :attr:`Symbol.key`, and no output of the package depends on a
 hash.
+
+The product kernel compares symbols by a private bytes key ``_ord``, built
+once when a symbol is interned, whose byte order is exactly the order of
+the ``key`` tuples; a bytes comparison is one ``memcmp`` where the tuples
+compare element by element.  A product with a one-factor monomial, the
+common case in a derivation, inserts that factor with one scan and two
+slices instead of a merge.  The ring operations and :meth:`Expr.derive`
+hand the dict they built to the new value without a copy; the public
+constructor copies its mapping.
 """
 
 from __future__ import annotations
@@ -59,16 +68,37 @@ def _check_indices(ix: Iterable[int], what: str) -> Tuple[int, ...]:
     return t
 
 
+def _order_key(key: tuple) -> bytes:
+    """Bytes whose order is the tuple order of ``key``: the kind byte, the
+    name in UTF-8 ended by NUL (names are identifiers, so hold no NUL), then
+    each index tuple as its positive integers, each written as its byte
+    length followed by its big-endian bytes, ended by a 0 byte.  A longer
+    integer sorts after a shorter one, and an ended tuple before any of its
+    extensions, as in the tuple order."""
+    kind, name, *indices = key
+    out = bytearray((kind,))
+    out += name.encode()
+    out.append(0)
+    for ix in indices:
+        for i in ix:
+            n = (i.bit_length() + 7) // 8
+            out.append(n)
+            out += i.to_bytes(n, "big")
+        out.append(0)
+    return bytes(out)
+
+
 class Symbol:
     """A typed coordinate/parameter name.
 
     The full identity lives in ``key``, a 5-tuple
     (kind, name, (primary index,), multi-index 1, multi-index 2) whose
     lexicographic order is the deterministic total order on symbols.
-    Instances are interned: equal keys give the identical object.
+    Instances are interned: equal keys give the identical object.  ``_ord``
+    is the same order as bytes, for the product kernel.
     """
 
-    __slots__ = ("key", "_text")
+    __slots__ = ("key", "_ord", "_text")
     _interned: Dict[tuple, "Symbol"] = {}
 
     def __new__(cls, key: tuple) -> "Symbol":
@@ -77,6 +107,7 @@ class Symbol:
             return got
         obj = object.__new__(cls)
         obj.key = key
+        obj._ord = _order_key(key)
         obj._text = None
         cls._interned[key] = obj
         return obj
@@ -247,6 +278,24 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    if len(b) != 1:
+        if len(a) != 1:
+            return _mono_merge(a, b)
+        a, b = b, a
+    # One factor (most products in a derivation): one scan finds its place.
+    ((s, p),) = b
+    o = s._ord
+    k = 0
+    for t, q in a:
+        if t is s:
+            return a[:k] + ((s, p + q),) + a[k + 1:]
+        if o < t._ord:
+            return a[:k] + b + a[k:]
+        k += 1
+    return a + b
+
+
+def _mono_merge(a: Monomial, b: Monomial) -> Monomial:
     out: List[Tuple[Symbol, int]] = []
     i = j = 0
     na, nb = len(a), len(b)
@@ -257,7 +306,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
             out.append((sa, pa + pb))
             i += 1
             j += 1
-        elif sa.key < sb.key:
+        elif sa._ord < sb._ord:
             out.append(a[i])
             i += 1
         else:
@@ -343,12 +392,12 @@ class Expr:
                     out[mono] = acc
                 else:
                     del out[mono]
-        return Expr(out)
+        return _owned(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr({m: -c for m, c in self.terms.items()})
+        return _owned({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: ExprLike) -> "Expr":
         return self + (-Expr.wrap(other))
@@ -380,7 +429,7 @@ class Expr:
                         out[m] = acc
                     else:
                         del out[m]
-        return Expr(out)
+        return _owned(out)
 
     __rmul__ = __mul__
 
@@ -436,22 +485,23 @@ class Expr:
         kernel behind every total, vertical, evolutionary and symmetry
         derivation in the package.
         """
-        images: Dict[Symbol, Dict[Monomial, Scalar]] = {}
+        images: Dict[Symbol, Tuple[Tuple[Monomial, Scalar], ...]] = {}
         out: Dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             for k, (sym, p) in enumerate(mono):
                 img = images.get(sym)
                 if img is None:
-                    img = images[sym] = image(sym).terms
+                    img = images[sym] = tuple(image(sym).terms.items())
                 if not img:
                     continue
                 if p == 1:
                     rest = mono[:k] + mono[k + 1:]
+                    cp = c
                 else:
                     rest = mono[:k] + ((sym, p - 1),) + mono[k + 1:]
-                cp = c * p
-                for mi, ci in img.items():
-                    m = _mono_mul(rest, mi)
+                    cp = c * p
+                for mi, ci in img:
+                    m = _mono_mul(rest, mi) if rest else mi
                     cc = cp * ci
                     acc = out.get(m)
                     if acc is None:
@@ -462,7 +512,7 @@ class Expr:
                             out[m] = acc
                         else:
                             del out[m]
-        return Expr(out)
+        return _owned(out)
 
     def subs(self, bindings: Mapping[Symbol, ExprLike]) -> "Expr":
         """Simultaneous substitution; symbols absent from ``bindings`` are kept."""
@@ -545,6 +595,16 @@ class Expr:
         return self.render()
 
 
+def _owned(terms: Dict[Monomial, Scalar]) -> Expr:
+    """An Expr on ``terms`` itself, not a copy: for a canonical dict that its
+    caller has just built and hands over."""
+    e = _new(Expr)
+    e.terms = terms
+    e._hash = None
+    return e
+
+
+_new = object.__new__
 ZERO = Expr({})
 ONE = Expr({(): 1})
 

@@ -523,11 +523,11 @@ class Extended(DerivScheme):
             return ONE if self.indep(i) is s else ZERO
         if i <= self.base.ndirs:
             return self.base.derive_symbol(s, i)
-        # Fiber direction on a base-chart symbol: the extension is trivial,
-        # so independents, parameters and equation variables all map to 0.
-        if s.kind in (KIND_PARAM, KIND_INDEP, KIND_JET):
-            return ZERO
-        raise ValueError("symbol %s is foreign to the chart" % render(s))
+        # Fiber direction on a base-chart symbol: the extension is trivial, so
+        # the image is 0 once the base accepts the symbol, which its direction
+        # 1 checks as every base direction does.
+        self.base.derive_symbol(s, 1)
+        return ZERO
 
     def rules_mention(self, s: Symbol) -> bool:
         if s in self._fiber_set:

@@ -234,8 +234,8 @@ class SdymRewriter(DerivScheme):
         return e.subs(bindings) if bindings else e
 
     def _derive_jet(self, s: Symbol, i: int) -> Expr:
-        if s.index > self.m:
-            raise ValueError("jet %s outside the matrix chart" % render(s))
+        if s.index > self.m or any(d > self.ndirs for d in s.sigma):
+            raise ValueError("jet symbol %s outside chart" % render(s))
         if self.reducible(s):
             raise ValueError("%s is not an internal coordinate" % render(s))
         up = jet(s.index, s.sigma + (i,))

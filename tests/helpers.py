@@ -45,6 +45,59 @@ def leibniz_reference(f: Expr, image) -> Expr:
     return out
 
 
+# A naive polynomial kernel on {Symbol: power} dicts, sorted by Symbol.key:
+# the references for the terms dicts of Expr's ring operations and Leibniz
+# rule, monomial tuple order included.  No Expr operation runs in them.
+
+def _naive_add_into(out: dict, powers: dict, c) -> None:
+    m = tuple(sorted(powers.items(), key=lambda sp: sp[0].key))
+    out[m] = out.get(m, 0) + c
+
+
+def _naive_canonical(out: dict) -> dict:
+    return {m: c for m, c in out.items() if c}
+
+
+def naive_sum(a: Expr, b: Expr, sign=1) -> dict:
+    """The terms of a + sign * b."""
+    out = {}
+    for e, k in ((a, 1), (b, sign)):
+        for mono, c in e.terms.items():
+            _naive_add_into(out, dict(mono), k * c)
+    return _naive_canonical(out)
+
+
+def naive_product(a: Expr, b: Expr) -> dict:
+    """The terms of a * b, one pair of terms at a time."""
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            powers = dict(ma)
+            for s, p in mb:
+                powers[s] = powers.get(s, 0) + p
+            _naive_add_into(out, powers, ca * cb)
+    return _naive_canonical(out)
+
+
+def naive_derive(f: Expr, image) -> dict:
+    """The terms of sum_s image(s) * df/ds, one term of f, one factor of
+    it and one term of image(s) at a time."""
+    out = {}
+    for mono, c in f.terms.items():
+        for s, p in mono:
+            rest = dict(mono)
+            if p == 1:
+                del rest[s]
+            else:
+                rest[s] = p - 1
+            for mi, ci in image(s).terms.items():
+                powers = dict(rest)
+                for t, q in mi:
+                    powers[t] = powers.get(t, 0) + q
+                _naive_add_into(out, powers, c * p * ci)
+    return _naive_canonical(out)
+
+
 # Hand-written formulas of the representation differentials, one loop per
 # index; the references that jets.cochain_differential is tested against.
 

@@ -10,7 +10,10 @@ from flatconn.expr import (
 )
 from flatconn.kdv import build_kdv
 from flatconn.problems import parse_problem
-from helpers import fc_pool, leibniz_reference, partial_reference, rand_expr
+from helpers import (
+    fc_pool, leibniz_reference, naive_derive, naive_product, naive_sum,
+    partial_reference, rand_expr,
+)
 
 
 def test_difference_of_squares():
@@ -178,6 +181,85 @@ def test_symbol_order_deterministic():
     syms = [param("lam"), x(1), v(1), jet(1, (1,)), fc(1, (1,), ()), y(1)]
     keys = [s.key for s in syms]
     assert keys == sorted(keys)  # param < indep < basefiber < jet < fc < fiber
+
+
+def test_order_key_bytes_sort_as_symbol_keys():
+    # Monomial products compare the bytes Symbol._ord in place of the key
+    # tuples, so the two orders must agree on every pair: names that extend
+    # one another (and one outside ASCII), integers either side of a byte
+    # boundary, multi-indices that extend one another, on every kind.
+    rng = random.Random(41)
+    ints = (1, 2, 254, 255, 256, 70000)
+    multi = [(), (1,), (1, 1), (1, 1, 1), (1, 2), (1, 255), (1, 256), (2,),
+             (254,), (255,), (255, 255), (256,), (256, 256), (70000,), (1, 70000)]
+    syms = [param(n) for n in ("a", "a_", "b_", "la", "lam", "lam2", "lamb", "\u03bb")]
+    syms += [make(i) for make in (x, v, y) for i in ints]
+    syms += [jet(a, sigma) for a in ints for sigma in multi]
+    syms += [fc(a, ii, aa) for a in (1, 255, 256) for ii in multi[1:] for aa in multi]
+    rng.shuffle(syms)
+    assert len(set(syms)) == len(syms) > 700
+    assert sorted(syms, key=lambda s: s._ord) == sorted(syms, key=lambda s: s.key)
+    for s in syms:
+        assert type(s._ord) is bytes
+        for t in syms:
+            assert (s._ord < t._ord) == (s.key < t.key)
+
+
+def test_ring_and_leibniz_kernel_match_the_naive_reference():
+    # Exact terms dicts, so the factor order inside each monomial is checked
+    # too; powers up to 3, shared factors, constant terms, Fraction
+    # coefficients, and images that are 0, a constant, one symbol, a product
+    # or a sum.
+    rng = random.Random(43)
+    pool = [param("lam"), x(1), x(2), v(1), jet(1, ()), jet(1, (1, 2)),
+            fc(1, (1,), (2,)), fc(2, (1, 1), ()), y(1)]
+
+    def draw(terms):
+        e = ZERO
+        for _ in range(terms):
+            t = const(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3])))
+            for s in rng.sample(pool, rng.randint(0, 4)):
+                t = t * s ** rng.randint(1, 3)
+            e = e + t
+        return e
+
+    def unshared(result, *operands):
+        for op in operands:
+            assert result is op or result.terms is not op.terms
+
+    cases = 0
+    for _ in range(60):
+        a, b = draw(rng.randint(0, 4)), draw(rng.randint(0, 4))
+        if rng.random() < 0.3:
+            b = b + a * draw(1)  # factors shared by both operands
+        before = (dict(a.terms), dict(b.terms))
+        for got, want in ((a * b, naive_product(a, b)), (a + b, naive_sum(a, b)),
+                          (a - b, naive_sum(a, b, -1)), (-a, naive_sum(ZERO, a, -1))):
+            assert got.terms == want
+            unshared(got, a, b)
+        images = {s: rng.choice([ZERO, const(rng.randint(-2, 2)), Expr.wrap(rng.choice(pool)),
+                                 rng.choice(pool) * rng.choice(pool) ** 2, draw(2)])
+                  for s in pool}
+        got = a.derive(images.__getitem__)
+        assert got.terms == naive_derive(a, images.__getitem__)
+        unshared(got, a, *images.values())
+        assert (dict(a.terms), dict(b.terms)) == before
+        cases += bool(got.terms)
+    assert cases > 20
+    # cancellations: to zero in a sum and a derivation, and of the cross
+    # terms inside a product
+    a = draw(3) + x(1)
+    assert (a - a).terms == {} == naive_sum(a, a, -1)
+    p, q = x(1) + v(1), x(1) - v(1)
+    assert (p * q).terms == naive_product(p, q) == {((x(1), 2),): 1, ((v(1), 2),): -1}
+    rotation = {x(1): Expr.wrap(v(1)), v(1): -Expr.wrap(x(1))}
+    f = (x(1) ** 2 + v(1) ** 2) ** 2
+    assert f.derive(rotation.__getitem__).terms == {} == naive_derive(f, rotation.__getitem__)
+    # the public constructor copies its mapping; operations return a or b
+    # themselves only where the other is 0 or 1
+    terms = {((x(1), 1),): 2}
+    assert Expr(terms).terms is not terms
+    assert a + ZERO is a and a * ONE is a and ONE * a is a
 
 
 def test_rendering_bit_exact():

@@ -128,6 +128,24 @@ def test_extended_scheme_fibers():
     assert total_derivative(ext, 1, Expr.wrap(y(1))).is_zero()
 
 
+def test_extended_fiber_directions_refuse_what_the_base_refuses():
+    # A fiber direction sends each base-chart symbol to 0, once the base has
+    # checked it with the words a base direction uses.
+    ext = Extended(FreeJet(2, 1), (y(1),))
+    for i in (1, 3):
+        with pytest.raises(ValueError, match=r"^independent x7 outside chart$"):
+            ext.derive_symbol(x(7), i)
+        for s in (jet(2, ()), jet(1, (3,))):
+            with pytest.raises(ValueError, match=r"^jet symbol .* outside chart$"):
+                ext.derive_symbol(s, i)
+        with pytest.raises(ValueError, match=r"^symbol v1 is foreign to the chart$"):
+            ext.derive_symbol(v(1), i)
+    for s in (x(2), jet(1, (1, 2)), param("lam")):
+        assert ext.derive_symbol(s, 3) == ZERO
+    with pytest.raises(ValueError, match="not spatial"):
+        Extended(kdv_scheme(), (y(1),)).derive_symbol(jet(1, (2,)), 3)
+
+
 @pytest.mark.parametrize("build", [
     lambda: FreeJet(2, 1), kdv_scheme, lambda: sdym.SdymRewriter(1),
 ], ids=["free-jet", "evolution", "sdym"])

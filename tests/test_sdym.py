@@ -157,6 +157,17 @@ def test_scheme_directions_commute():
                 assert a == b
 
 
+def test_rewriter_refuses_a_jet_outside_its_chart():
+    # The chart has 4 directions and 4 k^2 dependents; a jet off either is
+    # refused as FreeJet refuses it, not taken as an internal coordinate.
+    rew = sdym.SdymRewriter(1)
+    with pytest.raises(ValueError, match=r"^jet symbol u\[5;\] outside chart$"):
+        rew.derive_symbol(jet(1, (5,)), 1)
+    with pytest.raises(ValueError, match=r"^jet symbol u5\[0\] outside chart$"):
+        rew.derive_symbol(jet(5, ()), 2)
+    assert rew.derive_symbol(jet(1, (4,)), 1) == Expr.wrap(jet(1, (1, 4)))
+
+
 def test_sigma_is_a_homomorphism():
     rng = random.Random(71)
     for k in (1, 2, 3):
