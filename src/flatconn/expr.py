@@ -40,6 +40,10 @@ common case in a derivation, inserts that factor with one scan and two
 slices instead of a merge.  The ring operations and :meth:`Expr.derive`
 hand the dict they built to the new value without a copy; the public
 constructor copies its mapping.
+
+:class:`Frozen`, the base of every record that owns a memo or a value set
+once, lives here, in the lowest layer.  :class:`Expr` is immutable by
+contract only: the ring operations build one with plain slot stores.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
-    "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
+    "Frozen", "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
     "const", "ZERO", "ONE", "render",
 ]
 
@@ -88,7 +92,31 @@ def _order_key(key: tuple) -> bytes:
     return bytes(out)
 
 
-class Symbol:
+class Frozen:
+    """Base of the records that own a memo or a value set once: the
+    constructor sets each field once through :meth:`_put`, and later
+    assignment is refused, so no memo goes stale."""
+
+    __slots__ = ()
+
+    def _put(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        # The text a dataclass gives: the constructor's parameters as fields.
+        code = type(self).__init__.__code__
+        fields = code.co_varnames[1:code.co_argcount]
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join("%s=%r" % (k, getattr(self, k)) for k in fields))
+
+
+class Symbol(Frozen):
     """A typed coordinate/parameter name.
 
     The full identity lives in ``key``, a 5-tuple
@@ -106,9 +134,7 @@ class Symbol:
         if got is not None:
             return got
         obj = object.__new__(cls)
-        obj.key = key
-        obj._ord = _order_key(key)
-        obj._text = None
+        obj._put(key=key, _ord=_order_key(key), _text=None)
         cls._interned[key] = obj
         return obj
 
@@ -154,7 +180,7 @@ class Symbol:
     # ---- rendering -----------------------------------------------------------
     def render(self) -> str:
         if self._text is None:
-            self._text = self._render()
+            self._put(_text=self._render())
         return self._text
 
     def _render(self) -> str:

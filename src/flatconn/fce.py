@@ -26,23 +26,22 @@ expression of :meth:`Symmetry.apply`, the targets of
 :func:`prolong_symmetry` and the symbols of an explicit ansatz in
 :func:`recover_f`).  Everything past them works on expressions the chart
 built itself, through the unchecked kernels :meth:`FcChart.f_apply` and
-``_fc_vertical``.  Each memo is owned by an immutable object: the chart
-holds D_i and D_{v^b} on symbols, a cochain its differential, and a
-:class:`Symmetry` the coefficients S_I^{a,A} for as long as its caller
-keeps it (one call, inside the library).
+``_fc_vertical``.  Each memo is owned by an immutable ``expr.Frozen``
+record: the chart holds D_i and D_{v^b} on symbols (and builds its twist
+when it is built), a cochain its differential, and a :class:`Symmetry` the
+coefficients S_I^{a,A} for as long as its caller keeps it (one call, inside
+the library).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
-    KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, ONE, Symbol, ZERO,
+    KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
     fc, render, v, x,
 )
-from .jets import Cochain, DirectionError, Frozen, add_term, cochain_preimage
+from .jets import Cochain, DirectionError, add_term, cochain_preimage
 from .linsolve import AnsatzSpec
 from .reports import FAIL, PASS, Report
 
@@ -54,24 +53,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class FcChart:
+class FcChart(Frozen):
     """Chart dimensions: n base directions, m fiber directions; the chart is
     also the vertical complex that its cochains live on.
 
-    Frozen, because the memos of D_i and D_{v^b} on symbols depend on m.
+    Frozen, because the memos of D_i and D_{v^b} on symbols depend on m.  It
+    compares by identity: two charts of one size are two sets of memos.
     """
 
-    n: int
-    m: int
-    _total_memo: Dict[Tuple[Symbol, int], Expr] = field(
-        default_factory=dict, init=False, repr=False)
-    _vertical_memo: Dict[Tuple[Symbol, int], Expr] = field(
-        default_factory=dict, init=False, repr=False)
+    __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "_total_memo", "_vertical_memo")
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int):
+        if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
+        base, fibers = tuple(range(1, n + 1)), tuple(range(1, m + 1))
+        # D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value).
+        twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
+                 for i in base for a in fibers}
+        self._put(n=n, m=m, base_dirs=base, fiber_dirs=fibers, twist=twist,
+                  _total_memo={}, _vertical_memo={})
 
     def check_symbol(self, s: Symbol) -> None:
         k = s.kind
@@ -112,20 +112,6 @@ class FcChart:
         for i in dirs:
             self.check_direction(i)
         return e
-
-    @cached_property
-    def base_dirs(self) -> Tuple[int, ...]:
-        return tuple(range(1, self.n + 1))
-
-    @cached_property
-    def fiber_dirs(self) -> Tuple[int, ...]:
-        return tuple(range(1, self.m + 1))
-
-    @cached_property
-    def twist(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, Expr], ...]]:
-        """D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value)."""
-        return {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in self.fiber_dirs)
-                for i in self.base_dirs for a in self.fiber_dirs}
 
     def f_apply(self, i: int, f: Expr) -> Expr:
         """D_i f, unchecked: F_i of the identity representation."""

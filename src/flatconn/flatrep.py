@@ -13,9 +13,10 @@ coordinates, differentiates parametric families into deformation 1-cocycles,
 tests cocycles for exactness inside a bounded ansatz, and lifts equation
 symmetries to the covering.
 
-The spec is itself its complex C_phi in the sense of ``jets``: base and
-fiber directions, F_i (:meth:`FlatRepSpec.f_apply`), the twist D_d(a_i^b)
-cached as ``spec.twist`` and :meth:`FlatRepSpec.check_component`.  Its
+The spec, an ``expr.Frozen`` record, is itself its complex C_phi in the
+sense of ``jets``: base and fiber directions, F_i
+(:meth:`FlatRepSpec.f_apply`), the twist D_d(a_i^b), set once as
+``spec.twist``, and :meth:`FlatRepSpec.check_component`.  Its
 cochains, deformation and symmetry cocycles and exactness witnesses alike,
 are ``jets.Cochain``s on the spec, keyed ((i,), d) in degree 1, and d_U is
 their differential (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
@@ -24,15 +25,13 @@ degree 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
-    Expr, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
+    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
 )
 from .jets import (
     Cochain, DerivScheme, Evolution, Extended, add_term, cochain_preimage,
@@ -49,37 +48,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class FlatRepSpec:
+class FlatRepSpec(Frozen):
     """Declarative flat representation: scheme, direction split, coefficients.
 
     Frozen, with read-only coefficients, so that its flatness residuals,
-    pullback images and F_i images, cached on it, cannot go stale.  It is
-    also the complex its cochains live on, so it compares and hashes by
+    twist, pullback images and F_i images, cached on it, cannot go stale.  It
+    is also the complex its cochains live on, so it compares and hashes by
     identity: two specs with equal fields are two complexes with two memos.
     """
 
-    scheme: DerivScheme
-    base_dirs: Tuple[int, ...]
-    fiber_dirs: Tuple[int, ...]
-    coeffs: Mapping[Tuple[int, int], Expr] = field(default_factory=dict)
-    _pullback_memo: Dict[Symbol, Expr] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _f_memo: Dict[Tuple[int, Symbol], Expr] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs",
+                 "_residuals", "_twist", "_pullback_memo", "_f_memo")
 
-    def __post_init__(self):
-        seen = set(self.base_dirs) | set(self.fiber_dirs)
-        if len(seen) != len(self.base_dirs) + len(self.fiber_dirs):
+    def __init__(self, scheme: DerivScheme, base_dirs: Tuple[int, ...],
+                 fiber_dirs: Tuple[int, ...],
+                 coeffs: Mapping[Tuple[int, int], Expr] = MappingProxyType({})):
+        seen = set(base_dirs) | set(fiber_dirs)
+        if len(seen) != len(base_dirs) + len(fiber_dirs):
             raise ValueError("base and fiber directions overlap")
         for d in seen:
-            self.scheme.check_direction(d)
+            scheme.check_direction(d)
         cleaned = {}
-        for (i, d), e in self.coeffs.items():
-            if i not in self.base_dirs or d not in self.fiber_dirs:
+        for (i, d), e in coeffs.items():
+            if i not in base_dirs or d not in fiber_dirs:
                 raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
             add_term(cleaned, (i, d), Expr.wrap(e))
-        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
+        self._put(scheme=scheme, base_dirs=base_dirs, fiber_dirs=fiber_dirs,
+                  coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None,
+                  _pullback_memo={}, _f_memo={})
 
     def a(self, i: int, d: int) -> Expr:
         return self.coeffs.get((i, d), ZERO)
@@ -111,31 +107,35 @@ class FlatRepSpec:
             {key: e.subs(bindings) for key, e in self.coeffs.items()},
         )
 
-    @cached_property
+    @property
     def flatness_residuals(self) -> Tuple[Expr, ...]:
         """Fiber components F_i(a_j^d) - F_j(a_i^d) of [F_i, F_j], for i < j
-        and each fiber direction d; [F_i, F_j] has no base component."""
-        return tuple(
-            self.f_apply(i, self.a(j, d)) - self.f_apply(j, self.a(i, d))
-            for k, i in enumerate(self.base_dirs) for j in self.base_dirs[k + 1:]
-            for d in self.fiber_dirs)
+        and each fiber direction d, set once; [F_i, F_j] has no base component."""
+        if self._residuals is None:
+            self._put(_residuals=tuple(
+                self.f_apply(i, self.a(j, d)) - self.f_apply(j, self.a(i, d))
+                for k, i in enumerate(self.base_dirs) for j in self.base_dirs[k + 1:]
+                for d in self.fiber_dirs))
+        return self._residuals
 
     @property
     def is_flat(self) -> bool:
         return all(r.is_zero() for r in self.flatness_residuals)
 
-    @cached_property
+    @property
     def twist(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, Expr], ...]]:
-        """D_d(a_i^b), keyed (i, d) as pairs (b, value); zero values dropped."""
-        out = {}
-        for i in self.base_dirs:
-            for d in self.fiber_dirs:
-                pairs = tuple(
-                    (b, t) for b in self.fiber_dirs
-                    if not (t := d_sigma(self.scheme, (d,), self.a(i, b))).is_zero())
-                if pairs:
-                    out[(i, d)] = pairs
-        return out
+        """D_d(a_i^b), keyed (i, d) as pairs (b, value); zero values dropped; set once."""
+        if self._twist is None:
+            out = {}
+            for i in self.base_dirs:
+                for d in self.fiber_dirs:
+                    pairs = tuple(
+                        (b, t) for b in self.fiber_dirs
+                        if not (t := d_sigma(self.scheme, (d,), self.a(i, b))).is_zero())
+                    if pairs:
+                        out[(i, d)] = pairs
+            self._put(_twist=out)
+        return self._twist
 
     def check_component(self, dirs: Tuple[int, ...], d: int, e: Expr) -> Expr:
         """The component e dx_I (x) D_d of a cochain, refused off the split."""
@@ -219,11 +219,13 @@ def du_cochain1(spec: FlatRepSpec, c: Cochain) -> Cochain:
     return c.on(spec).d
 
 
-@dataclass
-class DeformationResult:
-    base: FlatRepSpec
-    cocycle: Cochain
-    report: Report
+class DeformationResult(Frozen):
+    """The base point of a deformation, its cocycle and the report on it."""
+
+    __slots__ = ("base", "cocycle", "report")
+
+    def __init__(self, base: FlatRepSpec, cocycle: Cochain, report: Report):
+        self._put(base=base, cocycle=cocycle, report=report)
 
 
 def infinitesimal_deformation(

@@ -18,12 +18,12 @@ evolution systems.  Every derivation here is fixed by its values on symbols
 and applied through the one Leibniz kernel :meth:`Expr.derive`.
 
 A flat representation phi attaches to an equation the complex C_phi, and
-every cochain of the package is one frozen :class:`Cochain` on the object
-that fixes it.  That object provides five names: ``base_dirs`` and
-``fiber_dirs`` (tuples), ``f_apply(i, f)`` = F_i(f), a derivation,
+every cochain of the package is one :class:`Cochain` (an ``expr.Frozen``) on
+the object that fixes it.  That object provides five names: ``base_dirs``
+and ``fiber_dirs`` (tuples), ``f_apply(i, f)`` = F_i(f), a derivation,
 ``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with a nonzero value, and
-``check_component(I, a, f)``, which validates one component
-f dx_I (x) e_a handed in from outside and returns f as an Expr.
+``check_component(I, a, f)``, which validates one component f dx_I (x) e_a
+handed in from outside and returns f as an Expr.
 ``flatrep.FlatRepSpec`` is such an object for any phi, and
 ``fce.FcChart`` for phi = identity on E_fc (F_i = D_i); the horizontal de
 Rham complex is the case with one trivial fiber and no twist.  A cochain
@@ -47,14 +47,14 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
-    KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, ONE, Symbol, ZERO,
+    KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
     jet, render, x,
 )
 from .linsolve import solve_by_superposition
 from .reports import FAIL, PASS, Report
 
 __all__ = [
-    "Frozen", "FreeJet", "Evolution", "Extended", "Cochain",
+    "FreeJet", "Evolution", "Extended", "Cochain",
     "total_derivative", "d_sigma", "evolutionary_apply",
     "is_symmetry_evolution", "sort_with_sign", "add_term",
     "cochain_differential", "cochain_preimage", "DirectionError",
@@ -93,22 +93,6 @@ def add_term(acc: dict, key, value, sign: int = 1) -> None:
         acc.pop(key, None)
     else:
         acc[key] = value
-
-
-class Frozen:
-    """Base of the memo owners: the constructor sets each field once through
-    :meth:`_put`, and later assignment is refused, so no memo goes stale."""
-
-    __slots__ = ()
-
-    def _put(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    __delattr__ = __setattr__
 
 
 if TYPE_CHECKING:

@@ -11,12 +11,11 @@ parameter values asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .expr import Expr, Symbol, jet, param, x, y
+from .expr import Expr, Frozen, Symbol, jet, param, x, y
 from .flatrep import FlatRepSpec, check_flat_rep, covering_to_flatrep
 from .jets import Evolution, is_symmetry_evolution, total_derivative
 
@@ -27,18 +26,17 @@ def _u(k: int) -> Symbol:
     return jet(1, (1,) * k)
 
 
-@dataclass(frozen=True, eq=False)
-class KdvBundle:
+class KdvBundle(Frozen):
     """The KdV model, frozen, with read-only symmetries: the one bundle of
-    the process is shared by every caller of :func:`build_kdv`."""
+    the process is shared by every caller of :func:`build_kdv`.  ``miura``
+    has the fiber component y1 and the parameter lam symbolic."""
 
-    scheme: Evolution
-    miura: FlatRepSpec          # fiber component y1, parameter lam symbolic
-    symmetries: Mapping[str, Expr]
-    lam: Symbol
+    __slots__ = ("scheme", "miura", "symmetries", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "symmetries", MappingProxyType(dict(self.symmetries)))
+    def __init__(self, scheme: Evolution, miura: FlatRepSpec,
+                 symmetries: Mapping[str, Expr], lam: Symbol):
+        self._put(scheme=scheme, miura=miura,
+                  symmetries=MappingProxyType(dict(symmetries)), lam=lam)
 
 
 # The bundle of this process, once build_kdv has built and checked it.

@@ -2,8 +2,9 @@
 
 The exactness, lifting and recovery questions in this package reduce to: does
 a linear operator equation have a polynomial solution whose monomials come
-from a declared finite pool?  An :class:`AnsatzSpec` fixes the pool (allowed
-symbols and a total-degree cap, at most :data:`MAX_UNKNOWNS` unknowns).
+from a declared finite pool?  An :class:`AnsatzSpec`, an ``expr.Frozen``
+record, fixes the pool (allowed symbols and a total-degree cap, at most
+:data:`MAX_UNKNOWNS` unknowns).
 ``jets.cochain_preimage`` applies the operator, the degree-0 cochain
 differential, to the basis elements mu e_a (fiber a outer, mu inner) of the
 connected blocks of the system that hold the target's rows, on packed
@@ -24,13 +25,12 @@ A "no solution" answer is always relative to the ansatz (bounded-no).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
-from .expr import Expr, ONE, Symbol
+from .expr import Expr, Frozen, ONE, Symbol
 
 if TYPE_CHECKING:
     from .expr import Scalar
@@ -43,17 +43,22 @@ __all__ = ["AnsatzSpec", "MAX_UNKNOWNS", "solve_linear", "solve_by_superposition
 MAX_UNKNOWNS = 200_000
 
 
-@dataclass
-class AnsatzSpec:
-    """A finite monomial pool: ``symbols`` up to total degree ``degree``."""
+class AnsatzSpec(Frozen):
+    """A finite monomial pool: ``symbols`` up to total degree ``degree``.
 
-    symbols: Tuple[Symbol, ...]
-    degree: int
+    Frozen, because the sorted pool fixes the column order; two specs with
+    the same pool and degree are equal."""
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree bound must be nonnegative")
-        self.symbols = tuple(sorted(set(self.symbols), key=lambda s: s.key))
+    __slots__ = ("symbols", "degree")
+
+    def __init__(self, symbols: Sequence[Symbol], degree: int):
+        if type(degree) is not int or degree < 0:
+            raise ValueError("degree bound must be a nonnegative int, got %r" % (degree,))
+        self._put(symbols=tuple(sorted(set(symbols), key=lambda s: s.key)), degree=degree)
+
+    def __eq__(self, other):
+        return type(other) is AnsatzSpec and (self.symbols, self.degree) == (
+            other.symbols, other.degree)
 
     def unknowns(self, fibers: int) -> int:
         """C(len(symbols) + degree, degree) monomials times ``fibers``, by

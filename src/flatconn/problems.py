@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -285,29 +284,26 @@ def _parse_expr(text: str, env: _Env, line: int) -> Expr:
 # file structure
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ProblemFile:
-    n: int
-    m: int
-    kind: str
-    names: Tuple[str, ...] = ()
-    params: Tuple[str, ...] = ()
-    connection: Optional[Dict[Tuple[int, int], Expr]] = None
-    equation: Optional[List[Expr]] = None
-    flatrep_fibers: int = 0
-    flatrep_coeffs: Optional[Dict[Tuple[int, int], Expr]] = None
-    covering_fibers: int = 0
-    covering_fields: Optional[Dict[Tuple[int, int], Expr]] = None
-    symmetry: Dict[str, Dict[Tuple[int, ...], Expr]] = field(default_factory=dict)
-    cochain: Optional[Dict[Tuple[int, int], Expr]] = None
-    ansatz_degree: Optional[int] = None
-    ansatz_order: Optional[int] = None
-    ansatz_symbols: Optional[Tuple[Symbol, ...]] = None
-    task: Optional[str] = None
-    task_options: Dict[str, str] = field(default_factory=dict)
-    pullback_expr: Optional[Expr] = None  # [task] expr, on the fc chart of the pullback
-    deformation_param: Optional[str] = None  # [task] param, else the one parameter
-    deformation_at: Optional[Fraction] = None  # [task] at
+    """A parsed problem file: the chart, then what the parser fills in from
+    the other sections (mutable by design); a field the file does not set is
+    None, a fiber count 0 and a map empty.  ``pullback_expr`` (on the fc chart
+    of the pullback), ``deformation_param`` and ``deformation_at`` are the
+    [task] keys expr, param (else the one parameter) and at."""
+
+    __slots__ = ("n", "m", "kind", "names", "params", "connection", "equation",
+                 "flatrep_fibers", "flatrep_coeffs", "covering_fibers", "covering_fields",
+                 "symmetry", "cochain", "ansatz_degree", "ansatz_order", "ansatz_symbols",
+                 "task", "task_options", "pullback_expr", "deformation_param", "deformation_at")
+
+    def __init__(self, n: int, m: int, kind: str, names: Tuple[str, ...] = (),
+                 params: Tuple[str, ...] = ()):
+        self.n, self.m, self.kind, self.names, self.params = n, m, kind, names, params
+        for name in self.__slots__[5:]:
+            setattr(self, name, None)
+        self.flatrep_fibers = self.covering_fibers = 0
+        self.symmetry: Dict[str, Dict[Tuple[int, ...], Expr]] = {}
+        self.task_options: Dict[str, str] = {}
 
     # ---- builders -----------------------------------------------------------
     def fc_chart(self) -> fce.FcChart:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["Report", "emit_report", "PASS", "FAIL", "WITNESS", "BOUNDED_NO"]
@@ -14,24 +13,25 @@ WITNESS = "witness"
 BOUNDED_NO = "bounded-no"
 
 
-@dataclass
 class Report:
     """Outcome of one task: a verdict plus rendered evidence.
 
     ``residuals`` hold rendered expressions that must all be "0" for a pass;
     ``witness`` carries computed values (solved coefficients, images of
-    operators) keyed by component name.
+    operators) keyed by component name.  Mutable: the CLI sets ``ms``.
     """
 
-    task: str
-    verdict: str
-    residuals: List[str] = field(default_factory=list)
-    witness: Optional[Dict[str, str]] = None
-    ms: int = 0
+    __slots__ = ("task", "verdict", "residuals", "witness", "ms")
 
-    def __post_init__(self):
-        if self.verdict == PASS and any(r != "0" for r in self.residuals):
+    def __init__(self, task: str, verdict: str, residuals: Optional[List[str]] = None,
+                 witness: Optional[Dict[str, str]] = None, ms: int = 0):
+        self.task, self.verdict, self.witness, self.ms = task, verdict, witness, ms
+        self.residuals = [] if residuals is None else residuals
+        if verdict == PASS and any(r != "0" for r in self.residuals):
             raise ValueError("pass verdict with nonzero residuals %r" % (self.residuals,))
+
+    def __repr__(self):
+        return "Report(%s)" % ", ".join("%s=%r" % (k, getattr(self, k)) for k in self.__slots__)
 
     @property
     def ok(self) -> bool:

@@ -26,12 +26,11 @@ with the parameter values asked for.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .expr import Expr, KIND_JET, Symbol, ZERO, jet, param, render, y
+from .expr import Expr, Frozen, KIND_JET, Symbol, ZERO, jet, param, render, y
 from .jets import (
     DerivScheme, Extended, FreeJet, d_sigma, evolutionary_apply, total_derivative)
 from .flatrep import FlatRepSpec, du_vertical, symmetry_cocycle
@@ -257,11 +256,13 @@ def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:
     return m0, m1, m2
 
 
-@dataclass(frozen=True, eq=False)
-class SdymRep:
-    scheme: SdymRewriter
-    spec: FlatRepSpec
-    lam: Expr  # the parameter as used in the coefficients (symbol or constant)
+class SdymRep(Frozen):
+    """A lambda-family: its rewriter, its spec and lam as its coefficients use it."""
+
+    __slots__ = ("scheme", "spec", "lam")
+
+    def __init__(self, scheme: SdymRewriter, spec: FlatRepSpec, lam: Expr):
+        self._put(scheme=scheme, spec=spec, lam=lam)
 
 
 # The symbolic family of each k built so far, interned by k: a rewriter is

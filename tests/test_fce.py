@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -45,7 +44,7 @@ def test_fc_total_examples(ch):
     with pytest.raises(ValueError):
         fce.fc_total(ch, 3, Expr.wrap(v(1)))
     # the memo of D_i on symbols depends on m, so the chart is frozen
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="immutable"):
         ch.m = 2
 
 
@@ -275,7 +274,7 @@ def test_vertical_memo_is_owned_by_the_frozen_chart(ch2):
     assert got == Expr.wrap(fc(1, (2,), (1, 2)))
     assert fce._vertical_symbol(ch2, 2, s) is got
     assert ch2._vertical_memo[(s, 2)] is got
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="immutable"):
         ch2._vertical_memo = {}
 
 

@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -48,7 +47,7 @@ def test_check_flat_rep_examples(kdv):
     # a spec cannot be changed behind its cached verdict
     with pytest.raises(TypeError):
         kdv.miura.coeffs[(1, 3)] = u(1) * y(1)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="immutable"):
         kdv.miura.coeffs = {}
     assert flatrep.check_flat_rep(kdv.miura).verdict == "pass"
     # each call builds its own report from the cached residuals

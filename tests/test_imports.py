@@ -296,6 +296,141 @@ def test_scheme_rule_scan_sees_every_definition():
         "rules_mention": {"FreeJet.derive_symbol"}, "_derive_jet": {""}}
 
 
+# Classes that hold a memo but are immutable by contract only: an Expr is
+# built by every ring operation with plain slot stores, which the Frozen
+# base would turn into calls.
+CONTRACT_IMMUTABLE = {"expr.Expr"}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _private(name):
+    return name is not None and name.startswith("_") and not name.startswith("__")
+
+
+def _empty(node):
+    """Whether ``node`` is a value that a memo starts from and is filled or
+    set later: {}, None, dict() or a dataclass ``field(...)``."""
+    if isinstance(node, ast.Call):
+        return _name(node.func) == "field" or (
+            _name(node.func) == "dict" and not node.args and not node.keywords)
+    return (isinstance(node, ast.Dict) and not node.keys) or (
+        isinstance(node, ast.Constant) and node.value is None)
+
+
+def _record_imports(tree):
+    """Sorted (line, name) of every import of ``dataclasses`` and of every
+    import or attribute read of ``cached_property``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update((node.lineno, "dataclasses") for a in node.names
+                         if a.name.split(".")[0] == "dataclasses")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "dataclasses":
+                found.add((node.lineno, "dataclasses"))
+            found.update((node.lineno, a.name) for a in node.names
+                         if a.name == "cached_property")
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def _classes(tree):
+    """{class: (names of its bases, whether it holds a memo or a value set
+    once)} for the top-level classes of ``tree``.  A class holds one when a
+    method of it is a ``cached_property``, or when it gives a private name a
+    value from :func:`_empty`: by assignment, in its body or to an attribute,
+    or as a keyword, as in ``self._put(_d=None)``."""
+    out = {}
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        memo = False
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                memo |= any(_name(d) == "cached_property" for d in node.decorator_list)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                memo |= (node.value is not None and _empty(node.value)
+                         and any(_private(_name(t)) for t in targets))
+            elif isinstance(node, ast.keyword):
+                memo |= _private(node.arg) and _empty(node.value)
+        out[cls.name] = (tuple(_name(b) for b in cls.bases), memo)
+    return out
+
+
+def _derives(classes, name, base):
+    """Whether class ``name`` of ``classes`` (as :func:`_classes` gives
+    them) derives from ``base``, through classes of ``classes``."""
+    bases = classes.get(name, ((), False))[0]
+    return base in bases or any(_derives(classes, b, base) for b in bases)
+
+
+def _setattr_reads(node):
+    """A pick for _owned: every read of a ``__setattr__`` attribute, such as
+    ``object.__setattr__``, the call that writes past a refusing setter."""
+    return node.attr if isinstance(node, ast.Attribute) and node.attr == "__setattr__" else None
+
+
+def test_one_record_base_for_every_memo_owner():
+    # Every owner of a memo or of a value set once is an expr.Frozen record,
+    # and only Frozen._put writes past its refusing setter: no dataclass,
+    # no cached_property, no object.__setattr__ in a __post_init__.
+    imports, classes, memo = [], {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports += ["%s:%d %s" % (path.name, line, name) for line, name in _record_imports(tree)]
+        for name, (bases, held) in _classes(tree).items():
+            classes[name] = (bases, held)
+            if held:
+                memo.add("%s.%s" % (path.stem, name))
+    assert not imports, "record imports: " + ", ".join(imports)
+    loose = sorted(c for c in memo - CONTRACT_IMMUTABLE
+                   if not _derives(classes, c.rpartition(".")[2], "Frozen"))
+    assert {"expr.Symbol", "fce.FcChart", "flatrep.FlatRepSpec", "jets.Cochain"} <= memo
+    assert CONTRACT_IMMUTABLE <= memo and not loose, loose
+    writes = _src_scan(_setattr_reads)
+    assert [owner for owner, _, _ in writes] == ["expr.Frozen._put"], writes
+
+
+def test_record_scan_sees_every_design():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "import functools, dataclasses.fields as dcf\n"
+        "from functools import cached_property as cp\n"
+        "class A:\n"
+        "    _memo: dict = field(default_factory=dict)\n"
+        "class B(Frozen):\n"
+        "    def __init__(self):\n"
+        "        self._put(x=None, _d=None)\n"
+        "class C(B):\n"
+        "    @functools.cached_property\n"
+        "    def twist(self):\n"
+        "        object.__setattr__(self, 'y', super().__setattr__)\n"
+        "class D:\n"
+        "    def __init__(self):\n"
+        "        self._hash = None\n"
+        "class E(mod.Other):\n"
+        "    def f(self):\n"
+        "        return g(_k={})\n"
+        "class F:\n"
+        "    _interned = dict(a=1)\n"
+        "    def __init__(self):\n"
+        "        self.items = {}\n"
+        "        self._pos = {1: 2}\n")
+    assert _record_imports(tree) == [
+        (1, "dataclasses"), (2, "dataclasses"), (3, "cached_property"), (10, "cached_property")]
+    classes = _classes(tree)
+    assert classes == {"A": ((), True), "B": (("Frozen",), True), "C": (("B",), True),
+                       "D": ((), True), "E": (("Other",), True), "F": ((), False)}
+    assert [c for c in classes if _derives(classes, c, "Frozen")] == ["B", "C"]
+    assert _owned(tree, _setattr_reads) == [
+        ("C.twist", 12, "__setattr__"), ("C.twist", 12, "__setattr__")]
+
+
 def test_solver_call_scan_sees_every_caller():
     tree = ast.parse(
         "def f(a):\n"
@@ -448,6 +583,19 @@ def test_reimports_leave_one_copy_of_expr_alive():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "1"
+
+
+def test_cli_import_generates_no_record_classes():
+    # A CLI process pays for every module its import pulls in.  Records are
+    # expr.Frozen or plain __slots__ classes, so the import needs neither
+    # dataclasses nor the inspect module that dataclasses imports.  A count
+    # of modules, in a fresh interpreter; no timing.
+    script = ("import sys, flatconn.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 PROBLEMS = SRC.parents[1] / "perfbench" / "problems"

@@ -163,3 +163,20 @@ def test_ansatz_cap_is_arithmetic(monkeypatch):
     huge = AnsatzSpec(tuple(x(i) for i in range(1, 101)), 4)
     with pytest.raises(ValueError, match="4598126 unknowns .*, over the cap of 200000"):
         huge.unknowns(1)
+
+
+def test_ansatz_is_a_frozen_value():
+    # The sorted pool fixes the column order, so no assignment may skip the
+    # constructor's sort and checks: a degree of -1 would fail inside
+    # math.comb, a doubled pool would count 17 unknowns instead of 9.
+    pool = tuple(x(i) for i in range(1, 9))
+    ans = AnsatzSpec(pool, 1)
+    with pytest.raises(AttributeError, match="immutable"):
+        ans.degree = -1
+    with pytest.raises(AttributeError, match="immutable"):
+        ans.symbols = pool + tuple(v(a) for a in range(1, 9))
+    assert ans.unknowns(1) == 9 and ans.symbols == pool
+    assert ans == AnsatzSpec(pool[::-1], 1) and ans != AnsatzSpec(pool, 2)
+    for degree in (1.5, True, Fraction(1), "1", -1):
+        with pytest.raises(ValueError, match="degree bound"):
+            AnsatzSpec((x(1),), degree)
