@@ -23,7 +23,7 @@ from .jets import Cochain, is_symmetry_evolution
 from .linsolve import AnsatzSpec
 from . import fce, flatrep, problems, sdym
 from .kdv import build_kdv, miura_at
-from .reports import BOUNDED_NO, FAIL, PASS, Report, WITNESS, emit_report
+from .reports import BOUNDED_NO, Report, WITNESS, check, emit_report
 
 __all__ = ["run", "main"]
 
@@ -124,9 +124,7 @@ def _bounded(args, ansatz: AnsatzSpec, answer, witness) -> Report:
 # ---------------------------------------------------------------------------
 
 def _t_check_flat(pf, args) -> Report:
-    rs = fce.flatness_residual(pf.connection_spec())
-    ok = all(r.is_zero() for r in rs)
-    return Report("check-flat", PASS if ok else FAIL, [render(r) for r in rs])
+    return check("check-flat", [render(r) for r in fce.flatness_residual(pf.connection_spec())])
 
 
 def _t_dfc(pf, args) -> Report:
@@ -136,14 +134,14 @@ def _t_dfc(pf, args) -> Report:
     else:
         c = _fc_cochain1(pf)
     image = fce.dfc(c)
-    return Report("dfc", PASS, [], _cochain_witness(image, pf.m))
+    return check("dfc", [], _cochain_witness(image, pf.m))
 
 
 def _t_symmetry_from_f(pf, args) -> Report:
     chart = pf.fc_chart()
     f = fce.cochain0(chart, _sym_components(pf, "f"))
     phi = fce.symmetry_from_f(chart, f)
-    return Report("symmetry-from-f", PASS, [], _cochain_witness(phi, pf.m))
+    return check("symmetry-from-f", [], _cochain_witness(phi, pf.m))
 
 
 def _t_recover_f(pf, args) -> Report:
@@ -159,8 +157,7 @@ def _t_bracket(pf, args) -> Report:
     f = fce.cochain0(chart, _sym_components(pf, "f"))
     g = fce.cochain0(chart, _sym_components(pf, "g"))
     h = fce.bracket0(chart, f, g)
-    return Report("bracket", PASS, [],
-                  {"h%d" % a: render(e) for a, e in enumerate(h.data, 1)})
+    return check("bracket", [], {"h%d" % a: render(e) for a, e in enumerate(h.data, 1)})
 
 
 def _t_check_flatrep(pf, args) -> Report:
@@ -169,7 +166,7 @@ def _t_check_flatrep(pf, args) -> Report:
 
 def _t_pullback(pf, args) -> Report:
     image = flatrep.pullback(pf.flat_representation(), pf.pullback_expr)
-    return Report("pullback", PASS, [], {"pullback": render(image)})
+    return check("pullback", [], {"pullback": render(image)})
 
 
 def _t_deformation(pf, args) -> Report:
@@ -179,27 +176,31 @@ def _t_deformation(pf, args) -> Report:
     witness = {
         "c%d_%d" % (i, d): render(e) for ((i,), d), e in sorted(res.cocycle.items())
     }
-    return Report("deformation", PASS, res.report.residuals, witness)
+    return check("deformation", res.report.residuals, witness)
+
+
+def _by_fiber(spec, prefix: str, c: fce.Cochain) -> Dict[str, str]:
+    """A 0-cochain on ``spec`` as a witness: ``<prefix><b>`` on the b-th fiber."""
+    return {"%s%d" % (prefix, spec.fiber_dirs.index(d) + 1): render(e)
+            for ((), d), e in sorted(c.items())}
 
 
 def _t_exactness(pf, args) -> Report:
     spec = pf.flat_representation()
-    shift = spec.scheme.base.ndirs
-    data = {((i,), shift + b): e for (i, b), e in pf.cochain.items()}
+    data = {((i,), spec.fiber_dirs[b - 1]): e for (i, b), e in pf.cochain.items()}
     ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(
         spec, list(data.values()), order=order))
     c = Cochain(spec, 1, data)
     return _bounded(args, ansatz, flatrep.exactness_test(spec, c, ansatz),
-                    lambda b: {"b%d" % (d - shift): render(e) for ((), d), e in sorted(b.items())})
+                    lambda b: _by_fiber(spec, "b", b))
 
 
 def _t_lift(pf, args) -> Report:
     spec = pf.flat_representation()
-    shift = spec.scheme.base.ndirs
     phi = _sym_components(pf, "phi")
     ansatz = _ansatz(pf, args, lambda order: flatrep.default_ansatz(spec, phi, order=order))
     return _bounded(args, ansatz, flatrep.lift_symmetry(spec, phi, ansatz),
-                    lambda a: {"a%d" % (d - shift): render(e) for ((), d), e in sorted(a.items())})
+                    lambda a: _by_fiber(spec, "a", a))
 
 
 def _t_kdv_verify(args) -> Report:
@@ -207,8 +208,7 @@ def _t_kdv_verify(args) -> Report:
     residuals = list(flatrep.check_flat_rep(bundle.miura).residuals)
     for name in sorted(bundle.symmetries):
         residuals.extend(is_symmetry_evolution(bundle.scheme, [bundle.symmetries[name]]).residuals)
-    ok = all(r == "0" for r in residuals)
-    return Report("kdv-verify", PASS if ok else FAIL, residuals)
+    return check("kdv-verify", residuals)
 
 
 def _t_kdv_lift(args) -> Report:
@@ -220,14 +220,14 @@ def _t_kdv_lift(args) -> Report:
     spec = bundle.miura if args.lam is None else miura_at(bundle, args.lam)
     ansatz = flatrep.default_ansatz(spec, [phi], degree=args.degree, order=args.order)
     return _bounded(args, ansatz, flatrep.lift_symmetry(spec, [phi], ansatz),
-                    lambda lift: {"a": render(lift.component((), 3))})
+                    lambda lift: {"a": render(lift.component((), spec.fiber_dirs[0]))})
 
 
 def _t_kdv_deformation(args) -> Report:
     bundle = build_kdv()
     res = flatrep.infinitesimal_deformation(bundle.miura, bundle.lam, args.lam)
     witness = {"c%d" % i: render(e) for ((i,), _), e in sorted(res.cocycle.items())}
-    return Report("kdv-deformation", PASS, res.report.residuals, witness)
+    return check("kdv-deformation", res.report.residuals, witness)
 
 
 def _t_sdym_expand(args) -> Report:
@@ -237,14 +237,12 @@ def _t_sdym_expand(args) -> Report:
         for p, row in enumerate(m, 1):
             for q, e in enumerate(row, 1):
                 witness["lambda%d_%d%d" % (deg, p, q)] = render(e)
-    return Report("sdym-expand", PASS, [], witness)
+    return check("sdym-expand", [], witness)
 
 
 def _t_sdym_flatrep(args) -> Report:
-    rep = sdym.build_flatrep(args.k, args.lam)
-    out = flatrep.check_flat_rep(rep.spec)
-    out.task = "sdym-flatrep"
-    return out
+    spec = sdym.build_flatrep(args.k, args.lam).spec
+    return check("sdym-flatrep", [render(r) for r in spec.flatness_residuals])
 
 
 def _t_sdym_ugh(args) -> Report:

@@ -11,7 +11,9 @@ everything are
 
 On top of them: the flatness residuals of a coordinate connection, the
 vertical complex and its differential :func:`dfc` on ``jets.Cochain``,
-symmetry reconstruction and recovery, the symmetry S_f of a 0-cochain
+symmetry reconstruction and recovery (the test :func:`is_symmetry` reports
+through ``reports.check``, reading its verdict from the components of
+d_fc(phi) it prints: pass when each is 0), the symmetry S_f of a 0-cochain
 with its prolongation to all special coordinates, and the induced bracket
 on 0-cochains.  The chart is itself the vertical complex, the case phi =
 identity of ``jets``: base directions 1..n, fibers 1..m, F_i = D_i
@@ -35,6 +37,7 @@ the library).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
@@ -43,7 +46,7 @@ from .expr import (
 )
 from .jets import Cochain, DirectionError, add_term, cochain_preimage
 from .linsolve import AnsatzSpec
-from .reports import FAIL, PASS, Report
+from .reports import Report, check
 
 __all__ = [
     "FcChart", "ConnectionSpec", "Cochain", "cochain0", "cochain1",
@@ -175,15 +178,16 @@ def fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
     return chart.f_apply(i, chart.check_expr(f))
 
 
-class ConnectionSpec:
-    """A coordinate connection: nm functions v_i^a of (x, v) only."""
+class ConnectionSpec(Frozen):
+    """A coordinate connection: nm functions v_i^a of (x, v) only; frozen,
+    with read-only coefficients, as its constructor checked them."""
+
+    __slots__ = ("n", "m", "coeffs")
 
     def __init__(self, n: int, m: int, coeffs: Mapping[Tuple[int, int], Expr]):
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
-        self.n = n
-        self.m = m
-        self.coeffs: Dict[Tuple[int, int], Expr] = {}
+        cleaned: Dict[Tuple[int, int], Expr] = {}
         for (i, a), e in coeffs.items():
             if not (1 <= i <= n and 1 <= a <= m):
                 raise ValueError("coefficient v_%d^%d outside the n=%d, m=%d chart" % (i, a, n, m))
@@ -198,7 +202,8 @@ class ConnectionSpec:
                     raise ValueError(
                         "connection coefficients must depend on (x, v) only; got %s" % render(s)
                     )
-            add_term(self.coeffs, (i, a), e)
+            add_term(cleaned, (i, a), e)
+        self._put(n=n, m=m, coeffs=MappingProxyType(cleaned))
 
     def coeff(self, i: int, a: int) -> Expr:
         return self.coeffs.get((i, a), ZERO)
@@ -258,11 +263,7 @@ def is_symmetry(chart: FcChart, phi: Cochain) -> Report:
     if phi.degree != 1:
         raise ValueError("expected a degree-1 cochain")
     image = phi.on(chart).d
-    return Report(
-        task="is-symmetry-fce",
-        verdict=PASS if image.is_zero() else FAIL,
-        residuals=[render(e) for _, e in sorted(image.items())] or ["0"],
-    )
+    return check("is-symmetry-fce", [render(e) for _, e in sorted(image.items())] or ["0"])
 
 
 def _sub_multisets(t: Tuple[int, ...]) -> Set[Tuple[int, ...]]:

@@ -38,7 +38,7 @@ from .jets import (
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
-from .reports import FAIL, PASS, Report
+from .reports import Report, check
 
 __all__ = [
     "FlatRepSpec", "AnsatzSpec", "check_flat_rep", "pullback",
@@ -51,10 +51,11 @@ __all__ = [
 class FlatRepSpec(Frozen):
     """Declarative flat representation: scheme, direction split, coefficients.
 
-    Frozen, with read-only coefficients, so that its flatness residuals,
-    twist, pullback images and F_i images, cached on it, cannot go stale.  It
-    is also the complex its cochains live on, so it compares and hashes by
-    identity: two specs with equal fields are two complexes with two memos.
+    Frozen, with the split stored as tuples and read-only coefficients, so
+    that its flatness residuals, twist, pullback images and F_i images,
+    cached on it, cannot go stale.  It is also the complex its cochains live
+    on, so it compares and hashes by identity: two specs with equal fields
+    are two complexes with two memos.
     """
 
     __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs",
@@ -63,6 +64,7 @@ class FlatRepSpec(Frozen):
     def __init__(self, scheme: DerivScheme, base_dirs: Tuple[int, ...],
                  fiber_dirs: Tuple[int, ...],
                  coeffs: Mapping[Tuple[int, int], Expr] = MappingProxyType({})):
+        base_dirs, fiber_dirs = tuple(base_dirs), tuple(fiber_dirs)
         seen = set(base_dirs) | set(fiber_dirs)
         if len(seen) != len(base_dirs) + len(fiber_dirs):
             raise ValueError("base and fiber directions overlap")
@@ -149,11 +151,7 @@ class FlatRepSpec(Frozen):
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:
     """Report of the flatness residuals; a new Report on every call."""
-    return Report(
-        task="check-flatrep",
-        verdict=PASS if spec.is_flat else FAIL,
-        residuals=[render(r) for r in spec.flatness_residuals],
-    )
+    return check("check-flatrep", [render(r) for r in spec.flatness_residuals])
 
 
 def _require_flat(spec: FlatRepSpec) -> None:
@@ -250,7 +248,7 @@ def infinitesimal_deformation(
         for (i, d), e in family.coeffs.items()})
     if not cocycle.d.is_zero():  # pragma: no cover - guaranteed by the flatness identity
         raise AssertionError("deformation cocycle is not closed")
-    return DeformationResult(base=base, cocycle=cocycle, report=Report("deformation", PASS, ["0"]))
+    return DeformationResult(base=base, cocycle=cocycle, report=check("deformation", ["0"]))
 
 
 def exactness_test(spec: FlatRepSpec, c: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:

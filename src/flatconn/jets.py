@@ -14,8 +14,10 @@ they act on every other symbol.  Three built-in flavors:
   coverings and flat representations).
 
 On top of the schemes: evolutionary vector fields and the symmetry test for
-evolution systems.  Every derivation here is fixed by its values on symbols
-and applied through the one Leibniz kernel :meth:`Expr.derive`.
+evolution systems, whose report (``reports.check``) reads its verdict from
+the residuals it prints: pass when each D_t(phi^a) - Ev_phi(F^a) is 0.
+Every derivation here is fixed by its values on symbols and applied through
+the one Leibniz kernel :meth:`Expr.derive`.
 
 A flat representation phi attaches to an equation the complex C_phi, and
 every cochain of the package is one :class:`Cochain` (an ``expr.Frozen``) on
@@ -51,7 +53,7 @@ from .expr import (
     jet, render, x,
 )
 from .linsolve import solve_by_superposition
-from .reports import FAIL, PASS, Report
+from .reports import Report, check
 
 __all__ = [
     "FreeJet", "Evolution", "Extended", "Cochain",
@@ -570,13 +572,6 @@ def is_symmetry_evolution(scheme: Evolution, phi: Sequence[Expr]) -> Report:
     if len(phi) != scheme.m:
         raise ValueError("expected %d generating functions, got %d" % (scheme.m, len(phi)))
     phi = [Expr.wrap(p) for p in phi]
-    residuals = [
-        total_derivative(scheme, 2, p) - evolutionary_apply(scheme, phi, rhs)
-        for p, rhs in zip(phi, scheme.rhs)
-    ]
-    ok = all(r.is_zero() for r in residuals)
-    return Report(
-        task="is-symmetry",
-        verdict=PASS if ok else FAIL,
-        residuals=[render(r) for r in residuals],
-    )
+    return check("is-symmetry", [
+        render(total_derivative(scheme, 2, p) - evolutionary_apply(scheme, phi, rhs))
+        for p, rhs in zip(phi, scheme.rhs)])

@@ -48,6 +48,10 @@ __all__ = ["ProblemFile", "ParseError", "parse_problem", "render_problem", "TASK
 # A file task: the chart kinds it accepts, the sections it requires and the
 # [task] options it reads.
 FileTask = namedtuple("FileTask", "kinds sections options", defaults=((),))
+# A [flatrep] or [covering] section, two spellings of one with the key prefixes
+# below: the header the file used, its fiber count and its fields {(i, b): Expr}.
+FlatRepSection = namedtuple("FlatRepSection", "header fibers fields")
+_FLATREP_PREFIX = {"flatrep": "a", "covering": "X"}
 TASKS: Dict[str, FileTask] = {
     "check-flat": FileTask(("connection", "fc"), ("connection",)),
     "dfc": FileTask(("fc",), ("symmetry",)),
@@ -194,15 +198,15 @@ class _ExprParser:
             raise ParseError("trailing input %r" % text, self.line, col)
         return e
 
+    # expr  = ["+"] term {("+" | "-") term}
+    # term  = unary {("*" | "/") unary}
+    # unary = "-" unary | power          (so -x^2 is -(x^2), and 2*-x^2 too)
+    # power = atom ["^" num]
     def expr(self) -> Expr:
         kind, text, _ = self.peek()
-        negate = False
-        if kind == "op" and text in "+-":
+        if kind == "op" and text == "+":
             self.take()
-            negate = text == "-"
         e = self.term()
-        if negate:
-            e = -e
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
@@ -213,12 +217,12 @@ class _ExprParser:
                 return e
 
     def term(self) -> Expr:
-        e = self.power()
+        e = self.unary()
         while True:
             kind, text, col = self.peek()
             if kind == "op" and text in "*/":
                 self.take()
-                rhs = self.power()
+                rhs = self.unary()
                 if text == "*":
                     e = e * rhs
                 else:
@@ -228,6 +232,13 @@ class _ExprParser:
                         raise ParseError(str(exc), self.line, col)
             else:
                 return e
+
+    def unary(self) -> Expr:
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.take()
+            return -self.unary()
+        return self.power()
 
     def power(self) -> Expr:
         e = self.atom()
@@ -249,8 +260,6 @@ class _ExprParser:
             e = self.expr()
             self.take(")")
             return e
-        if kind == "op" and text == "-":
-            return -self.atom()
         if kind == "name":
             groups = None
             nk, ntext, _ = self.peek()
@@ -287,12 +296,12 @@ def _parse_expr(text: str, env: _Env, line: int) -> Expr:
 class ProblemFile:
     """A parsed problem file: the chart, then what the parser fills in from
     the other sections (mutable by design); a field the file does not set is
-    None, a fiber count 0 and a map empty.  ``pullback_expr`` (on the fc chart
+    None and a map empty; ``flatrep`` is the :data:`FlatRepSection` of a
+    [flatrep] or [covering] section.  ``pullback_expr`` (on the fc chart
     of the pullback), ``deformation_param`` and ``deformation_at`` are the
     [task] keys expr, param (else the one parameter) and at."""
 
-    __slots__ = ("n", "m", "kind", "names", "params", "connection", "equation",
-                 "flatrep_fibers", "flatrep_coeffs", "covering_fibers", "covering_fields",
+    __slots__ = ("n", "m", "kind", "names", "params", "connection", "equation", "flatrep",
                  "symmetry", "cochain", "ansatz_degree", "ansatz_order", "ansatz_symbols",
                  "task", "task_options", "pullback_expr", "deformation_param", "deformation_at")
 
@@ -301,7 +310,6 @@ class ProblemFile:
         self.n, self.m, self.kind, self.names, self.params = n, m, kind, names, params
         for name in self.__slots__[5:]:
             setattr(self, name, None)
-        self.flatrep_fibers = self.covering_fibers = 0
         self.symmetry: Dict[str, Dict[Tuple[int, ...], Expr]] = {}
         self.task_options: Dict[str, str] = {}
 
@@ -321,16 +329,12 @@ class ProblemFile:
 
     def flat_representation(self) -> FlatRepSpec:
         scheme = self.evolution()
-        coeffs = self.flatrep_coeffs if self.flatrep_coeffs is not None else self.covering_fields
-        if coeffs is None:
+        if self.flatrep is None:
             raise ValueError("problem has neither [flatrep] nor [covering]")
         fields = {}
-        for (i, b), e in coeffs.items():
+        for (i, b), e in self.flatrep.fields.items():
             fields.setdefault(i, {})[b] = e
-        return covering_to_flatrep(scheme, fields, self.nfibers())
-
-    def nfibers(self) -> int:
-        return self.flatrep_fibers or self.covering_fibers
+        return covering_to_flatrep(scheme, fields, self.flatrep.fibers)
 
 
 _SECTIONS = ("chart", "connection", "equation", "flatrep", "covering",
@@ -477,10 +481,8 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     if "flatrep" in sections and "covering" in sections:
         raise ParseError("[flatrep] and [covering] are exclusive; declare one of them",
                          max(headers["flatrep"], headers["covering"]))
-    for sec, attr_fibers, attr_map, prefix in (
-        ("flatrep", "flatrep_fibers", "flatrep_coeffs", "a"),
-        ("covering", "covering_fibers", "covering_fields", "X"),
-    ):
+    nf = 0
+    for sec, prefix in _FLATREP_PREFIX.items():
         if sec not in sections:
             continue
         if kind != "evolution":
@@ -488,11 +490,9 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
         rows = dict(sections[sec])
         nf = _positive(rows, "fibers", "[%s] needs a fibers count" % sec, headers[sec])
         del rows["fibers"]
-        setattr(pf, attr_fibers, nf)
-        setattr(pf, attr_map, _indexed(
+        pf.flatrep = FlatRepSection(sec, nf, _indexed(
             rows, prefix, 2, nf, env.with_fibers(nf),
             "%s keys are %s<i> or %s<i>_<b>" % (sec, prefix, prefix)))
-    nf = pf.nfibers()
     fenv = env.with_fibers(nf)  # the later sections may use the fiber coordinates
 
     if "cochain" in sections:
@@ -591,7 +591,7 @@ def _check_task(pf: ProblemFile, task: str, line: int) -> None:
     if pf.kind not in need.kinds:
         raise ParseError("task %s needs %s" % (task, _CHART_NEED[need.kinds[0]]), line)
     have = {"connection": pf.connection is not None, "equation": pf.equation is not None,
-            "flatrep": pf.nfibers() > 0, "symmetry": bool(pf.symmetry),
+            "flatrep": pf.flatrep is not None, "symmetry": bool(pf.symmetry),
             "cochain": pf.cochain is not None}
     for sec in need.sections:
         if not have[sec]:
@@ -627,14 +627,11 @@ def render_problem(pf: ProblemFile) -> str:
         emit("connection", _indexed_rows("v", pf.connection, pf.m == 1))
     if pf.equation is not None:
         emit("equation", ["f%d = %s" % (a, render(e)) for a, e in enumerate(pf.equation, 1)])
-    for sec, nf, data, prefix in (
-        ("flatrep", pf.flatrep_fibers, pf.flatrep_coeffs, "a"),
-        ("covering", pf.covering_fibers, pf.covering_fields, "X"),
-    ):
-        if data is not None:
-            emit(sec, ["fibers = %d" % nf] + _indexed_rows(prefix, data, nf == 1))
+    if pf.flatrep is not None:
+        sec, nf, data = pf.flatrep
+        emit(sec, ["fibers = %d" % nf] + _indexed_rows(_FLATREP_PREFIX[sec], data, nf == 1))
     if pf.cochain is not None:
-        emit("cochain", _indexed_rows("c", pf.cochain, pf.nfibers() == 1))
+        emit("cochain", _indexed_rows("c", pf.cochain, pf.flatrep.fibers == 1))
     if pf.symmetry:
         emit("symmetry", [row for fam in sorted(pf.symmetry)
                           for row in _indexed_rows(fam, pf.symmetry[fam], False)])

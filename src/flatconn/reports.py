@@ -1,11 +1,16 @@
-"""Machine-readable verdicts shared by the library checks and the CLI."""
+"""Machine-readable verdicts shared by the library checks and the CLI.
+
+Every check reports through :func:`check`, which reads the verdict from the
+residuals it prints: ``pass`` when each is "0", else ``fail``.  Only a
+bounded search names its verdict (a witness, or bounded-no) by hand.
+"""
 
 from __future__ import annotations
 
 import json
 from typing import Dict, List, Optional
 
-__all__ = ["Report", "emit_report", "PASS", "FAIL", "WITNESS", "BOUNDED_NO"]
+__all__ = ["Report", "check", "emit_report", "PASS", "FAIL", "WITNESS", "BOUNDED_NO"]
 
 PASS = "pass"
 FAIL = "fail"
@@ -36,6 +41,12 @@ class Report:
     @property
     def ok(self) -> bool:
         return self.verdict in (PASS, WITNESS)
+
+
+def check(task: str, residuals: List[str], witness: Optional[Dict[str, str]] = None) -> Report:
+    """The report of a check: ``pass`` when every rendered residual is "0",
+    else ``fail``; no residual at all is a pass."""
+    return Report(task, PASS if all(r == "0" for r in residuals) else FAIL, residuals, witness)
 
 
 def emit_report(report: Report, format: str = "human") -> str:

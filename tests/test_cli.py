@@ -360,6 +360,20 @@ symbols = x1, x2, y1, u[0], u[1], u[2]
     assert err.startswith("error: ansatz too large: 98619368491 unknowns ("), err
 
 
+def test_check_reads_the_verdict_from_the_residuals():
+    # One rule for every check: pass when each printed residual is "0".  A
+    # report built by hand cannot claim a pass its residuals deny.
+    from flatconn.reports import PASS, Report, check
+
+    with pytest.raises(ValueError, match="pass verdict with nonzero residuals"):
+        Report("t", PASS, ["x1"])
+    assert check("t", []).verdict == "pass"
+    assert check("t", ["0"]).verdict == "pass"
+    rep = check("t", ["0", "x1"], {"w": "1"})
+    assert (rep.task, rep.verdict, rep.residuals, rep.witness) == (
+        "t", "fail", ["0", "x1"], {"w": "1"})
+
+
 def test_internal_faults_exit_3(monkeypatch, capsys):
     # A failed self-check is an internal fault, not a verdict: one line on
     # stderr, nothing on stdout, exit 3.  The checks are made to fail by

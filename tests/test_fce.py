@@ -96,6 +96,19 @@ def test_connection_spec_rejects_fc_coefficients():
         fce.ConnectionSpec(2, 1, {(3, 1): Expr.wrap(v(1))})
 
 
+def test_connection_spec_is_a_frozen_record():
+    # Its fields used to be open to change behind its checks: a jet put in
+    # coeffs was then read as a constant by flatness_residual.
+    spec = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
+    for name in ("n", "m", "coeffs"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(spec, name, 3)
+    with pytest.raises(TypeError):
+        spec.coeffs[(1, 1)] = Expr.wrap(jet(1, (1,)))
+    assert (spec.n, spec.m) == (2, 1)
+    assert [render(r) for r in fce.flatness_residual(spec)] == ["0"]
+
+
 def test_dfc_constant_cochain(ch2):
     # d(1 (x) D_{v^1}) = - sum_{i,b} v_i^{b,1} dx_i (x) D_{v^b}
     c = fce.cochain0(ch2, [ONE, ZERO])

@@ -206,6 +206,17 @@ def _same_fields(a, b):
             and repr(a) == repr(b))
 
 
+def test_spec_stores_its_split_as_tuples(kdv):
+    # A list used to be kept as passed: a fiber direction appended to it
+    # went through, is_flat answered from the old split, and twist failed.
+    m = kdv.miura
+    s = flatrep.FlatRepSpec(m.scheme, [1, 2], [3], dict(m.coeffs))
+    assert (s.base_dirs, s.fiber_dirs) == ((1, 2), (3,))
+    with pytest.raises(AttributeError):
+        s.fiber_dirs.append(4)
+    assert s.is_flat and s.twist == m.twist
+
+
 def test_spec_compares_and_hashes_by_identity(kdv):
     # A spec is a complex with its own memos, which Cochain.on tells apart by
     # identity; equality and hashing follow it.

@@ -431,6 +431,58 @@ def test_record_scan_sees_every_design():
         ("C.twist", 12, "__setattr__"), ("C.twist", 12, "__setattr__")]
 
 
+VERDICTS = ("PASS", "FAIL", "WITNESS", "BOUNDED_NO")
+
+
+def _verdict_reads(tree):
+    """_owned for every read of a verdict constant of ``reports``: by its
+    name, by a name it is imported as, or as an attribute (``reports.PASS``)."""
+    names = {name: name for name in VERDICTS}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "reports":
+            names.update((a.asname, a.name) for a in node.names
+                         if a.asname and a.name in VERDICTS)
+
+    def pick(node):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            return names.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in VERDICTS):
+            return node.attr
+        return None
+
+    return _owned(tree, pick)
+
+
+def test_one_verdict_rule():
+    # reports.check decides pass or fail from the printed residuals; outside
+    # reports only a bounded search, cli._bounded, names its verdict.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "reports.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [("%s.%s" % (path.stem, owner), line, name)
+                      for owner, line, name in _verdict_reads(tree)]
+    assert {(owner, name) for owner, _, name in found} == {
+        ("cli._bounded", "WITNESS"), ("cli._bounded", "BOUNDED_NO")}, found
+
+
+def test_verdict_scan_sees_every_read():
+    tree = ast.parse(
+        "from .reports import PASS, FAIL as F\n"
+        "import flatconn.reports as reports\n"
+        "def f(ok):\n"
+        "    return Report('t', PASS if ok else F, [])\n"
+        "class C:\n"
+        "    verdict = reports.WITNESS\n"
+        "    def g(self):\n"
+        "        BOUNDED_NO = 1\n"
+        "        return self.bounded, 'PASS'\n"
+        "done = lambda r: r.verdict == BOUNDED_NO\n")
+    assert _verdict_reads(tree) == [
+        ("<module>", 10, "BOUNDED_NO"), ("C", 6, "WITNESS"), ("f", 4, "FAIL"), ("f", 4, "PASS")]
+
+
 def test_solver_call_scan_sees_every_caller():
     tree = ast.parse(
         "def f(a):\n"

@@ -63,13 +63,32 @@ def test_parse_kdv_expression():
     pf = parse_problem(KDV_LIFT)
     assert pf.equation[0] == jet(1, (1, 1, 1)) + 6 * jet(1, ()) * jet(1, (1,))
     assert len(pf.equation[0].terms) == 2
-    assert pf.flatrep_coeffs[(1, 1)] == param("lam") + jet(1, ()) + y(1) ** 2
+    assert pf.flatrep.fields[(1, 1)] == param("lam") + jet(1, ()) + y(1) ** 2
     assert pf.ansatz_symbols == (
         x(1), x(2), y(1), jet(1, ()), jet(1, (1,)), jet(1, (1, 1)),
         jet(1, (1, 1, 1)), param("lam"),
     )
     spec = pf.flat_representation()
     assert flatrep.check_flat_rep(spec).verdict == "pass"
+
+
+def test_minus_binds_looser_than_power_after_an_operator():
+    # A minus after an operator used to negate before ^ (2*-x1^2 read as
+    # 2*x1^2), while a leading one negated after it; now each reads as
+    # -(x1^2).  A leading + is still accepted only at the start.
+    def parse(text):
+        pf = parse_problem(FLAT_XY.replace("v1 = x2", "v1 = " + text))
+        return render(pf.connection[(1, 1)])
+
+    assert parse("2*-x1^2") == "-2*x1^2"
+    assert parse("x2 - -x1^2") == "x1^2 + x2"
+    assert parse("1/-2^2") == "-1/4"
+    assert parse("-x1^2") == "-x1^2"
+    assert parse("(-x1)^2") == "x1^2"
+    assert parse("--x1") == "x1"
+    assert parse("+x1") == "x1"
+    with pytest.raises(ParseError, match="unexpected token '\\+'"):
+        parse("2*+x1")
 
 
 def test_index_range_error():
@@ -139,7 +158,7 @@ def test_round_trip_stability():
         assert render_problem(again) == render_problem(pf)
         assert again.task == pf.task
         assert again.connection == pf.connection
-        assert again.flatrep_coeffs == pf.flatrep_coeffs
+        assert again.flatrep == pf.flatrep
         assert again.symmetry == pf.symmetry
         assert again.ansatz_symbols == pf.ansatz_symbols
 
@@ -152,7 +171,9 @@ def test_duplicate_section_rejected():
 def test_covering_section():
     text = KDV_LIFT.replace("[flatrep]", "[covering]").replace("a1 =", "X1 =").replace("a2 =", "X2 =")
     pf = parse_problem(text)
-    assert pf.covering_fields is not None
+    assert pf.flatrep.header == "covering"
+    assert "\n[covering]\n" in render_problem(pf)
+    assert parse_problem(render_problem(pf)).flatrep == pf.flatrep
     assert flatrep.check_flat_rep(pf.flat_representation()).verdict == "pass"
 
 
