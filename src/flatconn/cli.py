@@ -2,7 +2,7 @@
 
 Exit codes: 0 for pass/witness verdicts, 1 for fail/bounded-no, 2 for input
 errors (bad flags, unreadable files, parse or validation failures), 3 for
-internal faults (a failed self-check of the library, never a verdict).
+internal faults (a failed self-check or any other exception, never a verdict).
 
 This module owns the command line.  ``_TASKS`` maps each task to its handler
 and the flags of ``_FLAGS`` it reads; the tasks of ``problems.TASKS``, and
@@ -71,22 +71,19 @@ def _sym_components(pf: problems.ProblemFile, fam: str) -> List[Expr]:
     return [bucket.get((a,), ZERO) for a in range(1, pf.m + 1)]
 
 
-def _fc_cochain1(pf: problems.ProblemFile) -> fce.Cochain:
+def _fc_cochain1(pf: problems.ProblemFile, chart: fce.FcChart) -> fce.Cochain:
     bucket = pf.symmetry.get("phi")
     if not bucket:
         raise ValueError("[symmetry] must bind phi<i>_<a> components")
-    chart = pf.fc_chart()
     return fce.cochain1(chart, {((i,), a): e for (i, a), e in bucket.items()})
 
 
 def _cochain_witness(c: fce.Cochain, m: int) -> Dict[str, str]:
+    """A cochain of degree >= 1 as a witness: ``phi<I>`` (m = 1) or ``phi<I>_<a>``."""
     out: Dict[str, str] = {}
     for (dirs, alpha), e in sorted(c.items()):
         tag = "".join(str(i) for i in dirs)
-        key = ("phi%s" % tag) if m == 1 else "phi%s_%d" % (tag, alpha)
-        if c.degree == 0:
-            key = "f%d" % alpha
-        out[key] = render(e)
+        out["phi%s" % tag if m == 1 else "phi%s_%d" % (tag, alpha)] = render(e)
     if not out:
         out["result"] = "0"
     return out
@@ -132,7 +129,7 @@ def _t_dfc(pf, args) -> Report:
     if "f" in pf.symmetry:
         c = fce.cochain0(chart, _sym_components(pf, "f"))
     else:
-        c = _fc_cochain1(pf)
+        c = _fc_cochain1(pf, chart)
     image = fce.dfc(c)
     return check("dfc", [], _cochain_witness(image, pf.m))
 
@@ -146,7 +143,7 @@ def _t_symmetry_from_f(pf, args) -> Report:
 
 def _t_recover_f(pf, args) -> Report:
     chart = pf.fc_chart()
-    phi = _fc_cochain1(pf)
+    phi = _fc_cochain1(pf, chart)
     ansatz = _ansatz(pf, args, lambda order: fce.default_recover_ansatz(chart, phi))
     return _bounded(args, ansatz, fce.recover_f(chart, phi, ansatz),
                     lambda f: {"f%d" % a: render(e) for a, e in enumerate(f.data, 1)})
@@ -292,8 +289,8 @@ def run(argv: List[str]) -> int:
     except (problems.ParseError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
+    except Exception as exc:  # a failed self-check or any other fault: never a verdict
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
     report.ms = int((time.monotonic() - t0) * 1000)
     print(emit_report(report, "json" if args.json else "human"))

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "Frozen", "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
-    "const", "ZERO", "ONE", "render",
+    "const", "ZERO", "ONE", "render", "positive",
 ]
 
 # Kind tags; the integer fixes the symbol order (and hence monomial order).
@@ -63,6 +63,14 @@ KIND_BASEFIBER = 2
 KIND_JET = 3
 KIND_FC = 4
 KIND_FIBER = 5
+
+def positive(value, what: str) -> int:
+    """``value`` if it is an int >= 1 (a bool is not), else a ValueError that
+    names ``what``: the one rule for every size in the package."""
+    if type(value) is not int or value < 1:
+        raise ValueError("%s must be a positive int, got %r" % (what, value))
+    return value
+
 
 def _check_indices(ix: Iterable[int], what: str) -> Tuple[int, ...]:
     t = tuple(sorted(ix))

@@ -26,13 +26,14 @@ Input is validated once, at the public entries (:func:`fc_total`,
 :func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart, the
 expression of :meth:`Symmetry.apply`, the targets of
 :func:`prolong_symmetry` and the symbols of an explicit ansatz in
-:func:`recover_f`).  Everything past them works on expressions the chart
-built itself, through the unchecked kernels :meth:`FcChart.f_apply` and
-``_fc_vertical``.  Each memo is owned by an immutable ``expr.Frozen``
-record: the chart holds D_i and D_{v^b} on symbols (and builds its twist
-when it is built), a cochain its differential, and a :class:`Symmetry` the
-coefficients S_I^{a,A} for as long as its caller keeps it (one call, inside
-the library).
+:func:`recover_f`), by :meth:`FcChart.check_symbol`, the rule that also
+judges a :class:`ConnectionSpec` and the input of ``flatrep.pullback``.
+Everything past them works on expressions the chart built itself, through
+the unchecked kernels :meth:`FcChart.f_apply` and ``_fc_vertical``.  Each
+memo is owned by an immutable ``expr.Frozen`` record: the chart holds D_i
+and D_{v^b} on symbols (and builds its twist when it is built), a cochain
+its differential, and a :class:`Symmetry` the coefficients S_I^{a,A} for as
+long as its caller keeps it (one call, inside the library).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
-    fc, render, v, x,
+    fc, positive, render, v, x,
 )
 from .jets import Cochain, DirectionError, add_term, cochain_preimage
 from .linsolve import AnsatzSpec
@@ -67,8 +68,7 @@ class FcChart(Frozen):
     __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "_total_memo", "_vertical_memo")
 
     def __init__(self, n: int, m: int):
-        if n < 1 or m < 1:
-            raise ValueError("need n >= 1 and m >= 1")
+        n, m = positive(n, "n"), positive(m, "m")
         base, fibers = tuple(range(1, n + 1)), tuple(range(1, m + 1))
         # D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value).
         twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
@@ -179,31 +179,25 @@ def fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
 
 
 class ConnectionSpec(Frozen):
-    """A coordinate connection: nm functions v_i^a of (x, v) only; frozen,
-    with read-only coefficients, as its constructor checked them."""
+    """A coordinate connection: nm functions v_i^a of (x, v) only, each symbol
+    judged by the fc chart's rule; frozen, with read-only coefficients."""
 
     __slots__ = ("n", "m", "coeffs")
 
     def __init__(self, n: int, m: int, coeffs: Mapping[Tuple[int, int], Expr]):
-        if n < 1 or m < 1:
-            raise ValueError("need n >= 1 and m >= 1")
+        self._put(n=positive(n, "n"), m=positive(m, "m"))
         cleaned: Dict[Tuple[int, int], Expr] = {}
         for (i, a), e in coeffs.items():
             if not (1 <= i <= n and 1 <= a <= m):
                 raise ValueError("coefficient v_%d^%d outside the n=%d, m=%d chart" % (i, a, n, m))
             e = Expr.wrap(e)
             for s in sorted(e.symbols()):
-                if s.kind in (KIND_INDEP, KIND_BASEFIBER):
-                    if s.kind == KIND_INDEP and s.index > n:
-                        raise ValueError("independent %s outside chart" % render(s))
-                    if s.kind == KIND_BASEFIBER and s.index > m:
-                        raise ValueError("fiber %s outside chart" % render(s))
-                elif s.kind != KIND_PARAM:
+                if s.kind == KIND_FC:
                     raise ValueError(
-                        "connection coefficients must depend on (x, v) only; got %s" % render(s)
-                    )
+                        "connection coefficients must depend on (x, v) only; got %s" % render(s))
+                FcChart.check_symbol(self, s)  # the fc chart's rule, which reads n and m
             add_term(cleaned, (i, a), e)
-        self._put(n=n, m=m, coeffs=MappingProxyType(cleaned))
+        self._put(coeffs=MappingProxyType(cleaned))
 
     def coeff(self, i: int, a: int) -> Expr:
         return self.coeffs.get((i, a), ZERO)

@@ -30,9 +30,10 @@ from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
-    KIND_BASEFIBER, KIND_FC, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
-    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, render, y,
+    KIND_BASEFIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
+    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, positive, render, y,
 )
+from .fce import FcChart
 from .jets import (
     Cochain, DerivScheme, Evolution, Extended, add_term, cochain_preimage,
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
@@ -53,9 +54,11 @@ class FlatRepSpec(Frozen):
 
     Frozen, with the split stored as tuples and read-only coefficients, so
     that its flatness residuals, twist, pullback images and F_i images,
-    cached on it, cannot go stale.  It is also the complex its cochains live
-    on, so it compares and hashes by identity: two specs with equal fields
-    are two complexes with two memos.
+    cached on it, cannot go stale.  A coefficient foreign to the scheme's
+    chart is refused at construction, by ``scheme.derive_symbol(s, 1)`` on
+    its first foreign symbol s in key order.  It is also the complex its
+    cochains live on, so it compares and hashes by identity: two specs with
+    equal fields are two complexes with two memos.
     """
 
     __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs",
@@ -74,7 +77,10 @@ class FlatRepSpec(Frozen):
         for (i, d), e in coeffs.items():
             if i not in base_dirs or d not in fiber_dirs:
                 raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
-            add_term(cleaned, (i, d), Expr.wrap(e))
+            e = Expr.wrap(e)
+            for s in sorted(e.symbols()):  # the scheme refuses what is foreign to its chart
+                scheme.derive_symbol(s, 1)
+            add_term(cleaned, (i, d), e)
         self._put(scheme=scheme, base_dirs=base_dirs, fiber_dirs=fiber_dirs,
                   coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None,
                   _pullback_memo={}, _f_memo={})
@@ -163,43 +169,36 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
     """Image of a function on the equation of flat connections under the
     morphism determined by the representation.
 
+    ``f`` lives on the fc chart of the split's size, whose rule judges it.
     phi*(x_i) = i-th base coordinate, phi*(v^a) = a-th fiber coordinate,
     phi*(v_{Ii}^{a,0}) = F_i phi*(v_I^{a,0}) with phi*(v_i^{a,0}) = a_i^a,
     and phi*(v_I^{a,A+b}) = D_{fiber b} phi*(v_I^{a,A}); flatness makes the
     recursion order irrelevant.
     """
     _require_flat(spec)
-    f = Expr.wrap(f)
+    f = FcChart(len(spec.base_dirs), len(spec.fiber_dirs)).check_expr(f)
     return f.subs({s: _pullback_symbol(spec, s) for s in f.symbols() if s.kind != KIND_PARAM})
 
 
 def _pullback_symbol(spec: FlatRepSpec, s: Symbol) -> Expr:
-    """phi*(s) for one symbol of the fc chart, memoised on the spec."""
+    """phi*(s) for one symbol x_i, v^a or v_I^{a,A} of the matching fc chart,
+    unchecked; memoised on the spec."""
     got = spec._pullback_memo.get(s)
     if got is not None:
         return got
-    n, m = len(spec.base_dirs), len(spec.fiber_dirs)
     k = s.kind
-    if k == KIND_INDEP and s.index <= n:
+    if k == KIND_INDEP:
         out = Expr.wrap(spec.scheme.indep(spec.base_dirs[s.index - 1]))
-    elif k == KIND_FC:
-        if s.index > m or any(i > n for i in s.ii) or any(a > m for a in s.aa):
-            raise ValueError("symbol %s outside the matching fc chart" % render(s))
-        if s.aa:
-            beta = s.aa[-1]
-            prev = _pullback_symbol(spec, fc(s.index, s.ii, s.aa[:-1]))
-            out = total_derivative(spec.scheme, spec.fiber_dirs[beta - 1], prev)
-        elif len(s.ii) == 1:
-            out = spec.a(spec.base_dirs[s.ii[0] - 1], spec.fiber_dirs[s.index - 1])
-        else:
-            prev = _pullback_symbol(spec, fc(s.index, s.ii[:-1], ()))
-            out = spec.f_apply(spec.base_dirs[s.ii[-1] - 1], prev)
-    elif k == KIND_BASEFIBER and s.index <= m:
+    elif k == KIND_BASEFIBER:
         out = Expr.wrap(spec.scheme.indep(spec.fiber_dirs[s.index - 1]))
-    elif k == KIND_PARAM:
-        out = Expr.wrap(s)
+    elif s.aa:
+        prev = _pullback_symbol(spec, fc(s.index, s.ii, s.aa[:-1]))
+        out = total_derivative(spec.scheme, spec.fiber_dirs[s.aa[-1] - 1], prev)
+    elif len(s.ii) == 1:
+        out = spec.a(spec.base_dirs[s.ii[0] - 1], spec.fiber_dirs[s.index - 1])
     else:
-        raise ValueError("symbol %s is foreign to the fc chart" % render(s))
+        prev = _pullback_symbol(spec, fc(s.index, s.ii[:-1], ()))
+        out = spec.f_apply(spec.base_dirs[s.ii[-1] - 1], prev)
     spec._pullback_memo[s] = out
     return out
 
@@ -308,31 +307,19 @@ def covering_to_flatrep(
 
     check_flat_rep on the result is exactly the covering condition
     [D_i + X_i, D_j + X_j] = 0.  Input must be vertical: coefficients may
-    involve the base chart and the declared fibers only.
+    involve the base chart and the declared fibers only, which the extended
+    scheme of the spec enforces; ``nfibers`` is a positive int.
     """
-    if nfibers < 1:
-        raise ValueError("need at least one fiber")
-    fibers = tuple(y(b) for b in range(1, nfibers + 1))
-    ext = Extended(base, fibers)
+    fibers = tuple(y(b) for b in range(1, positive(nfibers, "nfibers") + 1))
     coeffs: Dict[Tuple[int, int], Expr] = {}
     for i, comps in fields.items():
         base.check_direction(i)
         for b, e in comps.items():
             if not 1 <= b <= nfibers:
                 raise ValueError("fiber index %d out of range" % b)
-            e = Expr.wrap(e)
-            for s in sorted(e.symbols()):
-                if s.kind == KIND_FIBER:
-                    if s not in fibers:
-                        raise ValueError("undeclared fiber %s in covering field" % render(s))
-                elif s.kind not in (KIND_JET, KIND_INDEP, KIND_PARAM):
-                    raise ValueError(
-                        "covering fields must be vertical over the equation chart; got %s"
-                        % render(s)
-                    )
             coeffs[(i, base.ndirs + b)] = e
     return FlatRepSpec(
-        scheme=ext,
+        scheme=Extended(base, fibers),
         base_dirs=tuple(range(1, base.ndirs + 1)),
         fiber_dirs=tuple(range(base.ndirs + 1, base.ndirs + nfibers + 1)),
         coeffs=coeffs,

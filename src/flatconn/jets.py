@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optio
 
 from .expr import (
     KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
-    jet, render, x,
+    jet, positive, render, x,
 )
 from .linsolve import solve_by_superposition
 from .reports import Report, check
@@ -446,8 +446,7 @@ class FreeJet(DerivScheme):
     """Free jet space of a trivial bundle with n independents, m dependents."""
 
     def __init__(self, n: int, m: int):
-        if n < 1 or m < 1:
-            raise ValueError("need n >= 1 and m >= 1")
+        n, m = positive(n, "n"), positive(m, "m")
         self._put(n=n, m=m, ndirs=n, _dsigma={})
 
     def _derive_jet(self, s: Symbol, i: int) -> Expr:
@@ -464,9 +463,7 @@ class Evolution(DerivScheme):
     """
 
     def __init__(self, m: int, rhs: Sequence[Expr]):
-        if m < 1:
-            raise ValueError("need m >= 1")
-        if len(rhs) != m:
+        if len(rhs) != positive(m, "m"):
             raise ValueError("expected %d right-hand sides, got %d" % (m, len(rhs)))
         rhs = tuple(Expr.wrap(f) for f in rhs)
         self._put(m=m, ndirs=2, rhs=rhs, _dsigma={},

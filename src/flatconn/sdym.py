@@ -30,7 +30,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .expr import Expr, Frozen, KIND_JET, Symbol, ZERO, jet, param, render, y
+from .expr import Expr, Frozen, KIND_JET, Symbol, ZERO, jet, param, positive, render, y
 from .jets import (
     DerivScheme, Extended, FreeJet, d_sigma, evolutionary_apply, total_derivative)
 from .flatrep import FlatRepSpec, du_vertical, symmetry_cocycle
@@ -244,9 +244,7 @@ class SdymRewriter(DerivScheme):
 def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:
     """Coefficient matrices of lambda^0, lambda^1, lambda^2 in the Lax
     condition [d1 + A1 + lam (d3 + A3), d2 + A2 + lam (d4 + A4)] = 0."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    free = FreeJet(4, 4 * k * k)
+    free = FreeJet(4, 4 * positive(k, "k") ** 2)
     a1, a2, a3, a4 = (matrix(k, i) for i in (1, 2, 3, 4))
     d = lambda j, m: mat_map(m, lambda e: total_derivative(free, j, e))
     m0 = mat_add(mat_sub(d(1, a2), d(2, a1)), mat_bracket(a1, a2))
@@ -278,7 +276,7 @@ def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> SdymRep:
     ``lam0`` fixes the parameter to a rational, in a new spec on every call;
     None keeps it symbolic and returns the process's one family of k.
     """
-    rep = _FAMILIES.get(k)
+    rep = _FAMILIES.get(positive(k, "k"))  # 2.0 and True would hit the cache of 2 and 1
     if rep is None:
         rep = _FAMILIES[k] = _family(SdymRewriter(k), Expr.wrap(param("lam")))
     return rep if lam0 is None else _family(rep.scheme, Expr.wrap(Fraction(lam0)))

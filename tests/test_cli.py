@@ -405,6 +405,44 @@ def test_internal_faults_exit_3(monkeypatch, capsys):
         assert msg in lines[0], (argv, err)
 
 
+def test_any_other_exception_is_an_internal_fault(monkeypatch, capsys):
+    # An exception the handlers do not raise on purpose is no verdict either:
+    # it used to escape run(), and under main() exit 1, the fail code.
+    from flatconn import cli
+
+    for exc in (TypeError("bad operand"), KeyError("u9")):
+        def broken(args, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(cli._TASKS, "kdv-verify", (broken, ()))
+        capsys.readouterr()
+        assert run(["kdv-verify", "--json"]) == 3, exc
+        out, err = capsys.readouterr()
+        assert out == "", exc
+        assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
+
+
+def test_fc_tasks_build_one_chart(monkeypatch, prob, capsys):
+    # recover-f and dfc on a phi file build the chart once and put phi on it,
+    # instead of building a second chart and checking phi again on it.
+    from flatconn import fce
+
+    built = []
+    init = fce.FcChart.__init__
+
+    def spy(self, n, m):
+        built.append((n, m))
+        init(self, n, m)
+
+    monkeypatch.setattr(fce.FcChart, "__init__", spy)
+    path = prob("rec.prob", FC_RECOVER)
+    for task, code in (("recover-f", 0), ("dfc", 0)):
+        built.clear()
+        assert run([task, path, "--json"]) == code, task
+        assert built == [(2, 2)], task
+    assert _json_report(capsys)["witness"] == {"result": "0"}  # phi is a cocycle
+
+
 def test_nonflat_representation_exits_2(prob, capsys):
     # The library refuses a non-flat representation (and lift_symmetry a phi
     # that is no symmetry) with a ValueError; the exactness and lift tasks

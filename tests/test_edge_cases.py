@@ -1,10 +1,12 @@
 """Degenerate-dimension and boundary behavior."""
 
+import re
+
 import pytest
 
 from flatconn.expr import Expr, const, fc, jet, render, v, x, y, ZERO, ONE
 from flatconn.jets import Evolution, Extended, FreeJet, total_derivative
-from flatconn import fce, flatrep
+from flatconn import fce, flatrep, sdym
 from flatconn.linsolve import AnsatzSpec
 
 
@@ -29,6 +31,34 @@ def test_fc_chart_rejects_foreign_symbols():
         fce.fc_total(ch, 1, Expr.wrap(fc(2, (1,), ())))  # alpha out of range
     with pytest.raises(ValueError):
         fce.fc_total(ch, 1, Expr.wrap(fc(1, (3,), ())))  # direction out of range
+
+
+SIZED = {  # each size of the package, as its constructor names it
+    "FcChart n": (lambda s: fce.FcChart(s, 1), "n"),
+    "FcChart m": (lambda s: fce.FcChart(1, s), "m"),
+    "ConnectionSpec n": (lambda s: fce.ConnectionSpec(s, 1, {}), "n"),
+    "ConnectionSpec m": (lambda s: fce.ConnectionSpec(1, s, {}), "m"),
+    "FreeJet n": (lambda s: FreeJet(s, 1), "n"),
+    "FreeJet m": (lambda s: FreeJet(1, s), "m"),
+    "Evolution m": (lambda s: Evolution(s, [Expr.wrap(jet(1, (1,)))]), "m"),
+    "lambda_expand k": (lambda s: sdym.lambda_expand(s), "k"),
+    "build_flatrep k": (lambda s: sdym.build_flatrep(s), "k"),
+    "covering_to_flatrep nfibers": (lambda s: flatrep.covering_to_flatrep(
+        Evolution(1, [Expr.wrap(jet(1, (1,)))]), {}, s), "nfibers"),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True, 0, -1])
+@pytest.mark.parametrize("case", sorted(SIZED))
+def test_every_size_is_a_positive_int(case, bad):
+    # One rule: a float, a bool or a number below 1 is refused up front, in
+    # words that name the size (2.0 used to fail later with a TypeError, and
+    # True to be taken for 1), also once 1 was built and is cached.
+    build, size = SIZED[case]
+    build(1)
+    with pytest.raises(ValueError, match="^%s must be a positive int, got %s$"
+                       % (size, re.escape(repr(bad)))):
+        build(bad)
 
 
 def test_cochain_sign_normalization():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -94,6 +95,24 @@ def test_connection_spec_rejects_fc_coefficients():
         fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(fc(1, (1,), ()))})
     with pytest.raises(ValueError):
         fce.ConnectionSpec(2, 1, {(3, 1): Expr.wrap(v(1))})
+
+
+def test_connection_spec_is_judged_by_the_fc_chart_rule():
+    # Only an fc coordinate gets the connection's own refusal; every other
+    # symbol is judged, and worded, as the n, m fc chart judges it.
+    msg = "connection coefficients must depend on (x, v) only; got v[1;1;]"
+    with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+        fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(fc(1, (1,), ())) + x(1)})
+    chart = fce.FcChart(2, 1)
+    for s, msg in [(jet(1, (1,)), "symbol u[1] is foreign to the flat-connection chart"),
+                   (v(2), "fiber coordinate v2 outside chart"),
+                   (x(3), "independent x3 outside chart")]:
+        for refuse in (lambda: fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(s) + x(1)}),
+                       lambda: chart.check_symbol(s)):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+                refuse()
+    spec = fce.ConnectionSpec(2, 2, {(2, 2): x(2) * v(2) + param("lam")})
+    assert render(spec.coeff(2, 2)) == "lam + x2*v2"
 
 
 def test_connection_spec_is_a_frozen_record():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,29 @@ def test_covering_to_flatrep_rejects_and_fails(kdv):
         flatrep.covering_to_flatrep(kdv.scheme, {1: {2: ONE}}, 1)
 
 
+def test_covering_fields_are_judged_by_the_extended_scheme(kdv):
+    # covering_to_flatrep checks only directions and fiber indices; the spec's
+    # scheme, KdV extended by y1, refuses what is foreign to its chart, and
+    # the spec is refused when it is built, not when it is first used.
+    for e, msg in [(x(3), "independent x3 outside chart"),
+                   (jet(2, ()), "jet u2[0] is not spatial or outside chart"),
+                   (u(1) + y(2), "symbol y2 is foreign to the chart"),
+                   (v(1), "symbol v1 is foreign to the chart")]:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            flatrep.covering_to_flatrep(kdv.scheme, {1: {1: Expr.wrap(e)}}, 1)
+
+
+def test_equal_specs_are_refused_alike_when_built(kdv):
+    # v1 + x3 built in two term orders: equal Exprs whose symbols come in two
+    # orders.  The scheme sees them in key order, so both specs are refused
+    # at construction, with one message.
+    a, b = Expr.wrap(v(1)) + x(3), Expr.wrap(x(3)) + v(1)
+    assert a == b and list(a.symbols()) != list(b.symbols())
+    for e in (a, b):
+        with pytest.raises(ValueError, match=r"^independent x3 outside chart$"):
+            flatrep.FlatRepSpec(kdv.miura.scheme, (1, 2), (3,), {(1, 3): e})
+
+
 def test_pullback_examples(kdv):
     spec = kdv.miura
     assert flatrep.pullback(spec, Expr.wrap(fc(1, (1,), ()))) == spec.a(1, 3)
@@ -101,6 +125,21 @@ def test_pullback_is_a_morphism(kdv):
                 spec.f_apply(i, flatrep.pullback(spec, f))
         assert flatrep.pullback(spec, fce.fc_vertical(ch, 1, f)) == \
             total_derivative(spec.scheme, 3, flatrep.pullback(spec, f))
+
+
+def test_pullback_judges_its_input_by_the_fc_chart_rule(kdv):
+    # f lives on the fc chart of the split's size, (2, 1) for Miura, and is
+    # refused in that chart's words.
+    chart = fce.FcChart(2, 1)
+    for s, msg in [(x(3), "independent x3 outside chart"),
+                   (v(2), "fiber coordinate v2 outside chart"),
+                   (fc(1, (1, 3), ()), "coordinate v[1;1,3;] outside chart"),
+                   (fc(1, (1,), (2,)), "coordinate v[1;1;2] outside chart"),
+                   (u(0), "symbol u[0] is foreign to the flat-connection chart")]:
+        for refuse in (lambda: flatrep.pullback(kdv.miura, x(1) + s),
+                       lambda: chart.check_symbol(s)):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+                refuse()
 
 
 def test_pullback_rejects_invalid_spec(kdv):

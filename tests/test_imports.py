@@ -483,6 +483,42 @@ def test_verdict_scan_sees_every_read():
         ("<module>", 10, "BOUNDED_NO"), ("C", 6, "WITNESS"), ("f", 4, "FAIL"), ("f", 4, "PASS")]
 
 
+def _size_test(node):
+    """A pick for _owned: the name or attribute compared in ``<name> < 1`` or
+    ``1 > <name>``, anywhere in a comparison chain."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left] + node.comparators
+        for a, op, b in zip(operands, node.ops, operands[1:]):
+            if isinstance(op, ast.Gt):
+                a, b = b, a
+            elif not isinstance(op, ast.Lt):
+                continue
+            if _name(a) is not None and isinstance(b, ast.Constant) and type(b.value) is int \
+                    and b.value == 1:
+                return _name(a)
+    return None
+
+
+def test_one_rule_for_every_size():
+    # Every size (of a chart, a connection, a scheme, the SDYM matrices, a
+    # covering) goes through expr.positive; only it and the index check of a
+    # symbol compare a value with 1.
+    found = _src_scan(_size_test)
+    assert {owner for owner, _, _ in found} == {"expr.positive", "expr._check_indices"}, found
+
+
+def test_size_scan_sees_every_comparison():
+    tree = ast.parse(
+        "def f(n, m):\n"
+        "    if n < 1 or m < 1:\n"
+        "        raise ValueError\n"
+        "class C:\n"
+        "    def g(self, k):\n"
+        "        return 1 > self.k, 0 < k < 1, k <= 1, k < 2, len(k) < 1, k < True\n")
+    assert _owned(tree, _size_test) == [
+        ("C.g", 6, "k"), ("C.g", 6, "k"), ("f", 2, "m"), ("f", 2, "n")]
+
+
 def test_solver_call_scan_sees_every_caller():
     tree = ast.parse(
         "def f(a):\n"
