@@ -16,8 +16,9 @@ through ``reports.check``, reading its verdict from the components of
 d_fc(phi) it prints: pass when each is 0), the symmetry S_f of a 0-cochain
 with its prolongation to all special coordinates, and the induced bracket
 on 0-cochains.  The chart is itself the vertical complex, the case phi =
-identity of ``jets``: base directions 1..n, fibers 1..m, F_i = D_i
-(:meth:`FcChart.f_apply`) and twist D_{v^a}(v_i^b) = v_i^{b,a}.  Each
+identity of ``jets``: base directions 1..n, fibers 1..m, F_i = D_i on one
+symbol, memoized by the chart (:meth:`FcChart.f_symbol`), and twist
+D_{v^a}(v_i^b) = v_i^{b,a}.  Each
 derivation (D_{v^b}, D_i, the horizontal lift in the flatness residual,
 S_f + V_f) is given by its values on symbols and applied through the one
 Leibniz kernel :meth:`Expr.derive`.
@@ -29,9 +30,11 @@ expression of :meth:`Symmetry.apply`, the targets of
 :func:`recover_f`), by :meth:`FcChart.check_symbol`, the rule that also
 judges a :class:`ConnectionSpec` and the input of ``flatrep.pullback``.
 Everything past them works on expressions the chart built itself, through
-the unchecked kernels :meth:`FcChart.f_apply` and ``_fc_vertical``.  Each
-memo is owned by an immutable ``expr.Frozen`` record: the chart holds D_i
-and D_{v^b} on symbols (and builds its twist when it is built), a cochain
+the unchecked kernels :meth:`FcChart.f_symbol` (and :meth:`FcChart.f_apply`
+over it) and ``_fc_vertical``.  Each memo is owned by an immutable
+``expr.Frozen`` record: the chart holds D_i and D_{v^b} on symbols and the
+fiber-multi-index reductions of :func:`default_recover_ansatz` (and builds
+its twist when it is built), a cochain
 its differential, and a :class:`Symmetry` the coefficients S_I^{a,A} for as
 long as its caller keeps it (one call, inside the library).
 """
@@ -45,7 +48,7 @@ from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
     fc, positive, render, v, x,
 )
-from .jets import Cochain, DirectionError, add_term, cochain_preimage
+from .jets import Cochain, DirectionError, add_term, apply_f, cochain_preimage
 from .linsolve import AnsatzSpec
 from .reports import Report, check
 
@@ -65,7 +68,8 @@ class FcChart(Frozen):
     compares by identity: two charts of one size are two sets of memos.
     """
 
-    __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "_total_memo", "_vertical_memo")
+    __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "_total_memo", "_vertical_memo",
+                 "_reduction_memo")
 
     def __init__(self, n: int, m: int):
         n, m = positive(n, "n"), positive(m, "m")
@@ -74,7 +78,7 @@ class FcChart(Frozen):
         twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
                  for i in base for a in fibers}
         self._put(n=n, m=m, base_dirs=base, fiber_dirs=fibers, twist=twist,
-                  _total_memo={}, _vertical_memo={})
+                  _total_memo={}, _vertical_memo={}, _reduction_memo={})
 
     def check_symbol(self, s: Symbol) -> None:
         k = s.kind
@@ -116,9 +120,14 @@ class FcChart(Frozen):
             self.check_direction(i)
         return e
 
+    def f_symbol(self, i: int, s: Symbol) -> Expr:
+        """D_i s for one chart symbol s, unchecked and memoized on the chart:
+        F_i of the identity representation on one symbol."""
+        return _total_symbol(self, i, s)
+
     def f_apply(self, i: int, f: Expr) -> Expr:
         """D_i f, unchecked: F_i of the identity representation."""
-        return f.derive(lambda s: _total_symbol(self, i, s))
+        return apply_f(self, i, f)
 
 
 def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
@@ -267,6 +276,16 @@ def _sub_multisets(t: Tuple[int, ...]) -> Set[Tuple[int, ...]]:
     return out
 
 
+def _reductions(chart: FcChart, s: Symbol) -> Tuple[Symbol, ...]:
+    """The fc symbols v_I^{a,A'} for every sub-multiset A' of A, of the fc
+    symbol s = v_I^{a,A}; memoized on the chart."""
+    got = chart._reduction_memo.get(s)
+    if got is None:
+        got = chart._reduction_memo[s] = tuple(
+            fc(s.index, s.ii, aa) for aa in _sub_multisets(s.aa))
+    return got
+
+
 def default_recover_ansatz(chart: FcChart, phi: Cochain) -> AnsatzSpec:
     """Default bounded ansatz for recovering f from its symmetry.
 
@@ -287,9 +306,9 @@ def default_recover_ansatz(chart: FcChart, phi: Cochain) -> AnsatzSpec:
     pool: Set[Symbol] = {s for s in seen if s.kind == KIND_PARAM}
     pool.update(x(i) for i in range(1, chart.n + 1))
     pool.update(v(a) for a in range(1, chart.m + 1))
-    reductions = {(s.index, s.ii, aa) for s in seen if s.kind == KIND_FC
-                  for aa in _sub_multisets(s.aa)}
-    pool.update(fc(alpha, ii, aa) for alpha, ii, aa in reductions)
+    for s in seen:
+        if s.kind == KIND_FC:
+            pool.update(_reductions(chart, s))
     return AnsatzSpec(symbols=tuple(pool), degree=degree)
 
 

@@ -14,9 +14,11 @@ tests cocycles for exactness inside a bounded ansatz, and lifts equation
 symmetries to the covering.
 
 The spec, an ``expr.Frozen`` record, is itself its complex C_phi in the
-sense of ``jets``: base and fiber directions, F_i
-(:meth:`FlatRepSpec.f_apply`), the twist D_d(a_i^b), set once as
-``spec.twist``, and :meth:`FlatRepSpec.check_component`.  Its
+sense of ``jets``: base and fiber directions, F_i on one symbol, memoized
+by the spec (:meth:`FlatRepSpec.f_symbol`; :meth:`FlatRepSpec.f_apply`
+extends it to an Expr), the twist D_d(a_i^b), set once as ``spec.twist``,
+and :meth:`FlatRepSpec.check_component`, which judges each symbol of a
+component by the scheme's rule, as the coefficients are judged.  Its
 cochains, deformation and symmetry cocycles and exactness witnesses alike,
 are ``jets.Cochain``s on the spec, keyed ((i,), d) in degree 1, and d_U is
 their differential (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
@@ -35,7 +37,7 @@ from .expr import (
 )
 from .fce import FcChart
 from .jets import (
-    Cochain, DerivScheme, Evolution, Extended, add_term, cochain_preimage,
+    Cochain, DerivScheme, Evolution, Extended, add_term, apply_f, cochain_preimage,
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
@@ -54,9 +56,11 @@ class FlatRepSpec(Frozen):
 
     Frozen, with the split stored as tuples and read-only coefficients, so
     that its flatness residuals, twist, pullback images and F_i images,
-    cached on it, cannot go stale.  A coefficient foreign to the scheme's
-    chart is refused at construction, by ``scheme.derive_symbol(s, 1)`` on
-    its first foreign symbol s in key order.  It is also the complex its
+    cached on it, cannot go stale.  An empty base or fiber split, and a
+    coefficient foreign to the scheme's chart, are refused at construction,
+    the latter by ``scheme.derive_symbol(s, 1)`` on its first foreign
+    symbol s in key order, the rule that also judges each cochain component.
+    It is also the complex its
     cochains live on, so it compares and hashes by identity: two specs with
     equal fields are two complexes with two memos.
     """
@@ -68,6 +72,8 @@ class FlatRepSpec(Frozen):
                  fiber_dirs: Tuple[int, ...],
                  coeffs: Mapping[Tuple[int, int], Expr] = MappingProxyType({})):
         base_dirs, fiber_dirs = tuple(base_dirs), tuple(fiber_dirs)
+        positive(len(base_dirs), "the number of base directions")
+        positive(len(fiber_dirs), "the number of fiber directions")
         seen = set(base_dirs) | set(fiber_dirs)
         if len(seen) != len(base_dirs) + len(fiber_dirs):
             raise ValueError("base and fiber directions overlap")
@@ -77,10 +83,7 @@ class FlatRepSpec(Frozen):
         for (i, d), e in coeffs.items():
             if i not in base_dirs or d not in fiber_dirs:
                 raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
-            e = Expr.wrap(e)
-            for s in sorted(e.symbols()):  # the scheme refuses what is foreign to its chart
-                scheme.derive_symbol(s, 1)
-            add_term(cleaned, (i, d), e)
+            add_term(cleaned, (i, d), _judged(scheme, e))
         self._put(scheme=scheme, base_dirs=base_dirs, fiber_dirs=fiber_dirs,
                   coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None,
                   _pullback_memo={}, _f_memo={})
@@ -88,24 +91,26 @@ class FlatRepSpec(Frozen):
     def a(self, i: int, d: int) -> Expr:
         return self.coeffs.get((i, d), ZERO)
 
+    def f_symbol(self, i: int, s: Symbol) -> Expr:
+        """F_i(s) = D_i(s) + sum_d a_i^d D_d(s) for one symbol s, unchecked
+        direction, memoized on the spec; the scheme refuses a foreign s."""
+        memo = self._f_memo
+        out = memo.get((i, s))
+        if out is None:
+            derive = self.scheme.derive_symbol
+            out = derive(s, i)
+            for d in self.fiber_dirs:
+                a = self.coeffs.get((i, d))
+                if a is not None:
+                    out = out + a * derive(s, d)
+            memo[(i, s)] = out
+        return out
+
     def f_apply(self, i: int, e: Expr) -> Expr:
         """F_i(e), F_i = D_{x_i} + sum_d a_i^d D_d, for a base direction i."""
         if i not in self.base_dirs:
             raise ValueError("F_%d: base directions are %r" % (i, self.base_dirs))
-        memo = self._f_memo
-        derive = self.scheme.derive_symbol
-        terms = [(d, self.a(i, d)) for d in self.fiber_dirs if (i, d) in self.coeffs]
-
-        def image(s: Symbol) -> Expr:
-            out = memo.get((i, s))
-            if out is None:
-                out = derive(s, i)
-                for d, a in terms:
-                    out = out + a * derive(s, d)
-                memo[(i, s)] = out
-            return out
-
-        return Expr.wrap(e).derive(image)
+        return apply_f(self, i, Expr.wrap(e))
 
     def subs(self, bindings: Mapping[Symbol, Expr]) -> "FlatRepSpec":
         return FlatRepSpec(
@@ -146,13 +151,23 @@ class FlatRepSpec(Frozen):
         return self._twist
 
     def check_component(self, dirs: Tuple[int, ...], d: int, e: Expr) -> Expr:
-        """The component e dx_I (x) D_d of a cochain, refused off the split."""
+        """The component e dx_I (x) D_d of a cochain, refused off the split or
+        foreign to the scheme's chart, by the rule that judges a coefficient."""
         if d not in self.fiber_dirs or any(i not in self.base_dirs for i in dirs):
             raise ValueError(
                 "cochain component %r is off the split: base directions %r, "
                 "fiber directions %r" % (dirs + (d,) if dirs else d,
                                          self.base_dirs, self.fiber_dirs))
-        return Expr.wrap(e)
+        return _judged(self.scheme, e)
+
+
+def _judged(scheme: DerivScheme, e: Expr) -> Expr:
+    """``e`` as an Expr, refused on its first symbol in key order that is
+    foreign to the scheme's chart, by ``scheme.derive_symbol(s, 1)``."""
+    e = Expr.wrap(e)
+    for s in sorted(e.symbols()):
+        scheme.derive_symbol(s, 1)
+    return e
 
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:

@@ -22,13 +22,14 @@ the one Leibniz kernel :meth:`Expr.derive`.
 A flat representation phi attaches to an equation the complex C_phi, and
 every cochain of the package is one :class:`Cochain` (an ``expr.Frozen``) on
 the object that fixes it.  That object provides five names: ``base_dirs``
-and ``fiber_dirs`` (tuples), ``f_apply(i, f)`` = F_i(f), a derivation,
-``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with a nonzero value, and
-``check_component(I, a, f)``, which validates one component f dx_I (x) e_a
-handed in from outside and returns f as an Expr.
+and ``fiber_dirs`` (tuples), ``f_symbol(i, s)`` = F_i on one symbol,
+memoized by the complex, ``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with
+a nonzero value, and ``check_component(I, a, f)``, which validates one
+component f dx_I (x) e_a handed in from outside and returns f as an Expr.
 ``flatrep.FlatRepSpec`` is such an object for any phi, and
 ``fce.FcChart`` for phi = identity on E_fc (F_i = D_i); the horizontal de
-Rham complex is the case with one trivial fiber and no twist.  A cochain
+Rham complex is the case with one trivial fiber and no twist.
+:func:`apply_f` extends F_i to an Expr through the Leibniz kernel.  A cochain
 computes its differential :attr:`Cochain.d`, through
 :func:`cochain_differential`, once.  :func:`cochain_preimage` is its bounded
 inverse in degree 0, the one place where an ansatz system is built and
@@ -38,13 +39,16 @@ f of a symmetry of E_fc.  It assembles only the connected blocks of the
 ansatz system that hold the target's rows, grown from those rows by key
 lookups on packed integer keys (each symbol a bit field of width
 W = D.bit_length(), D bounding every monomial's total degree, so keys never
-carry and are never unpacked); every other coefficient is 0 in the solver's
-answer.  It checks every answer by its differential.
+carry and are never unpacked; the pool takes the low slots in ansatz order);
+every other coefficient is 0 in the solver's answer.  It checks every answer
+by its differential.
 Every signed sparse sum of Exprs in the package goes through :func:`add_term`.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -59,7 +63,7 @@ __all__ = [
     "FreeJet", "Evolution", "Extended", "Cochain",
     "total_derivative", "d_sigma", "evolutionary_apply",
     "is_symmetry_evolution", "sort_with_sign", "add_term",
-    "cochain_differential", "cochain_preimage", "DirectionError",
+    "apply_f", "cochain_differential", "cochain_preimage", "DirectionError",
 ]
 
 
@@ -193,13 +197,19 @@ class Cochain(Frozen):
         return " + ".join(bits) if bits else "0"
 
 
+def apply_f(complex, i: int, f: Expr) -> Expr:
+    """F_i(f) on ``complex``, unchecked: the Leibniz kernel over the values
+    ``complex.f_symbol(i, s)`` on the symbols s of f."""
+    return f.derive(partial(complex.f_symbol, i))
+
+
 def cochain_differential(
     items: Iterable[Tuple[CochainKey, Expr]], complex,
 ) -> Dict[CochainKey, Expr]:
     """The differential of the complex C_phi of a flat representation phi,
     d(f dx_I (x) e_a) = sum_i dx_i ^ dx_I (x) (F_i(f) e_a - sum_b f D_a(a_i^b) e_b),
     on ``((I, a), f)`` items, skipping zero ones; :attr:`Cochain.d` calls it."""
-    f_apply, twist = complex.f_apply, complex.twist
+    twist = complex.twist
     out: Dict[CochainKey, Expr] = {}
     for (dirs, a), f in items:
         if f.is_zero():
@@ -208,7 +218,7 @@ def cochain_differential(
             key, sign = sort_with_sign((i,) + dirs)
             if sign == 0:
                 continue
-            add_term(out, (key, a), f_apply(i, f), sign)
+            add_term(out, (key, a), apply_f(complex, i, f), sign)
             for b, t in twist.get((i, a), ()):
                 add_term(out, (key, b), t * f, -sign)
     return out
@@ -223,10 +233,12 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
     fibers and mu over the ansatz monomials, in that order (a outer, mu
     inner); :meth:`AnsatzSpec.unknowns` refuses too many before any is
     built.  Only the blocks that hold the target's rows are assembled
-    (:func:`_target_block`): every other column lies in a block with a zero
-    right-hand side, so it is 0 in the answer of :func:`solve_linear` (free
-    columns 0, pivots the leading columns of the row space), and the blocks
-    solved in global column order give the whole system's answer.  A
+    (:func:`_target_block`, from ``complex.f_symbol`` on each pool symbol,
+    with the slots of its packed keys taken from the ansatz): every other
+    column lies in a block with a zero right-hand side, so it is 0 in the
+    answer of :func:`solve_linear` (free columns 0, pivots the leading
+    columns of the row space), and the blocks solved in global column order
+    give the whole system's answer.  A
     returned answer is rebuilt as Exprs and checked exactly by its
     differential, the Expr path checking the packed one.
     """
@@ -235,7 +247,7 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
     ansatz.unknowns(len(fibers))
     monos = ansatz.monomials()
     goal = [target.component((i,), a) for i in complex.base_dirs for a in fibers]
-    columns, images, pack = _target_block(complex, monos, goal)
+    columns, images, pack = _target_block(complex, ansatz, monos, goal)
     coeffs = solve_by_superposition(images, [pack(e) for e in goal])
     if coeffs is None:
         return None
@@ -251,20 +263,23 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
 
 
 def _target_block(
-    complex, monos: Sequence[Expr], target: Sequence[Expr],
+    complex, ansatz: AnsatzSpec, monos: Sequence[Expr], target: Sequence[Expr],
 ) -> Tuple[List[int], List[List[Mapping[int, Scalar]]], Callable[[Expr], Dict[int, Scalar]]]:
     """The columns (increasing) and images of the connected blocks of
     d(sum_j c_j mu e_a) = ``target`` that hold a row of the target, and
     ``pack``, which puts an Expr on the images' keys.  Column
-    ``a_pos * len(monos) + k`` is mu e_a, mu = monos[k]; its image is the
-    components ((i,), b), i outer and b inner, of d(mu e_a) =
+    ``a_pos * len(monos) + k`` is mu e_a, mu = monos[k], ``monos`` being
+    ``ansatz.monomials()``; its image is the components ((i,), b), i outer
+    and b inner, of d(mu e_a) =
     sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b), as sparse maps.
 
-    Packed exponent vectors (Monagan and Pearce): each symbol of ``monos``,
-    of their F_i images, of the twist values and of ``target`` gets a bit
-    field of width W = D.bit_length(), D bounding the total degree of every
-    ansatz, image and target monomial, and prod s^p_s packs to
-    sum p_s 2^(W slot(s)).
+    Packed exponent vectors (Monagan and Pearce): the slots come from the
+    ansatz, its symbols first in ansatz order, then each further symbol of
+    the values F_i(s) (read from ``complex.f_symbol``), of the twist values
+    and of ``target``; each gets a bit field of width W = D.bit_length(), D
+    bounding the total degree of every ansatz, image and target monomial,
+    and prod s^p_s packs to sum p_s 2^(W slot(s)).  The key of monos[k] is
+    the sum of the units of its factors, enumerated as ``monomials()`` does.
     No field carries, so keys are compared and never unpacked, and a product
     of monomials is a sum of keys: F_i(mu) is built by Leibniz as
     key(mu) - key(s) + key(m) with coefficient p c, for each factor s^p of mu
@@ -279,10 +294,13 @@ def _target_block(
     Pothen and Fan's block triangular form.
     """
     directions, fibers, twist = complex.base_dirs, complex.fiber_dirs, complex.twist
-    syms: Dict[Symbol, None] = {}  # slot order: first appearance
-    mdeg = _scan(monos, syms)
-    pool = list(syms)
-    values = {(i, s): complex.f_apply(i, Expr.wrap(s)) for i in directions for s in pool}
+    f_symbol = complex.f_symbol
+    # Slot order: the pool, which monos name in ansatz order, then first
+    # appearance.  At degree 0, or with no symbols, monos is [1] alone.
+    pool = ansatz.symbols if ansatz.degree else ()
+    mdeg = ansatz.degree if pool else 0
+    syms: Dict[Symbol, None] = dict.fromkeys(pool)
+    values = {(i, s): f_symbol(i, s) for i in directions for s in pool}
     twists = [(i, a, b, t) for i in directions for a in fibers for b, t in twist.get((i, a), ())]
     fdeg = _scan(values.values(), syms)
     tdeg = _scan((t for *_, t in twists), syms)
@@ -316,7 +334,7 @@ def _target_block(
         (apos, kt) for apos, plan in enumerate(plans) for kt in plan[ipos][bpos] or ()]))
         for ipos, i in enumerate(directions) for bpos in range(len(fibers))]
     n = len(monos)
-    keys = [next(iter(pack(mu))) for mu in monos]
+    keys = _monomial_keys([unit[s] for s in pool], mdeg)
     index = {kmu: k for k, kmu in enumerate(keys)}
     leibniz: Dict[int, List[Dict[int, Scalar]]] = {}  # k: F_i(mu) for every i
     built: Dict[int, List[Mapping[int, Scalar]]] = {}
@@ -364,6 +382,17 @@ def _target_block(
                     todo += [(cj, kk) for kk in new]
     columns = sorted(block)
     return columns, [block[j] for j in columns], pack
+
+
+def _monomial_keys(units: Sequence[int], degree: int) -> List[int]:
+    """The packed key of each monomial of degree at most ``degree`` in the
+    symbols whose slot units are ``units``, in the order of
+    ``AnsatzSpec.monomials()``: 1, then combinations with replacement by
+    degree, a key being the sum of its factors' units."""
+    keys = [0]
+    for d in range(1, degree + 1):
+        keys += map(sum, combinations_with_replacement(units, d))
+    return keys
 
 
 def _scan(exprs: Iterable[Expr], syms: Dict[Symbol, None]) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -5,6 +6,7 @@ import pytest
 
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, ZERO, ONE
 from flatconn import fce, jets
+from flatconn.jets import Cochain
 from flatconn.linsolve import AnsatzSpec
 from helpers import (
     dfc_reference, fc_pool, fc_symbols, prolong_reference, rand_expr, total_symbol_peel_last,
@@ -263,6 +265,37 @@ def test_default_recover_ansatz_pool_is_pinned(ch2):
         "v[1;1,2;2] v[1;2;] v[1;2;1] v[1;2;2] v[2;1;] v[2;1;1] v[2;1;2] v[2;1,1;] "
         "v[2;1,1;1] v[2;1,2;] v[2;1,2;1] v[2;2;] v[2;2;1] v[2;2;2] v[2;2,2;] v[2;2,2;1]")
     assert fce.recover_f(ch2, phi) == f
+
+
+def _parent_formula_pool(chart, s):
+    """The default pool for a phi whose only symbol is the fc coordinate s,
+    written out: x_i, v^a and v_I^{a,A'} for every sub-multiset A' of A."""
+    subs = {tuple(sorted(c)) for k in range(len(s.aa) + 1)
+            for c in itertools.combinations(s.aa, k)}
+    return {x(i) for i in chart.base_dirs} | {v(a) for a in chart.fiber_dirs} | {
+        fc(s.index, s.ii, aa) for aa in subs}
+
+
+def test_default_recover_ansatz_reads_reductions_from_the_chart_memo(monkeypatch):
+    # Every fc coordinate of the (2, 2) chart with |I| <= 2 and |A| <= 3 gives
+    # the pool of the written-out formula; its reductions are built once per
+    # symbol, by fc(), and read from the chart's memo afterwards.
+    chart = fce.FcChart(2, 2)
+    multi = lambda k, top: [t for n in range(k + 1)
+                            for t in itertools.combinations_with_replacement(range(1, top + 1), n)]
+    coords = [fc(a, ii, aa) for a in chart.fiber_dirs for ii in multi(2, 2) if ii
+              for aa in multi(3, 2)]
+    assert len(coords) == 2 * 5 * 10
+    phis = [Cochain(chart, 1, {((1,), 1): Expr.wrap(s)}) for s in coords]
+    for s, phi in zip(coords, phis):
+        want = AnsatzSpec(tuple(_parent_formula_pool(chart, s)), 1)
+        assert fce.default_recover_ansatz(chart, phi) == want, render(s)
+    assert set(chart._reduction_memo) == set(coords)
+    built = []
+    monkeypatch.setattr(fce, "fc", lambda *a: built.append(a) or fc(*a))
+    again = [fce.default_recover_ansatz(chart, phi) for phi in phis]
+    assert built == [] and len(chart._reduction_memo) == len(coords)
+    assert [set(a.symbols) for a in again] == [_parent_formula_pool(chart, s) for s in coords]
 
 
 def test_recover_f_bounded_no_is_bound_relative(ch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO, ONE
-from flatconn.jets import Cochain, Evolution, total_derivative, evolutionary_apply
+from flatconn.jets import Cochain, Evolution, FreeJet, total_derivative, evolutionary_apply
 from flatconn import fce, flatrep, sdym
 from flatconn.kdv import build_kdv, miura_at
 from flatconn.linsolve import AnsatzSpec
@@ -377,6 +377,31 @@ def test_cochain_keyed_off_the_split_is_refused(kdv):
     with pytest.raises(ValueError, match="component 1 is off the split"):
         flatrep.du_vertical(spec, {1: Expr.wrap(y(1))})
     assert flatrep.du_vertical(spec, {3: ZERO}).data == {}
+
+
+def test_cochain_with_a_foreign_fc_symbol_is_refused_when_built(kdv):
+    # The component's symbols are judged by the rule that judges the
+    # coefficients, when the cochain is built, not when its differential is.
+    with pytest.raises(ValueError, match="symbol v1 is foreign to the chart"):
+        Cochain(kdv.miura, 1, {((1,), 3): v(1)})
+
+
+def test_cochain_with_an_independent_outside_the_chart_is_refused_when_built(kdv):
+    with pytest.raises(ValueError, match="independent x3 outside chart"):
+        Cochain(kdv.miura, 0, {((), 3): x(3)})
+    # the first symbol in key order is the one refused, in either term order
+    for e in (v(1) + x(3), x(3) + v(1)):
+        with pytest.raises(ValueError, match="independent x3 outside chart"):
+            Cochain(kdv.miura, 1, {((2,), 3): e})
+
+
+def test_empty_split_is_refused(kdv):
+    # With no fiber (or no base) direction a spec has no fc chart to pull
+    # back from; the refusal names the split.
+    with pytest.raises(ValueError, match="number of fiber directions must be a positive int, got 0"):
+        flatrep.FlatRepSpec(FreeJet(2, 1), (1, 2), ())
+    with pytest.raises(ValueError, match="number of base directions must be a positive int, got 0"):
+        flatrep.FlatRepSpec(FreeJet(2, 1), (), (1, 2))
 
 
 def test_cochain_of_another_spec_is_checked(kdv):

@@ -537,11 +537,12 @@ def test_solver_call_scan_sees_every_caller():
 
 
 PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
-# D_i is FcChart.f_apply, on one symbol _total_symbol; D_{v^b} is _fc_vertical.
-KERNELS = ("f_apply", "_total_symbol", "_fc_vertical")
+# D_i is FcChart.f_apply (jets.apply_f), on one symbol FcChart.f_symbol over
+# _total_symbol; D_{v^b} is _fc_vertical.
+KERNELS = ("f_apply", "apply_f", "f_symbol", "_total_symbol", "_fc_vertical")
 CHECKS = ("check_expr", "check_symbol")
 # Recursion inside fce on expressions the chart built itself.
-UNCHECKED = ("_total_symbol", "Symmetry._coefficient", "FcChart.f_apply")
+UNCHECKED = ("_total_symbol", "Symmetry._coefficient", "FcChart.f_apply", "FcChart.f_symbol")
 
 
 def test_fce_checks_input_at_its_public_entries_only():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from flatconn import fce, flatrep, sdym
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO
 from flatconn.jets import (
-    Cochain, DirectionError, Evolution, Extended, FreeJet, _target_block,
+    Cochain, DirectionError, Evolution, Extended, FreeJet, _monomial_keys, _target_block,
     cochain_differential, cochain_preimage, d_sigma, evolutionary_apply, is_symmetry_evolution,
     total_derivative,
 )
@@ -197,7 +197,7 @@ def scheme_complex(scheme, fibers, twist):
 
     return SimpleNamespace(
         base_dirs=tuple(range(1, scheme.ndirs + 1)), fiber_dirs=tuple(fibers),
-        f_apply=lambda i, f: total_derivative(scheme, i, f), twist=twist,
+        f_symbol=lambda i, s: scheme.derive_symbol(s, i), twist=twist,
         check_component=check)
 
 
@@ -265,7 +265,7 @@ def _check_basis_images(cx, ansatz):
             want = cochain_differential([(((), a), mu)], cx)
             assert set(want) <= set(keys)
             goal = [want.get(key, ZERO) for key in keys]
-            columns, images, pack = _target_block(cx, monos, goal)
+            columns, images, pack = _target_block(cx, ansatz, monos, goal)
             j = pos * len(monos) + k
             assert (j in columns) == bool(want), (a, render(mu))
             if want:
@@ -325,7 +325,7 @@ def test_preimage_slot_width_comes_from_the_target():
     cx, one = _d_h_problem()
     ansatz = AnsatzSpec((x(1), u(0)), 1)
     assert cochain_preimage(cx, one(x(1) ** 4), ansatz) is None
-    *_, pack = _target_block(cx, ansatz.monomials(), [x(1) ** 4])
+    *_, pack = _target_block(cx, ansatz, ansatz.monomials(), [x(1) ** 4])
     assert pack(x(1) ** 4) != pack(Expr.wrap(u(1)))
     got = cochain_preimage(cx, one(3 * x(1) ** 2), AnsatzSpec((x(1),), 3))
     assert dict(got.items()) == {((), 1): x(1) ** 3}
@@ -349,7 +349,8 @@ def test_preimage_packs_lam_like_any_symbol():
     got = cochain_preimage(cx, target, AnsatzSpec((x(1), lam), 2))
     assert dict(got.items()) == {((), 1): lam * x(1)}
     # The target lam*x1 makes D = 2, so every monomial below packs injectively.
-    *_, pack = _target_block(cx, AnsatzSpec((x(1), lam), 2).monomials(), [lam * x(1)])
+    ansatz = AnsatzSpec((x(1), lam), 2)
+    *_, pack = _target_block(cx, ansatz, ansatz.monomials(), [lam * x(1)])
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(x(1)),
                                           lam * x(1), lam ** 2)]
     assert len(set(keys)) == len(keys)
@@ -358,10 +359,72 @@ def test_preimage_packs_lam_like_any_symbol():
     # and it gets a slot there too.
     miura = build_kdv().miura
     assert lam in miura.f_apply(1, Expr.wrap(y(1))).symbols()
-    *_, pack = _target_block(miura, AnsatzSpec((x(2), y(1), u(0)), 1).monomials(), [])
+    ansatz = AnsatzSpec((x(2), y(1), u(0)), 1)
+    *_, pack = _target_block(miura, ansatz, ansatz.monomials(), [])
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(y(1)),
                                           lam * y(1))]
     assert len(set(keys)) == len(keys) and keys[3] == keys[1] + keys[2]
+
+
+def test_f_symbol_is_f_apply_on_one_symbol():
+    # F_i on one symbol, read from the complex's memo, is F_i of that symbol
+    # as an Expr, for every base direction and pool symbol of the preimage
+    # problems.  A spec refuses a foreign symbol alike on both routes; the
+    # chart's D_i is an unchecked kernel, judged at fce.fc_total.
+    names = set()
+    for name, cx, _, ansatz in _seeded_preimage_problems():
+        names.add(name.split()[0] + (" " + name.split()[1] if name.startswith("miura") else ""))
+        for i in cx.base_dirs:
+            for s in ansatz.symbols:
+                assert cx.f_symbol(i, s) == cx.f_apply(i, Expr.wrap(s)), (name, i, render(s))
+        if isinstance(cx, flatrep.FlatRepSpec):
+            for foreign in (v(1), x(5), fc(1, (1,))):
+                with pytest.raises(ValueError) as by_symbol:
+                    cx.f_symbol(cx.base_dirs[0], foreign)
+                with pytest.raises(ValueError) as by_expr:
+                    cx.f_apply(cx.base_dirs[0], Expr.wrap(foreign))
+                assert str(by_symbol.value) == str(by_expr.value), (name, render(foreign))
+    assert {"fc(2,1)", "fc(2,2)", "miura lam=lam", "miura lam=0", "miura lam=1",
+            "sdym"} <= names
+
+
+def _block_goal(cx, ansatz):
+    """A target for _target_block: the components of d(mu e_a) for the last
+    monomial mu of the ansatz and the first fiber a."""
+    mu = ansatz.monomials()[-1]
+    want = cochain_differential([(((), cx.fiber_dirs[0]), mu)], cx)
+    return [want.get(((i,), b), ZERO) for i in cx.base_dirs for b in cx.fiber_dirs]
+
+
+@pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
+def test_second_target_block_derives_nothing(problem, monkeypatch):
+    # The pool's F_i(s) are memo reads: once the complex knows them, a block
+    # on the same pool applies no derivation.
+    _, cx, ansatz = problem
+    goal = _block_goal(cx, ansatz)
+    first = _target_block(cx, ansatz, ansatz.monomials(), goal)
+    derive = Expr.derive
+    calls = []
+    monkeypatch.setattr(Expr, "derive", lambda self, image: calls.append(1) or derive(self, image))
+    again = _target_block(cx, ansatz, ansatz.monomials(), goal)
+    assert calls == []
+    assert again[:2] == first[:2] and first[0]
+
+
+@pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
+def test_column_keys_are_the_packed_monomials(problem):
+    # The pool takes the low slots in ansatz order, and the key of each
+    # column's monomial, summed from the slot units, is pack(mu).
+    _, cx, ansatz = problem
+    monos = ansatz.monomials()
+    *_, pack = _target_block(cx, ansatz, monos, _block_goal(cx, ansatz))
+    units = [next(iter(pack(Expr.wrap(s)))) for s in ansatz.symbols]
+    width = units[1].bit_length() - 1
+    assert units == [1 << (width * k) for k in range(len(units))]
+    assert _monomial_keys(units, ansatz.degree) == [next(iter(pack(mu))) for mu in monos]
+    # At degree 0, or with no symbols, the one monomial is 1.
+    assert _monomial_keys(units, 0) == [0] == _monomial_keys([], 3)
+    assert len(AnsatzSpec((), 3).monomials()) == len(AnsatzSpec(ansatz.symbols, 0).monomials()) == 1
 
 
 def _full_system_preimage(cx, target, ansatz):
