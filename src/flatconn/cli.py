@@ -166,14 +166,19 @@ def _t_pullback(pf, args) -> Report:
     return check("pullback", [], {"pullback": render(image)})
 
 
+def _deformation(task: str, spec, p, at, name) -> Report:
+    """The deformation cocycle of ``spec`` in ``p`` at ``at``: its components,
+    named ``name(i, d)``, and the rendered components of its differential
+    (or "0") as residuals."""
+    c = flatrep.infinitesimal_deformation(spec, p, at)
+    witness = {name(i, d): render(e) for ((i,), d), e in sorted(c.items())}
+    return check(task, [render(e) for _, e in sorted(c.d.items())] or ["0"], witness)
+
+
 def _t_deformation(pf, args) -> Report:
-    spec = pf.flat_representation()
     at = pf.deformation_at if args.lam is None else args.lam
-    res = flatrep.infinitesimal_deformation(spec, param(pf.deformation_param), at)
-    witness = {
-        "c%d_%d" % (i, d): render(e) for ((i,), d), e in sorted(res.cocycle.items())
-    }
-    return check("deformation", res.report.residuals, witness)
+    return _deformation("deformation", pf.flat_representation(), param(pf.deformation_param),
+                        at, lambda i, d: "c%d_%d" % (i, d))
 
 
 def _by_fiber(spec, prefix: str, c: fce.Cochain) -> Dict[str, str]:
@@ -222,9 +227,8 @@ def _t_kdv_lift(args) -> Report:
 
 def _t_kdv_deformation(args) -> Report:
     bundle = build_kdv()
-    res = flatrep.infinitesimal_deformation(bundle.miura, bundle.lam, args.lam)
-    witness = {"c%d" % i: render(e) for ((i,), _), e in sorted(res.cocycle.items())}
-    return check("kdv-deformation", res.report.residuals, witness)
+    return _deformation("kdv-deformation", bundle.miura, bundle.lam, args.lam,
+                        lambda i, d: "c%d" % i)
 
 
 def _t_sdym_expand(args) -> Report:

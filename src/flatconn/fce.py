@@ -330,8 +330,7 @@ def recover_f(chart: FcChart, phi: Cochain, ansatz: Optional[AnsatzSpec] = None)
         raise ValueError("input is not d_fc-closed; it is not a symmetry")
     if ansatz is None:
         base = default_recover_ansatz(chart, phi)
-        tries = [AnsatzSpec(base.symbols, d)
-                 for d in range(max(0, base.degree - 1), base.degree + 1)]
+        tries = [AnsatzSpec(base.symbols, base.degree - 1), base] if base.degree else [base]
     else:
         for s in ansatz.symbols:
             chart.check_symbol(s)

@@ -45,7 +45,7 @@ from .reports import Report, check
 
 __all__ = [
     "FlatRepSpec", "AnsatzSpec", "check_flat_rep", "pullback",
-    "infinitesimal_deformation", "DeformationResult", "exactness_test",
+    "infinitesimal_deformation", "exactness_test",
     "symmetry_cocycle", "lift_symmetry", "covering_to_flatrep",
     "du_vertical", "du_cochain1", "default_ansatz",
 ]
@@ -55,18 +55,18 @@ class FlatRepSpec(Frozen):
     """Declarative flat representation: scheme, direction split, coefficients.
 
     Frozen, with the split stored as tuples and read-only coefficients, so
-    that its flatness residuals, twist, pullback images and F_i images,
-    cached on it, cannot go stale.  An empty base or fiber split, and a
-    coefficient foreign to the scheme's chart, are refused at construction,
-    the latter by ``scheme.derive_symbol(s, 1)`` on its first foreign
-    symbol s in key order, the rule that also judges each cochain component.
-    It is also the complex its
+    that its flatness residuals, twist and F_i images, cached on it, cannot
+    go stale.  An empty base or fiber split, and a coefficient foreign to
+    the scheme's chart, are refused at construction, the latter by
+    ``scheme.derive_symbol(s, 1)`` on its first foreign symbol s in key
+    order, the rule that also judges each cochain component.  It is also
+    the complex its
     cochains live on, so it compares and hashes by identity: two specs with
     equal fields are two complexes with two memos.
     """
 
     __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs",
-                 "_residuals", "_twist", "_pullback_memo", "_f_memo")
+                 "_residuals", "_twist", "_f_memo")
 
     def __init__(self, scheme: DerivScheme, base_dirs: Tuple[int, ...],
                  fiber_dirs: Tuple[int, ...],
@@ -85,8 +85,7 @@ class FlatRepSpec(Frozen):
                 raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
             add_term(cleaned, (i, d), _judged(scheme, e))
         self._put(scheme=scheme, base_dirs=base_dirs, fiber_dirs=fiber_dirs,
-                  coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None,
-                  _pullback_memo={}, _f_memo={})
+                  coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None, _f_memo={})
 
     def a(self, i: int, d: int) -> Expr:
         return self.coeffs.get((i, d), ZERO)
@@ -197,25 +196,19 @@ def pullback(spec: FlatRepSpec, f: Expr) -> Expr:
 
 def _pullback_symbol(spec: FlatRepSpec, s: Symbol) -> Expr:
     """phi*(s) for one symbol x_i, v^a or v_I^{a,A} of the matching fc chart,
-    unchecked; memoised on the spec."""
-    got = spec._pullback_memo.get(s)
-    if got is not None:
-        return got
+    unchecked: a chain of |I| + |A| - 1 derivations from a_i^a."""
     k = s.kind
     if k == KIND_INDEP:
-        out = Expr.wrap(spec.scheme.indep(spec.base_dirs[s.index - 1]))
-    elif k == KIND_BASEFIBER:
-        out = Expr.wrap(spec.scheme.indep(spec.fiber_dirs[s.index - 1]))
-    elif s.aa:
+        return Expr.wrap(spec.scheme.indep(spec.base_dirs[s.index - 1]))
+    if k == KIND_BASEFIBER:
+        return Expr.wrap(spec.scheme.indep(spec.fiber_dirs[s.index - 1]))
+    if s.aa:
         prev = _pullback_symbol(spec, fc(s.index, s.ii, s.aa[:-1]))
-        out = total_derivative(spec.scheme, spec.fiber_dirs[s.aa[-1] - 1], prev)
-    elif len(s.ii) == 1:
-        out = spec.a(spec.base_dirs[s.ii[0] - 1], spec.fiber_dirs[s.index - 1])
-    else:
-        prev = _pullback_symbol(spec, fc(s.index, s.ii[:-1], ()))
-        out = spec.f_apply(spec.base_dirs[s.ii[-1] - 1], prev)
-    spec._pullback_memo[s] = out
-    return out
+        return total_derivative(spec.scheme, spec.fiber_dirs[s.aa[-1] - 1], prev)
+    if len(s.ii) == 1:
+        return spec.a(spec.base_dirs[s.ii[0] - 1], spec.fiber_dirs[s.index - 1])
+    prev = _pullback_symbol(spec, fc(s.index, s.ii[:-1], ()))
+    return spec.f_apply(spec.base_dirs[s.ii[-1] - 1], prev)
 
 
 def du_vertical(spec: FlatRepSpec, vert: Mapping[int, Expr]) -> Cochain:
@@ -231,24 +224,16 @@ def du_cochain1(spec: FlatRepSpec, c: Cochain) -> Cochain:
     return c.on(spec).d
 
 
-class DeformationResult(Frozen):
-    """The base point of a deformation, its cocycle and the report on it."""
-
-    __slots__ = ("base", "cocycle", "report")
-
-    def __init__(self, base: FlatRepSpec, cocycle: Cochain, report: Report):
-        self._put(base=base, cocycle=cocycle, report=report)
-
-
 def infinitesimal_deformation(
     family: FlatRepSpec, p: Symbol, at: Optional[Fraction] = None
-) -> DeformationResult:
+) -> Cochain:
     """Infinitesimal part of a parametric family of flat representations.
 
     The family must be flat identically in the parameter.  The cocycle is the
     epsilon-coefficient after shifting p -> p0 + eps (p0 = ``at``, or the
-    symbolic parameter itself when ``at`` is None); its closedness is
-    verified, not assumed.
+    symbolic parameter itself when ``at`` is None), a 1-cochain on the base
+    point (its ``complex``: the family, or the family at p = ``at``); its
+    closedness is verified, not assumed.
     """
     if p.kind != KIND_PARAM:
         raise ValueError("deformation parameter must be a parameter symbol")
@@ -262,7 +247,7 @@ def infinitesimal_deformation(
         for (i, d), e in family.coeffs.items()})
     if not cocycle.d.is_zero():  # pragma: no cover - guaranteed by the flatness identity
         raise AssertionError("deformation cocycle is not closed")
-    return DeformationResult(base=base, cocycle=cocycle, report=check("deformation", ["0"]))
+    return cocycle
 
 
 def exactness_test(spec: FlatRepSpec, c: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:
@@ -282,14 +267,19 @@ def exactness_test(spec: FlatRepSpec, c: Cochain, ansatz: AnsatzSpec) -> Optiona
 def symmetry_cocycle(spec: FlatRepSpec, phi: Sequence[Expr], check: bool = True) -> Cochain:
     """c_S = [[U, S]] for the lift of the equation symmetry with generating
     functions phi; component ((i,), d) = -S(a_i^d)."""
-    if check:
-        base = spec.scheme.base if isinstance(spec.scheme, Extended) else spec.scheme
-        if not isinstance(base, Evolution):
-            raise ValueError("symmetry check requires an evolution scheme underneath")
-        if not is_symmetry_evolution(base, phi).ok:
-            raise ValueError("phi is not a symmetry of the underlying equation")
+    if check and not is_symmetry_evolution(_evolution(spec, "symmetry check"), phi).ok:
+        raise ValueError("phi is not a symmetry of the underlying equation")
     return Cochain(spec, 1, {
         ((i,), d): -evolutionary_apply(spec.scheme, phi, a) for (i, d), a in spec.coeffs.items()})
+
+
+def _evolution(spec: FlatRepSpec, what: str) -> Evolution:
+    """The evolution scheme under ``spec``, which ``what`` needs; any other
+    scheme is refused."""
+    base = spec.scheme.base if isinstance(spec.scheme, Extended) else spec.scheme
+    if not isinstance(base, Evolution):
+        raise ValueError("%s requires an evolution scheme underneath" % what)
+    return base
 
 
 def lift_symmetry(
@@ -349,10 +339,13 @@ def default_ansatz(
 ) -> AnsatzSpec:
     """Default bounded ansatz for exactness/lifting over a representation.
 
-    Pool: base and fiber coordinates, jet variables up to the maximal order
-    seen in the data plus one, and every parameter present.  Degree bound:
-    maximal total degree seen plus one.  ``degree``/``order`` override.
+    Pool: base and fiber coordinates, spatial jets u_(1...1) up to the
+    maximal order seen in the data plus one, and every parameter present;
+    those are the jets of an evolution scheme, and any other is refused.
+    Degree bound: maximal total degree seen plus one.  ``degree``/``order``
+    override.
     """
+    _evolution(spec, "the default ansatz (spatial jets)")
     if order is not None and order < 0:
         raise ValueError("jet-order bound must be nonnegative")
     exprs = list(spec.coeffs.values()) + [Expr.wrap(e) for e in extra]

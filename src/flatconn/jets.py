@@ -240,8 +240,11 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
     columns of the row space), and the blocks solved in global column order
     give the whole system's answer.  A
     returned answer is rebuilt as Exprs and checked exactly by its
-    differential, the Expr path checking the packed one.
+    differential, the Expr path checking the packed one.  A target of any
+    other degree is refused.
     """
+    if target.degree != 1:
+        raise ValueError("expected a degree-1 cochain")
     target = target.on(complex)
     fibers = complex.fiber_dirs
     ansatz.unknowns(len(fibers))
@@ -283,7 +286,7 @@ def _target_block(
     No field carries, so keys are compared and never unpacked, and a product
     of monomials is a sum of keys: F_i(mu) is built by Leibniz as
     key(mu) - key(s) + key(m) with coefficient p c, for each factor s^p of mu
-    and term c m of F_i(s), once per mu for every fiber; the twist part is
+    and term c m of F_i(s), in the column's own fiber; the twist part is
     key(mu) + key(t).
 
     The blocks grow from the target's rows (component ((i,), b), key K),
@@ -323,44 +326,32 @@ def _target_block(
     # F_i(s) as (key(m) - key(s), c) per term c m, and -D_a(a_i^b) packed.
     lead = {i: {s: [(k - unit[s], c) for k, c in pack(values[(i, s)]).items()] for s in pool}
             for i in directions}
-    neg: Dict[Tuple[int, int, int], Dict[int, Scalar]] = {}
-    for i, a, b, t in twists:
-        acc = neg.setdefault((i, a, b), {})
-        for k, c in pack(t).items():
-            _add_coeff(acc, k, -c)
-    plans = [[[neg.get((i, a, b)) for b in fibers] for i in directions] for a in fibers]
+    neg = {(i, a, b): {k: -c for k, c in pack(t).items()} for i, a, b, t in twists}
+    plans = [[[neg.get((i, a, b), {}) for b in fibers] for i in directions] for a in fibers]
     # The two lookups per component ((i,), b): (fiber position, key shift).
     shifts = [list(dict.fromkeys([(bpos, d) for s in pool for d, _ in lead[i][s]] + [
-        (apos, kt) for apos, plan in enumerate(plans) for kt in plan[ipos][bpos] or ()]))
+        (apos, kt) for apos, plan in enumerate(plans) for kt in plan[ipos][bpos]]))
         for ipos, i in enumerate(directions) for bpos in range(len(fibers))]
     n = len(monos)
     keys = _monomial_keys([unit[s] for s in pool], mdeg)
     index = {kmu: k for k, kmu in enumerate(keys)}
-    leibniz: Dict[int, List[Dict[int, Scalar]]] = {}  # k: F_i(mu) for every i
     built: Dict[int, List[Mapping[int, Scalar]]] = {}
 
     def image(j: int) -> List[Mapping[int, Scalar]]:
         pos, k = divmod(j, n)
         kmu = keys[k]
-        hs = leibniz.get(k)
-        if hs is None:
-            hs = leibniz[k] = [{} for _ in directions]
-            (mono,) = monos[k].terms
-            for h, i in zip(hs, directions):
-                for s, p in mono:
-                    for d, c in lead[i][s]:
-                        _add_coeff(h, kmu + d, p * c)
+        (mono,) = monos[k].terms
         comps = built[j] = []
-        for h, parts in zip(hs, plans[pos]):
+        for i, parts in zip(directions, plans[pos]):
             for bpos, t in enumerate(parts):
+                h: Dict[int, Scalar] = {}
                 if bpos == pos:
-                    if t:
-                        h = dict(h)
-                        for kt, c in t.items():
-                            _add_coeff(h, kmu + kt, c)
-                    comps.append(h)
-                else:
-                    comps.append({kmu + kt: c for kt, c in t.items()} if t else {})
+                    for s, p in mono:
+                        for d, c in lead[i][s]:
+                            _add_coeff(h, kmu + d, p * c)
+                for kt, c in t.items():
+                    _add_coeff(h, kmu + kt, c)
+                comps.append(h)
         return comps
 
     seen = [set(pack(e)) for e in target]

@@ -298,6 +298,27 @@ def test_default_recover_ansatz_reads_reductions_from_the_chart_memo(monkeypatch
     assert [set(a.symbols) for a in again] == [_parent_formula_pool(chart, s) for s in coords]
 
 
+def test_recover_f_builds_one_ansatz_spec_besides_the_default(ch2, monkeypatch):
+    # The default spec serves degree deg(phi); one more spec serves
+    # deg(phi) - 1, which is tried first.  At deg(phi) = 0 the default spec
+    # is the only try.
+    built, tried = [], []
+    init, preimage = AnsatzSpec.__init__, fce.cochain_preimage
+    monkeypatch.setattr(AnsatzSpec, "__init__",
+                        lambda self, symbols, degree: built.append(degree) or
+                        init(self, symbols, degree))
+    monkeypatch.setattr(fce, "cochain_preimage",
+                        lambda cx, target, ans: tried.append(ans.degree) or
+                        preimage(cx, target, ans))
+    f = fce.cochain0(ch2, [v(1) * v(2), ZERO])
+    phi = fce.symmetry_from_f(ch2, f)
+    assert fce.recover_f(ch2, phi) == f
+    assert built == [3, 2] and tried == [2]
+    del built[:], tried[:]
+    assert fce.recover_f(ch2, fce.cochain1(ch2, {})) == fce.cochain0(ch2, [ZERO, ZERO])
+    assert built == [0] and tried == [0]
+
+
 def test_recover_f_bounded_no_is_bound_relative(ch):
     # force an ansatz too small to contain the true f
     f = fce.cochain0(ch, [v(1) ** 3])

@@ -149,18 +149,18 @@ def test_pullback_rejects_invalid_spec(kdv):
 
 
 def test_infinitesimal_deformation_miura(kdv):
-    res = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
-    assert res.report.verdict == "pass"
-    assert res.cocycle.component((1,), 3) == ONE
-    assert res.cocycle.component((2,), 3) == -(2 * u(0) + 8 * param("lam") + 4 * y(1) ** 2)
+    c = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
+    assert c.d.is_zero()
+    assert c.component((1,), 3) == ONE
+    assert c.component((2,), 3) == -(2 * u(0) + 8 * param("lam") + 4 * y(1) ** 2)
     # at a rational base point the lam disappears
-    res0 = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam, Fraction(0))
-    assert res0.cocycle.component((2,), 3) == -(2 * u(0) + 4 * y(1) ** 2)
+    c0 = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam, Fraction(0))
+    assert c0.component((2,), 3) == -(2 * u(0) + 4 * y(1) ** 2)
 
 
 def test_constant_family_has_zero_cocycle(kdv):
-    res = flatrep.infinitesimal_deformation(kdv.miura, param("mu"))
-    assert res.cocycle.data == {}
+    c = flatrep.infinitesimal_deformation(kdv.miura, param("mu"))
+    assert c.data == {}
 
 
 def test_deformation_rejects_nonflat_family(kdv):
@@ -354,9 +354,9 @@ def test_exactness_planted_witness(kdv):
 
 
 def test_miura_lambda_cocycle_not_exact_at_degree_4(kdv):
-    res = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
+    c = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
     ans = AnsatzSpec(symbols=(x(1), x(2), y(1), u(0), u(1), u(2)), degree=4)
-    assert flatrep.exactness_test(res.base, res.cocycle, ans) is None
+    assert flatrep.exactness_test(c.complex, c, ans) is None
 
 
 def test_exactness_rejects_non_closed(kdv):
@@ -416,11 +416,12 @@ def test_cochain_of_another_spec_is_checked(kdv):
         flatrep.du_cochain1(kdv.miura, c)
     # A cocycle of a family at a base point lives on that base point, not on
     # the family, and is tested there.
-    res = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam, Fraction(1))
-    assert res.cocycle.complex is res.base
-    ans = flatrep.default_ansatz(res.base)
+    c = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam, Fraction(1))
+    assert c.complex is not kdv.miura
+    assert c.complex.coeffs == miura_at(kdv, Fraction(1)).coeffs
+    ans = flatrep.default_ansatz(c.complex)
     assert ans.degree == 4 and len(ans.symbols) == 7
-    assert flatrep.exactness_test(res.base, res.cocycle, ans) is None
+    assert flatrep.exactness_test(c.complex, c, ans) is None
 
 
 def test_symmetry_cocycle_values_and_closedness(kdv):
@@ -474,6 +475,14 @@ def test_lifted_commutator_of_liftable_flows(kdv):
     assert comm.is_zero()
     lift = flatrep.lift_symmetry(kdv.miura, [comm], pinned_ansatz(with_lam=True))
     assert dict(lift.items()) == {((), 3): ZERO}
+
+
+def test_default_ansatz_refuses_a_scheme_that_is_not_an_evolution():
+    # On SDYM the spatial jet u2[1] = d1 A2 is rewritten by the first rule,
+    # so a pool of spatial jets is no pool of internal coordinates there.
+    spec = sdym.build_flatrep(1).spec
+    with pytest.raises(ValueError, match="requires an evolution scheme underneath"):
+        flatrep.default_ansatz(spec)
 
 
 def test_default_ansatz_covers_the_data(kdv):

@@ -253,25 +253,35 @@ def _preimage_problems():
 
 
 def _check_basis_images(cx, ansatz):
-    """Every column of the packed closure, grown from the target
-    d(mu e_a), holds that target as its image, packed with the closure's
-    own slot table, component by component; and packing is injective on
-    the ansatz monomials and on the monomials of those images."""
+    """The packed closure grown from each target d(mu e_a) holds the column
+    mu e_a, and every column mu' e_a' of it holds its own d(mu' e_a') as its
+    image, packed with the closure's own slot table, component by component;
+    so does every column of the closure grown from d(sum_a mu e_a), which
+    builds the columns of one mu in several fibers in one call.  Packing is
+    injective on the ansatz monomials and on the monomials of those images."""
     monos = ansatz.monomials()
     keys = [((i,), b) for i in cx.base_dirs for b in cx.fiber_dirs]
+    basis = [[cochain_differential([(((), a), mu)], cx) for mu in monos] for a in cx.fiber_dirs]
+
+    def block(want):
+        assert set(want) <= set(keys)
+        goal = [want.get(key, ZERO) for key in keys]
+        columns, images, pack = _target_block(cx, ansatz, monos, goal)
+        for j, image in zip(columns, images):
+            got = basis[j // len(monos)][j % len(monos)]
+            assert [dict(c) for c in image] == [pack(got.get(key, ZERO)) for key in keys], \
+                ([render(e) for e in goal], j)
+        return columns, pack
+
     seen = set()
     for pos, a in enumerate(cx.fiber_dirs):  # column order: a outer, mu inner
         for k, mu in enumerate(monos):
-            want = cochain_differential([(((), a), mu)], cx)
-            assert set(want) <= set(keys)
-            goal = [want.get(key, ZERO) for key in keys]
-            columns, images, pack = _target_block(cx, ansatz, monos, goal)
-            j = pos * len(monos) + k
-            assert (j in columns) == bool(want), (a, render(mu))
-            if want:
-                assert [dict(c) for c in images[columns.index(j)]] == [pack(e) for e in goal], \
-                    (a, render(mu))
+            want = basis[pos][k]
+            columns, pack = block(want)
+            assert ((pos * len(monos) + k) in columns) == bool(want), (a, render(mu))
             seen.update(m for e in want.values() for m in e.terms)
+    for mu in monos:
+        block(cochain_differential([(((), a), mu) for a in cx.fiber_dirs], cx))
     assert len({next(iter(pack(Expr({m: 1})))) for m in seen}) == len(seen)
     assert len({next(iter(pack(mu))) for mu in monos}) == len(monos)
 
@@ -483,14 +493,14 @@ def _seeded_preimage_problems():
                     u(k) for k in range(order + 1)), degree)
                 yield "miura lam=%s %s" % (lam, name), spec, c, ansatz
     rep = sdym.build_flatrep(1, None)
-    res = flatrep.infinitesimal_deformation(rep.spec, param("lam"))
+    c = flatrep.infinitesimal_deformation(rep.spec, param("lam"))
     pool = (x(1), x(2), x(3), x(4), y(1), jet(1), jet(3), jet(4), jet(3, (3,)))
     for degree in (1, 2):
         ansatz = AnsatzSpec(pool, degree)
-        yield "sdym k=1 deformation", res.base, res.cocycle, ansatz
-        f = Cochain(res.base, 0, {((), a): rand_expr(rng, pool) for a in res.base.fiber_dirs})
-        yield "sdym k=1 exact", res.base, f.d, ansatz
-        yield "sdym k=1 exact+", res.base, _plus(res.base, f.d, {((1,), 4): Expr.wrap(x(3))}), \
+        yield "sdym k=1 deformation", c.complex, c, ansatz
+        f = Cochain(c.complex, 0, {((), a): rand_expr(rng, pool) for a in c.complex.fiber_dirs})
+        yield "sdym k=1 exact", c.complex, f.d, ansatz
+        yield "sdym k=1 exact+", c.complex, _plus(c.complex, f.d, {((1,), 4): Expr.wrap(x(3))}), \
             ansatz
 
 
@@ -559,6 +569,16 @@ def test_preimage_refuses_a_huge_ansatz_before_building_it(monkeypatch):
     cx, one = _d_h_problem()
     with pytest.raises(ValueError, match="246051 unknowns"):
         cochain_preimage(cx, one(Expr.wrap(x(1))), AnsatzSpec((x(1), u(0)), 700))
+
+
+@pytest.mark.parametrize("degree, dirs", [(0, ()), (2, (1, 2))], ids=["degree-0", "degree-2"])
+def test_preimage_refuses_a_target_not_of_degree_1(degree, dirs):
+    # The preimage of a 0-cochain is ill-posed, not a bounded-no; a
+    # 2-cochain is bad input, not the re-substitution's internal fault.
+    chart = fce.FcChart(2, 1)
+    with pytest.raises(ValueError, match="expected a degree-1 cochain"):
+        cochain_preimage(chart, Cochain(chart, degree, {(dirs, 1): Expr.wrap(v(1))}),
+                         AnsatzSpec((x(1), v(1)), 2))
 
 
 def test_preimage_candidate_whose_image_cancels_the_row_stays_out(monkeypatch):

@@ -38,12 +38,12 @@ def test_named_symmetries(kdv):
 
 
 def test_lambda_family_cocycle_verbatim(kdv):
-    res = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
-    assert res.cocycle.data == {
+    c = flatrep.infinitesimal_deformation(kdv.miura, kdv.lam)
+    assert c.data == {
         ((1,), 3): Expr.wrap(1) + Expr.wrap(0),
         ((2,), 3): -(2 * u(0) + 8 * param("lam") + 4 * y(1) ** 2),
     }
-    assert res.report.verdict == "pass"
+    assert c.d.is_zero()
 
 
 def test_miura_at_rational_values(kdv):
