@@ -1,27 +1,28 @@
 """Flat connections on a trivial bundle, two ways.
 
 A connection on the bundle R^n x R^m -> R^n is nm functions v_i^a(x, v); it
-is flat exactly when the frame fields d/dx_i + v_i^a d/dv^a commute.  This
-script checks flatness once through the explicit residuals of that system
-and once through the Froelicher-Nijenhuis self-bracket of the connection
-form, and shows the covariant differential the flat structure induces.
+is flat exactly when the frame fields d/dx_i + v_i^a d/dv^a commute.  It is
+the simplest flat representation, ``flatrep.connection``.  This script
+checks flatness once through the explicit residuals of that system and once
+through the Froelicher-Nijenhuis self-bracket of the connection form, and
+shows the covariant differential the flat structure induces.
 
 Run:  python3 demos/01_flat_connections.py
 """
 
 from flatconn.expr import Expr, render, v, x
-from flatconn import fce
+from flatconn import flatrep
 from flatconn.vforms import Derivation, VForm, connection_forms, d_nabla_vertical
 
 # --- three connections on R^2 x R^1 -----------------------------------------
 
-trivial = fce.ConnectionSpec(2, 1, {})
-gradient = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
-bent = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
+trivial = flatrep.connection(2, 1, {})
+gradient = flatrep.connection(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
+bent = flatrep.connection(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
 
 for name, spec in (("trivial", trivial), ("v1=x2, v2=x1", gradient),
                    ("v1=v, v2=x1*v", bent)):
-    residuals = fce.flatness_residual(spec)
+    residuals = spec.flatness_residuals
     print("%-14s residuals: %s" % (name, [render(r) for r in residuals]))
 
 # --- the same verdicts through the Nijenhuis bracket ------------------------

@@ -9,26 +9,26 @@ everything are
   action on symbols with nonempty A is forced by the commutation identity
   [D_i, D_{v^b}] = - sum_g v_i^{g,b} D_{v^g}.
 
-On top of them: the flatness residuals of a coordinate connection, the
-vertical complex and its differential :func:`dfc` on ``jets.Cochain``,
-symmetry reconstruction and recovery (the test :func:`is_symmetry` reports
-through ``reports.check``, reading its verdict from the components of
-d_fc(phi) it prints: pass when each is 0), the symmetry S_f of a 0-cochain
-with its prolongation to all special coordinates, and the induced bracket
-on 0-cochains.  The chart is itself the vertical complex, the case phi =
-identity of ``jets``: base directions 1..n, fibers 1..m, F_i = D_i on one
-symbol, memoized by the chart (:meth:`FcChart.f_symbol`), and twist
-D_{v^a}(v_i^b) = v_i^{b,a}.  Each
-derivation (D_{v^b}, D_i, the horizontal lift in the flatness residual,
-S_f + V_f) is given by its values on symbols and applied through the one
-Leibniz kernel :meth:`Expr.derive`.
+On top of them: the vertical complex and its differential :func:`dfc` on
+``jets.Cochain``, symmetry reconstruction and recovery (the test
+:func:`is_symmetry` reports through ``reports.check``, reading its verdict
+from the components of d_fc(phi) it prints: pass when each is 0), the
+symmetry S_f of a 0-cochain with its prolongation to all special
+coordinates, and the induced bracket on 0-cochains.  The chart is itself
+the vertical complex, the case phi = identity of ``jets``: base directions
+1..n, fibers 1..m, F_i = D_i on one symbol, memoized by the chart
+(:meth:`FcChart.f_symbol`), and twist D_{v^a}(v_i^b) = v_i^{b,a}.  Each
+derivation (D_{v^b}, D_i, S_f + V_f) is given by its values on symbols and
+applied through the one Leibniz kernel :meth:`Expr.derive`.  A coordinate
+connection v_i^a(x, v) is a flat representation (``flatrep.connection``),
+whose residuals :func:`flatness_residual` lists.
 
 Input is validated once, at the public entries (:func:`fc_total`,
 :func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart, the
 expression of :meth:`Symmetry.apply`, the targets of
 :func:`prolong_symmetry` and the symbols of an explicit ansatz in
 :func:`recover_f`), by :meth:`FcChart.check_symbol`, the rule that also
-judges a :class:`ConnectionSpec` and the input of ``flatrep.pullback``.
+judges the input of ``flatrep.pullback``.
 Everything past them works on expressions the chart built itself, through
 the unchecked kernels :meth:`FcChart.f_symbol` (and :meth:`FcChart.f_apply`
 over it) and ``_fc_vertical``.  Each memo is owned by an immutable
@@ -41,19 +41,21 @@ long as its caller keeps it (one call, inside the library).
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
     fc, positive, render, v, x,
 )
-from .jets import Cochain, DirectionError, add_term, apply_f, cochain_preimage
+from .jets import Cochain, DirectionError, apply_f, cochain_preimage
 from .linsolve import AnsatzSpec
 from .reports import Report, check
 
+if TYPE_CHECKING:
+    from .flatrep import FlatRepSpec
+
 __all__ = [
-    "FcChart", "ConnectionSpec", "Cochain", "cochain0", "cochain1",
+    "FcChart", "Cochain", "cochain0", "cochain1",
     "fc_vertical", "fc_total", "flatness_residual", "dfc",
     "symmetry_from_f", "is_symmetry", "recover_f", "default_recover_ansatz",
     "Symmetry", "prolong_symmetry", "bracket0", "symmetry_action",
@@ -187,52 +189,9 @@ def fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
     return chart.f_apply(i, chart.check_expr(f))
 
 
-class ConnectionSpec(Frozen):
-    """A coordinate connection: nm functions v_i^a of (x, v) only, each symbol
-    judged by the fc chart's rule; frozen, with read-only coefficients."""
-
-    __slots__ = ("n", "m", "coeffs")
-
-    def __init__(self, n: int, m: int, coeffs: Mapping[Tuple[int, int], Expr]):
-        self._put(n=positive(n, "n"), m=positive(m, "m"))
-        cleaned: Dict[Tuple[int, int], Expr] = {}
-        for (i, a), e in coeffs.items():
-            if not (1 <= i <= n and 1 <= a <= m):
-                raise ValueError("coefficient v_%d^%d outside the n=%d, m=%d chart" % (i, a, n, m))
-            e = Expr.wrap(e)
-            for s in sorted(e.symbols()):
-                if s.kind == KIND_FC:
-                    raise ValueError(
-                        "connection coefficients must depend on (x, v) only; got %s" % render(s))
-                FcChart.check_symbol(self, s)  # the fc chart's rule, which reads n and m
-            add_term(cleaned, (i, a), e)
-        self._put(coeffs=MappingProxyType(cleaned))
-
-    def coeff(self, i: int, a: int) -> Expr:
-        return self.coeffs.get((i, a), ZERO)
-
-
-def _horizontal_image(spec: ConnectionSpec, i: int):
-    """d/dx_i + sum_b v_i^b d/dv^b on one symbol of the (x, v) chart."""
-    values = {v(b): spec.coeff(i, b) for b in range(1, spec.m + 1)}
-    values[x(i)] = ONE
-    return lambda s: values.get(s, ZERO)
-
-
-def flatness_residual(spec: ConnectionSpec) -> List[Expr]:
-    """Residuals of the flatness system, ordered by (i < j, then a).
-
-    residual = dv_j^a/dx_i + sum_b v_i^b dv_j^a/dv^b
-             - dv_i^a/dx_j - sum_b v_j^b dv_i^a/dv^b.
-    """
-    horizontal = [_horizontal_image(spec, i) for i in range(1, spec.n + 1)]
-    out = []
-    for i in range(1, spec.n + 1):
-        for j in range(i + 1, spec.n + 1):
-            for a in range(1, spec.m + 1):
-                vi, vj = spec.coeff(i, a), spec.coeff(j, a)
-                out.append(vj.derive(horizontal[i - 1]) - vi.derive(horizontal[j - 1]))
-    return out
+def flatness_residual(spec: FlatRepSpec) -> List[Expr]:
+    """``spec.flatness_residuals`` as a list, e.g. of a coordinate connection."""
+    return list(spec.flatness_residuals)
 
 
 def cochain0(chart: FcChart, comps: Sequence[Expr]) -> Cochain:

@@ -7,11 +7,12 @@ independents as fiber directions) is the family of fields
 
     F_i = D_{x_i} + sum_d a_i^d D_d,   i over base directions,
 
-subject to [F_i, F_j] = 0.  This module verifies that condition, realizes
-the induced morphism onto the equation of flat connections as a pullback of
-coordinates, differentiates parametric families into deformation 1-cocycles,
-tests cocycles for exactness inside a bounded ansatz, and lifts equation
-symmetries to the covering.
+subject to [F_i, F_j] = 0, the package's one flatness formula; a coordinate
+connection is the jet-free case (:func:`connection`).  This module verifies
+that condition, realizes the induced morphism onto the equation of flat
+connections as a pullback of coordinates, differentiates parametric families
+into deformation 1-cocycles, tests cocycles for exactness inside a bounded
+ansatz, and lifts equation symmetries to the covering.
 
 The spec, an ``expr.Frozen`` record, is itself its complex C_phi in the
 sense of ``jets``: base and fiber directions, F_i on one symbol, memoized
@@ -33,11 +34,11 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
-    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, positive, render, y,
+    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, positive, render, v, y,
 )
 from .fce import FcChart
 from .jets import (
-    Cochain, DerivScheme, Evolution, Extended, add_term, apply_f, cochain_preimage,
+    Base, Cochain, DerivScheme, Evolution, Extended, add_term, apply_f, cochain_preimage,
     d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
@@ -46,7 +47,7 @@ from .reports import Report, check
 __all__ = [
     "FlatRepSpec", "AnsatzSpec", "check_flat_rep", "pullback",
     "infinitesimal_deformation", "exactness_test",
-    "symmetry_cocycle", "lift_symmetry", "covering_to_flatrep",
+    "symmetry_cocycle", "lift_symmetry", "covering_to_flatrep", "connection",
     "du_vertical", "du_cochain1", "default_ansatz",
 ]
 
@@ -329,6 +330,19 @@ def covering_to_flatrep(
         fiber_dirs=tuple(range(base.ndirs + 1, base.ndirs + nfibers + 1)),
         coeffs=coeffs,
     )
+
+
+def connection(n: int, m: int, coeffs: Mapping[Tuple[int, int], Expr]) -> FlatRepSpec:
+    """The connection v_i^a(x, v) = ``coeffs[(i, a)]`` on R^n x R^m, over
+    ``Extended(Base(n), (v1, ..., vm))`` with base directions 1..n and fiber
+    direction n + a = d/dv^a: F_i = d/dx_i + sum_a v_i^a d/dv^a."""
+    n, m = positive(n, "n"), positive(m, "m")
+    for i, a in coeffs:
+        if not (1 <= i <= n and 1 <= a <= m):
+            raise ValueError("coefficient v_%d^%d outside the n=%d, m=%d chart" % (i, a, n, m))
+    return FlatRepSpec(Extended(Base(n), tuple(v(a) for a in range(1, m + 1))),
+                       tuple(range(1, n + 1)), tuple(range(n + 1, n + m + 1)),
+                       {(i, n + a): e for (i, a), e in coeffs.items()})
 
 
 def default_ansatz(

@@ -9,9 +9,10 @@ they act on every other symbol.  Three built-in flavors:
 * :class:`Evolution` -- internal coordinates (x, t, u_k) of an evolution
   system u_t = F(x, t, u_0, ..., u_r): the spatial rule shifts the order, the
   temporal rule prolongs the right-hand side;
-* :class:`Extended` -- an existing scheme plus fiber coordinates y^b that all
-  original variables are independent of (the trivial extension used by
-  coverings and flat representations).
+* :class:`Extended` -- an existing scheme plus distinct fiber coordinates
+  that all original variables are independent of (the trivial extension):
+  covering fibers y^b over an equation, bundle fibers v^a over a
+  :class:`Base`, the chart of a coordinate connection.
 
 On top of the schemes: evolutionary vector fields and the symmetry test for
 evolution systems, whose report (``reports.check``) reads its verdict from
@@ -53,14 +54,14 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
-    KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
+    KIND_BASEFIBER, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
     jet, positive, render, x,
 )
 from .linsolve import solve_by_superposition
 from .reports import Report, check
 
 __all__ = [
-    "FreeJet", "Evolution", "Extended", "Cochain",
+    "Base", "FreeJet", "Evolution", "Extended", "Cochain",
     "total_derivative", "d_sigma", "evolutionary_apply",
     "is_symmetry_evolution", "sort_with_sign", "add_term",
     "apply_f", "cochain_differential", "cochain_preimage", "DirectionError",
@@ -462,6 +463,16 @@ class DerivScheme(Frozen):
             raise DirectionError("direction %d out of range 1..%d" % (i, self.ndirs))
 
 
+class Base(DerivScheme):
+    """The base R^n of a bundle: n independents, no dependents, no jets."""
+
+    def __init__(self, n: int):
+        self._put(m=0, ndirs=positive(n, "n"), _dsigma={})
+
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+        raise ValueError("symbol %s is foreign to the chart" % render(s))
+
+
 class FreeJet(DerivScheme):
     """Free jet space of a trivial bundle with n independents, m dependents."""
 
@@ -504,13 +515,17 @@ class Evolution(DerivScheme):
 
 
 class Extended(DerivScheme):
-    """A scheme plus fiber directions whose rules are all trivial."""
+    """A scheme plus distinct fiber directions whose rules are all trivial:
+    bundle fibers v^a over a :class:`Base`, covering fibers y^b otherwise."""
 
     def __init__(self, base: DerivScheme, fibers: Sequence[Symbol]):
-        for f in fibers:
-            if f.kind != KIND_FIBER:
-                raise ValueError("extension fibers must be fiber symbols, got %s" % render(f))
         fibers = tuple(fibers)
+        kind, name = (KIND_BASEFIBER, "v<a>") if isinstance(base, Base) else (KIND_FIBER, "y<b>")
+        for f in fibers:
+            if f.kind != kind:
+                raise ValueError("extension fibers must be %s symbols, got %s" % (name, render(f)))
+        if len(set(fibers)) != len(fibers):
+            raise ValueError("repeated extension fibers")
         self._put(base=base, fibers=fibers, ndirs=base.ndirs + len(fibers), m=base.m,
                   _fiber_set=frozenset(fibers), _dsigma={})
 

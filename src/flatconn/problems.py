@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
 from .jets import Evolution
 from . import fce
-from .flatrep import FlatRepSpec, covering_to_flatrep
+from .flatrep import FlatRepSpec, connection, covering_to_flatrep
 
 __all__ = ["ProblemFile", "ParseError", "parse_problem", "render_problem", "TASKS"]
 
@@ -317,10 +317,10 @@ class ProblemFile:
     def fc_chart(self) -> fce.FcChart:
         return fce.FcChart(self.n, self.m)
 
-    def connection_spec(self) -> fce.ConnectionSpec:
+    def connection_spec(self) -> FlatRepSpec:
         if self.connection is None:
             raise ValueError("problem has no [connection] section")
-        return fce.ConnectionSpec(self.n, self.m, self.connection)
+        return connection(self.n, self.m, self.connection)
 
     def evolution(self) -> Evolution:
         if self.kind != "evolution" or self.equation is None:
@@ -407,7 +407,7 @@ def _positive(rows: Dict[str, Tuple[int, str]], key: str, missing: str, header: 
     if key not in rows:
         raise ParseError(missing, header)
     ln, val = rows[key]
-    if not val.isdigit() or int(val) < 1:
+    if not val.isdecimal() or int(val) < 1:
         raise ParseError("%s must be a positive integer" % key, ln)
     return int(val)
 
@@ -524,7 +524,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
                 if key == "order" and kind != "evolution":
                     raise ParseError("order bounds jet orders, and a %s chart has none"
                                      % kind, ln)
-                if not val.isdigit():
+                if not val.isdecimal():
                     raise ParseError("%s must be a nonnegative integer" % key, ln)
                 setattr(pf, "ansatz_" + key, int(val))
             elif key == "symbols":

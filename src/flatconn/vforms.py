@@ -11,17 +11,20 @@ and on it the bracket of decomposables
                              - L_X'(w) ^ w' (x) X
 
 is exact (the two d(w) terms vanish because basis wedges are closed).
+
+A coordinate connection (``flatrep.connection``) gives the forms of
+:func:`connection_forms`, and [[Ubar, .]] is :func:`d_nabla_vertical`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .expr import (
-    KIND_BASEFIBER, KIND_PARAM, Expr, ONE, Symbol, ZERO, render, v, x,
-)
-from .jets import DerivScheme, add_term, sort_with_sign
-from . import fce
+from .expr import KIND_BASEFIBER, KIND_PARAM, Expr, ONE, Symbol, ZERO, render
+from .jets import Base, DerivScheme, Extended, add_term, sort_with_sign
+
+if TYPE_CHECKING:
+    from .flatrep import FlatRepSpec
 
 __all__ = [
     "FiniteChart", "Derivation", "VForm", "UnsupportedBracket",
@@ -267,46 +270,44 @@ class VForm:
         return " + ".join(bits)
 
 
-def connection_forms(spec: "fce.ConnectionSpec") -> Tuple[VForm, VForm]:
-    """The pair (Ubar, U) of a coordinate connection v_i^a on the chart (x, v).
+def connection_forms(spec: FlatRepSpec) -> Tuple[VForm, VForm]:
+    """The pair (Ubar, U) of a coordinate connection v_i^a on the chart (x, v),
+    a flat representation over a jet-free chart (``flatrep.connection``);
+    a spec over any other chart is refused.
 
     Ubar = sum_i dx_i (x) (d/dx_i + sum_a v_i^a d/dv^a) and
     U = sum_a (dv^a - sum_i v_i^a dx_i) (x) d/dv^a; Ubar + U acts as the
     full differential split into horizontal and vertical parts.
     """
-    coords = tuple(x(i) for i in range(1, spec.n + 1)) + tuple(
-        v(a) for a in range(1, spec.m + 1)
-    )
-    chart = FiniteChart(coords)
-    ubar_terms = {}
-    u_terms: Dict[Tuple[int, ...], Derivation] = {}
-    for i in range(1, spec.n + 1):
-        partials = {x(i): ONE}
-        for a in range(1, spec.m + 1):
-            partials[v(a)] = spec.coeff(i, a)
-        ubar_terms[(i - 1,)] = Derivation(chart, partials=partials)
-        down = {v(a): -spec.coeff(i, a) for a in range(1, spec.m + 1)}
-        u_terms[(i - 1,)] = Derivation(chart, partials=down)
-    for a in range(1, spec.m + 1):
-        u_terms[(spec.n + a - 1,)] = Derivation(chart, partials={v(a): ONE})
-    return (
-        VForm(chart, coords, 1, ubar_terms),
-        VForm(chart, coords, 1, u_terms),
-    )
+    scheme = spec.scheme
+    if not (isinstance(scheme, Extended) and isinstance(scheme.base, Base)):
+        raise ValueError("not a coordinate connection: its chart is not jet-free")
+    xs = [scheme.indep(i) for i in spec.base_dirs]
+    vs = [scheme.indep(d) for d in spec.fiber_dirs]
+    chart = FiniteChart(xs + vs)
+    ubar_terms, u_terms = {}, {}
+    for k, i in enumerate(spec.base_dirs):
+        coeffs = {vd: spec.a(i, d) for d, vd in zip(spec.fiber_dirs, vs)}
+        ubar_terms[(k,)] = Derivation(chart, partials={xs[k]: ONE, **coeffs})
+        u_terms[(k,)] = Derivation(chart, partials={vd: -c for vd, c in coeffs.items()})
+    for k, vd in enumerate(vs, len(xs)):
+        u_terms[(k,)] = Derivation(chart, partials={vd: ONE})
+    return VForm(chart, chart.coords, 1, ubar_terms), VForm(chart, chart.coords, 1, u_terms)
 
 
-def d_nabla_vertical(spec: "fce.ConnectionSpec", theta: VForm) -> VForm:
+def d_nabla_vertical(spec: FlatRepSpec, theta: VForm) -> VForm:
     """Covariant differential d_nabla = [[Ubar, .]] on vertical forms.
 
-    Requires a flat spec (otherwise d o d would not vanish) and a theta whose
-    derivation components are all vertical (basefiber partials only).
+    Requires a coordinate connection (see :func:`connection_forms`) that is
+    flat (otherwise d o d would not vanish) and a theta whose derivation
+    components are all vertical (basefiber partials only).
     """
-    if any(not r.is_zero() for r in fce.flatness_residual(spec)):
+    ubar, _ = connection_forms(spec)
+    if not spec.is_flat:
         raise ValueError("connection is not flat; d_nabla is not a differential")
     for der in theta.terms.values():
         if der.dirs or any(s.kind != KIND_BASEFIBER for s in der.partials):
             raise ValueError("theta must be vertical (d/dv^a components only)")
-    ubar, _ = connection_forms(spec)
     if theta.coframe != ubar.coframe:
         raise ValueError("theta is not defined over the spec's chart")
     return ubar.nijenhuis(theta)

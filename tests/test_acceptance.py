@@ -40,10 +40,10 @@ def u(k):
 
 def test_criterion_1_flatness():
     with criterion(1, "flatness of eq:fce examples", 1):
-        assert all(r.is_zero() for r in fce.flatness_residual(fce.ConnectionSpec(2, 1, {})))
-        flat = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
+        assert all(r.is_zero() for r in fce.flatness_residual(flatrep.connection(2, 1, {})))
+        flat = flatrep.connection(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
         assert [render(r) for r in fce.flatness_residual(flat)] == ["0"]
-        bent = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
+        bent = flatrep.connection(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
         assert [render(r) for r in fce.flatness_residual(bent)] == ["v"[0] + "1"]
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_curvature_criterion():
                 for i in range(1, n + 1):
                     for a in range(1, m + 1):
                         coeffs[(i, a)] = rand_expr(rng, xs + vs, degree=2, terms=2)
-            spec = fce.ConnectionSpec(n, m, coeffs)
+            spec = flatrep.connection(n, m, coeffs)
             ubar, _ = connection_forms(spec)
             assert ubar.nijenhuis(ubar).is_zero() == \
                 all(r.is_zero() for r in fce.flatness_residual(spec))

@@ -589,6 +589,18 @@ def test_file_refusals_exit_2_with_their_line(prob, capsys):
         assert err == "error: line %d%s\n" % (text.split("\n").index(line) + 1, why)
 
 
+def test_symmetry_components_a_handler_reads_are_refused_with_exit_2(prob, capsys):
+    # A bracket file without g, and a dfc file with neither f nor phi.
+    for task, text, why in [
+        ("bracket", CONSTS.replace("g1 = 0\ng2 = 1\n", ""), "[symmetry] must bind g1..g2"),
+        ("dfc", CONSTS.replace("f1 = 1\nf2 = 0\n", ""),
+         "[symmetry] must bind phi<i>_<a> components"),
+    ]:
+        capsys.readouterr()
+        assert run([task, prob(task + ".prob", text), "--json"]) == 2, task
+        assert capsys.readouterr() == ("", "error: %s\n" % why)
+
+
 def test_only_file_tasks_take_a_problem_file(prob, capsys):
     from flatconn import cli, problems
 

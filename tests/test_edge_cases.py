@@ -5,13 +5,13 @@ import re
 import pytest
 
 from flatconn.expr import Expr, const, fc, jet, render, v, x, y, ZERO, ONE
-from flatconn.jets import Evolution, Extended, FreeJet, total_derivative
+from flatconn.jets import Base, Evolution, Extended, FreeJet, total_derivative
 from flatconn import fce, flatrep, sdym
 from flatconn.linsolve import AnsatzSpec
 
 
 def test_one_dimensional_base_has_no_flatness_equations():
-    spec = fce.ConnectionSpec(1, 1, {(1, 1): v(1) * v(1)})
+    spec = flatrep.connection(1, 1, {(1, 1): v(1) * v(1)})
     assert fce.flatness_residual(spec) == []
 
 
@@ -36,8 +36,9 @@ def test_fc_chart_rejects_foreign_symbols():
 SIZED = {  # each size of the package, as its constructor names it
     "FcChart n": (lambda s: fce.FcChart(s, 1), "n"),
     "FcChart m": (lambda s: fce.FcChart(1, s), "m"),
-    "ConnectionSpec n": (lambda s: fce.ConnectionSpec(s, 1, {}), "n"),
-    "ConnectionSpec m": (lambda s: fce.ConnectionSpec(1, s, {}), "m"),
+    # a connection's sizes, keyed as the test ids have always named them
+    "ConnectionSpec n": (lambda s: flatrep.connection(s, 1, {}), "n"),
+    "ConnectionSpec m": (lambda s: flatrep.connection(1, s, {}), "m"),
     "FreeJet n": (lambda s: FreeJet(s, 1), "n"),
     "FreeJet m": (lambda s: FreeJet(1, s), "m"),
     "Evolution m": (lambda s: Evolution(s, [Expr.wrap(jet(1, (1,)))]), "m"),
@@ -82,6 +83,27 @@ def test_extended_rejects_non_fiber_symbols():
     base = Evolution(1, [Expr.wrap(jet(1, (1,)))])
     with pytest.raises(ValueError):
         Extended(base, (v(1),))
+
+
+def test_extended_refuses_a_repeated_fiber():
+    # Two fiber directions that are both d/dy1 used to be accepted, and a
+    # spec over them was judged flat with a twist that named both.
+    for base, fiber in ((FreeJet(1, 1), y(1)), (Base(2), v(1))):
+        with pytest.raises(ValueError, match="^repeated extension fibers$"):
+            Extended(base, (fiber, fiber))
+    assert Extended(FreeJet(1, 1), (y(2), y(1))).fibers == (y(2), y(1))
+
+
+def test_bundle_fibers_extend_a_base_and_covering_fibers_an_equation():
+    base, equation = Base(2), FreeJet(1, 1)
+    assert Extended(base, (v(1), v(2))).indep(4) is v(2)
+    for scheme, fiber, kind in ((base, y(1), "v<a>"), (equation, v(1), "y<b>")):
+        with pytest.raises(ValueError, match="^extension fibers must be %s symbols, got %s$"
+                           % (kind, render(fiber))):
+            Extended(scheme, (fiber,))
+    assert base.derive_symbol(x(2), 2) == ONE
+    with pytest.raises(ValueError, match=re.escape("symbol u[1] is foreign to the chart")):
+        base.derive_symbol(jet(1, (1,)), 1)
 
 
 def test_multifiber_covering():

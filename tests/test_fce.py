@@ -5,7 +5,7 @@ import re
 import pytest
 
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, ZERO, ONE
-from flatconn import fce, jets
+from flatconn import fce, flatrep, jets
 from flatconn.jets import Cochain
 from flatconn.linsolve import AnsatzSpec
 from helpers import (
@@ -85,48 +85,47 @@ def test_commutation_identity(ch2):
 
 
 def test_flatness_residual_examples():
-    assert all(r.is_zero() for r in fce.flatness_residual(fce.ConnectionSpec(2, 1, {})))
-    flat = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
+    assert all(r.is_zero() for r in fce.flatness_residual(flatrep.connection(2, 1, {})))
+    flat = flatrep.connection(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
     assert all(r.is_zero() for r in fce.flatness_residual(flat))
-    bent = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
+    bent = flatrep.connection(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
     assert [render(r) for r in fce.flatness_residual(bent)] == ["v1"]
 
 
 def test_connection_spec_rejects_fc_coefficients():
     with pytest.raises(ValueError):
-        fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(fc(1, (1,), ()))})
-    with pytest.raises(ValueError):
-        fce.ConnectionSpec(2, 1, {(3, 1): Expr.wrap(v(1))})
+        flatrep.connection(2, 1, {(1, 1): Expr.wrap(fc(1, (1,), ()))})
+    with pytest.raises(ValueError, match="^coefficient v_3\\^1 outside the n=2, m=1 chart$"):
+        flatrep.connection(2, 1, {(3, 1): Expr.wrap(v(1))})
 
 
 def test_connection_spec_is_judged_by_the_fc_chart_rule():
-    # Only an fc coordinate gets the connection's own refusal; every other
-    # symbol is judged, and worded, as the n, m fc chart judges it.
-    msg = "connection coefficients must depend on (x, v) only; got v[1;1;]"
-    with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
-        fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(fc(1, (1,), ())) + x(1)})
-    chart = fce.FcChart(2, 1)
-    for s, msg in [(jet(1, (1,)), "symbol u[1] is foreign to the flat-connection chart"),
-                   (v(2), "fiber coordinate v2 outside chart"),
+    # A connection is judged by its own chart, the jet-free base of n
+    # independents extended by the m fibers v^a, in the scheme's words: an
+    # fc coordinate and a jet are foreign to it, and so are a fiber and an
+    # independent past m and n.
+    for s, msg in [(fc(1, (1,), ()), "symbol v[1;1;] is foreign to the chart"),
+                   (jet(1, (1,)), "symbol u[1] is foreign to the chart"),
+                   (v(2), "symbol v2 is foreign to the chart"),
                    (x(3), "independent x3 outside chart")]:
-        for refuse in (lambda: fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(s) + x(1)}),
-                       lambda: chart.check_symbol(s)):
-            with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
-                refuse()
-    spec = fce.ConnectionSpec(2, 2, {(2, 2): x(2) * v(2) + param("lam")})
-    assert render(spec.coeff(2, 2)) == "lam + x2*v2"
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            flatrep.connection(2, 1, {(1, 1): Expr.wrap(s) + x(1)})
+    spec = flatrep.connection(2, 2, {(2, 2): x(2) * v(2) + param("lam")})
+    assert render(spec.a(2, 4)) == "lam + x2*v2"
 
 
 def test_connection_spec_is_a_frozen_record():
     # Its fields used to be open to change behind its checks: a jet put in
     # coeffs was then read as a constant by flatness_residual.
-    spec = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
-    for name in ("n", "m", "coeffs"):
+    spec = flatrep.connection(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
+    for name in ("scheme", "base_dirs", "fiber_dirs", "coeffs"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(spec, name, 3)
     with pytest.raises(TypeError):
-        spec.coeffs[(1, 1)] = Expr.wrap(jet(1, (1,)))
-    assert (spec.n, spec.m) == (2, 1)
+        spec.coeffs[(1, 3)] = Expr.wrap(jet(1, (1,)))
+    assert (spec.base_dirs, spec.fiber_dirs) == ((1, 2), (3,))
+    assert [spec.scheme.indep(d) for d in (1, 2, 3)] == [x(1), x(2), v(1)]
+    assert spec.coeffs == {(1, 3): Expr.wrap(x(2)), (2, 3): Expr.wrap(x(1))}
     assert [render(r) for r in fce.flatness_residual(spec)] == ["0"]
 
 

@@ -250,7 +250,7 @@ SCHEME_RULES = {
     "derive_symbol": {"jets.DerivScheme", "jets.Extended"},
     "rules_mention": {"jets.DerivScheme", "jets.Extended", "jets.Evolution",
                       "vforms.FiniteChart"},
-    "_derive_jet": {"jets.DerivScheme", "jets.FreeJet", "jets.Evolution",
+    "_derive_jet": {"jets.DerivScheme", "jets.Base", "jets.FreeJet", "jets.Evolution",
                     "sdym.SdymRewriter"},
 }
 

@@ -328,3 +328,74 @@ def test_deformation_options_are_parsed_with_their_line():
         assert _refused(text, match) == _line(text, bad)
     two = DEFORMATION.replace("params = lam", "params = lam, mu").replace("param = lam\n", "")
     assert _refused(two, "needs a 'param' option or exactly one parameter") == _line(two, "[task]")
+
+
+NO_FLATREP = EXACT[:EXACT.index("[flatrep]")] + EXACT[EXACT.index("[cochain]"):]
+# Each refusal of the reader: a valid fixture, an edit (old -> new), the
+# message and the start of the line it reads (the edit's, unless named).
+REFUSALS = [
+    (FLAT_XY, "[chart]", "n = 2\n[chart]", "binding outside any section", None),
+    (FLAT_XY, "v1 = x2", "v1 x2", "expected 'key = value'", None),
+    (FLAT_XY, "kind = connection", "kind = cone", "unknown chart kind 'cone'", None),
+    (FLAT_XY, "n = 2", "n = 0", "n must be a positive integer", None),
+    (KDV_LIFT, "n = 2", "n = 3", "evolution charts have n = 2 (x and t)", None),
+    (KDV_LIFT, "names = x, t", "names = x, t, s", "more names than independents", None),
+    (FLAT_XY, "[task]", "[equation]\nf1 = x1\n[task]", "[equation] needs an evolution chart",
+     "[equation]"),
+    (KDV_LIFT, "f1 = ", "f2 = ", "equation keys are f1..f1", None),
+    (FLAT_XY, "[task]", "[flatrep]\nfibers = 1\n[task]", "[flatrep] needs an evolution chart",
+     "[flatrep]"),
+    (FLAT_XY, "[task]", "[covering]\nfibers = 1\n[task]", "[covering] needs an evolution chart",
+     "[covering]"),
+    (KDV_LIFT, "fibers = 1", "fibers = 0", "fibers must be a positive integer", None),
+    (NO_FLATREP, "[cochain]", "[cochain]", "[cochain] needs a [flatrep] or [covering] first", None),
+    (FLAT_XY, "v1 = x2", "w1 = x2", "connection keys are v<i> or v<i>_<a>", None),
+    (KDV_LIFT, "phi1 = u[1]", "psi1 = u[1]", "symmetry keys start with f, g or phi", None),
+    (KDV_LIFT, "phi1 = u[1]", "phi2 = u[1]", "component keys are phi1..phi1", None),
+    (KDV_LIFT, "symbols = x1,", "symbols = x1*x2,", "'x1*x2' is not a single symbol", None),
+    (KDV_LIFT, "degree = 4", "depth = 4", "unknown ansatz key 'depth'", None),
+    (KDV_LIFT, "degree = 4", "degree = -1", "degree must be a nonnegative integer", None),
+    (KDV_LIFT, "phi1 = u[1]", "phi1 = u[1,2]", "jet form is u[k] with one order index", None),
+    (KDV_LIFT, "phi1 = u[1]", "phi1 = u2[1]", "dependent u2 out of range", None),
+    (KDV_LIFT, "phi1 = u[1]", "phi1 = u[x]", "bad index list near 'x'", None),
+    (KDV_LIFT, "a1 = lam + u[0] + y1^2", "a1 = lam + u[0] + y2^2",
+     "covering fiber y2 out of range", None),
+    (FC_PHI, "phi1 = v[1;1;]", "phi1 = v[1;1]", "fc form is v[a;I;A]", None),
+    (FC_PHI, "phi1 = v[1;1;]", "phi1 = v[1;;1]",
+     "fc coordinate needs |I| >= 1 when A is nonempty", None),
+    (FLAT_XY, "v1 = x2", "v1 = v2", "fiber coordinate v2 out of range", None),
+    (FLAT_XY, "v1 = x2", "v1 = w[1]", "unknown indexed symbol 'w'", None),
+    (FLAT_XY, "v1 = x2", "v1 = x2 +", "unexpected end of expression", None),
+    (FLAT_XY, "v1 = x2", "v1 = (x2 x1", "expected ')', found 'x1'", None),
+    (FLAT_XY, "v1 = x2", "v1 = x2 x1", "trailing input 'x1'", None),
+    (FLAT_XY, "v1 = x2", "v1 = x2/0", "division of an Expr by zero", None),
+    (FLAT_XY, "v1 = x2", "v1 = x2^x1", "exponent must be a nonnegative integer", None),
+]
+
+
+@pytest.mark.parametrize("fixture, old, new, message, at", REFUSALS,
+                         ids=[case[3] for case in REFUSALS])
+def test_every_refusal_reads_its_message_and_line(fixture, old, new, message, at):
+    text = fixture.replace(old, new, 1)
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value).split(": ", 1)[1] == message
+    start = at or new.split("\n")[0]
+    assert err.value.line == next(
+        k for k, line in enumerate(text.split("\n"), 1) if line.startswith(start))
+
+
+@pytest.mark.parametrize("fixture, line", [
+    (FLAT_XY, "n = 2"), (FLAT_XY, "m = 1"), (KDV_LIFT, "fibers = 1"),
+    (COVERING, "fibers = 1"), (KDV_LIFT, "degree = 4"), (KDV_LIFT, "order = 3")],
+    ids=["[chart] n", "[chart] m", "[flatrep] fibers", "[covering] fibers", "[ansatz] degree",
+         "[ansatz] order"])
+def test_a_digit_that_is_no_decimal_is_refused_at_its_line(fixture, line):
+    # "²" passes str.isdigit but not int(), which used to raise a bare
+    # ValueError with no line.
+    key = line.split(" = ")[0]
+    text = fixture.replace(line, key + " = ²", 1)
+    kind = "nonnegative" if key in ("degree", "order") else "positive"
+    with pytest.raises(ParseError, match="^line %d:0: %s must be a %s integer$"
+                       % (_line(text, key + " = ²"), key, kind)):
+        parse_problem(text)

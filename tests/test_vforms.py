@@ -3,8 +3,9 @@ import random
 import pytest
 
 from flatconn.expr import Expr, const, jet, render, v, x, y, ZERO, ONE
-from flatconn.jets import Evolution, Extended
-from flatconn import fce
+from flatconn.jets import Cochain, Evolution, Extended
+from flatconn import fce, flatrep
+from flatconn.kdv import build_kdv
 from flatconn.vforms import (
     Derivation, FiniteChart, UnsupportedBracket, VForm, connection_forms,
     d_nabla_vertical,
@@ -127,14 +128,14 @@ def test_nijenhuis_degree_two_over_line_vanishes():
 
 def test_curvature_vs_flatness_residual():
     # [[Ubar, Ubar]] = 2 * residual dx1^dx2 (x) d/dv on the nonflat example
-    spec = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
+    spec = flatrep.connection(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
     ubar, _ = connection_forms(spec)
     br = ubar.nijenhuis(ubar)
     assert not br.is_zero()
     der = br.terms[(0, 1)]
     assert der.partials == {v(1): 2 * v(1)}
 
-    flat = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
+    flat = flatrep.connection(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
     ub2, _ = connection_forms(flat)
     assert ub2.nijenhuis(ub2).is_zero()
 
@@ -156,7 +157,7 @@ def test_curvature_criterion_random_specs():
             for i in range(1, n + 1):
                 for a in range(1, m + 1):
                     coeffs[(i, a)] = rand_expr(rng, xs + vs, degree=2, terms=2)
-        spec = fce.ConnectionSpec(n, m, coeffs)
+        spec = flatrep.connection(n, m, coeffs)
         ubar, _ = connection_forms(spec)
         assert ubar.nijenhuis(ubar).is_zero() == \
             all(r.is_zero() for r in fce.flatness_residual(spec))
@@ -164,13 +165,13 @@ def test_curvature_criterion_random_specs():
 
 def test_connection_forms_split():
     # trivial connection: Ubar = sum dx_i (x) d/dx_i
-    spec = fce.ConnectionSpec(2, 1, {})
+    spec = flatrep.connection(2, 1, {})
     ubar, uform = connection_forms(spec)
     assert ubar.terms[(0,)].partials == {x(1): ONE}
     assert ubar.terms[(1,)].partials == {x(2): ONE}
     assert uform.terms[(2,)].partials == {v(1): ONE}
     # n=1, m=1, v1 = v: Ubar = dx (x) (d/dx + v d/dv)
-    spec2 = fce.ConnectionSpec(1, 1, {(1, 1): Expr.wrap(v(1))})
+    spec2 = flatrep.connection(1, 1, {(1, 1): Expr.wrap(v(1))})
     ub2, u2 = connection_forms(spec2)
     assert ub2.terms[(0,)].partials == {x(1): ONE, v(1): Expr.wrap(v(1))}
     assert u2.terms[(0,)].partials == {v(1): -Expr.wrap(v(1))}
@@ -188,13 +189,13 @@ def test_connection_forms_split():
 
 
 def test_d_nabla_vertical_examples():
-    spec = fce.ConnectionSpec(2, 1, {})
+    spec = flatrep.connection(2, 1, {})
     ubar, _ = connection_forms(spec)
     chart = ubar.space
     theta = VForm(chart, ubar.coframe, 0, {(): Derivation(chart, partials={v(1): ONE})})
     assert d_nabla_vertical(spec, theta).is_zero()
 
-    spec1 = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
+    spec1 = flatrep.connection(2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))})
     ub1, _ = connection_forms(spec1)
     theta_v = VForm(ub1.space, ub1.coframe, 0,
                     {(): Derivation(ub1.space, partials={v(1): Expr.wrap(v(1))})})
@@ -208,7 +209,7 @@ def test_d_nabla_squared_zero_random_flat():
     for _ in range(8):
         n, m = 2, 1
         phi = rand_expr(rng, [x(1), x(2)], degree=3, terms=3)
-        spec = fce.ConnectionSpec(n, m, {
+        spec = flatrep.connection(n, m, {
             (1, 1): phi.partial(x(1)), (2, 1): phi.partial(x(2)),
         })
         ubar, _ = connection_forms(spec)
@@ -221,9 +222,66 @@ def test_d_nabla_squared_zero_random_flat():
 
 
 def test_d_nabla_rejects_nonflat():
-    spec = fce.ConnectionSpec(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
+    spec = flatrep.connection(2, 1, {(1, 1): Expr.wrap(v(1)), (2, 1): x(1) * v(1)})
     ubar, _ = connection_forms(spec)
     theta = VForm(ubar.space, ubar.coframe, 0,
                   {(): Derivation(ubar.space, partials={v(1): ONE})})
     with pytest.raises(ValueError):
         d_nabla_vertical(spec, theta)
+
+
+def _oracle_connections(rng):
+    """Flat connections on (2,1), (2,2) and (3,1), each twice from potentials
+    phi_a(x): the gradient v_i^a = d(phi_a)/dx_i, and v_i^a = d(phi_a)/dx_i v^a,
+    which has the twist D_{v^a}(v_i^a) = d(phi_a)/dx_i."""
+    for n, m in ((2, 1), (2, 2), (3, 1)):
+        xs = [x(i) for i in range(1, n + 1)]
+        phis = [rand_expr(rng, xs, degree=3, terms=3) for _ in range(m)]
+        grad = {(i, a): phi.partial(x(i)) for i in range(1, n + 1)
+                for a, phi in enumerate(phis, 1)}
+        yield flatrep.connection(n, m, grad)
+        yield flatrep.connection(n, m, {(i, a): e * v(a) for (i, a), e in grad.items()})
+
+
+def test_d_nabla_is_the_cochain_differential_of_a_connection():
+    # The Froelicher-Nijenhuis bracket [[Ubar, theta]] and Cochain.d, the
+    # differential of the connection's complex, agree on every vertical theta
+    # of degree 0 and 1 built from the same components.
+    rng = random.Random(47)
+    cases = twisted = 0
+    for _ in range(4):
+        for spec in _oracle_connections(rng):
+            assert spec.is_flat
+            twisted += bool(spec.twist)
+            ubar, _ = connection_forms(spec)
+            chart, coords = ubar.space, list(ubar.coframe)
+            fiber = {spec.scheme.indep(d): d for d in spec.fiber_dirs}
+            for q in (0, 1):
+                data, terms = {}, {}
+                for dirs in ([()] if q == 0 else [(i,) for i in spec.base_dirs]):
+                    comps = {s: rand_expr(rng, coords, degree=2, terms=2) for s in fiber}
+                    data.update({(dirs, fiber[s]): f for s, f in comps.items()})
+                    key = tuple(coords.index(spec.scheme.indep(i)) for i in dirs)
+                    terms[key] = Derivation(chart, partials=comps)
+                image = d_nabla_vertical(spec, VForm(chart, coords, q, terms))
+                got = {}
+                for key, der in image.terms.items():
+                    assert not der.dirs and set(der.partials) <= set(fiber)
+                    dirs = tuple(spec.base_dirs[k] for k in key)
+                    got.update({(dirs, fiber[s]): e for s, e in der.partials.items()})
+                assert got == dict(Cochain(spec, q, data).d.items())
+                cases += 1
+    # 11 of the 12 v-dependent connections drawn have a nonzero twist.
+    assert (cases, twisted) == (48, 11)
+
+
+def test_connection_forms_refuse_a_jet_space_spec():
+    # The Miura representation has base and fiber directions too, but over
+    # the KdV jets: no coordinate connection.
+    miura = build_kdv().miura
+    with pytest.raises(ValueError, match="^not a coordinate connection"):
+        connection_forms(miura)
+    chart = FiniteChart((x(1), x(2), y(1)))
+    theta = VForm(chart, chart.coords, 0, {(): Derivation(chart, partials={y(1): ONE})})
+    with pytest.raises(ValueError, match="^not a coordinate connection"):
+        d_nabla_vertical(miura, theta)
