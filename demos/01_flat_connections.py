@@ -34,15 +34,16 @@ for name, spec in (("v1=x2, v2=x1", gradient), ("v1=v, v2=x1*v", bent)):
     print("[[Ubar, Ubar]] for %s: %s" % (name, "0" if bracket.is_zero() else bracket))
 
 # The nonzero bracket is exactly twice the flatness residual: for the bent
-# connection above it reads 2*v dx1^dx2 (x) d/dv.
+# connection above it reads 2*v dx1^dx2 (x) D_3.  The chart (x1, x2, v1) has
+# the directions D_1 = d/dx1, D_2 = d/dx2 and D_3 = d/dv1.
 
 # --- the covariant differential of a flat connection ------------------------
 
 print()
 ubar, _ = connection_forms(gradient)
 chart = ubar.space
-theta = VForm(chart, ubar.coframe, 0,
-              {(): Derivation(chart, partials={v(1): Expr.wrap(v(1))})})
+# theta = v (x) d/dv1, and d/dv1 is the direction D_3 of the chart.
+theta = VForm(chart, ubar.coframe, 0, {(): Derivation(chart, {3: Expr.wrap(v(1))})})
 image = d_nabla_vertical(gradient, theta)
 print("d_nabla(v (x) d/dv) =", image)
 print("d_nabla twice        =", d_nabla_vertical(gradient, image))

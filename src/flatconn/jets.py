@@ -419,7 +419,7 @@ class DerivScheme(Frozen):
     """Common behavior of total-derivative rule systems; immutable, because
     each scheme owns the memo of :func:`d_sigma`.  A scheme states ``ndirs``,
     ``m`` and :meth:`_derive_jet`, its rule on jets, which refuses a jet
-    outside its chart; :meth:`rules_mention` too if its rules mention more."""
+    outside its chart."""
 
     ndirs: int
     m: int
@@ -449,14 +449,6 @@ class DerivScheme(Frozen):
     def _derive_jet(self, s: Symbol, i: int) -> Expr:
         """D_i applied to the jet symbol ``s``, once the direction is checked."""
         raise NotImplementedError
-
-    def rules_mention(self, s: Symbol) -> bool:
-        """Whether any rule coefficient can depend on ``s``.
-
-        Used to decide when [D_i, d/ds] vanishes; must err on the side of
-        True.
-        """
-        return s.kind == KIND_JET
 
     def check_direction(self, i: int) -> None:
         if not 1 <= i <= self.ndirs:
@@ -497,8 +489,7 @@ class Evolution(DerivScheme):
         if len(rhs) != positive(m, "m"):
             raise ValueError("expected %d right-hand sides, got %d" % (m, len(rhs)))
         rhs = tuple(Expr.wrap(f) for f in rhs)
-        self._put(m=m, ndirs=2, rhs=rhs, _dsigma={},
-                  _rule_syms=frozenset(s for f in rhs for s in f.symbols()))
+        self._put(m=m, ndirs=2, rhs=rhs, _dsigma={})
         for f in rhs:  # D_x refuses a symbol outside the chart; the first in key order
             for s in sorted(f.symbols()):
                 self.derive_symbol(s, 1)
@@ -509,9 +500,6 @@ class Evolution(DerivScheme):
         if i == 1:
             return Expr.wrap(jet(s.index, s.sigma + (1,)))
         return d_sigma(self, s.sigma, self.rhs[s.index - 1])
-
-    def rules_mention(self, s: Symbol) -> bool:
-        return s.kind == KIND_JET or s in self._rule_syms
 
 
 class Extended(DerivScheme):
@@ -546,11 +534,6 @@ class Extended(DerivScheme):
         # 1 checks as every base direction does.
         self.base.derive_symbol(s, 1)
         return ZERO
-
-    def rules_mention(self, s: Symbol) -> bool:
-        if s in self._fiber_set:
-            return False
-        return self.base.rules_mention(s)
 
 
 def total_derivative(scheme: DerivScheme, i: int, f: Expr) -> Expr:

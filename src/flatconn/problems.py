@@ -449,6 +449,8 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     for p in params:
         if not p.isidentifier() or _COORDINATE.fullmatch(p):
             raise ParseError("bad parameter name %r" % p, params_ln)
+        if params.count(p) > 1:
+            raise ParseError("parameter %r is given twice" % p, params_ln)
     for s in names:
         if not s.isidentifier() or _COORDINATE.fullmatch(s) or s in params or names.count(s) > 1:
             raise ParseError("bad name %r: a name is an identifier, given once, and neither a "
@@ -535,7 +537,8 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
                         continue
                     e = _parse_expr(tok, fenv, ln)
                     terms = list(e.terms.items())
-                    if len(terms) != 1 or len(terms[0][0]) != 1 or terms[0][0][0][1] != 1:
+                    if (len(terms) != 1 or terms[0][1] != 1 or len(terms[0][0]) != 1
+                            or terms[0][0][0][1] != 1):
                         raise ParseError("%r is not a single symbol" % tok, ln)
                     syms.append(terms[0][0][0][0])
                 pf.ansatz_symbols = tuple(syms)

@@ -226,7 +226,7 @@ def test_f_apply_matches_derivation_route(kdv):
         for k, i in enumerate(spec.base_dirs):
             for j in spec.base_dirs[k + 1:]:
                 bracket = route[i].bracket(route[j])
-                assert set(bracket.dirs) <= set(spec.fiber_dirs) and not bracket.partials
+                assert set(bracket.dirs) <= set(spec.fiber_dirs)
                 want += [bracket.dirs.get(d, ZERO) for d in spec.fiber_dirs]
         assert spec.flatness_residuals == tuple(want)
         for _ in range(4):

@@ -241,15 +241,11 @@ def test_one_cochain_type_and_one_differential_call():
 
 
 # What a total-derivative scheme defines: DerivScheme states the rules off
-# the jets once, Extended keeps its own (fiber directions), Evolution's rule
-# coefficients also mention its right-hand side, and each concrete scheme
-# states its rule on jets.  vforms.FiniteChart is no scheme: no rule of it
-# mentions a symbol.
+# the jets once, Extended keeps its own (fiber directions), and each concrete
+# scheme states its rule on jets.
 SCHEME_RULES = {
     "indep": {"jets.DerivScheme", "jets.Extended"},
     "derive_symbol": {"jets.DerivScheme", "jets.Extended"},
-    "rules_mention": {"jets.DerivScheme", "jets.Extended", "jets.Evolution",
-                      "vforms.FiniteChart"},
     "_derive_jet": {"jets.DerivScheme", "jets.Base", "jets.FreeJet", "jets.Evolution",
                     "sdym.SdymRewriter"},
 }
@@ -282,18 +278,18 @@ def test_scheme_rule_scan_sees_every_definition():
         "    def indep(self, i):\n"
         "        return x(i)\n"
         "    async def derive_symbol(self, s, i):\n"
-        "        def rules_mention(s):\n"
+        "        def _derive_jet(s):\n"
         "            return indep(s)\n"
         "def _derive_jet(s, i):\n"
         "    return derive_symbol(s, i)\n")
     found = _owned(tree, _definitions(SCHEME_RULES))
     assert found == [
         ("FreeJet.derive_symbol", 4, "derive_symbol"),
-        ("FreeJet.derive_symbol.rules_mention", 5, "rules_mention"),
+        ("FreeJet.derive_symbol._derive_jet", 5, "_derive_jet"),
         ("FreeJet.indep", 2, "indep"), ("_derive_jet", 7, "_derive_jet")]
     assert _definers(found) == {
         "indep": {"FreeJet"}, "derive_symbol": {"FreeJet"},
-        "rules_mention": {"FreeJet.derive_symbol"}, "_derive_jet": {""}}
+        "_derive_jet": {"FreeJet.derive_symbol", ""}}
 
 
 # Classes that hold a memo but are immutable by contract only: an Expr is

@@ -353,6 +353,10 @@ REFUSALS = [
     (KDV_LIFT, "phi1 = u[1]", "psi1 = u[1]", "symmetry keys start with f, g or phi", None),
     (KDV_LIFT, "phi1 = u[1]", "phi2 = u[1]", "component keys are phi1..phi1", None),
     (KDV_LIFT, "symbols = x1,", "symbols = x1*x2,", "'x1*x2' is not a single symbol", None),
+    (KDV_LIFT, "symbols = x1,", "symbols = 2*x1,", "'2*x1' is not a single symbol", None),
+    (KDV_LIFT, "symbols = x1,", "symbols = -x1,", "'-x1' is not a single symbol", None),
+    (KDV_LIFT, "symbols = x1,", "symbols = 1/2*x1,", "'1/2*x1' is not a single symbol", None),
+    (KDV_LIFT, "params = lam", "params = lam, lam", "parameter 'lam' is given twice", None),
     (KDV_LIFT, "degree = 4", "depth = 4", "unknown ansatz key 'depth'", None),
     (KDV_LIFT, "degree = 4", "degree = -1", "degree must be a nonnegative integer", None),
     (KDV_LIFT, "phi1 = u[1]", "phi1 = u[1,2]", "jet form is u[k] with one order index", None),
