@@ -39,7 +39,8 @@ compare element by element.  A product with a one-factor monomial, the
 common case in a derivation, inserts that factor with one scan and two
 slices instead of a merge.  The ring operations and :meth:`Expr.derive`
 hand the dict they built to the new value without a copy; the public
-constructor copies its mapping.
+constructor copies its mapping.  :meth:`Expr.derive` reads the terms of
+each symbol's image in place and copies none of them.
 
 :class:`Frozen`, the base of every record that owns a memo or a value set
 once, lives here, in the lowest layer.  :class:`Expr` is immutable by
@@ -75,7 +76,7 @@ def positive(value, what: str) -> int:
 def _check_indices(ix: Iterable[int], what: str) -> Tuple[int, ...]:
     t = tuple(sorted(ix))
     for i in t:
-        if not isinstance(i, int) or i < 1:
+        if type(i) is not int or i < 1:
             raise ValueError("%s indices must be positive integers, got %r" % (what, i))
     return t
 
@@ -515,17 +516,19 @@ class Expr:
 
         Applies the Leibniz rule, sum_s image(s) * df/ds, in one pass over
         the monomials.  ``image`` is called once per distinct symbol of f and
-        returns ZERO for symbols the derivation kills.  This is the one
+        returns ZERO for symbols the derivation kills.  Each image's terms
+        are read in place, never copied, so an image may be a memoized value
+        shared with other callers: the kernel only reads it.  This is the one
         kernel behind every total, vertical, evolutionary and symmetry
         derivation in the package.
         """
-        images: Dict[Symbol, Tuple[Tuple[Monomial, Scalar], ...]] = {}
+        images: Dict[Symbol, Mapping[Monomial, Scalar]] = {}
         out: Dict[Monomial, Scalar] = {}
         for mono, c in self.terms.items():
             for k, (sym, p) in enumerate(mono):
                 img = images.get(sym)
                 if img is None:
-                    img = images[sym] = tuple(image(sym).terms.items())
+                    img = images[sym] = image(sym).terms
                 if not img:
                     continue
                 if p == 1:
@@ -534,7 +537,7 @@ class Expr:
                 else:
                     rest = mono[:k] + ((sym, p - 1),) + mono[k + 1:]
                     cp = c * p
-                for mi, ci in img:
+                for mi, ci in img.items():
                     m = _mono_mul(rest, mi) if rest else mi
                     cc = cp * ci
                     acc = out.get(m)

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -260,6 +262,46 @@ def test_ring_and_leibniz_kernel_match_the_naive_reference():
     terms = {((x(1), 1),): 2}
     assert Expr(terms).terms is not terms
     assert a + ZERO is a and a * ONE is a and ONE * a is a
+
+
+def test_derive_calls_each_image_once_and_reads_it_in_place():
+    # The kernel's contract: image is called once per distinct symbol of f,
+    # and each image's terms are only read.  Read-only terms give the same
+    # result as plain ones and come out unchanged, so the kernel may read a
+    # memoized image in place.
+    rng = random.Random(71)
+    pool = [x(1), v(1), v(2), jet(1, (1,)), fc(1, (1,), (2,))]
+    for _ in range(40):
+        f = rand_expr(rng, pool, degree=3, terms=rng.randint(1, 4)) ** rng.randint(1, 2)
+        values = {s: rand_expr(rng, pool, terms=rng.randint(0, 3)) for s in pool}
+        frozen = {}
+        for s, e in values.items():
+            frozen[s] = Expr(e.terms)
+            frozen[s].terms = MappingProxyType(dict(e.terms))
+        before = {s: dict(e.terms) for s, e in values.items()}
+        calls = Counter()
+
+        def image(s):
+            calls[s] += 1
+            return frozen[s]
+
+        got = f.derive(image)
+        assert got == f.derive(values.__getitem__)
+        assert got.terms == naive_derive(f, values.__getitem__)
+        assert set(calls) == set(f.symbols()) and set(calls.values()) <= {1}
+        assert {s: dict(e.terms) for s, e in frozen.items()} == before
+        assert {s: e.terms for s, e in values.items()} == before
+
+
+def test_bool_is_not_an_index():
+    # True == 1 and hashes alike, so an interned True spelling would win
+    # every later lookup of the same symbol and change its rendering.
+    for build in (lambda: x(True), lambda: jet(1, (True,)), lambda: jet(1, (True, 2)),
+                  lambda: fc(1, (2,), (True,)), lambda: fc(True, (2,), (1,))):
+        with pytest.raises(ValueError, match="indices must be positive integers, got True"):
+            build()
+    assert render(fc(1, (2,), (1,))) == "v[1;2;1]"
+    assert render(jet(1, (1, 2))) == "u[1;2]"
 
 
 def test_rendering_bit_exact():
