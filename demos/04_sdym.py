@@ -33,9 +33,9 @@ print("a deep reducible jet, normalized, has %d terms"
 
 # --- the flat representation and the essential parameter ----------------------
 
-rep = sdym.build_flatrep(2, None)
-print("\nflat for symbolic lam:", flatrep.check_flat_rep(rep.spec).verdict)
-c = flatrep.infinitesimal_deformation(rep.spec, param("lam"))
+spec = sdym.build_flatrep(2, None)
+print("\nflat for symbolic lam:", flatrep.check_flat_rep(spec).verdict)
+c = flatrep.infinitesimal_deformation(spec, param("lam"))
 print("lam-family cocycle closed:", "pass" if c.d.is_zero() else "fail")
 
 pool = [x(i) for i in (1, 2, 3, 4)] + [y(p) for p in (1, 2)]
@@ -43,7 +43,7 @@ for alpha in range(1, rew.m + 1):
     pool.append(jet(alpha, ()))
     for d in (1, 2, 3, 4):
         s = jet(alpha, (d,))
-        if not rep.scheme.reducible(s):
+        if not spec.scheme.base.reducible(s):
             pool.append(s)
 witness = flatrep.exactness_test(c.complex, c, AnsatzSpec(tuple(pool), 2))
 print("exact at w-degree <= 2, jet order <= 1:",

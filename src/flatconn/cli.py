@@ -242,7 +242,7 @@ def _t_sdym_expand(args) -> Report:
 
 
 def _t_sdym_flatrep(args) -> Report:
-    spec = sdym.build_flatrep(args.k, args.lam).spec
+    spec = sdym.build_flatrep(args.k, args.lam)
     return check("sdym-flatrep", [render(r) for r in spec.flatness_residuals])
 
 

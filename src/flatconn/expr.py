@@ -74,11 +74,11 @@ def positive(value, what: str) -> int:
 
 
 def _check_indices(ix: Iterable[int], what: str) -> Tuple[int, ...]:
-    t = tuple(sorted(ix))
+    t = tuple(ix)
     for i in t:
         if type(i) is not int or i < 1:
             raise ValueError("%s indices must be positive integers, got %r" % (what, i))
-    return t
+    return tuple(sorted(t))
 
 
 def _order_key(key: tuple) -> bytes:

@@ -7,8 +7,13 @@ independents as fiber directions) is the family of fields
 
     F_i = D_{x_i} + sum_d a_i^d D_d,   i over base directions,
 
-subject to [F_i, F_j] = 0, the package's one flatness formula; a coordinate
-connection is the jet-free case (:func:`connection`).  This module verifies
+subject to [F_i, F_j] = 0, the package's one flatness formula.  A spec over
+a trivial extension ``jets.Extended`` is built in one place,
+:func:`covering_to_flatrep`, from flat keys (i, b) and a fiber count: a
+covering of an equation, or, over ``jets.Base(n)``, a coordinate connection
+(:func:`connection`, the jet-free case).  The self-dual Yang-Mills family
+(``sdym.build_flatrep``) is the one spec whose split also moves genuine
+directions to the fibers, so it states its split itself.  This module verifies
 that condition, realizes the induced morphism onto the equation of flat
 connections as a pullback of coordinates, differentiates parametric families
 into deformation 1-cocycles, tests cocycles for exactness inside a bounded
@@ -34,12 +39,12 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
-    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, positive, render, v, y,
+    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, positive, render,
 )
 from .fce import FcChart
 from .jets import (
     Base, Cochain, DerivScheme, Evolution, Extended, add_term, apply_f, cochain_preimage,
-    d_sigma, evolutionary_apply, is_symmetry_evolution, total_derivative,
+    evolutionary_apply, is_symmetry_evolution, total_derivative,
 )
 from .linsolve import AnsatzSpec
 from .reports import Report, check
@@ -144,7 +149,7 @@ class FlatRepSpec(Frozen):
                 for d in self.fiber_dirs:
                     pairs = tuple(
                         (b, t) for b in self.fiber_dirs
-                        if not (t := d_sigma(self.scheme, (d,), self.a(i, b))).is_zero())
+                        if not (t := total_derivative(self.scheme, d, self.a(i, b))).is_zero())
                     if pairs:
                         out[(i, d)] = pairs
             self._put(_twist=out)
@@ -306,43 +311,36 @@ def lift_symmetry(
 
 
 def covering_to_flatrep(
-    base: DerivScheme, fields: Mapping[int, Mapping[int, Expr]], nfibers: int
+    base: DerivScheme, coeffs: Mapping[Tuple[int, int], Expr], nfibers: int
 ) -> FlatRepSpec:
-    """Trivially extend an equation by fibers y^b and package vertical fields
-    X_i = sum_b a_i^b D_{y^b} as a flat-representation candidate.
+    """The flat-representation candidate F_i = D_i + sum_b a_i^b D_b over
+    ``Extended(base, nfibers)``, a_i^b = ``coeffs[(i, b)]`` for a direction
+    i of ``base`` and a fiber b in 1..nfibers: base directions
+    1..base.ndirs, fiber direction base.ndirs + b, the extension's b-th
+    fiber.  Every spec over an extension is built here, except the SDYM
+    family, whose split also moves x3 and x4 to the fibers.
 
     check_flat_rep on the result is exactly the covering condition
-    [D_i + X_i, D_j + X_j] = 0.  Input must be vertical: coefficients may
-    involve the base chart and the declared fibers only, which the extended
-    scheme of the spec enforces; ``nfibers`` is a positive int.
+    [D_i + X_i, D_j + X_j] = 0, X_i = sum_b a_i^b D_b; over a :class:`Base`
+    it is the flatness of a connection (:func:`connection`).  A key outside
+    the chart is refused here, a coefficient foreign to the extended chart
+    by the spec.
     """
-    fibers = tuple(y(b) for b in range(1, positive(nfibers, "nfibers") + 1))
-    coeffs: Dict[Tuple[int, int], Expr] = {}
-    for i, comps in fields.items():
-        base.check_direction(i)
-        for b, e in comps.items():
-            if not 1 <= b <= nfibers:
-                raise ValueError("fiber index %d out of range" % b)
-            coeffs[(i, base.ndirs + b)] = e
-    return FlatRepSpec(
-        scheme=Extended(base, fibers),
-        base_dirs=tuple(range(1, base.ndirs + 1)),
-        fiber_dirs=tuple(range(base.ndirs + 1, base.ndirs + nfibers + 1)),
-        coeffs=coeffs,
-    )
+    scheme = Extended(base, nfibers)
+    n = base.ndirs
+    for i, b in coeffs:
+        if not (1 <= i <= n and 1 <= b <= nfibers):
+            raise ValueError("coefficient a_%d^%d outside the chart of %d base and %d fiber "
+                             "directions" % (i, b, n, nfibers))
+    return FlatRepSpec(scheme, tuple(range(1, n + 1)), tuple(range(n + 1, scheme.ndirs + 1)),
+                       {(i, n + b): e for (i, b), e in coeffs.items()})
 
 
 def connection(n: int, m: int, coeffs: Mapping[Tuple[int, int], Expr]) -> FlatRepSpec:
-    """The connection v_i^a(x, v) = ``coeffs[(i, a)]`` on R^n x R^m, over
-    ``Extended(Base(n), (v1, ..., vm))`` with base directions 1..n and fiber
-    direction n + a = d/dv^a: F_i = d/dx_i + sum_a v_i^a d/dv^a."""
-    n, m = positive(n, "n"), positive(m, "m")
-    for i, a in coeffs:
-        if not (1 <= i <= n and 1 <= a <= m):
-            raise ValueError("coefficient v_%d^%d outside the n=%d, m=%d chart" % (i, a, n, m))
-    return FlatRepSpec(Extended(Base(n), tuple(v(a) for a in range(1, m + 1))),
-                       tuple(range(1, n + 1)), tuple(range(n + 1, n + m + 1)),
-                       {(i, n + a): e for (i, a), e in coeffs.items()})
+    """The connection v_i^a(x, v) = ``coeffs[(i, a)]`` on R^n x R^m: the
+    covering of ``Base(n)`` by the m fibers v1..vm, fiber direction n + a =
+    d/dv^a, so F_i = d/dx_i + sum_a v_i^a d/dv^a."""
+    return covering_to_flatrep(Base(n), coeffs, positive(m, "m"))
 
 
 def default_ansatz(

@@ -9,10 +9,10 @@ they act on every other symbol.  Three built-in flavors:
 * :class:`Evolution` -- internal coordinates (x, t, u_k) of an evolution
   system u_t = F(x, t, u_0, ..., u_r): the spatial rule shifts the order, the
   temporal rule prolongs the right-hand side;
-* :class:`Extended` -- an existing scheme plus distinct fiber coordinates
-  that all original variables are independent of (the trivial extension):
-  covering fibers y^b over an equation, bundle fibers v^a over a
-  :class:`Base`, the chart of a coordinate connection.
+* :class:`Extended` -- an existing scheme plus k fiber coordinates that all
+  original variables are independent of (the trivial extension), named by
+  the extension: covering fibers y1..yk over an equation, bundle fibers
+  v1..vk over a :class:`Base`, the chart of a coordinate connection.
 
 On top of the schemes: evolutionary vector fields and the symmetry test for
 evolution systems, whose report (``reports.check``) reads its verdict from
@@ -54,8 +54,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
-    KIND_BASEFIBER, KIND_FIBER, KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
-    jet, positive, render, x,
+    KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO, jet, positive, render, v,
+    x, y,
 )
 from .linsolve import solve_by_superposition
 from .reports import Report, check
@@ -122,8 +122,8 @@ class Cochain(Frozen):
     __slots__ = ("complex", "degree", "data", "_d")
 
     def __init__(self, complex, degree: int, data: Mapping[CochainKey, Expr]):
-        if degree < 0:
-            raise ValueError("negative degree")
+        if type(degree) is not int or degree < 0:
+            raise ValueError("cochain degree must be a nonnegative int, got %r" % (degree,))
         comps: Dict[CochainKey, Expr] = {}
         for (dirs, a), e in data.items():
             dirs = tuple(dirs)
@@ -503,19 +503,15 @@ class Evolution(DerivScheme):
 
 
 class Extended(DerivScheme):
-    """A scheme plus distinct fiber directions whose rules are all trivial:
-    bundle fibers v^a over a :class:`Base`, covering fibers y^b otherwise."""
+    """A scheme plus ``nfibers`` fiber directions whose rules are all
+    trivial, named by the extension itself: bundle fibers v1..vk over a
+    :class:`Base`, covering fibers y1..yk over any other scheme."""
 
-    def __init__(self, base: DerivScheme, fibers: Sequence[Symbol]):
-        fibers = tuple(fibers)
-        kind, name = (KIND_BASEFIBER, "v<a>") if isinstance(base, Base) else (KIND_FIBER, "y<b>")
-        for f in fibers:
-            if f.kind != kind:
-                raise ValueError("extension fibers must be %s symbols, got %s" % (name, render(f)))
-        if len(set(fibers)) != len(fibers):
-            raise ValueError("repeated extension fibers")
-        self._put(base=base, fibers=fibers, ndirs=base.ndirs + len(fibers), m=base.m,
-                  _fiber_set=frozenset(fibers), _dsigma={})
+    def __init__(self, base: DerivScheme, nfibers: int):
+        fiber = v if isinstance(base, Base) else y
+        fibers = tuple(fiber(b) for b in range(1, positive(nfibers, "nfibers") + 1))
+        self._put(base=base, nfibers=nfibers, fibers=fibers, ndirs=base.ndirs + nfibers,
+                  m=base.m, _fiber_set=frozenset(fibers), _dsigma={})
 
     def indep(self, i: int) -> Symbol:
         self.check_direction(i)

@@ -5,8 +5,11 @@ and the four classical symmetry characteristics.
 The model never changes, so a process builds and checks it once: every
 :func:`build_kdv` returns the same frozen :class:`KdvBundle`, whose Miura
 spec keeps its memos across calls.  A specialisation :func:`miura_at` is
-built afresh on every call, so memory grows with the models, not with the
-parameter values asked for.
+the spec's ``subs``, built afresh on every call over the same extended
+scheme; a spec caches its own twist and writes nothing into the scheme's
+D_sigma memo, so memory grows with the models, not with the parameter
+values asked for.  The covering is built by ``flatrep.covering_to_flatrep``
+from its flat keys (i, b).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def build_kdv() -> KdvBundle:
         u2 + 2 * u0 ** 2 - 2 * lam * u0 - 4 * lam ** 2
         + 2 * u1 * fiber + fiber ** 2 * (2 * u0 - 4 * lam)
     )
-    miura = covering_to_flatrep(scheme, {1: {1: a_x}, 2: {1: a_t}}, 1)
+    miura = covering_to_flatrep(scheme, {(1, 1): a_x, (2, 1): a_t}, 1)
     symmetries = {
         "x-translation": Expr.wrap(u1),
         "t-translation": rhs,

@@ -331,10 +331,7 @@ class ProblemFile:
         scheme = self.evolution()
         if self.flatrep is None:
             raise ValueError("problem has neither [flatrep] nor [covering]")
-        fields = {}
-        for (i, b), e in self.flatrep.fields.items():
-            fields.setdefault(i, {})[b] = e
-        return covering_to_flatrep(scheme, fields, self.flatrep.fibers)
+        return covering_to_flatrep(scheme, self.flatrep.fields, self.flatrep.fibers)
 
 
 _SECTIONS = ("chart", "connection", "equation", "flatrep", "covering",

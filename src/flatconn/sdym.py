@@ -16,11 +16,13 @@ normal forms are unique; internal coordinates are the normal-form jets,
 and its total derivative normalizes through the rules.
 
 The model never changes, so a process builds it once per k: the symbolic
-family of :func:`build_flatrep`, with its certified rewriter, is interned by
-k and shared by every caller, :func:`verify_ugh` included, with the memos of
-its rewriter and spec.  A family at a rational lambda is a new spec on every
-call, over the shared rewriter, so memory grows with the number of k, not
-with the parameter values asked for.
+family of :func:`build_flatrep`, a ``flatrep.FlatRepSpec`` over its
+certified rewriter, is interned by k and shared by every caller,
+:func:`verify_ugh` included, with the memos of its rewriter and spec.  A
+family at a rational lambda is the family's ``subs``, a new spec on every
+call over the same extended scheme; no spec writes into that scheme's
+D_sigma memo, so memory grows with the number of k, not with the parameter
+values asked for.
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .expr import Expr, Frozen, KIND_JET, Symbol, ZERO, jet, param, positive, render, y
+from .expr import Expr, KIND_JET, Symbol, ZERO, jet, param, positive, render, y
 from .jets import (
     DerivScheme, Extended, FreeJet, d_sigma, evolutionary_apply, total_derivative)
 from .flatrep import FlatRepSpec, du_vertical, symmetry_cocycle
 from .reports import Report, check
 
 __all__ = [
-    "SdymRewriter", "SdymRep", "alpha", "family", "matrix",
+    "SdymRewriter", "alpha", "family", "matrix",
     "lambda_expand", "build_flatrep", "gauge_symmetry",
     "gauge_symmetry_residuals", "verify_ugh", "sigma_field",
     "mat_add", "mat_sub", "mat_mul", "mat_bracket", "mat_map", "mat_is_zero",
@@ -254,46 +256,33 @@ def lambda_expand(k: int) -> Tuple[Matrix, Matrix, Matrix]:
     return m0, m1, m2
 
 
-class SdymRep(Frozen):
-    """A lambda-family: its rewriter, its spec and lam as its coefficients use it."""
-
-    __slots__ = ("scheme", "spec", "lam")
-
-    def __init__(self, scheme: SdymRewriter, spec: FlatRepSpec, lam: Expr):
-        self._put(scheme=scheme, spec=spec, lam=lam)
-
-
 # The symbolic family of each k built so far, interned by k: a rewriter is
 # certified once per k per process, and a failed build interns nothing.
-_FAMILIES: Dict[int, SdymRep] = {}
+_FAMILIES: Dict[int, FlatRepSpec] = {}
 
 
-def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> SdymRep:
+def build_flatrep(k: int, lam0: Optional[Fraction] = None) -> FlatRepSpec:
     """The lambda-family of flat representations over the base (x_1, x_2).
 
-    Fiber directions are x_3, x_4 and the w's; the connection adds lam D_3
-    (resp. lam D_4) and sigma(A_i + lam A_{i+2}) to D_1 (resp. D_2).
-    ``lam0`` fixes the parameter to a rational, in a new spec on every call;
-    None keeps it symbolic and returns the process's one family of k.
+    The scheme is ``Extended(rewriter, k)``, the rewriter of k extended by
+    the fibers w_p = y(p); fiber directions are x_3, x_4 and the w's.  The
+    connection adds lam D_3 (resp. lam D_4) and sigma(A_i + lam A_{i+2}) to
+    D_1 (resp. D_2), so the rewriter is ``spec.scheme.base`` and lam is
+    ``spec.a(1, 3)``.  None keeps lam symbolic and returns the process's
+    one family of k; ``lam0`` fixes it to a rational, the family's
+    ``subs``, a new spec on every call over the family's scheme.
     """
-    rep = _FAMILIES.get(positive(k, "k"))  # 2.0 and True would hit the cache of 2 and 1
-    if rep is None:
-        rep = _FAMILIES[k] = _family(SdymRewriter(k), Expr.wrap(param("lam")))
-    return rep if lam0 is None else _family(rep.scheme, Expr.wrap(Fraction(lam0)))
-
-
-def _family(scheme: SdymRewriter, lam: Expr) -> SdymRep:
-    """The family over ``scheme`` with the parameter ``lam``."""
-    k = scheme.k
-    ext = Extended(scheme, tuple(y(p) for p in range(1, k + 1)))
-    coeffs: Dict[Tuple[int, int], Expr] = {(1, 3): lam, (2, 4): lam}
-    for i in (1, 2):
-        m = mat_add(matrix(k, i), mat_map(matrix(k, i + 2), lambda e: lam * e))
-        for p, e in sigma_field(m).items():
-            coeffs[(i, 4 + p)] = e
-    spec = FlatRepSpec(scheme=ext, base_dirs=(1, 2),
-                       fiber_dirs=(3, 4) + tuple(range(5, 5 + k)), coeffs=coeffs)
-    return SdymRep(scheme=scheme, spec=spec, lam=lam)
+    spec = _FAMILIES.get(positive(k, "k"))  # 2.0 and True would hit the cache of 2 and 1
+    if spec is None:
+        lam = Expr.wrap(param("lam"))
+        coeffs: Dict[Tuple[int, int], Expr] = {(1, 3): lam, (2, 4): lam}
+        for i in (1, 2):
+            m = mat_add(matrix(k, i), mat_map(matrix(k, i + 2), lambda e: lam * e))
+            for p, e in sigma_field(m).items():
+                coeffs[(i, 4 + p)] = e
+        spec = _FAMILIES[k] = FlatRepSpec(Extended(SdymRewriter(k), k), (1, 2),
+                                          (3, 4) + tuple(range(5, 5 + k)), coeffs)
+    return spec if lam0 is None else spec.subs({param("lam"): Expr.wrap(Fraction(lam0))})
 
 
 def gauge_symmetry(scheme: SdymRewriter, h: Matrix) -> List[Expr]:
@@ -344,8 +333,8 @@ def verify_ugh(k: int, h: Union[str, Matrix] = "a1", witness: str = "sigma") -> 
     """
     if witness not in ("sigma", "square"):
         raise ValueError("witness must be 'sigma' or 'square', got %r" % (witness,))
-    rep = build_flatrep(k, None)
-    scheme, spec = rep.scheme, rep.spec
+    spec = build_flatrep(k, None)
+    scheme = spec.scheme.base
     hm = _resolve_h(k, h)
     phi = gauge_symmetry(scheme, hm)
     residuals = [render(e) for m in gauge_symmetry_residuals(scheme, phi)

@@ -186,15 +186,16 @@ def test_criterion_8_sdym(monkeypatch):
         assert all(not sdym.mat_is_zero(m) for m in (m0, m1, m2))
         assert sdym.verify_ugh(2, "const").verdict == "pass"
         assert sdym.verify_ugh(2, "a1").verdict == "pass"
-        rep = sdym.build_flatrep(2, None)
-        c = flatrep.infinitesimal_deformation(rep.spec, param("lam"))
+        spec = sdym.build_flatrep(2, None)
+        rewriter = spec.scheme.base
+        c = flatrep.infinitesimal_deformation(spec, param("lam"))
         assert c.d.is_zero()
         pool = [x(i) for i in (1, 2, 3, 4)] + [y(p) for p in (1, 2)]
-        for alpha in range(1, rep.scheme.m + 1):
+        for alpha in range(1, rewriter.m + 1):
             pool.append(jet(alpha, ()))
             for d in (1, 2, 3, 4):
                 s = jet(alpha, (d,))
-                if not rep.scheme.reducible(s):
+                if not rewriter.reducible(s):
                     pool.append(s)
         ansatz = AnsatzSpec(symbols=tuple(pool), degree=2)
         assert flatrep.exactness_test(c.complex, c, ansatz) is None

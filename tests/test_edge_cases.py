@@ -46,6 +46,7 @@ SIZED = {  # each size of the package, as its constructor names it
     "build_flatrep k": (lambda s: sdym.build_flatrep(s), "k"),
     "covering_to_flatrep nfibers": (lambda s: flatrep.covering_to_flatrep(
         Evolution(1, [Expr.wrap(jet(1, (1,)))]), {}, s), "nfibers"),
+    "Extended nfibers": (lambda s: Extended(FreeJet(1, 1), s), "nfibers"),
 }
 
 
@@ -80,27 +81,27 @@ def test_evolution_rhs_validation():
 
 
 def test_extended_rejects_non_fiber_symbols():
+    # An extension names its own fibers, so a fiber of the other kind, or
+    # one past the count, is foreign to its chart.
     base = Evolution(1, [Expr.wrap(jet(1, (1,)))])
-    with pytest.raises(ValueError):
-        Extended(base, (v(1),))
+    for scheme, fiber in ((Extended(base, 1), v(1)), (Extended(base, 1), y(2)),
+                          (Extended(Base(1), 1), y(1)), (Extended(Base(1), 1), v(2))):
+        with pytest.raises(ValueError, match="^symbol %s is foreign to the chart$"
+                           % re.escape(render(fiber))):
+            scheme.derive_symbol(fiber, 1)
 
 
-def test_extended_refuses_a_repeated_fiber():
-    # Two fiber directions that are both d/dy1 used to be accepted, and a
-    # spec over them was judged flat with a twist that named both.
-    for base, fiber in ((FreeJet(1, 1), y(1)), (Base(2), v(1))):
-        with pytest.raises(ValueError, match="^repeated extension fibers$"):
-            Extended(base, (fiber, fiber))
-    assert Extended(FreeJet(1, 1), (y(2), y(1))).fibers == (y(2), y(1))
+def test_extended_names_its_own_fibers():
+    # Bundle fibers v1..vk over a Base, covering fibers y1..yk over any
+    # other scheme, in index order, one fiber direction each.
+    assert Extended(Base(2), 2).fibers == (v(1), v(2))
+    assert Extended(FreeJet(1, 1), 2).fibers == (y(1), y(2))
+    assert Extended(sdym.SdymRewriter(1), 1).fibers == (y(1),)
 
 
 def test_bundle_fibers_extend_a_base_and_covering_fibers_an_equation():
-    base, equation = Base(2), FreeJet(1, 1)
-    assert Extended(base, (v(1), v(2))).indep(4) is v(2)
-    for scheme, fiber, kind in ((base, y(1), "v<a>"), (equation, v(1), "y<b>")):
-        with pytest.raises(ValueError, match="^extension fibers must be %s symbols, got %s$"
-                           % (kind, render(fiber))):
-            Extended(scheme, (fiber,))
+    base = Base(2)
+    assert Extended(base, 2).indep(4) is v(2)
     assert base.derive_symbol(x(2), 2) == ONE
     with pytest.raises(ValueError, match=re.escape("symbol u[1] is foreign to the chart")):
         base.derive_symbol(jet(1, (1,)), 1)
@@ -113,13 +114,13 @@ def test_multifiber_covering():
     u0 = jet(1, ())
     spec = flatrep.covering_to_flatrep(
         base,
-        {1: {1: Expr.wrap(y(2)), 2: Expr.wrap(u0)},
-         2: {1: Expr.wrap(y(2)), 2: Expr.wrap(u0)}},
+        {(1, 1): Expr.wrap(y(2)), (1, 2): Expr.wrap(u0),
+         (2, 1): Expr.wrap(y(2)), (2, 2): Expr.wrap(u0)},
         2,
     )
     assert flatrep.check_flat_rep(spec).verdict == "pass"
     # the zero covering on two fibers is flat and lifts the zero symmetry
-    zero = flatrep.covering_to_flatrep(base, {1: {}, 2: {}}, 2)
+    zero = flatrep.covering_to_flatrep(base, {}, 2)
     assert flatrep.check_flat_rep(zero).verdict == "pass"
     ans = AnsatzSpec(symbols=(x(1), x(2), y(1), y(2), u0), degree=2)
     lift = flatrep.lift_symmetry(zero, [Expr.wrap(jet(1, (1,)))], ans)
@@ -132,7 +133,7 @@ def test_pullback_over_a_transport_equation():
     base = Evolution(1, [Expr.wrap(jet(1, (1,)))])
     u0 = jet(1, ())
     spec = flatrep.covering_to_flatrep(
-        base, {1: {1: Expr.wrap(u0)}, 2: {1: Expr.wrap(u0)}}, 1)
+        base, {(1, 1): Expr.wrap(u0), (2, 1): Expr.wrap(u0)}, 1)
     assert flatrep.check_flat_rep(spec).verdict == "pass"
     got = flatrep.pullback(spec, Expr.wrap(fc(1, (1, 2), ())))
     assert got == Expr.wrap(jet(1, (1,)))
@@ -152,7 +153,7 @@ def test_memo_owners_refuse_assignment():
 
     free = FreeJet(2, 1)
     evo = Evolution(1, [Expr.wrap(jet(1, (1, 1)))])
-    ext = Extended(evo, (y(1),))
+    ext = Extended(evo, 1)
     rewriter = sdym.SdymRewriter(1)
     chart = fce.FcChart(2, 1)
     spec = flatrep.FlatRepSpec(ext, (1, 2), (3,), {(1, 3): Expr.wrap(y(1))})

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -304,6 +305,17 @@ def test_bool_is_not_an_index():
     assert render(jet(1, (1, 2))) == "u[1;2]"
 
 
+def test_index_of_another_type_is_named_before_sorting():
+    # The indices used to be sorted before they were checked, so a string
+    # among ints raised the TypeError of the comparison instead.
+    for build, bad in ((lambda: jet(1, (1, 'a')), "'a'"), (lambda: x('1'), "'1'"),
+                       (lambda: fc(1, (2, None), ()), "None"), (lambda: jet(1, (1.0, 2)), "1.0")):
+        with pytest.raises(ValueError, match="indices must be positive integers, got %s$"
+                           % re.escape(bad)):
+            build()
+    assert jet(1, (2, 1)) is jet(1, (1, 2))
+
+
 def test_rendering_bit_exact():
     lam = param("lam")
     assert render(lam + jet(1, ()) + y(1) ** 2) == "lam + u[0] + y1^2"
@@ -351,8 +363,7 @@ def test_integer_data_keeps_int_coefficients():
     miura = kdv.miura
     lift = flatrep.du_vertical(miura, {3: y(1) ** 2 * jet(1, (1,))})
     got = coefficients([miura, kdv.symmetries, kdv.scheme.rhs, lift])
-    rep = sdym.build_flatrep(1)
-    got += coefficients([rep.spec, list(sdym.lambda_expand(2))])
+    got += coefficients([sdym.build_flatrep(1), list(sdym.lambda_expand(2))])
     ch = fce.FcChart(2, 2)
     rng = random.Random(31)
     pool = fc_pool(2, 2)

@@ -95,7 +95,8 @@ def test_flatness_residual_examples():
 def test_connection_spec_rejects_fc_coefficients():
     with pytest.raises(ValueError):
         flatrep.connection(2, 1, {(1, 1): Expr.wrap(fc(1, (1,), ()))})
-    with pytest.raises(ValueError, match="^coefficient v_3\\^1 outside the n=2, m=1 chart$"):
+    with pytest.raises(ValueError, match="^coefficient a_3\\^1 outside the chart of 2 base and "
+                       "1 fiber directions$"):
         flatrep.connection(2, 1, {(3, 1): Expr.wrap(v(1))})
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO, ONE
-from flatconn.jets import Cochain, Evolution, FreeJet, total_derivative, evolutionary_apply
+from flatconn.jets import (
+    Base, Cochain, Evolution, FreeJet, d_sigma, evolutionary_apply, total_derivative)
 from flatconn import fce, flatrep, sdym
 from flatconn.kdv import build_kdv, miura_at
 from flatconn.linsolve import AnsatzSpec
@@ -38,7 +39,7 @@ def bent_miura(kdv):
 
 
 def test_check_flat_rep_examples(kdv):
-    zero = flatrep.covering_to_flatrep(kdv.scheme, {1: {1: ZERO}, 2: {1: ZERO}}, 1)
+    zero = flatrep.covering_to_flatrep(kdv.scheme, {(1, 1): ZERO, (2, 1): ZERO}, 1)
     assert flatrep.check_flat_rep(zero).verdict == "pass"
     assert flatrep.check_flat_rep(kdv.miura).verdict == "pass"
     bent = bent_miura(kdv)
@@ -66,21 +67,25 @@ def test_check_flat_rep_examples(kdv):
 
 def test_covering_to_flatrep_rejects_and_fails(kdv):
     # X_x = u0 d_y, X_t = 0 is not a covering of KdV: residual -D_t(u0) != 0
-    spec = flatrep.covering_to_flatrep(kdv.scheme, {1: {1: Expr.wrap(u(0))}, 2: {1: ZERO}}, 1)
+    spec = flatrep.covering_to_flatrep(kdv.scheme, {(1, 1): Expr.wrap(u(0)), (2, 1): ZERO}, 1)
     rep = flatrep.check_flat_rep(spec)
     assert rep.verdict == "fail"
     assert render(-(u(3) + 6 * u(0) * u(1))) in rep.residuals
     # X_x = y d_y, X_t = 0 is compatible (y_x = y, y_t = 0): genuinely flat
-    triv = flatrep.covering_to_flatrep(kdv.scheme, {1: {1: Expr.wrap(y(1))}, 2: {1: ZERO}}, 1)
+    triv = flatrep.covering_to_flatrep(kdv.scheme, {(1, 1): Expr.wrap(y(1)), (2, 1): ZERO}, 1)
     assert flatrep.check_flat_rep(triv).verdict == "pass"
     with pytest.raises(ValueError):
-        flatrep.covering_to_flatrep(kdv.scheme, {1: {1: Expr.wrap(v(1))}}, 1)
-    with pytest.raises(ValueError):
-        flatrep.covering_to_flatrep(kdv.scheme, {1: {2: ONE}}, 1)
+        flatrep.covering_to_flatrep(kdv.scheme, {(1, 1): Expr.wrap(v(1))}, 1)
+    # a key off the chart, a fiber past the count or a direction past the
+    # equation's, is refused in the words a connection's is
+    for i, b in ((1, 2), (3, 1), (0, 1)):
+        with pytest.raises(ValueError, match="^coefficient a_%d\\^%d outside the chart of 2 base "
+                           "and 1 fiber directions$" % (i, b)):
+            flatrep.covering_to_flatrep(kdv.scheme, {(i, b): ONE}, 1)
 
 
 def test_covering_fields_are_judged_by_the_extended_scheme(kdv):
-    # covering_to_flatrep checks only directions and fiber indices; the spec's
+    # covering_to_flatrep checks only the keys of the coefficients; the spec's
     # scheme, KdV extended by y1, refuses what is foreign to its chart, and
     # the spec is refused when it is built, not when it is first used.
     for e, msg in [(x(3), "independent x3 outside chart"),
@@ -88,7 +93,7 @@ def test_covering_fields_are_judged_by_the_extended_scheme(kdv):
                    (u(1) + y(2), "symbol y2 is foreign to the chart"),
                    (v(1), "symbol v1 is foreign to the chart")]:
         with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
-            flatrep.covering_to_flatrep(kdv.scheme, {1: {1: Expr.wrap(e)}}, 1)
+            flatrep.covering_to_flatrep(kdv.scheme, {(1, 1): Expr.wrap(e)}, 1)
 
 
 def test_equal_specs_are_refused_alike_when_built(kdv):
@@ -143,7 +148,7 @@ def test_pullback_judges_its_input_by_the_fc_chart_rule(kdv):
 
 
 def test_pullback_rejects_invalid_spec(kdv):
-    bad = flatrep.covering_to_flatrep(kdv.scheme, {1: {1: Expr.wrap(u(0))}, 2: {1: ZERO}}, 1)
+    bad = flatrep.covering_to_flatrep(kdv.scheme, {(1, 1): Expr.wrap(u(0)), (2, 1): ZERO}, 1)
     with pytest.raises(ValueError):
         flatrep.pullback(bad, Expr.wrap(v(1)))
 
@@ -197,9 +202,9 @@ def linear_kdv_covering(kdv):
     lam = kdv.lam
     u0, u1, u2 = u(0), u(1), u(2)
     fields = {
-        1: {1: Expr.wrap(y(2)), 2: -(lam + u0) * y(1)},
-        2: {1: -u1 * y(1) + (2 * u0 - 4 * lam) * y(2),
-            2: -(u2 + 2 * u0 ** 2 - 2 * lam * u0 - 4 * lam ** 2) * y(1) + u1 * y(2)},
+        (1, 1): Expr.wrap(y(2)), (1, 2): -(lam + u0) * y(1),
+        (2, 1): -u1 * y(1) + (2 * u0 - 4 * lam) * y(2),
+        (2, 2): -(u2 + 2 * u0 ** 2 - 2 * lam * u0 - 4 * lam ** 2) * y(1) + u1 * y(2),
     }
     return flatrep.covering_to_flatrep(kdv.scheme, fields, 2)
 
@@ -215,7 +220,7 @@ def test_f_apply_matches_derivation_route(kdv):
     specs = [
         (kdv.miura, kdv_pool),
         (linear_kdv_covering(kdv), kdv_pool + [y(2)]),
-        (sdym.build_flatrep(1).spec, sdym_pool),
+        (sdym.build_flatrep(1), sdym_pool),
         (bent_miura(kdv), kdv_pool),
     ]
     rng = random.Random(43)
@@ -298,6 +303,39 @@ def test_f_images_are_memoised_on_the_spec(kdv, monkeypatch):
     assert _same_fields(spec, fresh) and not fresh._f_memo
     at_one = spec.subs({kdv.lam: const(1)})
     assert not at_one._f_memo and at_one.f_apply(1, e) == first[0].subs({kdv.lam: const(1)})
+
+
+def test_specialisations_leave_the_scheme_memo_alone(kdv):
+    # Specs fixed at many values of lambda share their extended scheme, KdV's
+    # and SDYM's alike; each caches its own twist, so none writes into the
+    # scheme's D_sigma memo (200 KdV values used to leave 400 entries there).
+    family = sdym.build_flatrep(1)
+    for scheme, at in ((kdv.miura.scheme, lambda lam: miura_at(kdv, lam)),
+                       (family.scheme, lambda lam: sdym.build_flatrep(1, lam))):
+        before = len(scheme._dsigma)
+        for n in range(-20, 20):
+            spec = at(Fraction(n, 3))
+            assert spec.scheme is scheme and spec.twist and spec.is_flat
+        assert len(scheme._dsigma) == before
+    # the twist is still D_d(a_i^b) as d_sigma gives it
+    spec = miura_at(kdv, Fraction(2))
+    assert spec.twist == {(i, 3): ((3, d_sigma(spec.scheme, (3,), spec.a(i, 3))),)
+                          for i in (1, 2)}
+
+
+def test_connection_is_the_covering_of_a_base():
+    # One constructor: the connection on R^n x R^m is the covering of
+    # Base(n) by m fibers, with the same fibers, split and coefficients.
+    for n, m, coeffs in ((1, 1, {}), (2, 1, {(1, 1): Expr.wrap(x(2)), (2, 1): Expr.wrap(x(1))}),
+                         (2, 2, {(2, 2): x(2) * v(2) + param("lam"), (1, 1): v(1) * v(2)}),
+                         (3, 2, {(3, 1): Expr.wrap(v(2)), (1, 2): ZERO})):
+        a = flatrep.connection(n, m, coeffs)
+        b = flatrep.covering_to_flatrep(Base(n), coeffs, m)
+        assert a.scheme.fibers == b.scheme.fibers == tuple(v(k) for k in range(1, m + 1))
+        assert (a.base_dirs, a.fiber_dirs) == (b.base_dirs, b.fiber_dirs) == (
+            tuple(range(1, n + 1)), tuple(range(n + 1, n + m + 1)))
+        assert dict(a.coeffs) == dict(b.coeffs) == {
+            (i, n + c): e for (i, c), e in coeffs.items() if not e.is_zero()}
 
 
 def test_du_matches_hand_written_formulas(kdv):
@@ -480,7 +518,7 @@ def test_lifted_commutator_of_liftable_flows(kdv):
 def test_default_ansatz_refuses_a_scheme_that_is_not_an_evolution():
     # On SDYM the spatial jet u2[1] = d1 A2 is rewritten by the first rule,
     # so a pool of spatial jets is no pool of internal coordinates there.
-    spec = sdym.build_flatrep(1).spec
+    spec = sdym.build_flatrep(1)
     with pytest.raises(ValueError, match="requires an evolution scheme underneath"):
         flatrep.default_ansatz(spec)
 

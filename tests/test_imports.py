@@ -216,6 +216,30 @@ def test_only_cochain_preimage_builds_and_solves_ansatz_systems():
     assert sorted(name for _, _, name in found) == sorted(SOLVER_CALLEES), found
 
 
+def test_only_two_constructors_extend_a_scheme():
+    # One construction path for flat representations: every spec over a
+    # trivial extension is built by covering_to_flatrep (a connection is the
+    # covering of Base(n)), and the SDYM family, whose split also moves x3
+    # and x4 to the fibers, by sdym.build_flatrep.
+    found = _src_scan(_call_of(("Extended",)))
+    assert {owner for owner, _, _ in found} == {
+        "flatrep.covering_to_flatrep", "sdym.build_flatrep"}, found
+
+
+def test_extension_scan_sees_every_call():
+    tree = ast.parse(
+        "def f(base):\n"
+        "    return jets.Extended(base, 1), isinstance(base, Extended)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return [Extended(b, k) for b, k in self.pairs]\n"
+        "make = Extended\n"
+        "chart = Extended(Base(1), 2).fibers\n"
+        "other = ExtendedChart(1)\n")
+    assert _calls(tree, ("Extended",)) == [
+        ("<module>", 7, "Extended"), ("C.g", 5, "Extended"), ("f", 2, "Extended")]
+
+
 def test_no_function_builds_basis_images_beside_the_block():
     # The image d(mu e_a) of a basis column needs the twist D_a(a_i^b):
     # only the differential and the closure of cochain_preimage read it,
@@ -723,7 +747,7 @@ def test_library_calls_leave_no_cyclic_garbage():
         "    assert not flatrep.pullback(k.miura, Expr.wrap(fc(1, (1, 1), (1,)))).is_zero()\n"
         "def sdym_():\n"
         "    assert sdym.verify_ugh(1).ok\n"
-        "    assert flatrep.check_flat_rep(sdym.build_flatrep(1).spec).ok\n"
+        "    assert flatrep.check_flat_rep(sdym.build_flatrep(1)).ok\n"
         "def cli_():\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.run(['pullback', sys.argv[1], '--json']) == 0\n"

@@ -1,4 +1,5 @@
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -45,7 +46,7 @@ def test_scheme_commutativity_to_depth():
     rng = random.Random(2)
     kdv = kdv_scheme()
     free = FreeJet(2, 2)
-    ext = Extended(kdv_scheme(), (y(1),))
+    ext = Extended(kdv_scheme(), 1)
     pools = {
         kdv: spatial_jets(1, 4) + [x(1), x(2)],
         free: [jet(a, s) for a in (1, 2) for s in [(), (1,), (2,), (1, 2), (2, 2)]],
@@ -120,7 +121,7 @@ def test_symmetry_check_agrees_with_commutator_form():
 
 
 def test_extended_scheme_fibers():
-    ext = Extended(kdv_scheme(), (y(1),))
+    ext = Extended(kdv_scheme(), 1)
     assert ext.ndirs == 3
     assert ext.indep(3) is y(1)
     assert total_derivative(ext, 3, Expr.wrap(u(2))).is_zero()
@@ -131,7 +132,7 @@ def test_extended_scheme_fibers():
 def test_extended_fiber_directions_refuse_what_the_base_refuses():
     # A fiber direction sends each base-chart symbol to 0, once the base has
     # checked it with the words a base direction uses.
-    ext = Extended(FreeJet(2, 1), (y(1),))
+    ext = Extended(FreeJet(2, 1), 1)
     for i in (1, 3):
         with pytest.raises(ValueError, match=r"^independent x7 outside chart$"):
             ext.derive_symbol(x(7), i)
@@ -143,7 +144,7 @@ def test_extended_fiber_directions_refuse_what_the_base_refuses():
     for s in (x(2), jet(1, (1, 2)), param("lam")):
         assert ext.derive_symbol(s, 3) == ZERO
     with pytest.raises(ValueError, match="not spatial"):
-        Extended(kdv_scheme(), (y(1),)).derive_symbol(jet(1, (2,)), 3)
+        Extended(kdv_scheme(), 1).derive_symbol(jet(1, (2,)), 3)
 
 
 @pytest.mark.parametrize("build", [
@@ -241,6 +242,19 @@ def test_hform_sign_normalization():
     assert Cochain(kdv, 2, {((1, 1), 0): Expr.wrap(u(0))}).is_zero()
 
 
+@pytest.mark.parametrize("bad", [1.0, True, -1, "1", None])
+def test_cochain_degree_is_an_int_of_at_least_zero(bad):
+    # 1.0 used to give a cochain of degree 1.0 whose d had degree 2.0, and
+    # True to be taken for 1.
+    cx = horizontal(FreeJet(2, 1))
+    with pytest.raises(ValueError, match="^cochain degree must be a nonnegative int, got %s$"
+                       % re.escape(repr(bad))):
+        Cochain(cx, bad, {((1,), 0): Expr.wrap(x(1))})
+    chart = fce.FcChart(2, 1)
+    c = Cochain(chart, 1, {((1,), 1): Expr.wrap(x(1))})
+    assert type(c.degree) is int and c.d.degree == 2
+
+
 def _preimage_problems():
     """(name, complex, pool) of three degree-0 inverse problems, each with a
     nonzero twist."""
@@ -248,7 +262,7 @@ def _preimage_problems():
            AnsatzSpec((x(1), v(1), v(2), fc(1, (2,)), fc(2, (1,), (2,))), 2))
     yield ("miura", build_kdv().miura,
            AnsatzSpec((x(2), y(1), u(0), u(1), param("lam")), 3))
-    yield ("sdym k=1", sdym.build_flatrep(1, None).spec,
+    yield ("sdym k=1", sdym.build_flatrep(1, None),
            AnsatzSpec((x(1), x(3), y(1), jet(1), jet(4), jet(1, (2,)), jet(3, (4,))), 2))
 
 
@@ -492,8 +506,7 @@ def _seeded_preimage_problems():
                 ansatz = AnsatzSpec((x(1), x(2), y(1)) + params + tuple(
                     u(k) for k in range(order + 1)), degree)
                 yield "miura lam=%s %s" % (lam, name), spec, c, ansatz
-    rep = sdym.build_flatrep(1, None)
-    c = flatrep.infinitesimal_deformation(rep.spec, param("lam"))
+    c = flatrep.infinitesimal_deformation(sdym.build_flatrep(1, None), param("lam"))
     pool = (x(1), x(2), x(3), x(4), y(1), jet(1), jet(3), jet(4), jet(3, (3,)))
     for degree in (1, 2):
         ansatz = AnsatzSpec(pool, degree)

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from flatconn.expr import Expr, const, jet, param, x, y, ZERO
-from flatconn.jets import FreeJet, total_derivative
+from flatconn.expr import Expr, const, jet, param, render, x, y, ZERO
+from flatconn.jets import Extended, FreeJet, total_derivative
 from flatconn import flatrep, sdym
 
 
 @pytest.fixture(scope="module")
-def rep2():
+def spec2():
     return sdym.build_flatrep(2, None)
 
 
@@ -187,17 +187,17 @@ def test_sigma_is_a_homomorphism():
 
 
 def test_flatrep_abelian_at_zero():
-    rep = sdym.build_flatrep(1, Fraction(0))
-    assert rep.spec.a(1, 5) == -sdym.matrix(1, 1)[0][0] * y(1)
-    assert flatrep.check_flat_rep(rep.spec).verdict == "pass"
+    spec = sdym.build_flatrep(1, Fraction(0))
+    assert spec.a(1, 5) == -sdym.matrix(1, 1)[0][0] * y(1)
+    assert flatrep.check_flat_rep(spec).verdict == "pass"
 
 
-def test_flatrep_k2_flat_for_symbolic_lambda(rep2):
-    assert flatrep.check_flat_rep(rep2.spec).verdict == "pass"
+def test_flatrep_k2_flat_for_symbolic_lambda(spec2):
+    assert flatrep.check_flat_rep(spec2).verdict == "pass"
 
 
-def test_gauge_symmetry_requires_rewriting(rep2):
-    scheme = rep2.scheme
+def test_gauge_symmetry_requires_rewriting(spec2):
+    scheme = spec2.scheme.base
     phi = sdym.gauge_symmetry(scheme, sdym.matrix(2, 1))
     from flatconn.jets import evolutionary_apply
 
@@ -211,8 +211,8 @@ def test_gauge_symmetry_requires_rewriting(rep2):
         assert sdym.mat_is_zero(m)
 
 
-def test_gauge_symmetry_classical_and_constant(rep2):
-    scheme = rep2.scheme
+def test_gauge_symmetry_classical_and_constant(spec2):
+    scheme = spec2.scheme.base
     # H = H(x): classical gauge symmetry
     h = [[x(1) * x(2), Expr.wrap(x(3))], [ZERO, Expr.wrap(x(4)) ** 2]]
     for m in sdym.gauge_symmetry_residuals(scheme, sdym.gauge_symmetry(scheme, h)):
@@ -240,13 +240,41 @@ def test_verify_ugh_refuses_unknown_witness(monkeypatch):
     assert built == []  # refused before any work
 
 
-def test_one_symbolic_family_per_k(rep2):
-    assert sdym.build_flatrep(2) is rep2 and sdym.build_flatrep(2).spec is rep2.spec
-    assert sdym.build_flatrep(1) is not rep2
-    # a rational lambda gives a new spec on every call, over the shared rewriter
+def test_one_symbolic_family_per_k(spec2):
+    assert sdym.build_flatrep(2) is spec2
+    assert sdym.build_flatrep(1) is not spec2
+    # a rational lambda gives a new spec on every call, over the family's
+    # scheme: the rewriter is spec.scheme.base and lambda is spec.a(1, 3)
     at_one = sdym.build_flatrep(2, Fraction(1))
-    assert at_one.spec is not sdym.build_flatrep(2, Fraction(1)).spec
-    assert at_one.scheme is rep2.scheme and at_one.lam == const(1)
+    assert at_one is not sdym.build_flatrep(2, Fraction(1))
+    assert at_one.scheme is spec2.scheme and at_one.a(1, 3) == const(1)
+    assert isinstance(spec2.scheme.base, sdym.SdymRewriter) and spec2.a(1, 3) == param("lam")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_family_at_lambda_is_the_family_substituted(k):
+    # The family at a rational lambda is the symbolic family's subs; it
+    # agrees with the connection written out at that lambda, on its
+    # coefficients and its rendered flatness residuals.
+    family = sdym.build_flatrep(k)
+    rewriter = family.scheme.base
+    for lam0 in (Fraction(0), Fraction(1), Fraction(-3, 2)):
+        lam = const(lam0)
+        coeffs = {(1, 3): lam, (2, 4): lam}
+        for i in (1, 2):
+            m = sdym.mat_add(sdym.matrix(k, i), sdym.mat_map(sdym.matrix(k, i + 2),
+                                                             lambda e: lam * e))
+            coeffs.update({(i, 4 + p): e for p, e in sdym.sigma_field(m).items()})
+        written = flatrep.FlatRepSpec(Extended(rewriter, k), (1, 2),
+                                      (3, 4) + tuple(range(5, 5 + k)), coeffs)
+        for spec in (sdym.build_flatrep(k, lam0), family.subs({param("lam"): lam})):
+            assert spec.scheme is family.scheme and spec.scheme.base is rewriter
+            assert spec.a(1, 3) == lam
+            assert (spec.base_dirs, spec.fiber_dirs) == (written.base_dirs, written.fiber_dirs)
+            assert dict(spec.coeffs) == {key: e for key, e in coeffs.items() if not e.is_zero()}
+            assert [render(r) for r in spec.flatness_residuals] == \
+                [render(r) for r in written.flatness_residuals]
+        assert written.is_flat
 
 
 def test_rewriter_is_certified_once_per_k(monkeypatch):
@@ -286,15 +314,15 @@ def test_failed_build_interns_nothing(monkeypatch):
         assert sdym._FAMILIES == {}
 
 
-def test_rep_refuses_assignment(rep2):
+def test_rep_refuses_assignment(spec2):
     with pytest.raises(AttributeError):
-        rep2.lam = const(0)
+        spec2.coeffs = sdym.build_flatrep(2, Fraction(0)).coeffs
     with pytest.raises(AttributeError):
-        rep2.spec = sdym.build_flatrep(2, Fraction(0)).spec
+        spec2.scheme = sdym.build_flatrep(2, Fraction(0)).scheme
 
 
-def test_lambda_family_cocycle_closed_and_not_exact(rep2):
-    c = flatrep.infinitesimal_deformation(rep2.spec, param("lam"))
+def test_lambda_family_cocycle_closed_and_not_exact(spec2):
+    c = flatrep.infinitesimal_deformation(spec2, param("lam"))
     assert c.d.is_zero()
     # the cocycle is C1(d3 + sigma(A3)) dx1 + C1(d4 + sigma(A4)) dx2
     assert c.component((1,), 3) == Expr.wrap(const(1))

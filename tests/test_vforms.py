@@ -18,7 +18,7 @@ def u(k):
 
 
 def kdv_ext():
-    return Extended(Evolution(1, [u(3) + 6 * u(0) * u(1)]), (y(1),))
+    return Extended(Evolution(1, [u(3) + 6 * u(0) * u(1)]), 1)
 
 
 def test_bracket_scheme_directions_commute():
@@ -29,7 +29,7 @@ def test_bracket_scheme_directions_commute():
 
 
 def test_bracket_partial_example():
-    chart = Extended(Base(1), (v(1),))
+    chart = Extended(Base(1), 1)
     X = Derivation(chart, {2: Expr.wrap(v(1))})
     Y = Derivation(chart, {2: ONE})
     b = X.bracket(Y)
@@ -52,8 +52,8 @@ def test_bracket_miura_covering():
 
 
 def test_bracket_mismatched_charts_rejected():
-    a = Derivation(Extended(Base(1), (v(1),)), {2: ONE})
-    b = Derivation(Extended(Base(1), (v(2),)), {2: ONE})
+    a = Derivation(Extended(Base(1), 1), {2: ONE})
+    b = Derivation(Extended(Base(1), 2), {2: ONE})
     with pytest.raises(ValueError):
         a.bracket(b)
 
@@ -72,7 +72,7 @@ def _rand_vform(rng, chart, coords, degree):
 def test_nijenhuis_graded_antisymmetry():
     rng = random.Random(31)
     coords = (x(1), v(1), v(2))
-    chart = Extended(Base(1), (v(1), v(2)))
+    chart = Extended(Base(1), 2)
     for _ in range(15):
         di, dj = rng.choice([0, 1]), rng.choice([0, 1, 2])
         A = _rand_vform(rng, chart, coords, di)
@@ -87,7 +87,7 @@ def test_nijenhuis_graded_antisymmetry():
 def test_nijenhuis_graded_jacobi():
     rng = random.Random(37)
     coords = (x(1), v(1), v(2))
-    chart = Extended(Base(1), (v(1), v(2)))
+    chart = Extended(Base(1), 2)
     for _ in range(10):
         di, dj, dk = 1, 1, rng.choice([0, 1])
         A = _rand_vform(rng, chart, coords, di)
@@ -113,7 +113,7 @@ def test_nijenhuis_trivial_examples():
 
 def test_nijenhuis_degree_two_over_line_vanishes():
     # dx (x) (D_x + a d/dy) squared over a 1-dimensional base
-    ext = Extended(Evolution(1, [u(1)]), (y(1),))
+    ext = Extended(Evolution(1, [u(1)]), 1)
     coframe = (x(1),)
     a = u(0) + y(1)
     om = VForm(ext, coframe, 1, {(0,): Derivation(ext, dirs={1: ONE, 3: a})})
@@ -285,7 +285,7 @@ def _jet_space_specs():
     for spec in (kdv.miura, miura_at(kdv, Fraction(0)), miura_at(kdv, Fraction(1))):
         yield spec, kdv_pool
     for k in (1, 2):
-        spec = sdym.build_flatrep(k).spec
+        spec = sdym.build_flatrep(k)
         coords = [spec.scheme.indep(d) for d in spec.base_dirs + spec.fiber_dirs]
         jets = [jet(a, ()) for a in range(1, 5)] + [
             jet(1, (1,)), jet(2, (2,)), jet(3, (1,)), jet(4, (4,))]
@@ -347,7 +347,7 @@ def test_vform_refuses_a_key_off_the_coframe():
 
 def test_vform_refuses_a_derivation_of_another_chart():
     ubar, _ = connection_forms(flatrep.connection(2, 1, {}))
-    chart = Extended(Base(2), (v(1),))
+    chart = Extended(Base(2), 1)
     other = Derivation(chart, {3: ONE})
     with pytest.raises(ValueError, match="lives on another chart$"):
         VForm(ubar.space, ubar.coframe, 0, {(): other})
