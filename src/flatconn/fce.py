@@ -27,16 +27,16 @@ Input is validated once, at the public entries (:func:`fc_total`,
 :func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart, the
 expression of :meth:`Symmetry.apply`, the targets of
 :func:`prolong_symmetry` and the symbols of an explicit ansatz in
-:func:`recover_f`), by :meth:`FcChart.check_symbol`, the rule that also
-judges the input of ``flatrep.pullback``.
-Everything past them works on expressions the chart built itself, through
-the unchecked kernels :meth:`FcChart.f_symbol` (and :meth:`FcChart.f_apply`
-over it) and ``_fc_vertical``.  Each memo is owned by an immutable
-``expr.Frozen`` record: the chart holds D_i and D_{v^b} on symbols and the
-fiber-multi-index reductions of :func:`default_recover_ansatz` (and builds
-its twist when it is built), a cochain
-its differential, and a :class:`Symmetry` the coefficients S_I^{a,A} for as
-long as its caller keeps it (one call, inside the library).
+:func:`recover_f`), by :meth:`FcChart.check_symbol`, the chart's own judge
+as on every ``jets.Chart``, which also judges the input of
+``flatrep.pullback``.  Everything past them works on expressions the chart
+built itself, through the unchecked kernels :meth:`FcChart.f_symbol` (and
+:meth:`FcChart.f_apply` over it) and ``_fc_vertical``.  Each memo is owned
+by an immutable ``expr.Frozen`` record: the chart holds D_i and D_{v^b} on
+symbols and the fiber-multi-index reductions of
+:func:`default_recover_ansatz` (and builds its twist when it is built), a
+cochain its differential, and a :class:`Symmetry` the coefficients
+S_I^{a,A} for as long as its caller keeps it (one call, inside the library).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .expr import (
     KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
     fc, positive, render, v, x,
 )
-from .jets import Cochain, DirectionError, apply_f, cochain_preimage
+from .jets import Chart, Cochain, apply_f, cochain_preimage
 from .linsolve import AnsatzSpec
 from .reports import Report, check
 
@@ -62,16 +62,16 @@ __all__ = [
 ]
 
 
-class FcChart(Frozen):
-    """Chart dimensions: n base directions, m fiber directions; the chart is
-    also the vertical complex that its cochains live on.
+class FcChart(Chart):
+    """Chart dimensions: n base directions (``ndirs``), m fiber directions;
+    the chart is also the vertical complex that its cochains live on.
 
     Frozen, because the memos of D_i and D_{v^b} on symbols depend on m.  It
     compares by identity: two charts of one size are two sets of memos.
     """
 
     __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "_total_memo", "_vertical_memo",
-                 "_reduction_memo")
+                 "_reduction_memo", "ndirs")
 
     def __init__(self, n: int, m: int):
         n, m = positive(n, "n"), positive(m, "m")
@@ -79,7 +79,7 @@ class FcChart(Frozen):
         # D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value).
         twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
                  for i in base for a in fibers}
-        self._put(n=n, m=m, base_dirs=base, fiber_dirs=fibers, twist=twist,
+        self._put(n=n, m=m, ndirs=n, base_dirs=base, fiber_dirs=fibers, twist=twist,
                   _total_memo={}, _vertical_memo={}, _reduction_memo={})
 
     def check_symbol(self, s: Symbol) -> None:
@@ -99,16 +99,6 @@ class FcChart(Frozen):
                 raise ValueError("coordinate %s outside chart" % render(s))
         elif k != KIND_PARAM:
             raise ValueError("symbol %s is foreign to the flat-connection chart" % render(s))
-
-    def check_expr(self, e: Expr) -> Expr:
-        e = Expr.wrap(e)
-        for s in sorted(e.symbols()):
-            self.check_symbol(s)
-        return e
-
-    def check_direction(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise DirectionError("direction %d out of range 1..%d" % (i, self.n))
 
     def check_fiber(self, b: int) -> None:
         if not 1 <= b <= self.m:

@@ -23,12 +23,12 @@ The spec, an ``expr.Frozen`` record, is itself its complex C_phi in the
 sense of ``jets``: base and fiber directions, F_i on one symbol, memoized
 by the spec (:meth:`FlatRepSpec.f_symbol`; :meth:`FlatRepSpec.f_apply`
 extends it to an Expr), the twist D_d(a_i^b), set once as ``spec.twist``,
-and :meth:`FlatRepSpec.check_component`, which judges each symbol of a
-component by the scheme's rule, as the coefficients are judged.  Its
-cochains, deformation and symmetry cocycles and exactness witnesses alike,
-are ``jets.Cochain``s on the spec, keyed ((i,), d) in degree 1, and d_U is
-their differential (:func:`du_vertical` in degree 0, :func:`du_cochain1` in
-degree 1).
+and :meth:`FlatRepSpec.check_component`, which judges a component by the
+scheme's ``check_expr``, as the coefficients are judged.  Its cochains,
+deformation and symmetry cocycles and exactness witnesses alike, are
+``jets.Cochain``s on the spec, keyed ((i,), d) in degree 1, and d_U is
+their differential (:func:`du_vertical` in degree 0, :func:`du_cochain1`
+in degree 1).
 """
 
 from __future__ import annotations
@@ -64,11 +64,9 @@ class FlatRepSpec(Frozen):
     that its flatness residuals, twist and F_i images, cached on it, cannot
     go stale.  An empty base or fiber split, and a coefficient foreign to
     the scheme's chart, are refused at construction, the latter by
-    ``scheme.derive_symbol(s, 1)`` on its first foreign symbol s in key
-    order, the rule that also judges each cochain component.  It is also
-    the complex its
-    cochains live on, so it compares and hashes by identity: two specs with
-    equal fields are two complexes with two memos.
+    ``scheme.check_expr``, which also judges each cochain component.  It is
+    also the complex its cochains live on, so it compares and hashes by
+    identity: two specs with equal fields are two complexes with two memos.
     """
 
     __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs",
@@ -89,7 +87,7 @@ class FlatRepSpec(Frozen):
         for (i, d), e in coeffs.items():
             if i not in base_dirs or d not in fiber_dirs:
                 raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
-            add_term(cleaned, (i, d), _judged(scheme, e))
+            add_term(cleaned, (i, d), scheme.check_expr(e))
         self._put(scheme=scheme, base_dirs=base_dirs, fiber_dirs=fiber_dirs,
                   coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None, _f_memo={})
 
@@ -163,16 +161,7 @@ class FlatRepSpec(Frozen):
                 "cochain component %r is off the split: base directions %r, "
                 "fiber directions %r" % (dirs + (d,) if dirs else d,
                                          self.base_dirs, self.fiber_dirs))
-        return _judged(self.scheme, e)
-
-
-def _judged(scheme: DerivScheme, e: Expr) -> Expr:
-    """``e`` as an Expr, refused on its first symbol in key order that is
-    foreign to the scheme's chart, by ``scheme.derive_symbol(s, 1)``."""
-    e = Expr.wrap(e)
-    for s in sorted(e.symbols()):
-        scheme.derive_symbol(s, 1)
-    return e
+        return self.scheme.check_expr(e)
 
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:
@@ -324,7 +313,7 @@ def covering_to_flatrep(
     [D_i + X_i, D_j + X_j] = 0, X_i = sum_b a_i^b D_b; over a :class:`Base`
     it is the flatness of a connection (:func:`connection`).  A key outside
     the chart is refused here, a coefficient foreign to the extended chart
-    by the spec.
+    by the spec, through the extension's ``check_symbol``.
     """
     scheme = Extended(base, nfibers)
     n = base.ndirs
@@ -358,6 +347,8 @@ def default_ansatz(
     override.
     """
     _evolution(spec, "the default ansatz (spatial jets)")
+    if order is not None and type(order) is not int:
+        raise ValueError("jet-order bound must be a nonnegative int, got %r" % (order,))
     if order is not None and order < 0:
         raise ValueError("jet-order bound must be nonnegative")
     exprs = list(spec.coeffs.values()) + [Expr.wrap(e) for e in extra]

@@ -1,8 +1,9 @@
 """Total-derivative schemes on jet spaces and evolution equations.
 
-A scheme knows a set of pairwise commuting directions D_1, ..., D_N and states
-how each acts on the jets of its chart; :class:`DerivScheme` states once how
-they act on every other symbol.  Three built-in flavors:
+Every chart (a scheme here, ``fce.FcChart``) is a :class:`Chart`: it judges
+its own symbols by ``check_symbol``, deriving nothing.  A scheme knows
+pairwise commuting directions D_1, ..., D_N and states how each acts on the
+jets it accepts; :class:`DerivScheme` does the rest.  Three built-in flavors:
 
 * :class:`FreeJet` -- the free jet space J^inf of an n-by-m trivial bundle,
   D_i(u_sigma) = u_{sigma i};
@@ -61,7 +62,7 @@ from .linsolve import solve_by_superposition
 from .reports import Report, check
 
 __all__ = [
-    "Base", "FreeJet", "Evolution", "Extended", "Cochain",
+    "Chart", "Base", "FreeJet", "Evolution", "Extended", "Cochain",
     "total_derivative", "d_sigma", "evolutionary_apply",
     "is_symmetry_evolution", "sort_with_sign", "add_term",
     "apply_f", "cochain_differential", "cochain_preimage", "DirectionError",
@@ -167,9 +168,18 @@ class Cochain(Frozen):
         return self._d
 
     def component(self, dirs: Tuple[int, ...], a: int) -> Expr:
-        if self.degree:
-            return self.data.get((dirs, a), ZERO)
-        return self.data[self.complex.fiber_dirs.index(a)]
+        """f of f dx_I (x) e_a, I = ``dirs`` in any order; a key off the complex is refused."""
+        got = self.data.get((dirs, a)) if self.degree else None
+        if got is not None:
+            return got
+        self.complex.check_component(dirs, a, ZERO)
+        if len(dirs) != self.degree:
+            raise ValueError("key %r does not match degree %d" % (dirs, self.degree))
+        if not self.degree:
+            return self.data[self.complex.fiber_dirs.index(a)]
+        key, sign = sort_with_sign(dirs)
+        got = self.data.get((key, a))
+        return ZERO if got is None else got if sign > 0 else -got
 
     def items(self) -> Iterable[Tuple[CochainKey, Expr]]:
         if self.degree:
@@ -415,11 +425,29 @@ def _add_coeff(acc: Dict[int, Scalar], key: int, c: Scalar) -> None:
             del acc[key]
 
 
-class DerivScheme(Frozen):
+class Chart(Frozen):
+    """A chart judges its own symbols and directions: ``check_symbol(s)``
+    refuses a symbol that is not its coordinate, :meth:`check_direction` i > ``ndirs``."""
+
+    __slots__ = ()
+
+    def check_direction(self, i: int) -> None:
+        if not 1 <= i <= self.ndirs:
+            raise DirectionError("direction %d out of range 1..%d" % (i, self.ndirs))
+
+    def check_expr(self, e: Expr) -> Expr:
+        """``e`` as an Expr, refused on its first foreign symbol in key order."""
+        e = Expr.wrap(e)
+        for s in sorted(e.symbols()):
+            self.check_symbol(s)
+        return e
+
+
+class DerivScheme(Chart):
     """Common behavior of total-derivative rule systems; immutable, because
     each scheme owns the memo of :func:`d_sigma`.  A scheme states ``ndirs``,
-    ``m`` and :meth:`_derive_jet`, its rule on jets, which refuses a jet
-    outside its chart."""
+    ``m`` and, with m > 0, ``_check_jet(s)``, which refuses a jet off its
+    chart, and ``_derive_jet(s, i)``, its rule on the jets it accepts, unchecked."""
 
     ndirs: int
     m: int
@@ -431,28 +459,25 @@ class DerivScheme(Frozen):
         self.check_direction(i)
         return x(i)
 
-    def derive_symbol(self, s: Symbol, i: int) -> Expr:
-        """D_i applied to a single chart symbol: the scheme's rule on a jet,
-        delta_ij on x_j (j <= ndirs), 0 on a parameter; any other is refused."""
-        self.check_direction(i)
+    def check_symbol(self, s: Symbol) -> None:
+        """Refuse ``s`` unless it is a jet of the chart, x_j (j <= ndirs) or a parameter."""
         k = s.kind
-        if k == KIND_JET:
-            return self._derive_jet(s, i)
-        if k == KIND_INDEP:
+        if k == KIND_JET and self.m:  # a scheme without dependents has no jets
+            self._check_jet(s)
+        elif k == KIND_INDEP:
             if s.index > self.ndirs:
                 raise ValueError("independent %s outside chart" % render(s))
-            return ONE if s.index == i else ZERO
-        if k == KIND_PARAM:
-            return ZERO
-        raise ValueError("symbol %s is foreign to the chart" % render(s))
+        elif k != KIND_PARAM:
+            raise ValueError("symbol %s is foreign to the chart" % render(s))
 
-    def _derive_jet(self, s: Symbol, i: int) -> Expr:
-        """D_i applied to the jet symbol ``s``, once the direction is checked."""
-        raise NotImplementedError
-
-    def check_direction(self, i: int) -> None:
-        if not 1 <= i <= self.ndirs:
-            raise DirectionError("direction %d out of range 1..%d" % (i, self.ndirs))
+    def derive_symbol(self, s: Symbol, i: int) -> Expr:
+        """D_i applied to a single chart symbol, judged by :meth:`check_symbol`:
+        the scheme's rule on a jet, 1 on the coordinate of direction i, else 0."""
+        self.check_direction(i)
+        self.check_symbol(s)
+        if s.kind == KIND_JET:
+            return self._derive_jet(s, i)
+        return ONE if self.indep(i) is s else ZERO
 
 
 class Base(DerivScheme):
@@ -460,9 +485,6 @@ class Base(DerivScheme):
 
     def __init__(self, n: int):
         self._put(m=0, ndirs=positive(n, "n"), _dsigma={})
-
-    def _derive_jet(self, s: Symbol, i: int) -> Expr:
-        raise ValueError("symbol %s is foreign to the chart" % render(s))
 
 
 class FreeJet(DerivScheme):
@@ -472,9 +494,11 @@ class FreeJet(DerivScheme):
         n, m = positive(n, "n"), positive(m, "m")
         self._put(n=n, m=m, ndirs=n, _dsigma={})
 
-    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+    def _check_jet(self, s: Symbol) -> None:
         if s.index > self.m or any(d > self.n for d in s.sigma):
             raise ValueError("jet symbol %s outside chart" % render(s))
+
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
         return Expr.wrap(jet(s.index, s.sigma + (i,)))
 
 
@@ -488,15 +512,14 @@ class Evolution(DerivScheme):
     def __init__(self, m: int, rhs: Sequence[Expr]):
         if len(rhs) != positive(m, "m"):
             raise ValueError("expected %d right-hand sides, got %d" % (m, len(rhs)))
-        rhs = tuple(Expr.wrap(f) for f in rhs)
-        self._put(m=m, ndirs=2, rhs=rhs, _dsigma={})
-        for f in rhs:  # D_x refuses a symbol outside the chart; the first in key order
-            for s in sorted(f.symbols()):
-                self.derive_symbol(s, 1)
+        self._put(m=m, ndirs=2, _dsigma={})
+        self._put(rhs=tuple(map(self.check_expr, rhs)))
 
-    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+    def _check_jet(self, s: Symbol) -> None:
         if s.index > self.m or (s.sigma and set(s.sigma) != {1}):
             raise ValueError("jet %s is not spatial or outside chart" % render(s))
+
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
         if i == 1:
             return Expr.wrap(jet(s.index, s.sigma + (1,)))
         return d_sigma(self, s.sigma, self.rhs[s.index - 1])
@@ -519,17 +542,12 @@ class Extended(DerivScheme):
             return self.base.indep(i)
         return self.fibers[i - self.base.ndirs - 1]
 
-    def derive_symbol(self, s: Symbol, i: int) -> Expr:
-        self.check_direction(i)
-        if s in self._fiber_set:
-            return ONE if self.indep(i) is s else ZERO
-        if i <= self.base.ndirs:
-            return self.base.derive_symbol(s, i)
-        # Fiber direction on a base-chart symbol: the extension is trivial, so
-        # the image is 0 once the base accepts the symbol, which its direction
-        # 1 checks as every base direction does.
-        self.base.derive_symbol(s, 1)
-        return ZERO
+    def check_symbol(self, s: Symbol) -> None:
+        if s not in self._fiber_set:
+            self.base.check_symbol(s)
+
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
+        return self.base._derive_jet(s, i) if i <= self.base.ndirs else ZERO
 
 
 def total_derivative(scheme: DerivScheme, i: int, f: Expr) -> Expr:

@@ -234,11 +234,12 @@ class SdymRewriter(DerivScheme):
         bindings = {s: self.normal_symbol(s) for s in e.symbols() if self.reducible(s)}
         return e.subs(bindings) if bindings else e
 
-    def _derive_jet(self, s: Symbol, i: int) -> Expr:
-        if s.index > self.m or any(d > self.ndirs for d in s.sigma):
-            raise ValueError("jet symbol %s outside chart" % render(s))
+    def _check_jet(self, s: Symbol) -> None:
+        self.free._check_jet(s)  # the free chart of the same size
         if self.reducible(s):
             raise ValueError("%s is not an internal coordinate" % render(s))
+
+    def _derive_jet(self, s: Symbol, i: int) -> Expr:
         up = jet(s.index, s.sigma + (i,))
         return self.normal_symbol(up) if self.reducible(up) else Expr.wrap(up)
 

@@ -222,6 +222,28 @@ def test_is_symmetry(ch):
     assert fce.is_symmetry(ch, fce.cochain1(ch, {})).verdict == "pass"
 
 
+def test_component_reads_any_order_of_its_key_and_refuses_what_the_constructor_refuses():
+    # The constructor stores each key sorted with its sign; the reader sorts
+    # the key it is given the same way, and refuses a key off the complex
+    # in the constructor's words, where it used to read 0.
+    ch = fce.FcChart(2, 1)
+    d = fce.cochain1(ch, {((1,), 1): x(2) * v(1)}).d
+    comp = d.component((1, 2), 1)
+    assert comp == x(2) * v(1) * fc(1, (2,), (1,)) - x(2) * fc(1, (2,), ()) - v(1)
+    assert d.component((2, 1), 1) == -comp
+    assert d.component((1, 1), 1) == ZERO
+    with pytest.raises(ValueError, match=r"^fiber index 7 out of range 1\.\.1$"):
+        d.component((1, 2), 7)
+    with pytest.raises(jets.DirectionError, match=r"^direction 3 out of range 1\.\.2$"):
+        d.component((1, 3), 1)
+    with pytest.raises(ValueError, match=r"^key \(1,\) does not match degree 2$"):
+        d.component((1,), 1)
+    c0 = fce.cochain0(ch, [x(1)])
+    assert c0.component((), 1) == Expr.wrap(x(1))
+    with pytest.raises(ValueError, match=r"^fiber index 2 out of range 1\.\.1$"):
+        c0.component((), 2)
+
+
 def test_recover_f_round_trip(ch2):
     rng = random.Random(25)
     pool = fc_pool(2, 2, max_i=1, max_a=1)

@@ -523,6 +523,17 @@ def test_default_ansatz_refuses_a_scheme_that_is_not_an_evolution():
         flatrep.default_ansatz(spec)
 
 
+def test_default_ansatz_refuses_an_order_that_is_no_int(kdv):
+    # range() used to raise a bare TypeError on 1.5, and True was read as 1;
+    # the degree bound is refused alike by AnsatzSpec.
+    for order in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="^jet-order bound must be a nonnegative int, "
+                           "got %s$" % re.escape(repr(order))):
+            flatrep.default_ansatz(kdv.miura, order=order)
+    ans = flatrep.default_ansatz(kdv.miura, order=0)
+    assert {render(s) for s in ans.symbols} == {"x1", "x2", "y1", "lam", "u[0]"}
+
+
 def test_default_ansatz_covers_the_data(kdv):
     ans = flatrep.default_ansatz(kdv.miura, [kdv.symmetries["scaling"]])
     names = {render(s) for s in ans.symbols}

@@ -264,14 +264,19 @@ def test_one_cochain_type_and_one_differential_call():
     assert classes == ["jets.Cochain"], classes
 
 
-# What a total-derivative scheme defines: DerivScheme states the rules off
-# the jets once, Extended keeps its own (fiber directions), and each concrete
-# scheme states its rule on jets.
+# What a chart defines.  Chart holds the one check_expr and check_direction;
+# each chart states check_symbol (the fc chart's, DerivScheme's rules off the
+# jets, Extended's own fibers), a scheme with jets its jet check and its
+# unchecked rule on jets, and DerivScheme alone derives a symbol: the judge,
+# then the rule.
 SCHEME_RULES = {
+    "check_expr": {"jets.Chart"},
+    "check_direction": {"jets.Chart"},
+    "check_symbol": {"fce.FcChart", "jets.DerivScheme", "jets.Extended"},
+    "_check_jet": {"jets.FreeJet", "jets.Evolution", "sdym.SdymRewriter"},
     "indep": {"jets.DerivScheme", "jets.Extended"},
-    "derive_symbol": {"jets.DerivScheme", "jets.Extended"},
-    "_derive_jet": {"jets.DerivScheme", "jets.Base", "jets.FreeJet", "jets.Evolution",
-                    "sdym.SdymRewriter"},
+    "derive_symbol": {"jets.DerivScheme"},
+    "_derive_jet": {"jets.FreeJet", "jets.Evolution", "jets.Extended", "sdym.SdymRewriter"},
 }
 
 
@@ -314,6 +319,37 @@ def test_scheme_rule_scan_sees_every_definition():
     assert _definers(found) == {
         "indep": {"FreeJet"}, "derive_symbol": {"FreeJet"},
         "_derive_jet": {"FreeJet.derive_symbol", ""}}
+
+
+def _discarded(callees):
+    """A pick for _owned: the name of a call of one of ``callees`` that is a
+    statement of its own, so that its value is thrown away."""
+    call = _call_of(callees)
+    return lambda node: call(node.value) if isinstance(node, ast.Expr) else None
+
+
+def test_no_derivative_is_computed_only_to_be_discarded():
+    # Every chart judges its symbols by check_symbol; a D_i(s) computed and
+    # thrown away is that judgement paid for with a derivative.
+    found = _src_scan(_discarded(("derive_symbol",)))
+    assert found == [], found
+
+
+def test_discard_scan_sees_only_thrown_away_values():
+    tree = ast.parse(
+        "def f(scheme, s):\n"
+        "    scheme.derive_symbol(s, 1)\n"
+        "    out = scheme.derive_symbol(s, 2)\n"
+        "    for t in s:\n"
+        "        derive_symbol(t, 1)\n"
+        "    scheme.check_symbol(s)\n"
+        "    print(scheme.derive_symbol(s, 3))\n"
+        "    return out + scheme.derive_symbol(s, 3)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        self.space.derive_symbol(self.s, 1)\n")
+    assert _owned(tree, _discarded(("derive_symbol",))) == [
+        ("C.g", 11, "derive_symbol"), ("f", 2, "derive_symbol"), ("f", 5, "derive_symbol")]
 
 
 # Classes that hold a memo but are immutable by contract only: an Expr is

@@ -184,6 +184,24 @@ def test_evolution_refuses_its_first_foreign_symbol_in_key_order():
         Evolution(1, [u(0) + v(1)])
 
 
+def test_evolution_judges_its_right_hand_sides_in_turn_without_deriving(monkeypatch):
+    # Each right-hand side in turn, its symbols in key order: y1 of the first
+    # is refused before x3 of the second, which comes first in key order.
+    calls = []
+    derive = Evolution._derive_jet
+    monkeypatch.setattr(Evolution, "_derive_jet",
+                        lambda self, s, i: calls.append((s, i)) or derive(self, s, i))
+    assert sorted([y(1), x(3)])[0] == x(3)
+    for rhs, msg in [([u(0) + y(1), x(3)], "symbol y1 is foreign to the chart"),
+                     ([y(1) + jet(1, (2,)), x(3)], "jet u[2;] is not spatial or outside chart"),
+                     ([u(0), jet(3, ()) + x(3)], "independent x3 outside chart"),
+                     ([u(0), jet(3, ()) + x(2)], "jet u3[0] is not spatial or outside chart")]:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            Evolution(2, [Expr.wrap(e) for e in rhs])
+    Evolution(2, [u(3) * jet(2, (1,)) + x(1), param("lam") * x(2)])
+    assert calls == []
+
+
 def scheme_complex(scheme, fibers, twist):
     """The complex over all directions of ``scheme`` with F_i = D_i, the
     given fibers and twist; a component is checked for its directions and

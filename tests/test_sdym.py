@@ -168,6 +168,40 @@ def test_rewriter_refuses_a_jet_outside_its_chart():
     assert rew.derive_symbol(jet(1, (4,)), 1) == Expr.wrap(jet(1, (1, 4)))
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_rewriter_accepts_exactly_the_jets_no_rule_rewrites(k):
+    # The internal coordinates are the normal-form jets: check_symbol accepts
+    # a jet of order <= 2 exactly when normalize leaves it as it is.
+    rew = sdym.SdymRewriter(k)
+    verdicts = set()
+    for a in range(1, rew.m + 1):
+        for order in range(3):
+            for sigma in itertools.combinations_with_replacement(range(1, 5), order):
+                s = jet(a, sigma)
+                try:
+                    rew.check_symbol(s)
+                    accepted = True
+                except ValueError as err:
+                    assert str(err) == "%s is not an internal coordinate" % render(s)
+                    accepted = False
+                assert accepted == (rew.normalize(s) == Expr.wrap(s)), render(s)
+                verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
+def test_a_specialised_family_is_judged_without_deriving(monkeypatch):
+    # build_flatrep(k, lam0) is the family's subs, whose coefficients the
+    # chart judges by check_symbol: no D_i of any jet is computed.
+    sdym.build_flatrep(2)
+    calls = []
+    derive = sdym.SdymRewriter._derive_jet
+    monkeypatch.setattr(sdym.SdymRewriter, "_derive_jet",
+                        lambda self, s, i: calls.append((s, i)) or derive(self, s, i))
+    for n in range(10):
+        sdym.build_flatrep(2, Fraction(n, 3))
+    assert calls == []
+
+
 def test_sigma_is_a_homomorphism():
     rng = random.Random(71)
     for k in (1, 2, 3):
