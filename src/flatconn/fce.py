@@ -33,8 +33,8 @@ as on every ``jets.Chart``, which also judges the input of
 built itself, through the unchecked kernels :meth:`FcChart.f_symbol` (and
 :meth:`FcChart.f_apply` over it) and ``_fc_vertical``.  Each memo is owned
 by an immutable ``expr.Frozen`` record: the chart holds D_i and D_{v^b} on
-symbols and the fiber-multi-index reductions of
-:func:`default_recover_ansatz` (and builds its twist when it is built), a
+symbols, the fiber-multi-index reductions of :func:`default_recover_ansatz`
+and the slots and packed D_i(s) of its solves (and builds its twist), a
 cochain its differential, and a :class:`Symmetry` the coefficients
 S_I^{a,A} for as long as its caller keeps it (one call, inside the library).
 """
@@ -66,12 +66,14 @@ class FcChart(Chart):
     """Chart dimensions: n base directions (``ndirs``), m fiber directions;
     the chart is also the vertical complex that its cochains live on.
 
-    Frozen, because the memos of D_i and D_{v^b} on symbols depend on m.  It
-    compares by identity: two charts of one size are two sets of memos.
+    Frozen, because its memos depend on m: D_i and D_{v^b} on symbols, the
+    fiber-multi-index reductions and the packing memo, which only
+    ``jets.cochain_preimage`` fills.  It compares by identity: two charts
+    of one size are two sets of memos.
     """
 
     __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "_total_memo", "_vertical_memo",
-                 "_reduction_memo", "ndirs")
+                 "_reduction_memo", "_pack_memo", "ndirs")
 
     def __init__(self, n: int, m: int):
         n, m = positive(n, "n"), positive(m, "m")
@@ -80,7 +82,7 @@ class FcChart(Chart):
         twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
                  for i in base for a in fibers}
         self._put(n=n, m=m, ndirs=n, base_dirs=base, fiber_dirs=fibers, twist=twist,
-                  _total_memo={}, _vertical_memo={}, _reduction_memo={})
+                  _total_memo={}, _vertical_memo={}, _reduction_memo={}, _pack_memo={})
 
     def check_symbol(self, s: Symbol) -> None:
         k = s.kind

@@ -61,7 +61,8 @@ class FlatRepSpec(Frozen):
     """Declarative flat representation: scheme, direction split, coefficients.
 
     Frozen, with the split stored as tuples and read-only coefficients, so
-    that its flatness residuals, twist and F_i images, cached on it, cannot
+    that its flatness residuals, twist and F_i images, cached on it, and
+    its packing memo, empty until ``jets.cochain_preimage`` fills it, cannot
     go stale.  An empty base or fiber split, and a coefficient foreign to
     the scheme's chart, are refused at construction, the latter by
     ``scheme.check_expr``, which also judges each cochain component.  It is
@@ -70,7 +71,7 @@ class FlatRepSpec(Frozen):
     """
 
     __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs",
-                 "_residuals", "_twist", "_f_memo")
+                 "_residuals", "_twist", "_f_memo", "_pack_memo")
 
     def __init__(self, scheme: DerivScheme, base_dirs: Tuple[int, ...],
                  fiber_dirs: Tuple[int, ...],
@@ -89,7 +90,8 @@ class FlatRepSpec(Frozen):
                 raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
             add_term(cleaned, (i, d), scheme.check_expr(e))
         self._put(scheme=scheme, base_dirs=base_dirs, fiber_dirs=fiber_dirs,
-                  coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None, _f_memo={})
+                  coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None, _f_memo={},
+                  _pack_memo={})
 
     def a(self, i: int, d: int) -> Expr:
         return self.coeffs.get((i, d), ZERO)

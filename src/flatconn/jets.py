@@ -23,11 +23,12 @@ the one Leibniz kernel :meth:`Expr.derive`.
 
 A flat representation phi attaches to an equation the complex C_phi, and
 every cochain of the package is one :class:`Cochain` (an ``expr.Frozen``) on
-the object that fixes it.  That object provides five names: ``base_dirs``
+the object that fixes it.  That object provides six names: ``base_dirs``
 and ``fiber_dirs`` (tuples), ``f_symbol(i, s)`` = F_i on one symbol,
 memoized by the complex, ``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with
-a nonzero value, and ``check_component(I, a, f)``, which validates one
-component f dx_I (x) e_a handed in from outside and returns f as an Expr.
+a nonzero value, ``check_component(I, a, f)``, which validates one
+component f dx_I (x) e_a handed in from outside and returns f as an Expr,
+and ``_pack_memo``, built empty and filled only by :func:`cochain_preimage`.
 ``flatrep.FlatRepSpec`` is such an object for any phi, and
 ``fce.FcChart`` for phi = identity on E_fc (F_i = D_i); the horizontal de
 Rham complex is the case with one trivial fiber and no twist.
@@ -41,7 +42,8 @@ f of a symmetry of E_fc.  It assembles only the connected blocks of the
 ansatz system that hold the target's rows, grown from those rows by key
 lookups on packed integer keys (each symbol a bit field of width
 W = D.bit_length(), D bounding every monomial's total degree, so keys never
-carry and are never unpacked; the pool takes the low slots in ansatz order);
+carry and are never unpacked; the complex's ``_pack_memo`` holds the slots,
+in the order the complex first sees each symbol, and F_i(s) packed per W);
 every other coefficient is 0 in the solver's answer.  It checks every answer
 by its differential.
 Every signed sparse sum of Exprs in the package goes through :func:`add_term`.
@@ -50,7 +52,7 @@ Every signed sparse sum of Exprs in the package goes through :func:`add_term`.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -245,7 +247,7 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
     inner); :meth:`AnsatzSpec.unknowns` refuses too many before any is
     built.  Only the blocks that hold the target's rows are assembled
     (:func:`_target_block`, from ``complex.f_symbol`` on each pool symbol,
-    with the slots of its packed keys taken from the ansatz): every other
+    packed once per width in the complex's ``_pack_memo``): every other
     column lies in a block with a zero right-hand side, so it is 0 in the
     answer of :func:`solve_linear` (free columns 0, pivots the leading
     columns of the row space), and the blocks solved in global column order
@@ -287,18 +289,20 @@ def _target_block(
     and b inner, of d(mu e_a) =
     sum_i dx_i (x) (F_i(mu) e_a - sum_b mu D_a(a_i^b) e_b), as sparse maps.
 
-    Packed exponent vectors (Monagan and Pearce): the slots come from the
-    ansatz, its symbols first in ansatz order, then each further symbol of
-    the values F_i(s) (read from ``complex.f_symbol``), of the twist values
-    and of ``target``; each gets a bit field of width W = D.bit_length(), D
-    bounding the total degree of every ansatz, image and target monomial,
-    and prod s^p_s packs to sum p_s 2^(W slot(s)).  The key of monos[k] is
-    the sum of the units of its factors, enumerated as ``monomials()`` does.
-    No field carries, so keys are compared and never unpacked, and a product
-    of monomials is a sum of keys: F_i(mu) is built by Leibniz as
-    key(mu) - key(s) + key(m) with coefficient p c, for each factor s^p of mu
-    and term c m of F_i(s), in the column's own fiber; the twist part is
-    key(mu) + key(t).
+    Packed exponent vectors (Monagan and Pearce): ``complex._pack_memo``
+    gives each symbol of the twist values, pools, F_i(s) (from
+    ``complex.f_symbol``) and targets a slot, in the order the complex first
+    sees it, and keeps deg F_i(s) per (i, s) and, per width W, the units,
+    the pool's F_i(s) as (key(m) - key(s), c) per term c m and the negated
+    twist rows.  A slot is a bit field of width W = D.bit_length(), D
+    bounding the total degree of every ansatz, image and target monomial of
+    the solve, and prod s^p_s packs to sum p_s 2^(W slot(s)).  The key of
+    monos[k] is the sum of the units of its factors, enumerated as
+    ``monomials()`` does.  No field carries, so keys are compared and never
+    unpacked, and a product of monomials is a sum of keys: F_i(mu) is built
+    by Leibniz as key(mu) - key(s) + key(m) with coefficient p c, for each
+    factor s^p of mu and term c m of F_i(s), in the column's own fiber; the
+    twist part is key(mu) + key(t).
 
     The blocks grow from the target's rows (component ((i,), b), key K),
     looking up key(mu) in a map to k: through F_i, K - key(m) + key(s) in
@@ -307,38 +311,42 @@ def _target_block(
     K, and adds its rows, until no row is new: the connected components of
     Pothen and Fan's block triangular form.
     """
-    directions, fibers, twist = complex.base_dirs, complex.fiber_dirs, complex.twist
-    f_symbol = complex.f_symbol
-    # Slot order: the pool, which monos name in ansatz order, then first
-    # appearance.  At degree 0, or with no symbols, monos is [1] alone.
+    directions, fibers, f_symbol = complex.base_dirs, complex.fiber_dirs, complex.f_symbol
+    twist, memo = complex.twist, complex._pack_memo
+    if not memo:  # the first solve on the complex slots the twist values
+        memo.update(slots={}, degrees={i: {} for i in directions}, widths={})
+        memo["tdeg"] = _scan((t for pairs in twist.values() for _, t in pairs), memo["slots"])
+    slots = memo["slots"]
+    # At degree 0, or with no symbols, monos is [1] alone.
     pool = ansatz.symbols if ansatz.degree else ()
     mdeg = ansatz.degree if pool else 0
-    syms: Dict[Symbol, None] = dict.fromkeys(pool)
-    values = {(i, s): f_symbol(i, s) for i in directions for s in pool}
-    twists = [(i, a, b, t) for i in directions for a in fibers for b, t in twist.get((i, a), ())]
-    fdeg = _scan(values.values(), syms)
-    tdeg = _scan((t for *_, t in twists), syms)
-    gdeg = _scan(target, syms)
+    fdeg = -1
+    for i, degrees in memo["degrees"].items():
+        for s in pool:
+            if s not in degrees:
+                value = f_symbol(i, s)  # a foreign s is refused before it takes a slot
+                slots.setdefault(s, len(slots))
+                degrees[s] = _scan((value,), slots)
+            fdeg = max(fdeg, degrees[s])
+    gdeg = _scan(target, slots)
     # The monomials mu key the index; a term of F_i(mu) has degree at most
     # deg(mu) - 1 + deg F_i(s), a twist term deg(mu) + deg(t); _scan gives -1
     # where there is no term at all.
-    width = max(mdeg, gdeg, mdeg + tdeg, mdeg - 1 + fdeg).bit_length()
-    unit = {s: 1 << (width * n) for n, s in enumerate(syms)}
-
-    def pack(e: Expr) -> Dict[int, Scalar]:
-        out = {}
-        for mono, c in e.terms.items():
-            k = 0
-            for s, p in mono:
-                k += p * unit[s]
-            out[k] = c
-        return out
-
-    # F_i(s) as (key(m) - key(s), c) per term c m, and -D_a(a_i^b) packed.
-    lead = {i: {s: [(k - unit[s], c) for k, c in pack(values[(i, s)]).items()] for s in pool}
-            for i in directions}
-    neg = {(i, a, b): {k: -c for k, c in pack(t).items()} for i, a, b, t in twists}
-    plans = [[[neg.get((i, a, b), {}) for b in fibers] for i in directions] for a in fibers]
+    width = max(mdeg, gdeg, mdeg + memo["tdeg"], mdeg - 1 + fdeg).bit_length()
+    tables = memo["widths"]
+    if width not in tables:
+        unit = {s: 1 << (width * n) for s, n in slots.items()}
+        neg = {(i, a, b): {k: -c for k, c in _pack(unit, t).items()}
+               for (i, a), pairs in twist.items() for b, t in pairs}
+        tables[width] = unit, {i: {} for i in directions}, [
+            [[neg.get((i, a, b), {}) for b in fibers] for i in directions] for a in fibers]
+    unit, lead, plans = tables[width]
+    for s, n in islice(slots.items(), len(unit), None):  # slotted since the table was made
+        unit[s] = 1 << (width * n)
+    for i, leads in lead.items():
+        for s in pool:
+            if s not in leads:
+                leads[s] = [(k - unit[s], c) for k, c in _pack(unit, f_symbol(i, s)).items()]
     # The two lookups per component ((i,), b): (fiber position, key shift).
     shifts = [list(dict.fromkeys([(bpos, d) for s in pool for d, _ in lead[i][s]] + [
         (apos, kt) for apos, plan in enumerate(plans) for kt in plan[ipos][bpos]]))
@@ -347,6 +355,7 @@ def _target_block(
     keys = _monomial_keys([unit[s] for s in pool], mdeg)
     index = {kmu: k for k, kmu in enumerate(keys)}
     built: Dict[int, List[Mapping[int, Scalar]]] = {}
+    pack = partial(_pack, unit)
 
     def image(j: int) -> List[Mapping[int, Scalar]]:
         pos, k = divmod(j, n)
@@ -397,15 +406,27 @@ def _monomial_keys(units: Sequence[int], degree: int) -> List[int]:
     return keys
 
 
-def _scan(exprs: Iterable[Expr], syms: Dict[Symbol, None]) -> int:
+def _pack(unit: Mapping[Symbol, int], e: Expr) -> Dict[int, Scalar]:
+    """``e`` as {packed key: coefficient}, a key being sum p_s ``unit[s]``."""
+    out = {}
+    for mono, c in e.terms.items():
+        k = 0
+        for s, p in mono:
+            k += p * unit[s]
+        out[k] = c
+    return out
+
+
+def _scan(exprs: Iterable[Expr], slots: Dict[Symbol, int]) -> int:
     """The largest total degree of a monomial of ``exprs``, -1 if there is
-    none; adds their symbols to ``syms``, in first-appearance order."""
+    none; gives each of their symbols without a slot the next one."""
     deg = -1
     for e in exprs:
         for mono in e.terms:
             d = 0
             for s, p in mono:
-                syms[s] = None
+                if s not in slots:
+                    slots[s] = len(slots)
                 d += p
             if d > deg:
                 deg = d

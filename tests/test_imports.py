@@ -253,6 +253,52 @@ def test_no_function_builds_basis_images_beside_the_block():
     assert defs == [], defs
 
 
+PACK_MEMO = "_pack_memo"
+
+
+def _pack_memo_use(node):
+    """A pick for _owned: "create" for the keyword ``_pack_memo={}``, as in
+    ``self._put(_pack_memo={})``; "name" for the string ``"_pack_memo"``,
+    as in ``__slots__``; "use" for any other keyword or attribute of that
+    name, a read or a write."""
+    if isinstance(node, ast.keyword) and node.arg == PACK_MEMO:
+        return "create" if isinstance(node.value, ast.Dict) and not node.value.keys else "use"
+    if isinstance(node, ast.Attribute) and node.attr == PACK_MEMO:
+        return "use"
+    if isinstance(node, ast.Constant) and node.value == PACK_MEMO:
+        return "name"
+    return None
+
+
+def test_only_jets_fills_the_packing_memo():
+    # Each complex owns one packing memo for cochain_preimage: FcChart and
+    # FlatRepSpec declare it and create it empty, and only jets reads or
+    # writes it, in the assembler.
+    found = _src_scan(_pack_memo_use)
+    assert [(owner, kind) for owner, _, kind in found if not owner.startswith("jets.")] == [
+        ("fce.FcChart", "name"), ("fce.FcChart.__init__", "create"),
+        ("flatrep.FlatRepSpec", "name"), ("flatrep.FlatRepSpec.__init__", "create")], found
+    assert {owner for owner, _, _ in found if owner.startswith("jets.")} == {
+        "jets._target_block"}, found
+
+
+def test_pack_memo_scan_sees_every_use():
+    tree = ast.parse(
+        "class C(Frozen):\n"
+        "    __slots__ = ('_pack_memo',)\n"
+        "    def __init__(self):\n"
+        "        self._put(_pack_memo={}, _other={})\n"
+        "    def f(self, s):\n"
+        "        self._pack_memo[s] = 1\n"
+        "        return getattr(self, '_pack_memo')\n"
+        "def g(cx):\n"
+        "    cx._put(_pack_memo={1: 2})\n"
+        "    return cx._pack_memo.get(1), cx._pack_memo_x, '_pack_memo_y'\n")
+    assert _owned(tree, _pack_memo_use) == [
+        ("C", 2, "name"), ("C.__init__", 4, "create"), ("C.f", 6, "use"), ("C.f", 7, "name"),
+        ("g", 9, "use"), ("g", 10, "use")]
+
+
 def test_one_cochain_type_and_one_differential_call():
     # Every cochain of the package is a jets.Cochain, and only it calls the
     # cochain differential (its memoised property d).

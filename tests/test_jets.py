@@ -205,8 +205,8 @@ def test_evolution_judges_its_right_hand_sides_in_turn_without_deriving(monkeypa
 def scheme_complex(scheme, fibers, twist):
     """The complex over all directions of ``scheme`` with F_i = D_i, the
     given fibers and twist; a component is checked for its directions and
-    fiber.  It carries the five names that a cochain reads from what it
-    lives on."""
+    fiber.  It carries the six names that a cochain reads from what it
+    lives on, the packing memo of cochain_preimage among them."""
     def check(dirs, a, e):
         if a not in fibers:
             raise ValueError("fiber %r outside %r" % (a, fibers))
@@ -217,7 +217,7 @@ def scheme_complex(scheme, fibers, twist):
     return SimpleNamespace(
         base_dirs=tuple(range(1, scheme.ndirs + 1)), fiber_dirs=tuple(fibers),
         f_symbol=lambda i, s: scheme.derive_symbol(s, i), twist=twist,
-        check_component=check)
+        check_component=check, _pack_memo={})
 
 
 def horizontal(scheme):
@@ -333,8 +333,11 @@ def test_slot_width_covers_the_leibniz_and_twist_degrees():
     # u[3] + 6*u[0]*u[1] raises the degree of F_t(mu) by one; on J(1, 1) with
     # the twist value x1^3, the twist part exceeds every other degree.
     _check_basis_images(scheme_complex(kdv_scheme(), (1,), {}), AnsatzSpec((u(0), u(1)), 2))
-    _check_basis_images(scheme_complex(FreeJet(1, 1), (1, 2), {(1, 1): ((2, x(1) ** 3),)}),
-                        AnsatzSpec((x(1), u(0)), 1))
+    cx = scheme_complex(FreeJet(1, 1), (1, 2), {(1, 1): ((2, x(1) ** 3),)})
+    _check_basis_images(cx, AnsatzSpec((x(1), u(0)), 1))
+    # Every block is packed at W = 3 = (1 + 3).bit_length(), also the one of
+    # d(1 e_1) = -x1^3 dx1 (x) e_2, whose target and ansatz give only W = 2.
+    assert sorted(cx._pack_memo["widths"]) == [3]
 
 
 def test_slot_width_covers_the_ansatz_degree():
@@ -348,6 +351,7 @@ def test_slot_width_covers_the_ansatz_degree():
     got = cochain_preimage(cx, target, ansatz)
     assert got is not None and list(got.data) == _full_system_preimage(cx, target, ansatz)
     assert dict(got.items()) == {((), 0): Expr.wrap(x(2))}
+    assert list(cx._pack_memo["slots"]) == [x(1), x(2)] and list(cx._pack_memo["widths"]) == [2]
     _check_basis_images(cx, ansatz)
 
 
@@ -367,6 +371,8 @@ def test_preimage_slot_width_comes_from_the_target():
     cx, one = _d_h_problem()
     ansatz = AnsatzSpec((x(1), u(0)), 1)
     assert cochain_preimage(cx, one(x(1) ** 4), ansatz) is None
+    assert list(cx._pack_memo["slots"]) == [x(1), u(0), u(1)]
+    assert list(cx._pack_memo["widths"]) == [3]
     *_, pack = _target_block(cx, ansatz, ansatz.monomials(), [x(1) ** 4])
     assert pack(x(1) ** 4) != pack(Expr.wrap(u(1)))
     got = cochain_preimage(cx, one(3 * x(1) ** 2), AnsatzSpec((x(1),), 3))
@@ -390,6 +396,7 @@ def test_preimage_packs_lam_like_any_symbol():
     assert cochain_preimage(cx, target, AnsatzSpec((x(1),), 2)) is None
     got = cochain_preimage(cx, target, AnsatzSpec((x(1), lam), 2))
     assert dict(got.items()) == {((), 1): lam * x(1)}
+    assert lam in cx._pack_memo["slots"]
     # The target lam*x1 makes D = 2, so every monomial below packs injectively.
     ansatz = AnsatzSpec((x(1), lam), 2)
     *_, pack = _target_block(cx, ansatz, ansatz.monomials(), [lam * x(1)])
@@ -406,6 +413,7 @@ def test_preimage_packs_lam_like_any_symbol():
     keys = [next(iter(pack(e))) for e in (Expr.wrap(1), Expr.wrap(lam), Expr.wrap(y(1)),
                                           lam * y(1))]
     assert len(set(keys)) == len(keys) and keys[3] == keys[1] + keys[2]
+    assert lam in miura._pack_memo["slots"]
 
 
 def test_f_symbol_is_f_apply_on_one_symbol():
@@ -441,32 +449,119 @@ def _block_goal(cx, ansatz):
 @pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
 def test_second_target_block_derives_nothing(problem, monkeypatch):
     # The pool's F_i(s) are memo reads: once the complex knows them, a block
-    # on the same pool applies no derivation.
+    # on the same pool applies no derivation.  Once its packing memo holds
+    # their degrees and, at the block's width, their packed leads, the block
+    # does not ask the complex for them at all; a fresh complex does.
     _, cx, ansatz = problem
     goal = _block_goal(cx, ansatz)
     first = _target_block(cx, ansatz, ansatz.monomials(), goal)
     derive = Expr.derive
     calls = []
     monkeypatch.setattr(Expr, "derive", lambda self, image: calls.append(1) or derive(self, image))
+    f_symbol = type(cx).f_symbol
+    asked = []
+    monkeypatch.setattr(type(cx), "f_symbol",
+                        lambda self, i, s: asked.append((i, s)) or f_symbol(self, i, s))
     again = _target_block(cx, ansatz, ansatz.monomials(), goal)
-    assert calls == []
+    assert calls == [] and asked == []
     assert again[:2] == first[:2] and first[0]
+    _target_block(_fresh(cx), ansatz, ansatz.monomials(), goal)
+    assert len(asked) >= len(cx.base_dirs) * len(ansatz.symbols)
 
 
 @pytest.mark.parametrize("problem", list(_preimage_problems()), ids=lambda p: p[0])
 def test_column_keys_are_the_packed_monomials(problem):
-    # The pool takes the low slots in ansatz order, and the key of each
+    # Each pool symbol s has the slot slots[s] of the complex's packing
+    # memo, numbered in the order the complex first saw its symbols, and its
+    # unit is 2^(W slots[s]) for the block's width W.  The key of each
     # column's monomial, summed from the slot units, is pack(mu).
     _, cx, ansatz = problem
     monos = ansatz.monomials()
     *_, pack = _target_block(cx, ansatz, monos, _block_goal(cx, ansatz))
+    slots = cx._pack_memo["slots"]
+    assert sorted(slots.values()) == list(range(len(slots)))
     units = [next(iter(pack(Expr.wrap(s)))) for s in ansatz.symbols]
-    width = units[1].bit_length() - 1
-    assert units == [1 << (width * k) for k in range(len(units))]
+    top = max(ansatz.symbols, key=slots.__getitem__)
+    width = (units[ansatz.symbols.index(top)].bit_length() - 1) // slots[top]
+    assert units == [1 << (width * slots[s]) for s in ansatz.symbols]
     assert _monomial_keys(units, ansatz.degree) == [next(iter(pack(mu))) for mu in monos]
     # At degree 0, or with no symbols, the one monomial is 1.
     assert _monomial_keys(units, 0) == [0] == _monomial_keys([], 3)
     assert len(AnsatzSpec((), 3).monomials()) == len(AnsatzSpec(ansatz.symbols, 0).monomials()) == 1
+
+
+def _fresh(cx):
+    """A new complex equal to the chart or spec ``cx``, its memos empty."""
+    return fce.FcChart(cx.n, cx.m) if isinstance(cx, fce.FcChart) else cx.subs({})
+
+
+def _read_back(cx, pack, packed):
+    """The packed map ``packed`` as an Expr: each key split into its fields,
+    highest unit first, over the slots of cx's packing memo."""
+    units = sorted(((next(iter(pack(Expr.wrap(s)))), s) for s in cx._pack_memo["slots"]),
+                   key=lambda us: us[0], reverse=True)
+    out = ZERO
+    for key, c in packed.items():
+        term = Expr.wrap(c)
+        for unit, s in units:
+            p, key = divmod(key, unit)
+            term = term * Expr.wrap(s) ** p
+        assert key == 0
+        out = out + term
+    return out
+
+
+def _solve_and_block(cx, target, ansatz):
+    """The answer of cochain_preimage on ``cx``, and the columns and images
+    (read back as Exprs) of the target's block."""
+    target = target.on(cx)
+    goal = [target.component((i,), a) for i in cx.base_dirs for a in cx.fiber_dirs]
+    columns, images, pack = _target_block(cx, ansatz, ansatz.monomials(), goal)
+    return (cochain_preimage(cx, target, ansatz), columns,
+            [[_read_back(cx, pack, comp) for comp in image] for image in images])
+
+
+def test_a_warm_complex_solves_as_a_fresh_one():
+    # One complex per family keeps its packing memo through every seeded
+    # problem of the family, in sequence; each answer, column list and image
+    # list is the one a fresh complex gives, which packs from nothing.
+    for name, cx, target, ansatz in _seeded_preimage_problems():
+        warm = _solve_and_block(cx, target, ansatz)
+        assert warm == _solve_and_block(_fresh(cx), target, ansatz), name
+    assert len(cx._pack_memo["slots"]) > len(ansatz.symbols)
+
+
+def test_one_complex_packs_at_each_width_it_meets():
+    # On the (2,1) chart the twist v_i^{1,1} raises each degree by one: an
+    # ansatz of degree 2 gives D = 3 and W = 2, one of degree 3 gives D = 4
+    # and W = 3.  The memo keeps a table per width, and each answer is a
+    # fresh chart's.
+    chart = fce.FcChart(2, 1)
+    widths = []
+    for f, degree in ((x(1) * v(1), 2), (x(1) ** 2 * v(1), 3), (v(1) ** 2, 2)):
+        phi = fce.symmetry_from_f(chart, fce.cochain0(chart, [f]))
+        ansatz = AnsatzSpec((x(1), v(1), fc(1, (1,))), degree)
+        got = cochain_preimage(chart, phi, ansatz)
+        fresh = fce.FcChart(2, 1)
+        assert got == cochain_preimage(fresh, phi.on(fresh), ansatz) == fce.cochain0(chart, [f])
+        widths.append(sorted(chart._pack_memo["widths"]))
+    assert widths == [[2], [2, 3], [2, 3]]
+
+
+def test_a_refused_solve_leaves_the_packing_memo_usable():
+    # A pool symbol foreign to the spec is refused by its scheme, as the
+    # spec's F_i refuses it, and takes no slot; the next solve on the spec
+    # is a fresh spec's.
+    kdv = build_kdv()
+    spec = miura_at(kdv, Fraction(1))
+    c = flatrep.symmetry_cocycle(spec, [kdv.symmetries["x-translation"]])
+    good = AnsatzSpec((x(1), x(2), y(1), u(0), u(1)), 2)
+    with pytest.raises(ValueError, match="^symbol v1 is foreign to the chart$"):
+        cochain_preimage(spec, c, AnsatzSpec(good.symbols + (v(1),), 2))
+    assert v(1) not in spec._pack_memo["slots"]
+    got = cochain_preimage(spec, c, good)
+    fresh = spec.subs({})
+    assert got is not None and got == cochain_preimage(fresh, c.on(fresh), good)
 
 
 def _full_system_preimage(cx, target, ansatz):
