@@ -94,9 +94,7 @@ def _ansatz(pf, args, default) -> AnsatzSpec:
     of ``default(order)``, the task's default ansatz; the degree is the
     flag's, else the file's, else the default's.  The jet order, the flag's
     or else the file's, cuts the pool either way."""
-    if args.order is not None and pf.kind != "evolution":
-        raise ValueError("--order bounds jet orders, and a %s chart has none" % pf.kind)
-    order = args.order if args.order is not None else pf.ansatz_order
+    order = pf.ansatz_order if getattr(args, "order", None) is None else args.order
     fallback = default(order)
     symbols = fallback.symbols if pf.ansatz_symbols is None else pf.ansatz_symbols
     if order is not None:
@@ -252,13 +250,12 @@ def _t_sdym_ugh(args) -> Report:
 
 # Each task: its handler and the arguments of _FLAGS it reads; argparse refuses
 # the others.  A task of problems.TASKS also takes a problem file, and its
-# handler gets it parsed, as (pf, args).  recover-f reads --order only to
-# refuse it: its chart has no jets.
+# handler gets it parsed, as (pf, args).
 _TASKS = {
     "check-flat": (_t_check_flat, ()),
     "dfc": (_t_dfc, ()),
     "symmetry-from-f": (_t_symmetry_from_f, ()),
-    "recover-f": (_t_recover_f, ("--degree", "--order")),
+    "recover-f": (_t_recover_f, ("--degree",)),
     "bracket": (_t_bracket, ()),
     "check-flatrep": (_t_check_flatrep, ()),
     "pullback": (_t_pullback, ()),

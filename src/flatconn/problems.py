@@ -17,17 +17,24 @@ start with ``#``.  Example::
 
 Charts come in three kinds: ``connection`` (coordinates x_i, v^a),
 ``fc`` (adds the special coordinates v[a;I;A]), and ``evolution``
-(coordinates x1, x2 aliased by ``names``, jets u[k], u2[k], ...).  Fiber
-coordinates y1, y2, ... become legal inside [flatrep], [covering],
-[cochain], [symmetry] values and [ansatz] symbol lists once a ``fibers``
-count is declared.  Index forms: u[k] is the k-th spatial derivative,
-v[a;I;A] carries comma-separated multi-indices, e.g. v[1;2,2;1].
+(coordinates x1, x2 aliased by ``names``, jets u[k], u2[k], ...).  Index
+forms: u[k] is the k-th spatial derivative, v[a;I;A] carries
+comma-separated multi-indices, e.g. v[1;2,2;1].
 
 This module owns the file schema.  ``TASKS`` holds, for each file task, the
 chart kinds it accepts, the sections it requires and the ``[task]`` options
 it reads; ``parse_problem`` validates a file against it once, for the task
 the file declares or the one it is invoked as.  Every ``key = value`` line
 goes through one reader, which refuses a key bound twice in a section.
+
+Symbols are judged by the chart the file declares; ``_Env`` only spells
+them.  An fc file is judged by the ``fce.FcChart`` its tasks compute on, a
+connection file and a [connection] section by the chart of
+``flatrep.connection``, an evolution file by an ``Evolution`` scheme, whose
+covering fibers y1, y2, ... join it once a [flatrep] or [covering] reads its
+``fibers`` count, and the pullback's ``expr`` by the fc chart of the
+pullback.  A refusal, the chart's or the symbol constructor's, reads the
+symbol's line and column.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .expr import Expr, Symbol, const, fc, jet, param, render, v, x, y
-from .jets import Evolution
+from .expr import ZERO, Expr, Symbol, const, fc, jet, param, render, v, x, y
+from .jets import Chart, Evolution
 from . import fce
 from .flatrep import FlatRepSpec, connection, covering_to_flatrep
 
@@ -105,71 +112,43 @@ def _tokenize(text: str, line: int):
 
 
 class _Env:
-    """Symbol resolution for one chart (plus optional covering fibers)."""
+    """Spells the symbols of one chart, which judges each one."""
 
-    def __init__(self, n, m, kind, names=(), params=(), fibers=0):
-        self.n = n
-        self.m = m
-        self.kind = kind
-        self.fibers = fibers
+    def __init__(self, chart: Chart, names=(), params=()):
+        self.chart = chart
         self.aliases = {name: x(i + 1) for i, name in enumerate(names)}
         self.params = {p: param(p) for p in params}
 
-    def with_fibers(self, fibers: int) -> "_Env":
-        return _Env(self.n, self.m, self.kind,
-                    tuple(self.aliases), tuple(self.params), fibers)
-
     def resolve(self, name: str, groups, line: int, col: int) -> Symbol:
+        """The symbol ``name`` spells with its index ``groups`` (None without
+        brackets), once the chart accepts it; any refusal reads line:col."""
+        try:
+            s = self._spell(name, groups)
+            self.chart.check_symbol(s)
+        except ValueError as exc:
+            raise ParseError(str(exc), line, col) from None
+        return s
+
+    def _spell(self, name: str, groups) -> Symbol:
         if groups is None:
             if name in self.params:
                 return self.params[name]
             if name in self.aliases:
                 return self.aliases[name]
-            m = re.fullmatch(r"x(\d+)", name)
+            m = _COORDINATE.fullmatch(name)
             if m:
-                i = int(m.group(1))
-                nmax = 2 if self.kind == "evolution" else self.n
-                if not 1 <= i <= nmax:
-                    raise ParseError("independent %s out of range" % name, line, col)
-                return x(i)
-            m = re.fullmatch(r"v(\d+)", name)
-            if m and self.kind in ("connection", "fc"):
-                a = int(m.group(1))
-                if not 1 <= a <= self.m:
-                    raise ParseError("fiber coordinate %s out of range" % name, line, col)
-                return v(a)
-            m = re.fullmatch(r"y(\d+)", name)
-            if m and self.fibers:
-                b = int(m.group(1))
-                if not 1 <= b <= self.fibers:
-                    raise ParseError("covering fiber %s out of range" % name, line, col)
-                return y(b)
-            raise ParseError("undeclared variable %r" % name, line, col)
-        # bracketed forms
-        if self.kind == "evolution":
-            m = re.fullmatch(r"u(\d*)", name)
-            if m:
-                alpha = int(m.group(1)) if m.group(1) else 1
-                if not 1 <= alpha <= self.m:
-                    raise ParseError("dependent %s out of range" % name, line, col)
-                if len(groups) != 1 or len(groups[0]) != 1:
-                    raise ParseError("jet form is u[k] with one order index", line, col)
-                return jet(alpha, (1,) * groups[0][0])
-        if self.kind == "fc" and name == "v":
+                return _COORDINATES[m.group(1)](int(m.group(2)))
+            raise ValueError("undeclared variable %r" % name)
+        m = re.fullmatch(r"u(\d*)", name)
+        if m:
+            if len(groups) != 1 or len(groups[0]) != 1:
+                raise ValueError("jet form is u[k] with one order index")
+            return jet(int(m.group(1) or 1), (1,) * groups[0][0])
+        if name == "v":
             if len(groups) != 3 or len(groups[0]) != 1:
-                raise ParseError("fc form is v[a;I;A]", line, col)
-            alpha, ii, aa = groups[0][0], groups[1], groups[2]
-            if not 1 <= alpha <= self.m or any(i > self.n for i in ii) or any(
-                a > self.m for a in aa
-            ):
-                raise ParseError("fc coordinate indices out of range", line, col)
-            if not ii:
-                if aa:
-                    raise ParseError("fc coordinate needs |I| >= 1 when A is nonempty",
-                                     line, col)
-                return v(alpha)
-            return fc(alpha, ii, aa)
-        raise ParseError("unknown indexed symbol %r" % name, line, col)
+                raise ValueError("fc form is v[a;I;A]")
+            return fc(groups[0][0], groups[1], groups[2])
+        raise ValueError("unknown indexed symbol %r" % name)
 
 
 class _ExprParser:
@@ -303,7 +282,8 @@ class ProblemFile:
 
     __slots__ = ("n", "m", "kind", "names", "params", "connection", "equation", "flatrep",
                  "symmetry", "cochain", "ansatz_degree", "ansatz_order", "ansatz_symbols",
-                 "task", "task_options", "pullback_expr", "deformation_param", "deformation_at")
+                 "task", "task_options", "pullback_expr", "deformation_param", "deformation_at",
+                 "_chart")
 
     def __init__(self, n: int, m: int, kind: str, names: Tuple[str, ...] = (),
                  params: Tuple[str, ...] = ()):
@@ -315,7 +295,10 @@ class ProblemFile:
 
     # ---- builders -----------------------------------------------------------
     def fc_chart(self) -> fce.FcChart:
-        return fce.FcChart(self.n, self.m)
+        """The chart that judged the symbols of an fc file, one per file."""
+        if self.kind != "fc":
+            raise ValueError("problem has no fc chart")
+        return self._chart
 
     def connection_spec(self) -> FlatRepSpec:
         if self.connection is None:
@@ -338,7 +321,12 @@ _SECTIONS = ("chart", "connection", "equation", "flatrep", "covering",
              "symmetry", "cochain", "ansatz", "task")
 _CHART_KEYS = ("n", "m", "kind", "names", "params")
 _KEYED = re.compile(r"([A-Za-z]+)(0|[1-9]\d*)(?:_(0|[1-9]\d*))?")
-_COORDINATE = re.compile(r"[xvy]\d+")
+_COORDINATE = re.compile(r"([xvy])(\d+)")
+_COORDINATES = {"x": x, "v": v, "y": y}
+# The chart that judges a file of each kind (and a [connection]), from n and m.
+_JUDGES = {"connection": lambda n, m: connection(n, m, {}).scheme,
+           "fc": fce.FcChart,
+           "evolution": lambda n, m: Evolution(m, [ZERO] * m)}
 
 
 def _read_sections(text: str) -> Tuple[Dict[str, Dict[str, Tuple[int, str]]], Dict[str, int]]:
@@ -454,14 +442,15 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
                              "parameter nor a coordinate x<k>, v<k>, y<k>" % s, names_ln)
 
     pf = ProblemFile(n=n, m=m, kind=kind, names=names, params=params)
-    env = _Env(n, m, kind, names, params)
+    pf._chart = _JUDGES[kind](n, m)
+    env = _Env(pf._chart, names, params)
 
     if "connection" in sections:
         if kind not in ("connection", "fc"):
             raise ParseError("[connection] needs a connection or fc chart",
                              headers["connection"])
         pf.connection = _indexed(sections["connection"], "v", n, m,
-                                 _Env(n, m, "connection", names, params),
+                                 _Env(_JUDGES["connection"](n, m), names, params),
                                  "connection keys are v<i> or v<i>_<a>")
 
     if "equation" in sections:
@@ -480,7 +469,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     if "flatrep" in sections and "covering" in sections:
         raise ParseError("[flatrep] and [covering] are exclusive; declare one of them",
                          max(headers["flatrep"], headers["covering"]))
-    nf = 0
+    nf, fenv = 0, env  # the later sections may use the fiber coordinates
     for sec, prefix in _FLATREP_PREFIX.items():
         if sec not in sections:
             continue
@@ -489,10 +478,9 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
         rows = dict(sections[sec])
         nf = _positive(rows, "fibers", "[%s] needs a fibers count" % sec, headers[sec])
         del rows["fibers"]
+        fenv = _Env(covering_to_flatrep(pf._chart, {}, nf).scheme, names, params)
         pf.flatrep = FlatRepSection(sec, nf, _indexed(
-            rows, prefix, 2, nf, env.with_fibers(nf),
-            "%s keys are %s<i> or %s<i>_<b>" % (sec, prefix, prefix)))
-    fenv = env.with_fibers(nf)  # the later sections may use the fiber coordinates
+            rows, prefix, 2, nf, fenv, "%s keys are %s<i> or %s<i>_<b>" % (sec, prefix, prefix)))
 
     if "cochain" in sections:
         if not nf:
@@ -563,7 +551,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
         pf.task_options[key] = val
     if "expr" in options:
         ln, val = options["expr"]
-        pf.pullback_expr = _parse_expr(val, _Env(2, nf, "fc", (), params), ln)
+        pf.pullback_expr = _parse_expr(val, _Env(fce.FcChart(2, nf), (), params), ln)
     elif task == "pullback":
         raise ParseError("pullback needs an 'expr' option in [task]", file_ln)
     if task == "deformation":

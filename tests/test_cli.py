@@ -240,11 +240,12 @@ def test_order_bound_cuts_explicit_pool(prob, capsys):
 
 
 def test_order_flag_on_a_chart_without_jets_exits_2(prob, capsys):
+    # recover-f takes no --order, its chart having no jets: argparse refuses it.
     capsys.readouterr()
     assert run(["recover-f", prob("rec.prob", FC_RECOVER), "--order", "1", "--json"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: --order bounds jet orders, and a fc chart has none\n"
+    assert "unrecognized arguments: --order 1" in err
     assert run(["check-flat", prob("flat.prob", FLAT_XY), "--order", "0"]) == 2
     assert run(["recover-f", prob("rec.prob", FC_RECOVER), "--json"]) == 0
 

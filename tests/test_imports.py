@@ -756,6 +756,52 @@ def test_private_read_scan_sees_every_form():
         (2, "_Env"), (4, "_parse_expr"), (5, "_check_sections")]
 
 
+def _attribute_binding(node):
+    """A pick for _owned: the attribute an assignment binds (``a.b = ...``,
+    ``a.b += ...``) or a ``setattr`` call names, ``?`` if not a constant."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        return node.attr
+    if _call_of(("setattr",))(node):
+        arg = node.args[1] if len(node.args) > 1 else None
+        return arg.value if isinstance(arg, ast.Constant) else "?"
+    return None
+
+
+def test_problem_files_are_judged_by_their_chart_alone():
+    # The parser spells a symbol and the chart the file declares judges it:
+    # check_symbol is called only in _Env.resolve, and _Env keeps nothing
+    # but its chart, aliases and parameters, so no size of the file sits
+    # beside the chart for a range rule to read.
+    tree = ast.parse((SRC / "problems.py").read_text(encoding="utf-8"), filename="problems.py")
+    calls = _calls(tree, ("check_symbol",))
+    assert {owner for owner, _, _ in calls} == {"_Env.resolve"}, calls
+    bound = {name for owner, _, name in _owned(tree, _attribute_binding)
+             if owner.split(".")[0] == "_Env"}
+    assert bound == {"chart", "aliases", "params"}, bound
+
+
+def test_judge_scan_sees_every_call_and_binding():
+    tree = ast.parse(
+        "class _Env:\n"
+        "    def __init__(self, chart, n):\n"
+        "        self.chart, self.n = chart, n\n"
+        "        setattr(self, 'm', 1)\n"
+        "    def resolve(self, s):\n"
+        "        self.chart.check_symbol(s)\n"
+        "        self.fibers += 1\n"
+        "def parse(chart, s, name):\n"
+        "    setattr(chart, name, 0)\n"
+        "    return chart.check_symbol(s), chart.check_symbol, chart.n\n"
+        "class Other:\n"
+        "    def f(self):\n"
+        "        self.kind = 1\n")
+    assert _calls(tree, ("check_symbol",)) == [
+        ("_Env.resolve", 6, "check_symbol"), ("parse", 10, "check_symbol")]
+    assert _owned(tree, _attribute_binding) == [
+        ("Other.f", 13, "kind"), ("_Env.__init__", 3, "chart"), ("_Env.__init__", 3, "n"),
+        ("_Env.__init__", 4, "m"), ("_Env.resolve", 7, "fibers"), ("parse", 9, "?")]
+
+
 def test_reimports_leave_one_copy_of_expr_alive():
     # A fresh interpreter, so that this session's interned symbols and typing
     # caches play no part.

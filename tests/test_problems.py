@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from flatconn.expr import Expr, fc, jet, param, render, v, x, y
-from flatconn import fce, flatrep
+from flatconn.expr import ZERO, Expr, fc, jet, param, render, v, x, y
+from flatconn import fce, flatrep, jets
 from flatconn.problems import ParseError, parse_problem, render_problem
 
 FLAT_XY = """
@@ -102,7 +102,7 @@ def test_undeclared_variable_error():
     with pytest.raises(ParseError, match="undeclared variable"):
         parse_problem(bad)
     bad2 = FLAT_XY.replace("v1 = x2", "v1 = x3")
-    with pytest.raises(ParseError, match="out of range"):
+    with pytest.raises(ParseError, match="outside chart"):
         parse_problem(bad2)
 
 
@@ -257,7 +257,7 @@ def test_pullback_expr_is_parsed_with_its_line():
     pullback = pullback.replace("[symmetry]\nphi1 = u[1]\n", "")
     assert parse_problem(pullback).pullback_expr == Expr.wrap(fc(1, (1,), (1,)))
     at = _line(pullback, "expr = v[1;1;1]")
-    assert _refused(pullback.replace("expr = v[1;1;1]", "expr = v[1;3;]"), "out of range") == at
+    assert _refused(pullback.replace("expr = v[1;1;1]", "expr = v[1;3;]"), "outside chart") == at
     assert _refused(pullback.replace("expr = v[1;1;1]", "expr = q"), "undeclared") == at
 
 
@@ -360,14 +360,17 @@ REFUSALS = [
     (KDV_LIFT, "degree = 4", "depth = 4", "unknown ansatz key 'depth'", None),
     (KDV_LIFT, "degree = 4", "degree = -1", "degree must be a nonnegative integer", None),
     (KDV_LIFT, "phi1 = u[1]", "phi1 = u[1,2]", "jet form is u[k] with one order index", None),
-    (KDV_LIFT, "phi1 = u[1]", "phi1 = u2[1]", "dependent u2 out of range", None),
+    (KDV_LIFT, "phi1 = u[1]", "phi1 = u2[1]", "jet u2[1] is not spatial or outside chart", None),
     (KDV_LIFT, "phi1 = u[1]", "phi1 = u[x]", "bad index list near 'x'", None),
     (KDV_LIFT, "a1 = lam + u[0] + y1^2", "a1 = lam + u[0] + y2^2",
-     "covering fiber y2 out of range", None),
+     "symbol y2 is foreign to the chart", None),
     (FC_PHI, "phi1 = v[1;1;]", "phi1 = v[1;1]", "fc form is v[a;I;A]", None),
     (FC_PHI, "phi1 = v[1;1;]", "phi1 = v[1;;1]",
-     "fc coordinate needs |I| >= 1 when A is nonempty", None),
-    (FLAT_XY, "v1 = x2", "v1 = v2", "fiber coordinate v2 out of range", None),
+     "fc symbol needs |I| >= 1 when A is nonempty", None),
+    (FC_PHI, "phi1 = v[1;1;]", "phi1 = v[1;0;]", "fc base indices must be positive integers, got 0",
+     None),
+    (FLAT_XY, "v1 = x2", "v1 = v2", "symbol v2 is foreign to the chart", None),
+    (FLAT_XY, "v1 = x2", "v1 = x0", "independent indices must be positive integers, got 0", None),
     (FLAT_XY, "v1 = x2", "v1 = w[1]", "unknown indexed symbol 'w'", None),
     (FLAT_XY, "v1 = x2", "v1 = x2 +", "unexpected end of expression", None),
     (FLAT_XY, "v1 = x2", "v1 = (x2 x1", "expected ')', found 'x1'", None),
@@ -403,3 +406,53 @@ def test_a_digit_that_is_no_decimal_is_refused_at_its_line(fixture, line):
     with pytest.raises(ParseError, match="^line %d:0: %s must be a %s integer$"
                        % (_line(text, key + " = ²"), key, kind)):
         parse_problem(text)
+
+
+# The parity grid: each spelling and the constructor call it spells.
+SPELLINGS = (
+    [("x%d" % k, x, (k,)) for k in range(4)] + [("v%d" % k, v, (k,)) for k in range(4)]
+    + [("y%d" % k, y, (k,)) for k in range(3)] + [("u[2]", jet, (1, (1, 1)))]
+    + [("u%d[1]" % a, jet, (a, (1,))) for a in range(4)]
+    + [("v[%d;%s;%s]" % (a, i, b), fc, (a, tuple(map(int, i)), tuple(map(int, b))))
+       for a in range(4) for i in ("",) + tuple("0123") for b in ("",) + tuple("0123")])
+_EVOLUTION = "[chart]\nn = 2\nm = 2\nkind = evolution\n\n[equation]\nf1 = %s\nf2 = 0\n"
+_FIBERS = _EVOLUTION % "u[1]" + "\n[flatrep]\nfibers = 2\n"
+# Each chart kind: a file with SYMBOL where the spelling goes, and the chart
+# the file's symbols are judged by there.
+PARITY = {
+    "connection": ("[chart]\nn = 2\nm = 2\nkind = connection\n\n[connection]\nv1_1 = 1 + SYMBOL\n",
+                   lambda: flatrep.connection(2, 2, {}).scheme),
+    "fc": ("[chart]\nn = 2\nm = 2\nkind = fc\n\n[symmetry]\nf1 = 1 + SYMBOL\n",
+           lambda: fce.FcChart(2, 2)),
+    "evolution": (_EVOLUTION % "1 + SYMBOL", lambda: jets.Evolution(2, [ZERO] * 2)),
+    "evolution with fibers": (_FIBERS + "a1_1 = 1 + SYMBOL\n", lambda: flatrep.covering_to_flatrep(
+        jets.Evolution(2, [ZERO] * 2), {}, 2).scheme),
+    "pullback expr": (_FIBERS + "\n[task]\nname = pullback\nexpr = 1 + SYMBOL\n",
+                      lambda: fce.FcChart(2, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", PARITY)
+def test_the_parser_refuses_a_symbol_exactly_when_its_chart_does(kind):
+    # The parser spells a symbol and the chart judges it: a refusal of the
+    # constructor or of check_symbol is a ParseError at the symbol, in the
+    # same words; a symbol both accept parses.
+    template, judge = PARITY[kind]
+    chart = judge()
+    at = "line %d:5: " % next(
+        k for k, row in enumerate(template.split("\n"), 1) if "SYMBOL" in row)
+    wrong = []
+    for spelling, make, args in SPELLINGS:
+        try:
+            chart.check_symbol(make(*args))
+            want = None
+        except ValueError as exc:
+            want = at + str(exc)
+        try:
+            parse_problem(template.replace("SYMBOL", spelling))
+            got = None
+        except Exception as exc:
+            got = str(exc) if type(exc) is ParseError else repr(exc)
+        if got != want:
+            wrong.append((spelling, want, got))
+    assert not wrong, wrong
