@@ -37,10 +37,17 @@ once when a symbol is interned, whose byte order is exactly the order of
 the ``key`` tuples; a bytes comparison is one ``memcmp`` where the tuples
 compare element by element.  A product with a one-factor monomial, the
 common case in a derivation, inserts that factor with one scan and two
-slices instead of a merge.  The ring operations and :meth:`Expr.derive`
-hand the dict they built to the new value without a copy; the public
-constructor copies its mapping.  :meth:`Expr.derive` reads the terms of
-each symbol's image in place and copies none of them.
+slices instead of a merge.
+
+The package has one Leibniz loop, :func:`derive_into`, and one product
+loop, :func:`mul_into`.  Both accumulate: they add ``sign`` times their
+result into a term map that their caller owns, so a sum of derivatives and
+products is built in one map and becomes an Expr once.  :meth:`Expr.derive`
+and :meth:`Expr.__mul__` are each one call of them on a fresh map.  The
+ring operations and :meth:`Expr.derive` hand the dict they built to the
+new value without a copy; the public constructor copies its mapping.
+:func:`derive_into` reads the terms of each symbol's image in place and
+copies none of them.
 
 :class:`Frozen`, the base of every record that owns a memo or a value set
 once, lives here, in the lowest layer.  :class:`Expr` is immutable by
@@ -54,7 +61,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "Frozen", "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
-    "const", "ZERO", "ONE", "render", "positive",
+    "const", "ZERO", "ONE", "render", "positive", "derive_into", "mul_into",
 ]
 
 # Kind tags; the integer fixes the symbol order (and hence monomial order).
@@ -447,24 +454,9 @@ class Expr:
         if self is ONE or other is ONE:
             return other if self is ONE else self
         # Multiply through the smaller factor.
-        a, b = (self.terms, other.terms)
-        if len(a) > len(b):
-            a, b = b, a
-        out: Dict[Monomial, Scalar] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = _mono_mul(ma, mb)
-                c = ca * cb
-                acc = out.get(m)
-                if acc is None:
-                    out[m] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
-        return _owned(out)
+        if len(self.terms) > len(other.terms):
+            return _owned(mul_into({}, other, self))
+        return _owned(mul_into({}, self, other))
 
     __rmul__ = __mul__
 
@@ -512,44 +504,9 @@ class Expr:
         return self.derive(lambda t: ONE if t is s else ZERO)
 
     def derive(self, image: Callable[[Symbol], "Expr"]) -> "Expr":
-        """The derivation whose value on each symbol ``s`` is ``image(s)``.
-
-        Applies the Leibniz rule, sum_s image(s) * df/ds, in one pass over
-        the monomials.  ``image`` is called once per distinct symbol of f and
-        returns ZERO for symbols the derivation kills.  Each image's terms
-        are read in place, never copied, so an image may be a memoized value
-        shared with other callers: the kernel only reads it.  This is the one
-        kernel behind every total, vertical, evolutionary and symmetry
-        derivation in the package.
-        """
-        images: Dict[Symbol, Mapping[Monomial, Scalar]] = {}
-        out: Dict[Monomial, Scalar] = {}
-        for mono, c in self.terms.items():
-            for k, (sym, p) in enumerate(mono):
-                img = images.get(sym)
-                if img is None:
-                    img = images[sym] = image(sym).terms
-                if not img:
-                    continue
-                if p == 1:
-                    rest = mono[:k] + mono[k + 1:]
-                    cp = c
-                else:
-                    rest = mono[:k] + ((sym, p - 1),) + mono[k + 1:]
-                    cp = c * p
-                for mi, ci in img.items():
-                    m = _mono_mul(rest, mi) if rest else mi
-                    cc = cp * ci
-                    acc = out.get(m)
-                    if acc is None:
-                        out[m] = cc
-                    else:
-                        acc = acc + cc
-                        if acc:
-                            out[m] = acc
-                        else:
-                            del out[m]
-        return _owned(out)
+        """The derivation whose value on each symbol ``s`` is ``image(s)``:
+        :func:`derive_into` on a fresh term map, which the new value owns."""
+        return _owned(derive_into({}, self, image))
 
     def subs(self, bindings: Mapping[Symbol, ExprLike]) -> "Expr":
         """Simultaneous substitution; symbols absent from ``bindings`` are kept."""
@@ -630,6 +587,74 @@ class Expr:
 
     def __repr__(self):
         return self.render()
+
+
+def derive_into(out: Dict[Monomial, Scalar], f: Expr,
+                image: Callable[[Symbol], Expr], sign: Scalar = 1) -> Dict[Monomial, Scalar]:
+    """Add sign * D(f) to the term map ``out`` and return it, D being the
+    derivation whose value on each symbol ``s`` is ``image(s)``.
+
+    Applies the Leibniz rule, sum_s image(s) * df/ds, in one pass over the
+    monomials of f.  ``image`` is called once per distinct symbol of f and
+    returns ZERO for symbols the derivation kills.  Each image's terms are
+    read in place, never copied, so an image may be a memoized value shared
+    with other callers: the kernel only reads it.  A coefficient that sums
+    to zero leaves ``out``.  This is the one Leibniz kernel behind every
+    total, vertical, evolutionary and symmetry derivation in the package;
+    a sum of derivatives accumulates in one map by calling it once per term.
+    """
+    images: Dict[Symbol, Mapping[Monomial, Scalar]] = {}
+    for mono, c in f.terms.items():
+        if sign != 1:
+            c = sign * c
+        for k, (sym, p) in enumerate(mono):
+            img = images.get(sym)
+            if img is None:
+                img = images[sym] = image(sym).terms
+            if not img:
+                continue
+            if p == 1:
+                rest = mono[:k] + mono[k + 1:]
+                cp = c
+            else:
+                rest = mono[:k] + ((sym, p - 1),) + mono[k + 1:]
+                cp = c * p
+            for mi, ci in img.items():
+                m = _mono_mul(rest, mi) if rest else mi
+                cc = cp * ci
+                acc = out.get(m)
+                if acc is None:
+                    out[m] = cc
+                else:
+                    acc = acc + cc
+                    if acc:
+                        out[m] = acc
+                    else:
+                        del out[m]
+    return out
+
+
+def mul_into(out: Dict[Monomial, Scalar], a: Expr, b: Expr,
+             sign: Scalar = 1) -> Dict[Monomial, Scalar]:
+    """Add sign * a * b to the term map ``out`` and return it, the terms of
+    ``a`` in the outer loop; the one product loop of the package."""
+    bt = b.terms
+    for ma, ca in a.terms.items():
+        if sign != 1:
+            ca = sign * ca
+        for mb, cb in bt.items():
+            m = _mono_mul(ma, mb)
+            c = ca * cb
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+            else:
+                acc = acc + c
+                if acc:
+                    out[m] = acc
+                else:
+                    del out[m]
+    return out
 
 
 def _owned(terms: Dict[Monomial, Scalar]) -> Expr:

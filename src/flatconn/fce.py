@@ -19,7 +19,10 @@ the vertical complex, the case phi = identity of ``jets``: base directions
 1..n, fibers 1..m, F_i = D_i on one symbol, memoized by the chart
 (:meth:`FcChart.f_symbol`), and twist D_{v^a}(v_i^b) = v_i^{b,a}.  Each
 derivation (D_{v^b}, D_i, S_f + V_f) is given by its values on symbols and
-applied through the one Leibniz kernel :meth:`Expr.derive`.  A coordinate
+applied through the one Leibniz kernel ``expr.derive_into``.  A sum of
+derivatives and products (the image of S_f + V_f on a symbol, a coefficient
+S_I^a with |I| >= 2, a bracket component) accumulates in one term map, by
+``derive_into`` and ``expr.mul_into``, and becomes an Expr once.  A coordinate
 connection v_i^a(x, v) is a flat representation (``flatrep.connection``),
 whose residuals :func:`flatness_residual` lists.
 
@@ -41,11 +44,12 @@ S_I^{a,A} for as long as its caller keeps it (one call, inside the library).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
-    KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO,
-    fc, positive, render, v, x,
+    KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO, _owned,
+    derive_into, fc, mul_into, positive, render, v, x,
 )
 from .jets import Chart, Cochain, apply_f, cochain_preimage
 from .linsolve import AnsatzSpec
@@ -321,20 +325,21 @@ class Symmetry(Frozen):
                 got = phi.component(ii, alpha)
             else:
                 head, i = ii[:-1], ii[-1]
-                got = chart.f_apply(i, self._coefficient(fc(alpha, head, ())))
-                for beta in range(1, chart.m + 1):
-                    got = got + fc(alpha, head, (beta,)) * phi.component((i,), beta)
+                acc = derive_into({}, self._coefficient(fc(alpha, head, ())),
+                                  partial(chart.f_symbol, i))
+                for beta in chart.fiber_dirs:
+                    mul_into(acc, Expr.wrap(fc(alpha, head, (beta,))), phi.component((i,), beta))
+                got = _owned(acc)
             self._coefficients[s] = got
         return got
 
     def _image(self, s: Symbol) -> Expr:
         """S_f + V_f on one chart symbol: V_f = sum_b f^b D_{v^b} moves v^a and
         raises the fiber multi-index A, S_f moves the |I| >= 1 coordinates."""
-        img = self._coefficient(s) if s.kind == KIND_FC else ZERO
+        img = dict(self._coefficient(s).terms) if s.kind == KIND_FC else {}
         for beta, comp in enumerate(self.f.data, start=1):
-            if not comp.is_zero():
-                img = img + comp * _vertical_symbol(self.chart, beta, s)
-        return img
+            mul_into(img, comp, _vertical_symbol(self.chart, beta, s))
+        return _owned(img)
 
 
 def prolong_symmetry(chart: FcChart, f: Cochain, targets: Iterable[Symbol]) -> Dict[Symbol, Expr]:
@@ -357,6 +362,6 @@ def bracket0(chart: FcChart, f: Cochain, g: Cochain) -> Cochain:
     """The bracket on 0-cochains induced by commutation of symmetries:
     {f,g}^a = (S_f + V_f)(g^a) - (S_g + V_g)(f^a)."""
     sf, sg = Symmetry(chart, f), Symmetry(chart, g)
-    comps = tuple(ga.derive(sf._image) - fa.derive(sg._image)
+    comps = tuple(_owned(derive_into(derive_into({}, ga, sf._image), fa, sg._image, -1))
                   for fa, ga in zip(sf.f.data, sg.f.data))
     return Cochain._built(chart, 0, comps)

@@ -19,7 +19,8 @@ On top of the schemes: evolutionary vector fields and the symmetry test for
 evolution systems, whose report (``reports.check``) reads its verdict from
 the residuals it prints: pass when each D_t(phi^a) - Ev_phi(F^a) is 0.
 Every derivation here is fixed by its values on symbols and applied through
-the one Leibniz kernel :meth:`Expr.derive`.
+the one Leibniz kernel ``expr.derive_into`` (:meth:`Expr.derive` on a fresh
+map).
 
 A flat representation phi attaches to an equation the complex C_phi, and
 every cochain of the package is one :class:`Cochain` (an ``expr.Frozen``) on
@@ -46,7 +47,15 @@ carry and are never unpacked; the complex's ``_pack_memo`` holds the slots,
 in the order the complex first sees each symbol, and F_i(s) packed per W);
 every other coefficient is 0 in the solver's answer.  It checks every answer
 by its differential.
-Every signed sparse sum of Exprs in the package goes through :func:`add_term`.
+
+Sums of Exprs accumulate on term maps: :func:`cochain_differential` keeps
+one map per key (I, a) and adds each F_i(f) by ``expr.derive_into`` and
+each twist term t f by ``expr.mul_into``, and an Expr is made once per
+component; ``fce`` builds the symmetry images, their coefficients and the
+bracket the same way.  :func:`add_term` is the signed sparse sum of whole
+values: the components handed to the :class:`Cochain` constructor, the
+connection coefficients of ``flatrep``, and the coefficients and
+Derivation values of ``vforms``.
 """
 
 from __future__ import annotations
@@ -57,8 +66,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
-    KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO, jet, positive, render, v,
-    x, y,
+    KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO, _owned, derive_into, jet,
+    mul_into, positive, render, v, x, y,
 )
 from .linsolve import solve_by_superposition
 from .reports import Report, check
@@ -106,7 +115,7 @@ def add_term(acc: dict, key, value, sign: int = 1) -> None:
 
 
 if TYPE_CHECKING:
-    from .expr import Scalar
+    from .expr import Monomial, Scalar
     from .linsolve import AnsatzSpec
 
     # The key (sorted directions I, fiber index a) of the term f dx_I (x) e_a.
@@ -221,9 +230,9 @@ def cochain_differential(
 ) -> Dict[CochainKey, Expr]:
     """The differential of the complex C_phi of a flat representation phi,
     d(f dx_I (x) e_a) = sum_i dx_i ^ dx_I (x) (F_i(f) e_a - sum_b f D_a(a_i^b) e_b),
-    on ``((I, a), f)`` items, skipping zero ones; :attr:`Cochain.d` calls it."""
-    twist = complex.twist
-    out: Dict[CochainKey, Expr] = {}
+    on ``((I, a), f)`` items, skipping zero ones; :attr:`Cochain.d` calls it.
+    Each component is summed in one term map and becomes an Expr once."""
+    twist, acc = complex.twist, {}
     for (dirs, a), f in items:
         if f.is_zero():
             continue
@@ -231,10 +240,10 @@ def cochain_differential(
             key, sign = sort_with_sign((i,) + dirs)
             if sign == 0:
                 continue
-            add_term(out, (key, a), apply_f(complex, i, f), sign)
+            derive_into(acc.setdefault((key, a), {}), f, partial(complex.f_symbol, i), sign)
             for b, t in twist.get((i, a), ()):
-                add_term(out, (key, b), t * f, -sign)
-    return out
+                mul_into(acc.setdefault((key, b), {}), t, f, -sign)
+    return {k: _owned(m) for k, m in acc.items() if m}
 
 
 def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[Cochain]:
@@ -267,12 +276,14 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
     coeffs = solve_by_superposition(images, [pack(e) for e in goal])
     if coeffs is None:
         return None
-    comps = [ZERO] * len(fibers)
+    # The columns are distinct monomials: each nonzero q is one term.
+    comps: List[Dict[Monomial, Scalar]] = [{} for _ in fibers]
     for j, q in zip(columns, coeffs):
         if q:
             pos, k = divmod(j, len(monos))
-            comps[pos] = comps[pos] + q * monos[k]
-    answer = Cochain._built(complex, 0, tuple(comps))
+            (mono,) = monos[k].terms
+            comps[pos][mono] = q.numerator if q.denominator == 1 else q
+    answer = Cochain._built(complex, 0, tuple(map(_owned, comps)))
     if answer.d != target:
         raise AssertionError("cochain preimage fails verification")  # pragma: no cover
     return answer

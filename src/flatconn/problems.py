@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .expr import ZERO, Expr, Symbol, const, fc, jet, param, render, v, x, y
 from .jets import Chart, Evolution
@@ -59,6 +59,10 @@ FileTask = namedtuple("FileTask", "kinds sections options", defaults=((),))
 # below: the header the file used, its fiber count and its fields {(i, b): Expr}.
 FlatRepSection = namedtuple("FlatRepSection", "header fibers fields")
 _FLATREP_PREFIX = {"flatrep": "a", "covering": "X"}
+if TYPE_CHECKING:
+    # A ``key = value`` line of a section: its line, the stripped value and
+    # the number of characters of the line before the value.
+    Binding = Tuple[int, str, int]
 TASKS: Dict[str, FileTask] = {
     "check-flat": FileTask(("connection", "fc"), ("connection",)),
     "dfc": FileTask(("fc",), ("symmetry",)),
@@ -95,18 +99,21 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str, line: int):
+def _tokenize(text: str, line: int, offset: int):
+    """The (kind, text, column) tokens of ``text``, which starts after
+    ``offset`` characters of its line; columns count from 1 in the line."""
     pos = 0
     out = []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            rest = text[pos:].strip()
+            rest = text[pos:].lstrip()
             if rest:
-                raise ParseError("unexpected character %r" % rest[0], line, pos + 1)
+                raise ParseError("unexpected character %r" % rest[0], line,
+                                 offset + len(text) - len(rest) + 1)
             break
         kind = m.lastgroup
-        out.append((kind, m.group(kind), m.start(kind) + 1))
+        out.append((kind, m.group(kind), offset + m.start(kind) + 1))
         pos = m.end()
     return out
 
@@ -152,14 +159,15 @@ class _Env:
 
 
 class _ExprParser:
-    def __init__(self, tokens, env: _Env, line: int):
+    def __init__(self, tokens, env: _Env, line: int, end: int):
         self.tokens = tokens
         self.env = env
         self.line = line
+        self.end = end  # the column just past the expression
         self.k = 0
 
     def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else (None, None, 0)
+        return self.tokens[self.k] if self.k < len(self.tokens) else (None, None, self.end)
 
     def take(self, op=None):
         kind, text, col = self.peek()
@@ -264,8 +272,11 @@ class _ExprParser:
                 raise ParseError("bad index list near %r" % text, self.line, col)
 
 
-def _parse_expr(text: str, env: _Env, line: int) -> Expr:
-    return _ExprParser(_tokenize(text, line), env, line).parse()
+def _parse_expr(text: str, env: _Env, line: int, offset: int) -> Expr:
+    """The expression ``text``, which starts after ``offset`` characters of
+    line ``line``: a refusal reads its column in the line."""
+    return _ExprParser(_tokenize(text, line, offset), env, line,
+                       offset + len(text) + 1).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +340,12 @@ _JUDGES = {"connection": lambda n, m: connection(n, m, {}).scheme,
            "evolution": lambda n, m: Evolution(m, [ZERO] * m)}
 
 
-def _read_sections(text: str) -> Tuple[Dict[str, Dict[str, Tuple[int, str]]], Dict[str, int]]:
-    """{section: {key: (line, value)}} in file order, and {section: line of
-    its header}; a key bound twice in one section is refused."""
-    sections: Dict[str, Dict[str, Tuple[int, str]]] = {}
+def _read_sections(text: str) -> Tuple[Dict[str, Dict[str, Binding]], Dict[str, int]]:
+    """{section: {key: (line, value, offset)}} in file order, ``offset``
+    being the number of characters of the line before the stripped value,
+    and {section: line of its header}; a key bound twice in one section is
+    refused."""
+    sections: Dict[str, Dict[str, Binding]] = {}
     headers: Dict[str, int] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -353,12 +366,14 @@ def _read_sections(text: str) -> Tuple[Dict[str, Dict[str, Tuple[int, str]]], Di
             raise ParseError("binding outside any section", lineno)
         if "=" not in line:
             raise ParseError("expected 'key = value'", lineno)
-        key, value = (s.strip() for s in line.split("=", 1))
+        key, value = line.split("=", 1)
+        key, stripped = key.strip(), value.strip()
         rows = sections[current]
         if key in rows:
             raise ParseError("%r is bound twice in [%s], first on line %d"
                              % (key, current, rows[key][0]), lineno)
-        rows[key] = (lineno, value)
+        # The value starts after the first "=" and the blanks that follow it.
+        rows[key] = (lineno, stripped, raw.index("=") + len(value) - len(value.lstrip()) + 1)
     return sections, headers
 
 
@@ -369,13 +384,13 @@ def _split_key(key: str, line: int):
     return m.group(1), int(m.group(2)), (int(m.group(3)) if m.group(3) else None)
 
 
-def _indexed(rows: Dict[str, Tuple[int, str]], prefix: str, n: int, m: int, env: _Env,
+def _indexed(rows: Dict[str, Binding], prefix: str, n: int, m: int, env: _Env,
              message: str) -> Dict[Tuple[int, int], Expr]:
     """The ``<prefix><i>_<j>`` bindings of a section as {(i, j): Expr}, with
     1 <= i <= n and 1 <= j <= m; ``_<j>`` may be left out when m is 1, but
     an entry is bound by one spelling only.  ``message`` refuses other keys."""
     out: Dict[Tuple[int, int], Expr] = {}
-    for key, (ln, val) in rows.items():
+    for key, (ln, val, col) in rows.items():
         fam, i, j = _split_key(key, ln)
         if fam != prefix or (j is None and m != 1):
             raise ParseError(message, ln)
@@ -384,21 +399,21 @@ def _indexed(rows: Dict[str, Tuple[int, str]], prefix: str, n: int, m: int, env:
             raise ParseError("index out of range in %r" % key, ln)
         if (i, j) in out:
             raise ParseError("%r binds an entry bound on an earlier line" % key, ln)
-        out[(i, j)] = _parse_expr(val, env, ln)
+        out[(i, j)] = _parse_expr(val, env, ln, col)
     return out
 
 
-def _positive(rows: Dict[str, Tuple[int, str]], key: str, missing: str, header: int) -> int:
+def _positive(rows: Dict[str, Binding], key: str, missing: str, header: int) -> int:
     if key not in rows:
         raise ParseError(missing, header)
-    ln, val = rows[key]
+    ln, val, _ = rows[key]
     if not val.isdecimal() or int(val) < 1:
         raise ParseError("%s must be a positive integer" % key, ln)
     return int(val)
 
 
-def _name_list(rows: Dict[str, Tuple[int, str]], key: str) -> Tuple[int, Tuple[str, ...]]:
-    ln, val = rows.get(key, (0, ""))
+def _name_list(rows: Dict[str, Binding], key: str) -> Tuple[int, Tuple[str, ...]]:
+    ln, val, _ = rows.get(key, (0, "", 0))
     return ln, tuple(s.strip() for s in val.split(",") if s.strip())
 
 
@@ -414,7 +429,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     if "chart" not in sections:
         raise ParseError("missing [chart] section", 0)
     chart = sections["chart"]
-    for key, (ln, _) in chart.items():
+    for key, (ln, _, _) in chart.items():
         if key not in _CHART_KEYS:
             raise ParseError("unknown [chart] key %r" % key, ln)
 
@@ -422,7 +437,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     m = _positive(chart, "m", "[chart] is missing 'm'", headers["chart"])
     if "kind" not in chart:
         raise ParseError("[chart] is missing 'kind'", headers["chart"])
-    kind_ln, kind = chart["kind"]
+    kind_ln, kind, _ = chart["kind"]
     if kind not in ("connection", "fc", "evolution"):
         raise ParseError("unknown chart kind %r" % kind, kind_ln)
     if kind == "evolution" and n != 2:
@@ -457,11 +472,11 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
         if kind != "evolution":
             raise ParseError("[equation] needs an evolution chart", headers["equation"])
         rhs: Dict[int, Expr] = {}
-        for key, (ln, val) in sections["equation"].items():
+        for key, (ln, val, col) in sections["equation"].items():
             fam, a, extra = _split_key(key, ln)
             if fam != "f" or extra is not None or not 1 <= a <= m:
                 raise ParseError("equation keys are f1..f%d" % m, ln)
-            rhs[a] = _parse_expr(val, env, ln)
+            rhs[a] = _parse_expr(val, env, ln, col)
         if set(rhs) != set(range(1, m + 1)):
             raise ParseError("equation must bind every dependent", headers["equation"])
         pf.equation = [rhs[a] for a in range(1, m + 1)]
@@ -491,22 +506,22 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
 
     if "symmetry" in sections:
         fc_phi = {}
-        for key, (ln, val) in sections["symmetry"].items():
+        for key, (ln, val, col) in sections["symmetry"].items():
             fam, i, a = _split_key(key, ln)
             if fam not in ("f", "g", "phi"):
                 raise ParseError("symmetry keys start with f, g or phi", ln)
             if fam == "phi" and kind == "fc":
-                fc_phi[key] = (ln, val)
+                fc_phi[key] = (ln, val, col)
             elif a is not None or not 1 <= i <= m:
                 raise ParseError("component keys are %s1..%s%d" % (fam, fam, m), ln)
             else:
-                pf.symmetry.setdefault(fam, {})[(i,)] = _parse_expr(val, fenv, ln)
+                pf.symmetry.setdefault(fam, {})[(i,)] = _parse_expr(val, fenv, ln, col)
         if fc_phi:
             pf.symmetry["phi"] = _indexed(fc_phi, "phi", n, m, fenv,
                                           "fc cochain keys are phi<i>_<a>")
 
     if "ansatz" in sections:
-        for key, (ln, val) in sections["ansatz"].items():
+        for key, (ln, val, col) in sections["ansatz"].items():
             if key == "degree" or key == "order":
                 if key == "order" and kind != "evolution":
                     raise ParseError("order bounds jet orders, and a %s chart has none"
@@ -516,15 +531,13 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
                 setattr(pf, "ansatz_" + key, int(val))
             elif key == "symbols":
                 syms = []
-                for tok in val.split(","):
-                    tok = tok.strip()
-                    if not tok:
-                        continue
-                    e = _parse_expr(tok, fenv, ln)
+                for entry in re.finditer(r"[^,\s][^,]*", val):
+                    tok, at = entry.group().rstrip(), col + entry.start()
+                    e = _parse_expr(tok, fenv, ln, at)
                     terms = list(e.terms.items())
                     if (len(terms) != 1 or terms[0][1] != 1 or len(terms[0][0]) != 1
                             or terms[0][0][0][1] != 1):
-                        raise ParseError("%r is not a single symbol" % tok, ln)
+                        raise ParseError("%r is not a single symbol" % tok, ln, at + 1)
                     syms.append(terms[0][0][0][0])
                 pf.ansatz_symbols = tuple(syms)
             else:
@@ -534,7 +547,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     if "task" in sections:
         if "name" not in options:
             raise ParseError("[task] is missing 'name'", headers["task"])
-        ln, declared = options.pop("name")
+        ln, declared, _ = options.pop("name")
         if declared not in TASKS:
             raise ParseError("unknown task %r" % declared, ln)
         if task is not None and task != declared:
@@ -545,18 +558,18 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
     file_ln = headers.get("task", headers["chart"])
     if task is not None:
         _check_task(pf, task, file_ln)
-    for key, (ln, val) in options.items():
+    for key, (ln, val, _) in options.items():
         if key not in TASKS[task].options:
             raise ParseError("task %s reads no option %r" % (task, key), ln)
         pf.task_options[key] = val
     if "expr" in options:
-        ln, val = options["expr"]
-        pf.pullback_expr = _parse_expr(val, _Env(fce.FcChart(2, nf), (), params), ln)
+        ln, val, col = options["expr"]
+        pf.pullback_expr = _parse_expr(val, _Env(fce.FcChart(2, nf), (), params), ln, col)
     elif task == "pullback":
         raise ParseError("pullback needs an 'expr' option in [task]", file_ln)
     if task == "deformation":
         if "param" in options:
-            ln, name = options["param"]
+            ln, name, _ = options["param"]
             if name not in params:
                 raise ParseError("parameter %r is not declared in the chart" % name, ln)
         elif len(params) == 1:
@@ -566,7 +579,7 @@ def parse_problem(text: str, task: Optional[str] = None) -> ProblemFile:
                              file_ln)
         pf.deformation_param = name
     if "at" in options:
-        ln, val = options["at"]
+        ln, val, _ = options["at"]
         try:
             pf.deformation_at = Fraction(val)
         except (ValueError, ZeroDivisionError):

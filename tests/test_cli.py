@@ -576,7 +576,7 @@ def test_file_refusals_exit_2_with_their_line(prob, capsys):
     deformation = MIURA + "[task]\nname = deformation\nat = x\n"
     for task, text, line, why in [
         ("lift", lift, "at = 1", ":0: task lift reads no option 'at'"),
-        ("pullback", pullback, "expr = v[1;1;1] + q", ":12: undeclared variable 'q'"),
+        ("pullback", pullback, "expr = v[1;1;1] + q", ":19: undeclared variable 'q'"),
         ("lift", MIURA, "[chart]", ":0: task lift requires a [symmetry] section"),
         ("pullback", MIURA + "[task]\nname = pullback\n", "[task]",
          ":0: pullback needs an 'expr' option in [task]"),

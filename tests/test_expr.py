@@ -9,7 +9,7 @@ import pytest
 
 from flatconn import fce, flatrep, sdym
 from flatconn.expr import (
-    Expr, const, fc, jet, param, render, v, x, y, ZERO, ONE,
+    Expr, const, derive_into, fc, jet, mul_into, param, render, v, x, y, ZERO, ONE,
 )
 from flatconn.kdv import build_kdv
 from flatconn.problems import parse_problem
@@ -292,6 +292,53 @@ def test_derive_calls_each_image_once_and_reads_it_in_place():
         assert set(calls) == set(f.symbols()) and set(calls.values()) <= {1}
         assert {s: dict(e.terms) for s, e in frozen.items()} == before
         assert {s: e.terms for s, e in values.items()} == before
+
+
+def _kernel_cases(seed):
+    """Seeded (f, g, image): two random Exprs on a pool and random values of
+    a derivation on its symbols."""
+    rng = random.Random(seed)
+    pool = [x(1), v(1), v(2), jet(1, (1,)), fc(1, (1,), (2,)), param("lam")]
+    for _ in range(40):
+        f = rand_expr(rng, pool, degree=3, terms=rng.randint(1, 4))
+        g = rand_expr(rng, pool, degree=2, terms=rng.randint(0, 3))
+        values = {s: rand_expr(rng, pool, terms=rng.randint(0, 3)) for s in pool}
+        yield f, g, values.__getitem__
+
+
+def _canonical(terms):
+    return all(c != 0 for c in terms.values())
+
+
+def test_derive_into_accumulates_signed_derivatives():
+    # derive_into adds sign * D(f) to the caller's map: into a fresh map it
+    # is derive, two calls into one map are the sum, sign -1 the negation.
+    for f, g, image in _kernel_cases(72):
+        want_f, want_g = leibniz_reference(f, image), leibniz_reference(g, image)
+        assert derive_into({}, f, image) == f.derive(image).terms == want_f.terms
+        assert derive_into({}, f, image, -1) == (-want_f).terms
+        acc = derive_into(derive_into({}, f, image), g, image)
+        assert acc == (want_f + want_g).terms and _canonical(acc)
+        acc = derive_into(derive_into({}, f, image), g, image, -1)
+        assert acc == (want_f - want_g).terms and _canonical(acc)
+
+
+def test_a_cancelling_sum_leaves_an_empty_map():
+    # D(f) - D(f) and D(f) - a * b + a * b leave no key, not zero values.
+    for f, g, image in _kernel_cases(73):
+        assert derive_into(derive_into({}, f, image), f, image, -1) == {}
+        acc = mul_into(derive_into({}, f, image), f, g, -1)
+        assert mul_into(acc, g, f) == derive_into({}, f, image)
+        assert mul_into(mul_into({}, f, g), g, f, -1) == {}
+
+
+def test_mul_into_is_the_product():
+    for f, g, _ in _kernel_cases(74):
+        want = naive_product(f, g)
+        assert mul_into({}, f, g) == (f * g).terms == want
+        assert mul_into({}, f, g, -1) == (-(f * g)).terms == {m: -c for m, c in want.items()}
+        acc = mul_into(dict(f.terms), f, g, -1)
+        assert acc == (f - f * g).terms and _canonical(acc)
 
 
 def test_bool_is_not_an_index():

@@ -4,12 +4,13 @@ import re
 
 import pytest
 
-from flatconn.expr import Expr, const, fc, jet, param, render, v, x, ZERO, ONE
+from flatconn.expr import KIND_FC, Expr, const, fc, jet, param, render, v, x, ZERO, ONE
 from flatconn import fce, flatrep, jets
 from flatconn.jets import Cochain
 from flatconn.linsolve import AnsatzSpec
 from helpers import (
-    dfc_reference, fc_pool, fc_symbols, prolong_reference, rand_expr, total_symbol_peel_last,
+    dfc_reference, fc_pool, fc_symbols, leibniz_reference, prolong_reference, rand_expr,
+    total_symbol_peel_last,
 )
 
 # An out-of-chart fiber index, an out-of-chart direction and a jet symbol,
@@ -534,3 +535,53 @@ def test_commutator_oracle(ch2):
             lhs = fce.symmetry_action(ch2, fg, s)
             rhs = sf.apply(sg.apply(s)) - sg.apply(sf.apply(s))
             assert lhs == rhs
+
+
+def test_cochain_differential_matches_the_reference_formula(ch2):
+    # The differential accumulates each component in one term map: against
+    # the hand-written formula on 0-cochains, on their differentials (closed
+    # 1-cochains, whose image cancels term by term, as in is_symmetry) and
+    # on 1-cochains that are not closed; no component is kept at zero.
+    rng = random.Random(31)
+    pool = fc_pool(2, 2, max_i=2, max_a=1)
+
+    def total(i, f):
+        return fce.fc_total(ch2, i, f)
+
+    for _ in range(10):
+        c0 = fce.cochain0(ch2, [rand_expr(rng, pool), rand_expr(rng, pool)])
+        c1 = fce.cochain1(ch2, {
+            ((i,), a): rand_expr(rng, pool) for i in (1, 2) for a in (1, 2)})
+        for c in (c0, c0.d, c1):
+            got = jets.cochain_differential(c.items(), ch2)
+            assert got == dfc_reference(c, total)
+            assert all(e.terms and 0 not in e.terms.values() for e in got.values())
+        assert jets.cochain_differential(c0.d.items(), ch2) == {}
+        assert jets.cochain_differential(c1.items(), ch2)
+
+
+def test_bracket0_is_the_difference_of_the_two_symmetry_actions(ch2):
+    # {f,g}^a = (S_f + V_f)(g^a) - (S_g + V_g)(f^a), each action by the
+    # definition of a derivation over Symmetry._image; and _image on a
+    # symbol, with S_{ij}^a for |I| = 2, by its formula.
+    rng = random.Random(32)
+    pool = fc_pool(2, 2, max_i=2, max_a=1)
+    for _ in range(8):
+        f, g = (fce.cochain0(ch2, [rand_expr(rng, pool, terms=2), rand_expr(rng, pool, terms=2)])
+                for _ in range(2))
+        sf, sg = fce.Symmetry(ch2, f), fce.Symmetry(ch2, g)
+        want = [leibniz_reference(ga, sf._image) - leibniz_reference(fa, sg._image)
+                for fa, ga in zip(f.data, g.data)]
+        assert list(fce.bracket0(ch2, f, g).data) == want
+        for s in pool:
+            img = sum((fb * fce.fc_vertical(ch2, b, Expr.wrap(s))
+                       for b, fb in enumerate(f.data, 1)), ZERO)
+            if s.kind == KIND_FC:
+                img = img + sf._coefficient(s)
+            assert sf._image(s) == img
+        phi = f.d
+        for a in (1, 2):
+            for i, j in ((1, 1), (1, 2), (2, 2)):
+                want = fce.fc_total(ch2, j, phi.component((i,), a)) + sum(
+                    (fc(a, (i,), (b,)) * phi.component((j,), b) for b in (1, 2)), ZERO)
+                assert sf._coefficient(fc(a, (i, j))) == want

@@ -638,6 +638,32 @@ def test_solver_call_scan_sees_every_caller():
         ("f", 2, "monomials"), ("f", 2, "solve_by_superposition")]
 
 
+# The monomial product is called by the one Leibniz loop and the one product
+# loop of the package, both accumulating into a caller's term map.
+MONO_MUL_CALLERS = {"expr.derive_into", "expr.mul_into", "expr._mono_mul"}
+
+
+def test_one_leibniz_loop_and_one_product_loop():
+    found = _src_scan(_call_of(("_mono_mul",)))
+    owners = {owner for owner, _, _ in found}
+    assert {"expr.derive_into", "expr.mul_into"} <= owners <= MONO_MUL_CALLERS, found
+
+
+def test_product_scan_sees_every_call_form():
+    tree = ast.parse(
+        "def derive(f):\n"
+        "    return [_mono_mul(m, n) for m in f for n in f]\n"
+        "class Expr:\n"
+        "    def __mul__(self, other):\n"
+        "        step = lambda a, b: expr._mono_mul(a, b)\n"
+        "        return step, _mono_mul\n"
+        "key = _mono_mul((), ())\n"
+        "other = _mono_mul_all(a)\n")
+    assert _calls(tree, ("_mono_mul",)) == [
+        ("<module>", 7, "_mono_mul"), ("Expr.__mul__", 5, "_mono_mul"),
+        ("derive", 2, "_mono_mul")]
+
+
 PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
 # D_i is FcChart.f_apply (jets.apply_f), on one symbol FcChart.f_symbol over
 # _total_symbol; D_{v^b} is _fc_vertical.

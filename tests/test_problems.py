@@ -392,6 +392,28 @@ def test_every_refusal_reads_its_message_and_line(fixture, old, new, message, at
         k for k, line in enumerate(text.split("\n"), 1) if line.startswith(start))
 
 
+_FC_F = "[chart]\nn = 2\nm = 1\nkind = fc\n[symmetry]\nf1 = %s\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_FC_F % "x3", "line 6:6: independent x3 outside chart"),
+    (_FC_F % "x1  +  x3", "line 6:13: independent x3 outside chart"),
+    ((_FC_F % "x1 + $").replace("\nf1 = ", "\n  f1 =  "), "line 6:14: unexpected character '$'"),
+    (_FC_F % "(x1 + x2", "line 6:14: unexpected end of expression"),
+    (_FC_F % "x1 + x2  # x3" + "[ansatz]\nsymbols = x1, x2, x3\n",
+     "line 8:19: independent x3 outside chart"),
+    (_FC_F % "x1" + "[ansatz]\nsymbols = x1,,  x1*x2\n",
+     "line 8:17: 'x1*x2' is not a single symbol"),
+], ids=["value", "inside a value", "indented binding", "end of a value", "ansatz symbol",
+        "ansatz entry"])
+def test_an_expression_refusal_reads_its_column_in_the_line(text, message):
+    # Columns used to count from the start of the value (or of the symbols
+    # entry), so x3 in "f1 = x3" read column 1.
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("fixture, line", [
     (FLAT_XY, "n = 2"), (FLAT_XY, "m = 1"), (KDV_LIFT, "fibers = 1"),
     (COVERING, "fibers = 1"), (KDV_LIFT, "degree = 4"), (KDV_LIFT, "order = 3")],
@@ -439,8 +461,9 @@ def test_the_parser_refuses_a_symbol_exactly_when_its_chart_does(kind):
     # same words; a symbol both accept parses.
     template, judge = PARITY[kind]
     chart = judge()
-    at = "line %d:5: " % next(
-        k for k, row in enumerate(template.split("\n"), 1) if "SYMBOL" in row)
+    at = "line %d:%d: " % next(
+        (k, row.index("SYMBOL") + 1)
+        for k, row in enumerate(template.split("\n"), 1) if "SYMBOL" in row)
     wrong = []
     for spelling, make, args in SPELLINGS:
         try:
