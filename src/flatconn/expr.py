@@ -50,8 +50,11 @@ new value without a copy; the public constructor copies its mapping.
 copies none of them.
 
 :class:`Frozen`, the base of every record that owns a memo or a value set
-once, lives here, in the lowest layer.  :class:`Expr` is immutable by
-contract only: the ring operations build one with plain slot stores.
+once, lives here, in the lowest layer, and so does :class:`SymbolTable`, a
+derivation's memo of values on symbols that fills itself and whose
+``__getitem__`` is handed to :func:`derive_into`.  :class:`Expr` is
+immutable by contract only: the ring operations build one with plain slot
+stores.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = [
-    "Frozen", "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
+    "Frozen", "SymbolTable", "Symbol", "Expr", "x", "v", "y", "jet", "fc", "param",
     "const", "ZERO", "ONE", "render", "positive", "derive_into", "mul_into",
 ]
 
@@ -130,6 +133,25 @@ class Frozen:
         fields = code.co_varnames[1:code.co_argcount]
         return "%s(%s)" % (type(self).__name__,
                            ", ".join("%s=%r" % (k, getattr(self, k)) for k in fields))
+
+
+class SymbolTable(dict, Frozen):
+    """The values of one derivation on symbols, filled on first read: a
+    missing symbol is handed to the class's ``_rule``, and the value is
+    stored and returned.  A rule that raises stores nothing.
+
+    ``table.__getitem__`` is the image that :func:`derive_into` reads, so a
+    symbol met before costs one dict lookup and no Python call.  The fields
+    of a table are the data its rule reads, set once by :meth:`_put`; a
+    table owned by a chart holds no reference back to it, so the two are
+    freed by reference counting.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, s: "Symbol") -> "Expr":
+        value = self[s] = self._rule(s)
+        return value
 
 
 class Symbol(Frozen):

@@ -16,15 +16,16 @@ from the components of d_fc(phi) it prints: pass when each is 0), the
 symmetry S_f of a 0-cochain with its prolongation to all special
 coordinates, and the induced bracket on 0-cochains.  The chart is itself
 the vertical complex, the case phi = identity of ``jets``: base directions
-1..n, fibers 1..m, F_i = D_i on one symbol, memoized by the chart
-(:meth:`FcChart.f_symbol`), and twist D_{v^a}(v_i^b) = v_i^{b,a}.  Each
+1..n, fibers 1..m, F_i = D_i, and twist D_{v^a}(v_i^b) = v_i^{b,a}.  Each
 derivation (D_{v^b}, D_i, S_f + V_f) is given by its values on symbols and
-applied through the one Leibniz kernel ``expr.derive_into``.  A sum of
-derivatives and products (the image of S_f + V_f on a symbol, a coefficient
-S_I^a with |I| >= 2, a bracket component) accumulates in one term map, by
-``derive_into`` and ``expr.mul_into``, and becomes an Expr once.  A coordinate
-connection v_i^a(x, v) is a flat representation (``flatrep.connection``),
-whose residuals :func:`flatness_residual` lists.
+applied through the one Leibniz kernel ``expr.derive_into``.  D_i and
+D_{v^b} are tables on the chart (``expr.SymbolTable``): the kernel reads a
+symbol's image with one dict lookup, and a table computes it on the first
+read only.  A sum of derivatives and products (the image of S_f + V_f on a
+symbol, a coefficient S_I^a with |I| >= 2, a bracket component) accumulates
+in one term map, by ``derive_into`` and ``expr.mul_into``, and becomes an
+Expr once.  A coordinate connection v_i^a(x, v) is a flat representation
+(``flatrep.connection``), whose residuals :func:`flatness_residual` lists.
 
 Input is validated once, at the public entries (:func:`fc_total`,
 :func:`fc_vertical`, a :class:`Cochain` built on or moved to the chart, the
@@ -33,23 +34,26 @@ expression of :meth:`Symmetry.apply`, the targets of
 :func:`recover_f`), by :meth:`FcChart.check_symbol`, the chart's own judge
 as on every ``jets.Chart``, which also judges the input of
 ``flatrep.pullback``.  Everything past them works on expressions the chart
-built itself, through the unchecked kernels :meth:`FcChart.f_symbol` (and
-:meth:`FcChart.f_apply` over it) and ``_fc_vertical``.  Each memo is owned
-by an immutable ``expr.Frozen`` record: the chart holds D_i and D_{v^b} on
-symbols, the fiber-multi-index reductions of :func:`default_recover_ansatz`
-and the slots and packed D_i(s) of its solves (and builds its twist), a
-cochain its differential, and a :class:`Symmetry` the coefficients
-S_I^{a,A} for as long as its caller keeps it (one call, inside the library).
+built itself, through the unchecked tables and kernels (:meth:`FcChart.f_apply`
+over the D_i tables, ``_fc_vertical`` over the D_{v^b} tables), and names
+the symbols it builds by ``_fc``, the one unchecked constructor, which takes
+sorted keys.  Each memo is owned by an immutable ``expr.Frozen`` record:
+the chart holds one D_i table per direction (its F_i tables ``f_tables``)
+and one D_{v^b} table per fiber, the fiber-multi-index reductions of
+:func:`default_recover_ansatz` and the slots and packed D_i(s) of its solves
+(and builds its twist), a cochain its differential, and a :class:`Symmetry`
+the coefficients S_I^{a,A} for as long as its caller keeps it (one call,
+inside the library).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .expr import (
-    KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO, _owned,
-    derive_into, fc, mul_into, positive, render, v, x,
+    KIND_BASEFIBER, KIND_FC, KIND_INDEP, KIND_PARAM, Expr, Frozen, ONE, Symbol, SymbolTable,
+    ZERO, _owned, derive_into, fc, mul_into, positive, render, v, x,
 )
 from .jets import Chart, Cochain, apply_f, cochain_preimage
 from .linsolve import AnsatzSpec
@@ -70,23 +74,27 @@ class FcChart(Chart):
     """Chart dimensions: n base directions (``ndirs``), m fiber directions;
     the chart is also the vertical complex that its cochains live on.
 
-    Frozen, because its memos depend on m: D_i and D_{v^b} on symbols, the
-    fiber-multi-index reductions and the packing memo, which only
+    Frozen, because its memos depend on m: the D_i tables ``f_tables`` (F_i
+    of the complex) and the D_{v^b} tables ``_vertical``, each an
+    ``expr.SymbolTable`` that fills itself on first read; the
+    fiber-multi-index reductions; and the packing memo, which only
     ``jets.cochain_preimage`` fills.  It compares by identity: two charts
     of one size are two sets of memos.
     """
 
-    __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "_total_memo", "_vertical_memo",
+    __slots__ = ("n", "m", "base_dirs", "fiber_dirs", "twist", "f_tables", "_vertical",
                  "_reduction_memo", "_pack_memo", "ndirs")
 
     def __init__(self, n: int, m: int):
         n, m = positive(n, "n"), positive(m, "m")
         base, fibers = tuple(range(1, n + 1)), tuple(range(1, m + 1))
         # D_{v^a}(v_i^b) = v_i^{b,a}, keyed (i, a) as pairs (b, value).
-        twist = {(i, a): tuple((b, Expr.wrap(fc(b, (i,), (a,)))) for b in fibers)
+        twist = {(i, a): tuple((b, Expr.wrap(_fc(b, (i,), (a,)))) for b in fibers)
                  for i in base for a in fibers}
+        vertical = MappingProxyType({b: _Vertical(b) for b in fibers})
         self._put(n=n, m=m, ndirs=n, base_dirs=base, fiber_dirs=fibers, twist=twist,
-                  _total_memo={}, _vertical_memo={}, _reduction_memo={}, _pack_memo={})
+                  f_tables=MappingProxyType({i: _Total(i, fibers, vertical) for i in base}),
+                  _vertical=vertical, _reduction_memo={}, _pack_memo={})
 
     def check_symbol(self, s: Symbol) -> None:
         k = s.kind
@@ -118,65 +126,73 @@ class FcChart(Chart):
             self.check_direction(i)
         return e
 
-    def f_symbol(self, i: int, s: Symbol) -> Expr:
-        """D_i s for one chart symbol s, unchecked and memoized on the chart:
-        F_i of the identity representation on one symbol."""
-        return _total_symbol(self, i, s)
-
     def f_apply(self, i: int, f: Expr) -> Expr:
         """D_i f, unchecked: F_i of the identity representation."""
         return apply_f(self, i, f)
 
 
-def _vertical_symbol(chart: FcChart, beta: int, s: Symbol) -> Expr:
-    """D_{v^beta} on a single chart symbol."""
-    k = s.kind
-    if k == KIND_BASEFIBER:
-        return ONE if s.index == beta else ZERO
-    if k != KIND_FC:
-        return ZERO  # independents and parameters
-    got = chart._vertical_memo.get((s, beta))
-    if got is None:
-        got = chart._vertical_memo[(s, beta)] = Expr.wrap(fc(s.index, s.ii, s.aa + (beta,)))
-    return got
+def _fc(alpha: int, ii: Tuple[int, ...], aa: Tuple[int, ...]) -> Symbol:
+    """``fc(alpha, ii, aa)`` unchecked, on a key the chart built from its own
+    symbols: ii nonempty and sorted, aa sorted."""
+    return Symbol((KIND_FC, "", (alpha,), ii, aa))
+
+
+class _Vertical(SymbolTable):
+    """D_{v^beta} on chart symbols: v^beta -> 1, v_I^{a,A} -> v_I^{a,A+beta},
+    every other symbol -> 0."""
+
+    __slots__ = ("beta",)
+
+    def __init__(self, beta: int):
+        self._put(beta=beta)
+
+    def _rule(self, s: Symbol) -> Expr:
+        k = s.kind
+        if k == KIND_FC:
+            return Expr.wrap(_fc(s.index, s.ii, tuple(sorted(s.aa + (self.beta,)))))
+        return ONE if k == KIND_BASEFIBER and s.index == self.beta else ZERO
+
+
+class _Total(SymbolTable):
+    """D_i on chart symbols, over the fibers and D_{v^b} tables of its chart.
+
+    The recursion peels the first element of A, through this table and the
+    D_{v^b} tables; the answer does not depend on which element goes first
+    (well-definedness is property-tested against
+    ``helpers.total_symbol_peel_last``).
+    """
+
+    __slots__ = ("i", "fibers", "vertical")
+
+    def __init__(self, i: int, fibers: Tuple[int, ...], vertical: Mapping[int, _Vertical]):
+        self._put(i=i, fibers=fibers, vertical=vertical)
+
+    def _rule(self, s: Symbol) -> Expr:
+        k, i = s.kind, self.i
+        if k == KIND_INDEP:
+            return ONE if s.index == i else ZERO
+        if k == KIND_BASEFIBER:
+            return Expr.wrap(_fc(s.index, (i,), ()))
+        if k != KIND_FC:
+            return ZERO  # parameters
+        alpha, ii, aa = s.index, s.ii, s.aa
+        if not aa:
+            return Expr.wrap(_fc(alpha, tuple(sorted(ii + (i,))), ()))
+        beta, rest = aa[0], aa[1:]
+        out = self[_fc(alpha, ii, rest)].derive(self.vertical[beta].__getitem__)
+        for gamma in self.fibers:
+            out = out - _fc(gamma, (i,), (beta,)) * _fc(alpha, ii, tuple(sorted(rest + (gamma,))))
+        return out
 
 
 def _fc_vertical(chart: FcChart, beta: int, f: Expr) -> Expr:
-    return f.derive(lambda s: _vertical_symbol(chart, beta, s))
+    return f.derive(chart._vertical[beta].__getitem__)
 
 
 def fc_vertical(chart: FcChart, beta: int, f: Expr) -> Expr:
     """The derivation D_{v^beta} in special coordinates."""
     chart.check_fiber(beta)
     return _fc_vertical(chart, beta, chart.check_expr(f))
-
-
-def _total_symbol(chart: FcChart, i: int, s: Symbol) -> Expr:
-    """D_i on a single chart symbol, memoized on the chart.
-
-    The recursion peels the first element of A; the answer does not depend
-    on which element goes first (well-definedness is property-tested
-    against ``helpers.total_symbol_peel_last``).
-    """
-    k = s.kind
-    if k == KIND_INDEP:
-        return ONE if s.index == i else ZERO
-    if k == KIND_PARAM:
-        return ZERO
-    got = chart._total_memo.get((s, i))
-    if got is not None:
-        return got
-    if k == KIND_BASEFIBER:
-        out = Expr.wrap(fc(s.index, (i,), ()))
-    elif not s.aa:
-        out = Expr.wrap(fc(s.index, s.ii + (i,), ()))
-    else:
-        beta, rest = s.aa[0], s.aa[1:]
-        out = _fc_vertical(chart, beta, _total_symbol(chart, i, fc(s.index, s.ii, rest)))
-        for gamma in range(1, chart.m + 1):
-            out = out - fc(gamma, (i,), (beta,)) * fc(s.index, s.ii, tuple(sorted(rest + (gamma,))))
-    chart._total_memo[(s, i)] = out
-    return out
 
 
 def fc_total(chart: FcChart, i: int, f: Expr) -> Expr:
@@ -320,15 +336,15 @@ class Symmetry(Frozen):
         if got is None:
             chart, phi, alpha, ii = self.chart, self.phi, s.index, s.ii
             if s.aa:
-                got = _fc_vertical(chart, s.aa[-1], self._coefficient(fc(alpha, ii, s.aa[:-1])))
+                got = _fc_vertical(chart, s.aa[-1], self._coefficient(_fc(alpha, ii, s.aa[:-1])))
             elif len(ii) == 1:
                 got = phi.component(ii, alpha)
             else:
                 head, i = ii[:-1], ii[-1]
-                acc = derive_into({}, self._coefficient(fc(alpha, head, ())),
-                                  partial(chart.f_symbol, i))
+                acc = derive_into({}, self._coefficient(_fc(alpha, head, ())),
+                                  chart.f_tables[i].__getitem__)
                 for beta in chart.fiber_dirs:
-                    mul_into(acc, Expr.wrap(fc(alpha, head, (beta,))), phi.component((i,), beta))
+                    mul_into(acc, Expr.wrap(_fc(alpha, head, (beta,))), phi.component((i,), beta))
                 got = _owned(acc)
             self._coefficients[s] = got
         return got
@@ -337,8 +353,8 @@ class Symmetry(Frozen):
         """S_f + V_f on one chart symbol: V_f = sum_b f^b D_{v^b} moves v^a and
         raises the fiber multi-index A, S_f moves the |I| >= 1 coordinates."""
         img = dict(self._coefficient(s).terms) if s.kind == KIND_FC else {}
-        for beta, comp in enumerate(self.f.data, start=1):
-            mul_into(img, comp, _vertical_symbol(self.chart, beta, s))
+        for comp, vertical in zip(self.f.data, self.chart._vertical.values()):
+            mul_into(img, comp, vertical[s])
         return _owned(img)
 
 

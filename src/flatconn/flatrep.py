@@ -20,9 +20,10 @@ into deformation 1-cocycles, tests cocycles for exactness inside a bounded
 ansatz, and lifts equation symmetries to the covering.
 
 The spec, an ``expr.Frozen`` record, is itself its complex C_phi in the
-sense of ``jets``: base and fiber directions, F_i on one symbol, memoized
-by the spec (:meth:`FlatRepSpec.f_symbol`; :meth:`FlatRepSpec.f_apply`
-extends it to an Expr), the twist D_d(a_i^b), set once as ``spec.twist``,
+sense of ``jets``: base and fiber directions, one F_i table per base
+direction (``spec.f_tables``, each an ``expr.SymbolTable`` that computes
+F_i(s) on the first read of s; :meth:`FlatRepSpec.f_apply` extends it to an
+Expr), the twist D_d(a_i^b), set once as ``spec.twist``,
 and :meth:`FlatRepSpec.check_component`, which judges a component by the
 scheme's ``check_expr``, as the coefficients are judged.  Its cochains,
 deformation and symmetry cocycles and exactness witnesses alike, are
@@ -39,7 +40,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
     KIND_BASEFIBER, KIND_INDEP, KIND_JET, KIND_PARAM,
-    Expr, Frozen, Symbol, ZERO, fc, jet as jet_symbol, param, positive, render,
+    Expr, Frozen, Symbol, SymbolTable, ZERO, fc, jet as jet_symbol, param, positive, render,
 )
 from .fce import FcChart
 from .jets import (
@@ -61,17 +62,20 @@ class FlatRepSpec(Frozen):
     """Declarative flat representation: scheme, direction split, coefficients.
 
     Frozen, with the split stored as tuples and read-only coefficients, so
-    that its flatness residuals, twist and F_i images, cached on it, and
-    its packing memo, empty until ``jets.cochain_preimage`` fills it, cannot
-    go stale.  An empty base or fiber split, and a coefficient foreign to
-    the scheme's chart, are refused at construction, the latter by
-    ``scheme.check_expr``, which also judges each cochain component.  It is
-    also the complex its cochains live on, so it compares and hashes by
-    identity: two specs with equal fields are two complexes with two memos.
+    that what it caches cannot go stale: its flatness residuals and twist,
+    its F_i tables ``f_tables`` (one per base direction, each filled on
+    first read and refusing, through the scheme's judge, a symbol foreign
+    to the scheme's chart without storing it) and its packing memo, empty
+    until ``jets.cochain_preimage`` fills it.  An empty base or fiber
+    split, and a coefficient foreign to the scheme's chart, are refused at
+    construction, the latter by ``scheme.check_expr``, which also judges
+    each cochain component.  It is also the complex its cochains live on,
+    so it compares and hashes by identity: two specs with equal fields are
+    two complexes with two memos.
     """
 
-    __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs",
-                 "_residuals", "_twist", "_f_memo", "_pack_memo")
+    __slots__ = ("scheme", "base_dirs", "fiber_dirs", "coeffs", "f_tables",
+                 "_residuals", "_twist", "_pack_memo")
 
     def __init__(self, scheme: DerivScheme, base_dirs: Tuple[int, ...],
                  fiber_dirs: Tuple[int, ...],
@@ -87,29 +91,23 @@ class FlatRepSpec(Frozen):
         cleaned = {}
         for (i, d), e in coeffs.items():
             if i not in base_dirs or d not in fiber_dirs:
-                raise ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
+                raise _off_split(i, d)
             add_term(cleaned, (i, d), scheme.check_expr(e))
+        tables = {i: _F(scheme, i, tuple((d, cleaned[(i, d)]) for d in fiber_dirs
+                                         if (i, d) in cleaned))
+                  for i in base_dirs}
         self._put(scheme=scheme, base_dirs=base_dirs, fiber_dirs=fiber_dirs,
-                  coeffs=MappingProxyType(cleaned), _residuals=None, _twist=None, _f_memo={},
-                  _pack_memo={})
+                  coeffs=MappingProxyType(cleaned), f_tables=MappingProxyType(tables),
+                  _residuals=None, _twist=None, _pack_memo={})
 
     def a(self, i: int, d: int) -> Expr:
-        return self.coeffs.get((i, d), ZERO)
-
-    def f_symbol(self, i: int, s: Symbol) -> Expr:
-        """F_i(s) = D_i(s) + sum_d a_i^d D_d(s) for one symbol s, unchecked
-        direction, memoized on the spec; the scheme refuses a foreign s."""
-        memo = self._f_memo
-        out = memo.get((i, s))
-        if out is None:
-            derive = self.scheme.derive_symbol
-            out = derive(s, i)
-            for d in self.fiber_dirs:
-                a = self.coeffs.get((i, d))
-                if a is not None:
-                    out = out + a * derive(s, d)
-            memo[(i, s)] = out
-        return out
+        """The coefficient a_i^d; a key off the split is refused."""
+        got = self.coeffs.get((i, d))
+        if got is None:
+            if i not in self.base_dirs or d not in self.fiber_dirs:
+                raise _off_split(i, d)
+            got = ZERO
+        return got
 
     def f_apply(self, i: int, e: Expr) -> Expr:
         """F_i(e), F_i = D_{x_i} + sum_d a_i^d D_d, for a base direction i."""
@@ -164,6 +162,28 @@ class FlatRepSpec(Frozen):
                 "fiber directions %r" % (dirs + (d,) if dirs else d,
                                          self.base_dirs, self.fiber_dirs))
         return self.scheme.check_expr(e)
+
+
+def _off_split(i: int, d: int) -> ValueError:
+    """The refusal of a coefficient key (i, d) off a spec's split."""
+    return ValueError("coefficient a_%d^%d outside the declared split" % (i, d))
+
+
+class _F(SymbolTable):
+    """F_i(s) = D_i(s) + sum_d a_i^d D_d(s) on symbols of ``scheme``, which
+    judges each one, over the pairs (d, a_i^d) with a nonzero coefficient."""
+
+    __slots__ = ("scheme", "i", "coeffs")
+
+    def __init__(self, scheme: DerivScheme, i: int, coeffs: Tuple[Tuple[int, Expr], ...]):
+        self._put(scheme=scheme, i=i, coeffs=coeffs)
+
+    def _rule(self, s: Symbol) -> Expr:
+        derive = self.scheme.derive_symbol
+        out = derive(s, self.i)
+        for d, a in self.coeffs:
+            out = out + a * derive(s, d)
+        return out
 
 
 def check_flat_rep(spec: FlatRepSpec) -> Report:

@@ -20,22 +20,26 @@ evolution systems, whose report (``reports.check``) reads its verdict from
 the residuals it prints: pass when each D_t(phi^a) - Ev_phi(F^a) is 0.
 Every derivation here is fixed by its values on symbols and applied through
 the one Leibniz kernel ``expr.derive_into`` (:meth:`Expr.derive` on a fresh
-map).
+map); :func:`total_derivative` hands it a table of the scheme's D_i that
+lives for the one call and lets the scheme judge each symbol.
 
 A flat representation phi attaches to an equation the complex C_phi, and
 every cochain of the package is one :class:`Cochain` (an ``expr.Frozen``) on
 the object that fixes it.  That object provides six names: ``base_dirs``
-and ``fiber_dirs`` (tuples), ``f_symbol(i, s)`` = F_i on one symbol,
-memoized by the complex, ``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with
-a nonzero value, ``check_component(I, a, f)``, which validates one
-component f dx_I (x) e_a handed in from outside and returns f as an Expr,
-and ``_pack_memo``, built empty and filled only by :func:`cochain_preimage`.
+and ``fiber_dirs`` (tuples), ``f_tables[i]``, the F_i table of base
+direction i (an ``expr.SymbolTable``, so ``f_tables[i][s]`` is F_i(s),
+computed on the first read and then one dict lookup, and
+``f_tables[i].__getitem__`` is the image handed to the Leibniz kernel),
+``twist[(i, a)]``, the pairs (b, D_a(a_i^b)) with a nonzero value,
+``check_component(I, a, f)``, which validates one component
+f dx_I (x) e_a handed in from outside and returns f as an Expr, and
+``_pack_memo``, built empty and filled only by :func:`cochain_preimage`.
 ``flatrep.FlatRepSpec`` is such an object for any phi, and
 ``fce.FcChart`` for phi = identity on E_fc (F_i = D_i); the horizontal de
 Rham complex is the case with one trivial fiber and no twist.
-:func:`apply_f` extends F_i to an Expr through the Leibniz kernel.  A cochain
-computes its differential :attr:`Cochain.d`, through
-:func:`cochain_differential`, once.  :func:`cochain_preimage` is its bounded
+:func:`apply_f` extends F_i to an Expr through the Leibniz kernel, reading
+the F_i table.  A cochain computes its differential :attr:`Cochain.d`,
+through :func:`cochain_differential`, once.  :func:`cochain_preimage` is its bounded
 inverse in degree 0, the one place where an ansatz system is built and
 solved: ``flatrep.exactness_test`` (and ``lift_symmetry`` through it) asks
 it whether a cocycle of phi is exact, and ``fce.recover_f`` asks it for the
@@ -44,8 +48,9 @@ ansatz system that hold the target's rows, grown from those rows by key
 lookups on packed integer keys (each symbol a bit field of width
 W = D.bit_length(), D bounding every monomial's total degree, so keys never
 carry and are never unpacked; the complex's ``_pack_memo`` holds the slots,
-in the order the complex first sees each symbol, and F_i(s) packed per W);
-every other coefficient is 0 in the solver's answer.  It checks every answer
+in the order the complex first sees each symbol, and F_i(s), read from the
+F_i table, packed per W); every other coefficient is 0 in the solver's
+answer.  It checks every answer
 by its differential.
 
 Sums of Exprs accumulate on term maps: :func:`cochain_differential` keeps
@@ -66,8 +71,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
-    KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, ZERO, _owned, derive_into, jet,
-    mul_into, positive, render, v, x, y,
+    KIND_INDEP, KIND_JET, KIND_PARAM, Expr, Frozen, ONE, Symbol, SymbolTable, ZERO, _owned,
+    derive_into, jet, mul_into, positive, render, v, x, y,
 )
 from .linsolve import solve_by_superposition
 from .reports import Report, check
@@ -220,9 +225,9 @@ class Cochain(Frozen):
 
 
 def apply_f(complex, i: int, f: Expr) -> Expr:
-    """F_i(f) on ``complex``, unchecked: the Leibniz kernel over the values
-    ``complex.f_symbol(i, s)`` on the symbols s of f."""
-    return f.derive(partial(complex.f_symbol, i))
+    """F_i(f) on ``complex``, unchecked: the Leibniz kernel over the F_i
+    table ``complex.f_tables[i]``."""
+    return f.derive(complex.f_tables[i].__getitem__)
 
 
 def cochain_differential(
@@ -233,14 +238,15 @@ def cochain_differential(
     on ``((I, a), f)`` items, skipping zero ones; :attr:`Cochain.d` calls it.
     Each component is summed in one term map and becomes an Expr once."""
     twist, acc = complex.twist, {}
+    images = [(i, complex.f_tables[i].__getitem__) for i in complex.base_dirs]
     for (dirs, a), f in items:
         if f.is_zero():
             continue
-        for i in complex.base_dirs:
+        for i, image in images:
             key, sign = sort_with_sign((i,) + dirs)
             if sign == 0:
                 continue
-            derive_into(acc.setdefault((key, a), {}), f, partial(complex.f_symbol, i), sign)
+            derive_into(acc.setdefault((key, a), {}), f, image, sign)
             for b, t in twist.get((i, a), ()):
                 mul_into(acc.setdefault((key, b), {}), t, f, -sign)
     return {k: _owned(m) for k, m in acc.items() if m}
@@ -255,7 +261,7 @@ def cochain_preimage(complex, target: Cochain, ansatz: AnsatzSpec) -> Optional[C
     fibers and mu over the ansatz monomials, in that order (a outer, mu
     inner); :meth:`AnsatzSpec.unknowns` refuses too many before any is
     built.  Only the blocks that hold the target's rows are assembled
-    (:func:`_target_block`, from ``complex.f_symbol`` on each pool symbol,
+    (:func:`_target_block`, from the F_i tables on each pool symbol,
     packed once per width in the complex's ``_pack_memo``): every other
     column lies in a block with a zero right-hand side, so it is 0 in the
     answer of :func:`solve_linear` (free columns 0, pivots the leading
@@ -302,7 +308,7 @@ def _target_block(
 
     Packed exponent vectors (Monagan and Pearce): ``complex._pack_memo``
     gives each symbol of the twist values, pools, F_i(s) (from
-    ``complex.f_symbol``) and targets a slot, in the order the complex first
+    the F_i tables) and targets a slot, in the order the complex first
     sees it, and keeps deg F_i(s) per (i, s) and, per width W, the units,
     the pool's F_i(s) as (key(m) - key(s), c) per term c m and the negated
     twist rows.  A slot is a bit field of width W = D.bit_length(), D
@@ -322,7 +328,7 @@ def _target_block(
     K, and adds its rows, until no row is new: the connected components of
     Pothen and Fan's block triangular form.
     """
-    directions, fibers, f_symbol = complex.base_dirs, complex.fiber_dirs, complex.f_symbol
+    directions, fibers, f_tables = complex.base_dirs, complex.fiber_dirs, complex.f_tables
     twist, memo = complex.twist, complex._pack_memo
     if not memo:  # the first solve on the complex slots the twist values
         memo.update(slots={}, degrees={i: {} for i in directions}, widths={})
@@ -335,7 +341,7 @@ def _target_block(
     for i, degrees in memo["degrees"].items():
         for s in pool:
             if s not in degrees:
-                value = f_symbol(i, s)  # a foreign s is refused before it takes a slot
+                value = f_tables[i][s]  # a foreign s is refused before it takes a slot
                 slots.setdefault(s, len(slots))
                 degrees[s] = _scan((value,), slots)
             fdeg = max(fdeg, degrees[s])
@@ -357,7 +363,7 @@ def _target_block(
     for i, leads in lead.items():
         for s in pool:
             if s not in leads:
-                leads[s] = [(k - unit[s], c) for k, c in _pack(unit, f_symbol(i, s)).items()]
+                leads[s] = [(k - unit[s], c) for k, c in _pack(unit, f_tables[i][s]).items()]
     # The two lookups per component ((i,), b): (fiber position, key shift).
     shifts = [list(dict.fromkeys([(bpos, d) for s in pool for d, _ in lead[i][s]] + [
         (apos, kt) for apos, plan in enumerate(plans) for kt in plan[ipos][bpos]]))
@@ -582,10 +588,23 @@ class Extended(DerivScheme):
         return self.base._derive_jet(s, i) if i <= self.base.ndirs else ZERO
 
 
+class _Direction(SymbolTable):
+    """D_i of ``scheme`` on symbols, each judged by the scheme: the table of
+    one :func:`total_derivative` call, which no scheme keeps."""
+
+    __slots__ = ("scheme", "i")
+
+    def __init__(self, scheme: DerivScheme, i: int):
+        self._put(scheme=scheme, i=i)
+
+    def _rule(self, s: Symbol) -> Expr:
+        return self.scheme.derive_symbol(s, self.i)
+
+
 def total_derivative(scheme: DerivScheme, i: int, f: Expr) -> Expr:
     """D_i f = sum_s D_i(s) * df/ds over the finitely many symbols of f."""
     scheme.check_direction(i)
-    return Expr.wrap(f).derive(lambda s: scheme.derive_symbol(s, i))
+    return Expr.wrap(f).derive(_Direction(scheme, i).__getitem__)
 
 
 def d_sigma(scheme: DerivScheme, sigma: Iterable[int], f: Expr) -> Expr:

@@ -56,7 +56,7 @@ def test_fc_total_well_defined(ch2):
     # the recursion peels A in an arbitrary order; answers must agree
     for s in fc_symbols(2, 2, 3, 3):
         for i in (1, 2):
-            assert fce._total_symbol(ch2, i, s) == total_symbol_peel_last(ch2, i, s)
+            assert ch2.f_tables[i][s] == total_symbol_peel_last(ch2, i, s)
 
 
 def test_fc_total_commutes_with_itself(ch2):
@@ -378,13 +378,48 @@ def test_prolong_symmetry_matches_reference(ch2):
 
 
 def test_vertical_memo_is_owned_by_the_frozen_chart(ch2):
+    # The D_{v^2} table belongs to the chart: the same table on every read
+    # of the chart, which stores D_{v^2}(s) on the first read of s and
+    # returns that object after; neither the chart's map of tables nor the
+    # table's own field can be reassigned.
     s = fc(1, (2,), (1,))
-    got = fce._vertical_symbol(ch2, 2, s)
+    table = ch2._vertical[2]
+    assert ch2._vertical[2] is table and s not in table
+    got = table[s]
     assert got == Expr.wrap(fc(1, (2,), (1, 2)))
-    assert fce._vertical_symbol(ch2, 2, s) is got
-    assert ch2._vertical_memo[(s, 2)] is got
+    assert table[s] is got and dict.get(table, s) is got
     with pytest.raises(AttributeError, match="immutable"):
-        ch2._vertical_memo = {}
+        ch2._vertical = {}
+    with pytest.raises(TypeError):
+        ch2._vertical[2] = {}
+    with pytest.raises(AttributeError, match="immutable"):
+        table.beta = 1
+    assert ch2._vertical[2] is table and table.beta == 2
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
+def test_chart_tables_match_the_checked_path(n, m):
+    # Each entry of the D_i and D_{v^b} tables equals the checked path on
+    # every coordinate with |I| <= 3, |A| <= 3, on x_i and on v^a: D_i the
+    # recursion that peels the last element of A, D_{v^b} the checked fc()
+    # of the raised key.  Every symbol a table creates is the interned fc()
+    # of its key, so no unsorted key makes a second symbol.
+    chart = fce.FcChart(n, m)
+    coords = fc_symbols(n, m, 3, 3)
+    symbols = [x(i) for i in range(1, n + 1)] + [v(a) for a in range(1, m + 1)] + coords
+    for s in symbols:
+        for i in chart.base_dirs:
+            assert chart.f_tables[i][s] == total_symbol_peel_last(chart, i, s), (i, render(s))
+        for b in chart.fiber_dirs:
+            want = Expr.wrap(fc(s.index, s.ii, s.aa + (b,))) if s.kind == KIND_FC else (
+                ONE if s is v(b) else ZERO)
+            assert chart._vertical[b][s] == want, (b, render(s))
+    tables = list(chart.f_tables.values()) + list(chart._vertical.values())
+    made = {t for table in tables for e in table.values() for t in e.symbols()}
+    assert made - set(symbols)  # e.g. the |A| = 4 coordinates D_{v^b} raises to
+    for t in made:
+        if t.kind == KIND_FC:
+            assert t is fc(t.index, t.ii, t.aa), render(t)
 
 
 def test_cochain_is_immutable(ch2):

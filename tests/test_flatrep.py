@@ -296,13 +296,67 @@ def test_f_images_are_memoised_on_the_spec(kdv, monkeypatch):
     own = [(s, i) for s, i in calls if i in spec.base_dirs]
     assert len(own) == len(set(own)) == len(spec.base_dirs) * len(e.symbols())
     assert len(calls) == len(own) * (1 + len(spec.fiber_dirs))
-    assert len(spec._f_memo) == len(own)
-    # the memo is no part of the value, and a substituted spec starts afresh
+    assert sum(map(len, spec.f_tables.values())) == len(own)
+    # the tables are no part of the value, and a substituted spec starts afresh
     assert _same_fields(spec, base)
     fresh = flatrep.FlatRepSpec(base.scheme, base.base_dirs, base.fiber_dirs, dict(base.coeffs))
-    assert _same_fields(spec, fresh) and not fresh._f_memo
+    assert _same_fields(spec, fresh) and not any(fresh.f_tables.values())
     at_one = spec.subs({kdv.lam: const(1)})
-    assert not at_one._f_memo and at_one.f_apply(1, e) == first[0].subs({kdv.lam: const(1)})
+    assert not any(at_one.f_tables.values())
+    assert at_one.f_apply(1, e) == first[0].subs({kdv.lam: const(1)})
+
+
+def _spec_symbols(spec):
+    """The coordinates of the directions of ``spec``'s scheme, then every
+    symbol of its coefficients and of their first derivatives along each
+    direction, in first-seen order."""
+    scheme = spec.scheme
+    out = {scheme.indep(d): None for d in range(1, scheme.ndirs + 1)}
+    for a in spec.coeffs.values():
+        out.update(a.symbols())
+        for d in range(1, scheme.ndirs + 1):
+            out.update(total_derivative(scheme, d, a).symbols())
+    return list(out)
+
+
+@pytest.mark.parametrize("name", ["miura", "sdym"])
+def test_f_tables_match_the_derivation_formula(kdv, name):
+    # Each entry of an F_i table equals D_i(s) + sum_d a_i^d D_d(s), computed
+    # by total_derivative; a foreign symbol is refused in the scheme's words
+    # and leaves no entry in the table.
+    spec = kdv.miura if name == "miura" else sdym.build_flatrep(1)
+    spec = spec.subs({})  # fresh tables
+    scheme = spec.scheme
+    symbols = _spec_symbols(spec)
+    for i in spec.base_dirs:
+        table = spec.f_tables[i]
+        for s in symbols:
+            e = Expr.wrap(s)
+            want = total_derivative(scheme, i, e)
+            for d in spec.fiber_dirs:
+                want = want + spec.a(i, d) * total_derivative(scheme, d, e)
+            assert table[s] == want, (name, i, render(s))
+        assert list(table) == symbols
+        for foreign in (v(1), x(9), fc(1, (1,)), jet(9, (1,))):
+            with pytest.raises(ValueError) as refused:
+                table[foreign]
+            with pytest.raises(ValueError) as judged:
+                scheme.check_symbol(foreign)
+            assert str(refused.value) == str(judged.value)
+            assert foreign not in table
+        assert list(table) == symbols
+
+
+def test_coefficient_off_the_split_is_refused(kdv):
+    # Direction 2 is a base direction and 1 no direction of the split, so
+    # neither key names a coefficient; an on-split key without one reads 0.
+    spec = kdv.miura
+    for i, d in ((1, 2), (3, 3), (1, 1)):
+        with pytest.raises(ValueError) as refused:
+            spec.a(i, d)
+        assert str(refused.value) == "coefficient a_%d^%d outside the declared split" % (i, d)
+    plain = flatrep.covering_to_flatrep(kdv.scheme, {(1, 1): Expr.wrap(y(1))}, 1)
+    assert plain.a(2, 3) == ZERO and plain.a(1, 3) == y(1) + ZERO
 
 
 def test_specialisations_leave_the_scheme_memo_alone(kdv):

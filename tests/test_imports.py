@@ -665,12 +665,15 @@ def test_product_scan_sees_every_call_form():
 
 
 PUBLIC_DERIVATIONS = ("fc_total", "fc_vertical")
-# D_i is FcChart.f_apply (jets.apply_f), on one symbol FcChart.f_symbol over
-# _total_symbol; D_{v^b} is _fc_vertical.
-KERNELS = ("f_apply", "apply_f", "f_symbol", "_total_symbol", "_fc_vertical")
+# D_i is FcChart.f_apply (jets.apply_f) over the chart's D_i tables, whose
+# rule _Total._rule recurses through Expr.derive; D_{v^b} is _fc_vertical
+# over the D_{v^b} tables.  Both rules name the symbols they build by _fc,
+# the unchecked constructor.
+KERNELS = ("f_apply", "apply_f", "derive", "_fc_vertical", "_fc")
 CHECKS = ("check_expr", "check_symbol")
-# Recursion inside fce on expressions the chart built itself.
-UNCHECKED = ("_total_symbol", "Symmetry._coefficient", "FcChart.f_apply", "FcChart.f_symbol")
+# Recursion inside fce on expressions the chart built itself: the rules of
+# the tables, the coefficients of a symmetry and D_i on an Expr.
+UNCHECKED = ("_Total._rule", "_Vertical._rule", "Symmetry._coefficient", "FcChart.f_apply")
 
 
 def test_fce_checks_input_at_its_public_entries_only():
@@ -698,6 +701,55 @@ def test_check_scan_tells_public_entries_from_kernels():
     assert _calls(tree, CHECKS) == [
         ("_prolongation.base", 5, "check_expr"), ("_prolongation.coefficient", 7, "check_symbol")]
     assert _calls(tree, KERNELS) == [("dfc", 2, "f_apply")]
+
+
+# The modules whose derivations read symbol tables: the Leibniz kernel gets a
+# table's __getitem__ or a bound method there, never a closure made per call.
+TABLE_MODULES = ("fce", "jets", "flatrep")
+LEIBNIZ = ("derive", "derive_into")
+
+
+def _closure_image(node):
+    """A pick for _owned: "lambda" or "partial" for a call of ``derive`` or
+    ``derive_into``, bare or as an attribute, that is handed a lambda or a
+    ``partial(...)`` call, positionally or by keyword."""
+    if _call_of(LEIBNIZ)(node):
+        for arg in node.args + [k.value for k in node.keywords]:
+            if isinstance(arg, ast.Lambda):
+                return "lambda"
+            if isinstance(arg, ast.Call) and _name(arg.func) == "partial":
+                return "partial"
+    return None
+
+
+def test_no_closure_is_handed_to_the_leibniz_kernel():
+    found = [hit for hit in _src_scan(_closure_image) if hit[0].split(".")[0] in TABLE_MODULES]
+    assert found == [], found
+
+
+def test_symbols_are_built_in_expr_and_one_unchecked_constructor():
+    # Outside expr, whose constructors check every index, only fce._fc
+    # calls Symbol(), on keys its chart built sorted.
+    found = [(owner, name) for owner, _, name in _src_scan(_call_of(("Symbol",)))
+             if not owner.startswith("expr.")]
+    assert found == [("fce._fc", "Symbol")], found
+
+
+def test_closure_and_symbol_scans_see_both_call_forms():
+    tree = ast.parse(
+        "def f(chart, g, i):\n"
+        "    a = g.derive(lambda s: chart.image(s, i))\n"
+        "    b = derive_into({}, g, partial(chart.f_symbol, i), -1)\n"
+        "    c = expr.derive_into({}, g, image=functools.partial(h, i))\n"
+        "    d = g.derive(chart.f_tables[i].__getitem__), derive_into({}, g, chart.image)\n"
+        "    return sorted(g, key=lambda s: s.key), map(partial(h, i), g), derive(g)\n"
+        "class C:\n"
+        "    def g(self, f, key):\n"
+        "        return f.derive(image=lambda s: ZERO), Symbol(key), expr.Symbol(key)\n"
+        "symbol = Symbol\n")
+    assert _owned(tree, _closure_image) == [
+        ("C.g", 9, "lambda"), ("f", 2, "lambda"), ("f", 3, "partial"), ("f", 4, "partial")]
+    assert _calls(tree, ("Symbol",)) == [("C.g", 9, "Symbol"), ("C.g", 9, "Symbol")]
 
 
 def _imports_of(tree, module):

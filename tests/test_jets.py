@@ -6,7 +6,7 @@ import pytest
 
 from fractions import Fraction
 
-from flatconn import fce, flatrep, sdym
+from flatconn import fce, flatrep, jets, sdym
 from flatconn.expr import Expr, const, fc, jet, param, render, v, x, y, ZERO
 from flatconn.jets import (
     Cochain, DirectionError, Evolution, Extended, FreeJet, _monomial_keys, _target_block,
@@ -206,7 +206,8 @@ def scheme_complex(scheme, fibers, twist):
     """The complex over all directions of ``scheme`` with F_i = D_i, the
     given fibers and twist; a component is checked for its directions and
     fiber.  It carries the six names that a cochain reads from what it
-    lives on, the packing memo of cochain_preimage among them."""
+    lives on, the F_i tables and the packing memo of cochain_preimage among
+    them."""
     def check(dirs, a, e):
         if a not in fibers:
             raise ValueError("fiber %r outside %r" % (a, fibers))
@@ -216,7 +217,7 @@ def scheme_complex(scheme, fibers, twist):
 
     return SimpleNamespace(
         base_dirs=tuple(range(1, scheme.ndirs + 1)), fiber_dirs=tuple(fibers),
-        f_symbol=lambda i, s: scheme.derive_symbol(s, i), twist=twist,
+        f_tables={i: jets._Direction(scheme, i) for i in range(1, scheme.ndirs + 1)}, twist=twist,
         check_component=check, _pack_memo={})
 
 
@@ -417,20 +418,20 @@ def test_preimage_packs_lam_like_any_symbol():
 
 
 def test_f_symbol_is_f_apply_on_one_symbol():
-    # F_i on one symbol, read from the complex's memo, is F_i of that symbol
-    # as an Expr, for every base direction and pool symbol of the preimage
-    # problems.  A spec refuses a foreign symbol alike on both routes; the
-    # chart's D_i is an unchecked kernel, judged at fce.fc_total.
+    # F_i on one symbol, read from the complex's F_i table, is F_i of that
+    # symbol as an Expr, for every base direction and pool symbol of the
+    # preimage problems.  A spec refuses a foreign symbol alike on both
+    # routes; the chart's D_i is an unchecked kernel, judged at fce.fc_total.
     names = set()
     for name, cx, _, ansatz in _seeded_preimage_problems():
         names.add(name.split()[0] + (" " + name.split()[1] if name.startswith("miura") else ""))
         for i in cx.base_dirs:
             for s in ansatz.symbols:
-                assert cx.f_symbol(i, s) == cx.f_apply(i, Expr.wrap(s)), (name, i, render(s))
+                assert cx.f_tables[i][s] == cx.f_apply(i, Expr.wrap(s)), (name, i, render(s))
         if isinstance(cx, flatrep.FlatRepSpec):
             for foreign in (v(1), x(5), fc(1, (1,))):
                 with pytest.raises(ValueError) as by_symbol:
-                    cx.f_symbol(cx.base_dirs[0], foreign)
+                    cx.f_tables[cx.base_dirs[0]][foreign]
                 with pytest.raises(ValueError) as by_expr:
                     cx.f_apply(cx.base_dirs[0], Expr.wrap(foreign))
                 assert str(by_symbol.value) == str(by_expr.value), (name, render(foreign))
@@ -458,10 +459,10 @@ def test_second_target_block_derives_nothing(problem, monkeypatch):
     derive = Expr.derive
     calls = []
     monkeypatch.setattr(Expr, "derive", lambda self, image: calls.append(1) or derive(self, image))
-    f_symbol = type(cx).f_symbol
+    # Every read of an F_i table, hit or miss, goes through the spy.
     asked = []
-    monkeypatch.setattr(type(cx), "f_symbol",
-                        lambda self, i, s: asked.append((i, s)) or f_symbol(self, i, s))
+    monkeypatch.setattr(type(cx.f_tables[cx.base_dirs[0]]), "__getitem__",
+                        lambda self, s: asked.append((self.i, s)) or dict.__getitem__(self, s))
     again = _target_block(cx, ansatz, ansatz.monomials(), goal)
     assert calls == [] and asked == []
     assert again[:2] == first[:2] and first[0]
